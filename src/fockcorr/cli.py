@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import argparse
 import inspect
-import os
+import math
 import sys
 from fractions import Fraction
 
@@ -127,11 +127,8 @@ def _parse_ops(text, ring):
 def _isqrt_exact(n):
     if n < 0:
         return None
-    r = int(n ** 0.5)
-    for c in (r - 1, r, r + 1):
-        if c >= 0 and c * c == n:
-            return c
-    return None
+    r = math.isqrt(n)
+    return r if r * r == n else None
 
 
 def cmd_oracle(args):
@@ -197,9 +194,6 @@ def build_parser():
         description="Exact n-point correlation functions on integrable "
                     "modules of types B, C, D (and A), with a brute-force "
                     "Fock-space oracle.")
-    parser.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                        help="parallelism budget; results are independent of "
-                             "the thread count")
     parser.add_argument("--cache-dir", default=None,
                         help="content-addressed cache directory (safe to delete)")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -265,8 +259,6 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.threads is not None and args.threads < 1:
-        parser.error("--threads must be >= 1")
     diskcache.configure(args.cache_dir)
     try:
         return args.func(args)

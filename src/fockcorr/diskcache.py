@@ -1,7 +1,8 @@
 """Optional content-addressed disk cache (--cache-dir).
 
 Stores JSON blobs keyed by the sha256 of a canonical parameter string.
-Files are immutable and safe to delete at any time.
+Files are immutable and safe to delete at any time.  A blob that cannot be
+read back as JSON counts as a miss and is overwritten by the next ``put``.
 """
 
 from __future__ import annotations
@@ -9,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import tempfile
 
 _cache_dir = None
 
@@ -34,18 +36,23 @@ def _path(key):
 def get(key):
     if _cache_dir is None:
         return None
-    p = _path(key)
-    if not os.path.exists(p):
+    try:
+        with open(_path(key)) as fh:
+            return json.load(fh)
+    except (OSError, ValueError):
         return None
-    with open(p) as fh:
-        return json.load(fh)
 
 
 def put(key, obj):
     if _cache_dir is None:
         return
-    p = _path(key)
-    tmp = p + ".tmp"
-    with open(tmp, "w") as fh:
-        json.dump(obj, fh)
-    os.replace(tmp, p)
+    # a unique temp name per writer, so concurrent puts of one key cannot
+    # interleave; os.replace publishes each complete blob atomically
+    fd, tmp = tempfile.mkstemp(dir=_cache_dir, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            json.dump(obj, fh)
+        os.replace(tmp, _path(key))
+    except BaseException:
+        os.unlink(tmp)
+        raise

@@ -75,7 +75,7 @@ def check_jacobi_half(order=12):
 def check_weyl_denom_d(l=4):
     for rank in range(1, l + 1):
         vars_ = torus_vars("O2l", rank)
-        half_det = denominator_det("O2l", rank).map_coeffs(lambda c: c / 2)
+        half_det = denominator_det("O2l", rank).map_coeffs(lambda c: Fraction(c, 2))
         wd = weyl_denominator_poly("D", rank, vars_)
         if half_det != wd:
             return Report("weyl-denom-D", {"l": rank}, Fraction(0), False,

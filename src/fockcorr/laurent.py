@@ -2,25 +2,43 @@
 
 Half-integer powers of the correlation variables t_i never appear directly:
 every module works in formal square roots s_i with t_i = s_i**2, so all
-exponents here are plain integers.  Coefficients are exact Fractions.
+exponents here are plain integers.  Coefficients are exact rationals held
+in one normal form: a plain ``int`` when integral, a ``Fraction`` only when
+not.  Since ``4 == Fraction(4)``, ``hash(4) == hash(Fraction(4))`` and
+``str(4) == str(Fraction(4))``, the form changes no equality, hash or
+rendering; it only keeps the common integral case off ``Fraction``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from operator import add, sub
 
 from .errors import InexactDivisionError, PoleError
 
 Exps = tuple  # integer exponent vector aligned with a variable tuple
 
 
-def _fr(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
+def _fr(x):
+    """Normal form of a coefficient: int when integral, else Fraction."""
+    if type(x) is int:
+        return x
+    if not isinstance(x, Fraction):
+        x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
+
+def _div(a, b):
+    """Exact coefficient quotient in normal form (int / int is a float)."""
+    if type(a) is int and type(b) is int and not a % b:
+        return a // b
+    return _fr(Fraction(a) / b)
 
 
 class LaurentPoly:
-    """Laurent polynomial: ordered variable names + {exponent vector: Fraction}.
+    """Laurent polynomial: ordered variable names + {exponent vector: coeff}.
+
+    Coefficients are nonzero and in ``_fr`` normal form.
 
     Instances are treated as immutable; never mutate ``terms`` after
     construction.
@@ -42,8 +60,8 @@ class LaurentPoly:
                         if any(Fraction(x).denominator != 1 for x in e):
                             raise ValueError(f"non-integer exponent vector {e}")
                         e = tuple(int(x) for x in e)
-                    clean[e] = clean.get(e, Fraction(0)) + c
-            terms = {e: c for e, c in clean.items() if c}
+                    clean[e] = clean.get(e, 0) + c
+            terms = {e: _fr(c) for e, c in clean.items() if c}
         self.terms = terms
         self._hash = None
 
@@ -84,7 +102,7 @@ class LaurentPoly:
 
     def const_value(self):
         if self.is_zero:
-            return Fraction(0)
+            return 0
         if not self.is_const():
             raise ValueError("not a constant")
         return next(iter(self.terms.values()))
@@ -112,9 +130,9 @@ class LaurentPoly:
         self._check(other)
         t = dict(self.terms)
         for e, c in other.terms.items():
-            v = t.get(e, Fraction(0)) + c
+            v = t.get(e, 0) + c
             if v:
-                t[e] = v
+                t[e] = _fr(v)
             else:
                 t.pop(e, None)
         return LaurentPoly(self.vars, t, _clean=False)
@@ -137,18 +155,19 @@ class LaurentPoly:
             c = _fr(other)
             if not c:
                 return LaurentPoly.zero(self.vars)
-            return LaurentPoly(self.vars, {e: v * c for e, v in self.terms.items()}, _clean=False)
+            return LaurentPoly(self.vars, {e: _fr(v * c) for e, v in self.terms.items()},
+                               _clean=False)
         self._check(other)
         out = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                v = out.get(e, Fraction(0)) + c1 * c2
+                e = tuple(map(add, e1, e2))
+                v = out.get(e, 0) + c1 * c2
                 if v:
                     out[e] = v
                 else:
                     out.pop(e, None)
-        return LaurentPoly(self.vars, out, _clean=False)
+        return LaurentPoly(self.vars, {e: _fr(v) for e, v in out.items()}, _clean=False)
 
     __rmul__ = __mul__
 
@@ -159,7 +178,7 @@ class LaurentPoly:
             if not self.is_monomial():
                 raise InexactDivisionError("negative power of a non-monomial")
             (e, c), = self.terms.items()
-            return LaurentPoly.monomial(self.vars, tuple(x * n for x in e), c ** n)
+            return LaurentPoly.monomial(self.vars, tuple(x * n for x in e), Fraction(c) ** n)
         out = LaurentPoly.const(self.vars, 1)
         base = self
         while n:
@@ -196,7 +215,7 @@ class LaurentPoly:
             return self
         return LaurentPoly(
             self.vars,
-            {tuple(a + b for a, b in zip(e, exps)): c for e, c in self.terms.items()},
+            {tuple(map(add, e, exps)): c for e, c in self.terms.items()},
             _clean=False,
         )
 
@@ -206,17 +225,6 @@ class LaurentPoly:
             raise ValueError("zero polynomial has no leading term")
         e = max(self.terms)
         return e, self.terms[e]
-
-    def content(self):
-        """Positive rational content gcd(coefficients)."""
-        if not self.terms:
-            return Fraction(1)
-        nums = 0
-        dens = 1
-        for c in self.terms.values():
-            nums = gcd(nums, c.numerator)
-            dens = lcm(dens, c.denominator)
-        return Fraction(nums, dens)
 
     def map_coeffs(self, f):
         return LaurentPoly(self.vars, {e: f(c) for e, c in self.terms.items()})
@@ -230,7 +238,7 @@ class LaurentPoly:
         for e, c in self.terms.items():
             w = sum(wi * ei for wi, ei in zip(weights, e))
             if w:
-                out[e] = c * w
+                out[e] = _fr(c * w)
         return LaurentPoly(self.vars, out, _clean=False)
 
     def invert_vars(self, names):
@@ -262,13 +270,13 @@ class LaurentPoly:
         return out
 
     def eval_at(self, point):
-        """Exact evaluation; every variable must be bound to a Fraction."""
+        """Exact evaluation to a Fraction; every variable must be bound."""
         total = Fraction(0)
         vals = []
         for v in self.vars:
             if v not in point:
                 raise PoleError(f"unbound variable {v!r}")
-            vals.append(_fr(point[v]))
+            vals.append(Fraction(point[v]))
         for e, c in self.terms.items():
             term = c
             for val, k in zip(vals, e):
@@ -320,23 +328,28 @@ def exact_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
     nshift = num.min_exps()
     dshift = den.min_exps()
     # normalize both to honest polynomials; the quotient of the normalized
-    # parts is again a polynomial, so lex long division applies
-    n0 = num.shift(tuple(-x for x in nshift))
-    d0 = den.shift(tuple(-x for x in dshift))
-    dlead_e, dlead_c = d0.lex_lead()
+    # parts is again a polynomial, so lex long division applies.  The
+    # remainder is one dict, updated in place at each step.
+    rem = {tuple(map(sub, e, nshift)): c for e, c in num.terms.items()}
+    d0 = [(tuple(map(sub, e, dshift)), c) for e, c in den.terms.items()]
+    dlead_e, dlead_c = max(d0)
+    total_shift = tuple(map(sub, nshift, dshift))
     quot = {}
-    rem = n0
-    while not rem.is_zero:
-        rlead_e, rlead_c = rem.lex_lead()
-        qe = tuple(a - b for a, b in zip(rlead_e, dlead_e))
+    while rem:
+        rlead_e = max(rem)
+        qe = tuple(map(sub, rlead_e, dlead_e))
         if any(x < 0 for x in qe):
             raise InexactDivisionError("inexact division")
-        qc = rlead_c / dlead_c
-        quot[qe] = qc
-        rem = rem - d0.shift(qe) * qc
-    q = LaurentPoly(num.vars, quot, _clean=False)
-    total_shift = tuple(a - b for a, b in zip(nshift, dshift))
-    return q.shift(total_shift)
+        qc = _div(rem[rlead_e], dlead_c)
+        quot[tuple(map(add, qe, total_shift))] = qc
+        for e, c in d0:
+            e = tuple(map(add, e, qe))
+            v = rem.get(e, 0) - c * qc
+            if v:
+                rem[e] = _fr(v)
+            else:
+                rem.pop(e, None)
+    return LaurentPoly(num.vars, quot, _clean=False)
 
 
 def try_exact_div(num, den):
@@ -349,14 +362,14 @@ def try_exact_div(num, den):
 def _univariate_coeffs(p: LaurentPoly, idx: int):
     """Dense coefficient list of a poly using only variable ``idx`` (min exp 0)."""
     deg = max(e[idx] for e in p.terms)
-    out = [Fraction(0)] * (deg + 1)
+    out = [0] * (deg + 1)
     for e, c in p.terms.items():
         out[e[idx]] = c
     return out
 
 
 def _univariate_gcd(a, b):
-    """Monic gcd of dense Fraction coefficient lists."""
+    """Monic gcd of dense coefficient lists."""
     def norm(x):
         while x and not x[-1]:
             x.pop()
@@ -370,7 +383,7 @@ def _univariate_gcd(a, b):
         r = list(a)
         while len(r) - 1 >= d and norm(r):
             k = len(r) - 1 - d
-            f = r[-1] / lead
+            f = _div(r[-1], lead)
             for i, bc in enumerate(b):
                 r[k + i] -= f * bc
             r = norm(r)
@@ -379,7 +392,7 @@ def _univariate_gcd(a, b):
         a, b = b, r
     if a:
         lead = a[-1]
-        a = [c / lead for c in a]
+        a = [_div(c, lead) for c in a]
     return a
 
 
@@ -436,8 +449,8 @@ class RationalFunction:
         # rational content: den lex-leading coefficient becomes +1
         _, lead = den.lex_lead()
         if lead != 1:
-            den = den.map_coeffs(lambda c: c / lead)
-            num = num.map_coeffs(lambda c: c / lead)
+            den = den.map_coeffs(lambda c: _div(c, lead))
+            num = num.map_coeffs(lambda c: _div(c, lead))
         return num, den
 
     # -- constructors ---------------------------------------------------

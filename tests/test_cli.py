@@ -48,6 +48,18 @@ def test_oracle_t_flag_square():
     assert bad.returncode == 2  # 2 is not a rational square
 
 
+def test_oracle_t_flag_large_square():
+    # a 300-digit t is far beyond float precision; t= must match the s= run
+    s = 10 ** 150 - 3
+    via_t = run_cli("oracle", "--pairs", "1", "--sector", "ns",
+                    "--ops", f"D,t={s * s}", "--order", "2")
+    via_s = run_cli("oracle", "--pairs", "1", "--sector", "ns",
+                    "--ops", f"D,s={s}", "--order", "2")
+    assert len(str(s * s)) == 300
+    assert via_t.returncode == 0, via_t.stderr
+    assert via_t.stdout == via_s.stdout
+
+
 def test_corr_and_oracle_outputs_diff_cleanly():
     corr = run_cli("corr", "--algebra", "d", "--level", "1", "--lambda", "0",
                    "--n", "1", "--order", "3", "--mode", "eval", "--s", "2")
@@ -135,6 +147,22 @@ def test_cache_dir_round_trip(tmp_path):
     assert files
     second = run_cli(*args)
     assert second.stdout == first.stdout
+
+
+def test_cache_dir_truncated_blob_is_recomputed(tmp_path):
+    cache = tmp_path / "cache"
+    args = ("--cache-dir", str(cache), "corr", "--algebra", "d", "--level", "1",
+            "--lambda", "0", "--n", "1", "--order", "3", "--mode", "eval",
+            "--s", "2")
+    first = run_cli(*args)
+    assert first.returncode == 0
+    (blob,) = cache.glob("*.json")
+    good = blob.read_text()
+    blob.write_text(good[: len(good) // 2])
+    second = run_cli(*args)
+    assert second.returncode == 0, second.stderr
+    assert second.stdout == first.stdout
+    assert blob.read_text() == good
 
 
 def test_oracle_charge_sector_value():

@@ -1,6 +1,9 @@
+import itertools
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from fockcorr.combinat import ModuleLabel
 from fockcorr.correlators import (CorrelatorRequest, a_npoint, correlator,
@@ -363,3 +366,39 @@ class TestRequests:
                                 order=2, mode="eval", eval_points=(2,))
         series = correlator(req)
         assert series.coeff(F(1, 2)) == (F(4) + F(1, 4)) / (F(2) - F(1, 2))
+
+
+def _off_poles(svals):
+    """No product of t_i^{+-1} (t = s^2) over a nonempty subset equals 1."""
+    for eps in itertools.product((-1, 0, 1), repeat=len(svals)):
+        if any(eps):
+            prod = F(1)
+            for s, e in zip(svals, eps):
+                prod *= s ** (2 * e)
+            if prod == 1:
+                return False
+    return True
+
+
+@given(algebra=st.sampled_from("bcd"), level=st.sampled_from((F(1), F(3, 2))),
+       part=st.integers(0, 2), det=st.booleans(), n=st.integers(1, 2),
+       order=st.sampled_from((1, F(3, 2), 2, F(5, 2), 3)),
+       svals=st.lists(st.fractions(min_value=-5, max_value=5, max_denominator=7)
+                      .filter(lambda s: s not in (0, 1, -1)),
+                      min_size=2, max_size=2))
+@settings(max_examples=15, deadline=None)
+def test_exact_mode_specialized_at_s_equals_eval_mode(
+        algebra, level, part, det, n, order, svals):
+    try:
+        label = ModuleLabel(algebra, level, (part,), det=det,
+                            spin=algebra == "b", folded=not det)
+    except LabelError:
+        assume(False)
+    svals = tuple(svals[:n])
+    assume(_off_poles(svals))
+    exact = correlator(CorrelatorRequest(label, n, order, "exact"))
+    evald = correlator(CorrelatorRequest(label, n, order, "eval", svals))
+    point = {f"s{i + 1}": s for i, s in enumerate(svals)}
+    special = {e: c.eval_at(point) for e, c in exact.terms.items()}
+    assert {e: c for e, c in special.items() if c} == evald.terms
+    assert exact.trunc == evald.trunc

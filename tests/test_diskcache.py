@@ -1,0 +1,62 @@
+import json
+import sys
+import threading
+
+import pytest
+
+from fockcorr import diskcache
+
+
+@pytest.fixture
+def cache_dir(tmp_path):
+    diskcache.configure(str(tmp_path))
+    try:
+        yield tmp_path
+    finally:
+        diskcache.configure(None)
+
+
+def test_two_puts_leave_one_valid_file(cache_dir):
+    diskcache.put("k", {"v": 1})
+    diskcache.put("k", {"v": 2})
+    assert [p.suffix for p in cache_dir.iterdir()] == [".json"]
+    assert diskcache.get("k") == {"v": 2}
+
+
+def test_concurrent_puts_of_one_key(cache_dir):
+    payloads = [{"writer": i, "data": list(range(2000))} for i in range(4)]
+    errors = []
+
+    def writer(obj):
+        try:
+            for _ in range(25):
+                diskcache.put("k", obj)
+        except OSError as exc:
+            errors.append(exc)
+
+    threads = [threading.Thread(target=writer, args=(p,)) for p in payloads]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, inside each put
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    (blob,) = cache_dir.iterdir()
+    assert blob.suffix == ".json"
+    assert json.loads(blob.read_text()) in payloads
+
+
+def test_corrupt_blob_is_a_miss(cache_dir):
+    diskcache.put("k", {"v": 1})
+    (blob,) = cache_dir.iterdir()
+    blob.write_text('{"v": ')
+    assert diskcache.get("k") is None
+    blob.write_bytes(b"\xff\xfe")
+    assert diskcache.get("k") is None
+    diskcache.put("k", {"v": 1})
+    assert diskcache.get("k") == {"v": 1}

@@ -35,16 +35,24 @@ def test_exact_div_rejects_remainder():
         exact_div(num, den)
 
 
+# coefficients of either type: ints and Fractions, integral ones included
+rand_coeff = st.one_of(st.integers(min_value=-3, max_value=3),
+                       st.fractions(min_value=-3, max_value=3))
 rand_poly = st.lists(
     st.tuples(st.integers(min_value=-3, max_value=3),
-              st.integers(min_value=-3, max_value=3),
-              st.fractions(min_value=-3, max_value=3)),
+              st.integers(min_value=-3, max_value=3), rand_coeff),
     min_size=1, max_size=4,
 )
 
 
 def mk2(entries):
-    return LaurentPoly(ZV, {(a, b): F(c) for a, b, c in entries})
+    return LaurentPoly(ZV, {(a, b): c for a, b, c in entries})
+
+
+def in_normal_form(p):
+    """Every coefficient is an int or a non-integral Fraction."""
+    return all(type(c) is int or (type(c) is F and c.denominator != 1)
+               for c in p.terms.values())
 
 
 @given(rand_poly, rand_poly)
@@ -53,7 +61,9 @@ def test_exact_div_roundtrip(ea, eb):
     a, b = mk2(ea), mk2(eb)
     if b.is_zero:
         return
-    assert exact_div(a * b, b) == a
+    q = exact_div(a * b, b)
+    assert q == a
+    assert in_normal_form(q)
 
 
 @given(rand_poly)
@@ -162,3 +172,48 @@ def test_rf_arithmetic_fast_paths():
     total = a + c
     assert total * RationalFunction(den * den, poly(SV, {(0,): 1})) \
         == RationalFunction(den + s, poly(SV, {(0,): 1}))
+
+
+@given(rand_poly, rand_poly,
+       st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+       rand_coeff.filter(bool))
+@settings(max_examples=60, deadline=None)
+def test_coefficients_stay_in_normal_form(ea, eb, mono_e, mono_c):
+    a, b = mk2(ea), mk2(eb)
+    mono = LaurentPoly.monomial(ZV, mono_e, mono_c)
+    results = [a, a + b, a - b, a * b, a * F(2), a * F(1, 2), mono ** -1,
+               mono ** -2, a.map_coeffs(lambda c: c * F(2)),
+               a.map_coeffs(lambda c: F(c, 2)),
+               LaurentPoly.from_json(ZV, a.to_json())]
+    if not b.is_zero:
+        results.append(exact_div(a * b, b))
+        rf = RationalFunction(a, b)
+        results += [rf.num, rf.den]
+    for p in results:
+        assert in_normal_form(p), p.terms
+
+
+@given(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3),
+                          st.integers(-5, 5).filter(bool)),
+                min_size=1, max_size=4))
+@settings(max_examples=40, deadline=None)
+def test_int_and_fraction_coefficients_agree(entries):
+    ints = {(a, b): c for a, b, c in entries}
+    fracs = {e: F(c) for e, c in ints.items()}
+    p, q = LaurentPoly(ZV, ints), LaurentPoly(ZV, fracs)
+    assert p == q and hash(p) == hash(q)
+    # a poly holding integral Fractions unnormalized still agrees
+    raw = LaurentPoly(ZV, fracs, _clean=False)
+    assert raw == p and hash(raw) == hash(p)
+    one = LaurentPoly.const(ZV, 1)
+    assert hash(RationalFunction(p, one)) == hash(RationalFunction(q, one))
+
+
+@given(rand_poly, st.integers(-4, 4).filter(bool),
+       st.integers(-4, 4).filter(bool))
+@settings(max_examples=40, deadline=None)
+def test_eval_at_integer_points_is_fraction(entries, x, y):
+    p = mk2(entries)
+    value = p.eval_at({"z1": x, "z2": y})
+    assert type(value) is F
+    assert type(LaurentPoly.const(ZV, 3).eval_at({"z1": x, "z2": y})) is F

@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Subcommands: corr, qdim, oracle, verify, list-identities.
-Exit codes: 0 success / all identities pass, 1 verification failure,
-2 usage error, 3 pole-guard violation, 4 resource limit.
+Exit codes: 0 success / all identities pass, 1 verification failure
+(a failed identity, or two internal forms that disagree), 2 usage error,
+3 pole-guard violation, 4 resource limit; see ``errors`` for the mapping.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ from . import diskcache
 from . import identities
 from .combinat import ModuleLabel
 from .correlators import CorrelatorRequest, correlator, qdim
-from .errors import (FockcorrError, LabelError, PoleError, ResourceLimitError)
+from .errors import (FockcorrError, InternalCheckError, LabelError, PoleError,
+                     ResourceLimitError)
 from .fock_oracle import RAMOND, OpSpec, SectorSpec, trace
 from .qseries import LaurentRing, QSeries, RationalRing, from16
 
@@ -268,7 +270,10 @@ def main(argv=None):
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return 4
-    except (LabelError, FockcorrError, ValueError) as exc:
+    except InternalCheckError as exc:
+        print(f"verification failure: {exc}", file=sys.stderr)
+        return 1
+    except (FockcorrError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -395,27 +395,6 @@ def _half_level_base(sector, units, ring, order):
     return base(tuple(range(n)))
 
 
-def d_npoint(label: ModuleLabel, units, ring, order):
-    """Type d correlator at integer or half-integer level."""
-    if label.algebra != "d":
-        raise LabelError("d_npoint needs a d-algebra label")
-    return npoint(label, units, ring, order)
-
-
-def c_npoint(label: ModuleLabel, units, ring, order):
-    """Type c correlator (integer level)."""
-    if label.algebra != "c":
-        raise LabelError("c_npoint needs a c-algebra label")
-    return npoint(label, units, ring, order)
-
-
-def b_npoint(label: ModuleLabel, units, ring, order):
-    """Type b correlator at integer or half-integer level (spin labels)."""
-    if label.algebra != "b":
-        raise LabelError("b_npoint needs a b-algebra label")
-    return npoint(label, units, ring, order)
-
-
 def npoint(label: ModuleLabel, units, ring, order):
     """Dispatch an n-point correlation function by algebra and level."""
     order = Fraction(order)

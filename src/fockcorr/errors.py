@@ -1,7 +1,23 @@
 """Shared exception types.
 
-Exit-code contract for the CLI: usage errors exit 2, pole-guard violations
-exit 3, resource limits exit 4.
+Exit codes of the CLI (``cli.main``), class by class:
+
+    =====================  ====  ===================================
+    class                  code  meaning
+    =====================  ====  ===================================
+    (none raised)          0     success; every identity passes
+    InternalCheckError     1     failed verification
+    PoleError              3     pole-guard violation
+    ResourceLimitError     4     resource limit
+    LabelError             2     usage error
+    ModeMismatchError      2     usage error
+    NonUnitError           2     usage error
+    InexactDivisionError   2     usage error
+    ValueError             2     usage error (bad argument value)
+    =====================  ====  ===================================
+
+A ``verify`` run whose identity reports a mismatch also exits 1; malformed
+flags and an unknown ``verify`` identity exit 2.
 """
 
 

@@ -4,11 +4,18 @@ Exponents of q live in (1/16)*Z and are stored internally as integers in
 sixteenths; the public API accepts and returns Fractions.  A series with
 truncation T is known exactly for all exponents < T and unknown at >= T
 (Laurent-style big-O, so negative exponents are representable).
+
+Products of rational (evaluation-mode) series run through an integer
+kernel: each factor is scaled to integer numerators over the lcm of its
+coefficient denominators, the convolution is done in plain ints, and each
+output coefficient is reduced once.  Every other ring uses the generic
+coefficient loop.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 
 from .errors import ModeMismatchError, NonUnitError
@@ -375,6 +382,9 @@ class QSeries:
             if t is not None and o is not None:
                 candidates.append(t + o)
         trunc = min(candidates) if candidates else None
+        if ring.mode == "rational":
+            return QSeries(ring, _rational_product(self.terms, other.terms, trunc),
+                           trunc, _clean=False)
         out = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
@@ -420,11 +430,12 @@ class QSeries:
             rel_trunc = None
         else:
             rel_trunc = self.trunc - v  # relative orders known: [0, rel_trunc)
-        # a = q^v * c0 * (1 + x); invert the (1 + x) part by recurrence
+        # a = q^v * c0 * (1 + x); invert the (1 + x) part by recurrence.
+        # x is known below relative order rel_trunc, so a^-1 below rel_trunc - v
         rel = {e - v: c for e, c in self.terms.items()}
         if len(rel) == 1:
             inv_terms = {-v: c0inv}
-            out_trunc = None if rel_trunc is None else rel_trunc - 2 * v
+            out_trunc = None if rel_trunc is None else rel_trunc - v
             return QSeries(ring, inv_terms, out_trunc, _clean=False)
         if rel_trunc is None:
             raise NonUnitError("cannot invert an untruncated non-monomial series")
@@ -444,7 +455,7 @@ class QSeries:
                 continue
             b[e] = ring.neg(ring.mul(c0inv, acc))
         out = {e - v: c for e, c in b.items() if not ring.is_zero(c)}
-        return QSeries(ring, out, rel_trunc - 2 * v, _clean=False)
+        return QSeries(ring, out, rel_trunc - v, _clean=False)
 
     def truncated(self, order):
         t = to16(order)
@@ -554,17 +565,39 @@ class QSeries:
         return cls.from_json(json.loads(text))
 
 
+def _integer_numerators(terms):
+    """(numerators, common denominator) of a rational term dict: each
+    coefficient c equals numerators[e] / den."""
+    # a list, not a generator: on CPython 3.11 each generator unpacked into
+    # the call waits for the cycle collector, which raised peak memory
+    den = math.lcm(*[c.denominator for c in terms.values()])
+    return {e: c.numerator * (den // c.denominator) for e, c in terms.items()}, den
+
+
+def _rational_product(a, b, trunc):
+    """Term dict of the product of two rational term dicts below ``trunc``.
+
+    The same sum of coefficient products as the generic loop, accumulated
+    over integer numerators, so each output term costs one gcd instead of
+    about three per term pair.  Coefficients come out as ``Fraction``.
+    """
+    na, da = _integer_numerators(a)
+    nb, db = _integer_numerators(b)
+    nb = list(nb.items())
+    acc = {}
+    for e1, n1 in na.items():
+        for e2, n2 in nb:
+            e = e1 + e2
+            if trunc is not None and e >= trunc:
+                continue
+            acc[e] = acc.get(e, 0) + n1 * n2
+    den = da * db
+    return {e: Fraction(v, den) for e, v in acc.items() if v}
+
+
 # ---------------------------------------------------------------------------
 # primitive series constructors
 # ---------------------------------------------------------------------------
-
-def series_mul(a: QSeries, b: QSeries) -> QSeries:
-    return a * b
-
-
-def series_inv(a: QSeries) -> QSeries:
-    return a.inverse()
-
 
 def pochhammer(ring, prefix, qshift, step, order) -> QSeries:
     """Truncation of prod_{r>=0} (1 - prefix * q^(qshift + r*step)).

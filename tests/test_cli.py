@@ -112,6 +112,17 @@ def test_exit_code_resource():
     assert proc.returncode == 4
 
 
+def test_exit_code_internal_check(monkeypatch, capsys):
+    # two forms of one q-dimension that disagree are a failed verification
+    from fockcorr import cli, correlators
+    product_form = correlators.weyl_sum_product_form
+    monkeypatch.setattr(correlators, "weyl_sum_product_form",
+                        lambda *args: product_form(*args) + 1)
+    argv = ["qdim", "--algebra", "d", "--level", "1", "--order", "3"]
+    assert cli.main(argv) == 1
+    assert "verification failure" in capsys.readouterr().err
+
+
 def test_verify_pass_and_list():
     proc = run_cli("verify", "weyl-lemma", "--type", "B", "--l", "2",
                    "--order", "10")

@@ -96,6 +96,17 @@ def test_monomial_inverse():
     assert mi.trunc is None
 
 
+def test_inverse_truncation_off_order_zero():
+    # 1/(q^-1 + 1 + O(q)) = q (1 - q + O(q^2)): known below q^3, no further
+    a = QSeries.monomial(R, -1, F(1), 1) + QSeries.monomial(R, 0, F(1), 1)
+    assert repr(a.inverse()) == "(1)*q + (-1)*q^2 + O(q^3)"
+    # 1/(q + q^2 + O(q^3)) = q^-1 - 1 + O(q)
+    b = QSeries.monomial(R, 1, F(1), 3) + QSeries.monomial(R, 2, F(1), 3)
+    assert repr(b.inverse()) == "(1)*q^-1 + (-1) + O(q^1)"
+    # a monomial known to q^(v + 1) inverts to q^-v + O(q^(1 - v))
+    assert QSeries.monomial(R, 2, F(4), 3).inverse().trunc == to16(-1)
+
+
 def test_inverse_errors():
     with pytest.raises(NonUnitError):
         QSeries.zero(R, 3).inverse()
@@ -196,6 +207,73 @@ def test_ring_axioms(ta, tb, tc):
         assert all(v != 0 for v in series.terms.values())
         if series.terms:
             assert max(series.terms) < series.trunc
+
+
+def schoolbook_product(a, b):
+    """Reference product of two rational series: pairwise Fraction
+    products, accumulated in place, zeros dropped as they appear."""
+    def order16(x):
+        return min(x.terms) if x.terms else x.trunc
+
+    cands = [t + o for t, o in ((a.trunc, order16(b)), (b.trunc, order16(a)))
+             if t is not None and o is not None]
+    trunc = min(cands) if cands else None
+    out = {}
+    for e1, c1 in a.terms.items():
+        for e2, c2 in b.terms.items():
+            e = e1 + e2
+            if trunc is not None and e >= trunc:
+                continue
+            v = out.get(e, 0) + F(c1) * F(c2)
+            if v == 0:
+                out.pop(e, None)
+            else:
+                out[e] = v
+    return QSeries(R, out, trunc, _clean=False)
+
+
+sixteenths = st.integers(min_value=-12, max_value=20)
+mixed_coeffs = st.one_of(st.integers(min_value=-6, max_value=6),
+                         st.fractions(min_value=-4, max_value=4, max_denominator=12))
+sparse_terms = st.dictionaries(sixteenths, mixed_coeffs, max_size=7)
+sparse_trunc = st.one_of(st.none(), st.integers(min_value=-8, max_value=32))
+
+
+@st.composite
+def rational_pairs(draw):
+    """Two sparse rational series.  Half the time b is a with the sign of
+    every odd-sixteenth term flipped, so every odd-sixteenth term of a*b
+    cancels to zero."""
+    a = QSeries(R, draw(sparse_terms), draw(sparse_trunc))
+    if draw(st.booleans()):
+        b = QSeries(R, {e: -c if e % 2 else c for e, c in a.terms.items()},
+                    a.trunc)
+    else:
+        b = QSeries(R, draw(sparse_terms), draw(sparse_trunc))
+    return a, b
+
+
+@given(rational_pairs())
+@settings(max_examples=80, deadline=None)
+def test_rational_kernel_matches_schoolbook(pair):
+    a, b = pair
+    got, ref = a * b, schoolbook_product(a, b)
+    assert got.terms == ref.terms
+    assert all(c != 0 for c in got.terms.values())
+    assert got.trunc == ref.trunc
+    assert got.dumps() == ref.dumps()
+    assert (b * a).dumps() == got.dumps()
+
+
+@given(st.dictionaries(sixteenths, mixed_coeffs.filter(bool), min_size=1, max_size=7),
+       st.integers(min_value=1, max_value=48))
+@settings(max_examples=40, deadline=None)
+def test_rational_kernel_times_inverse_is_one(terms, known):
+    a = QSeries(R, terms, max(terms) + known)
+    T = F(a.trunc - min(a.terms), 16)
+    prod = (a * a.inverse()).truncated(T)
+    assert prod.terms == {0: 1}
+    assert prod.trunc == to16(T)
 
 
 @given(st.integers(min_value=2, max_value=25))

@@ -9,6 +9,7 @@ Exit codes: 0 success / all identities pass, 1 verification failure
 from __future__ import annotations
 
 import argparse
+import functools
 import inspect
 import math
 import sys
@@ -190,7 +191,9 @@ def cmd_list_identities(args):
     return 0
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser():
+    """The argument parser, built once per process (parsing leaves it as is)."""
     parser = argparse.ArgumentParser(
         prog="fockcorr",
         description="Exact n-point correlation functions on integrable "

@@ -42,10 +42,6 @@ class Partition:
     def nonzero(self):
         return tuple(p for p in self.parts if p)
 
-    def length(self):
-        """Number of nonzero parts."""
-        return len(self.nonzero())
-
     def conjugate(self):
         nz = self.nonzero()
         if not nz:
@@ -58,12 +54,6 @@ class Partition:
 
     def is_symmetric(self):
         return self.nonzero() == self.conjugate().parts
-
-    def padded(self, l):
-        nz = self.nonzero()
-        if len(nz) > l:
-            raise ValueError(f"partition {self.parts} has more than {l} parts")
-        return Partition(nz + (0,) * (l - len(nz)))
 
 
 @dataclass(frozen=True)

@@ -14,14 +14,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations, product
-from math import factorial, isqrt
+from math import factorial
 
 from . import diskcache
 from .combinat import ModuleLabel
 from .errors import InternalCheckError, LabelError, NonUnitError, PoleError
 from .laurent import LaurentPoly, RationalFunction
 from .qseries import (LaurentRing, QSeries, RatFuncRing, RationalRing,
-                      pochhammer, unit_pow)
+                      lattice_points, pochhammer, unit_pow)
 from .weyl import weyl_qpoly, weyl_sum, weyl_sum_product_form
 
 
@@ -250,26 +250,6 @@ def eps_inner_sum(units, ring, order, k):
 # graded traces F(z,q;t) and F_b(z,q;t) (closed formula route)
 # ---------------------------------------------------------------------------
 
-def _k_range(sector, order):
-    """All k with k^2/2 < order; integers for NS, 1/2 + Z for the R sector."""
-    order = Fraction(order)
-    ks = []
-    if sector == "NS":
-        kmax = isqrt(int(2 * order) + 2) + 1
-        for k in range(-kmax, kmax + 1):
-            if Fraction(k * k, 2) < order:
-                ks.append(Fraction(k))
-    elif sector == "R":
-        k = Fraction(1, 2)
-        while k * k / 2 < order:
-            ks.append(k)
-            ks.append(-k)
-            k += 1
-    else:
-        raise ValueError("sector must be 'NS' or 'R'")
-    return sorted(ks)
-
-
 def graded_trace_F(sector, units, ring, order, zvar=None, zscale=1):
     """F(z,q;t) = sum_k z^k q^{k^2/2} sum_eps [eps] (prod t^eps)^k F_bo(q;t^eps).
 
@@ -278,8 +258,10 @@ def graded_trace_F(sector, units, ring, order, zvar=None, zscale=1):
     variable is then the square root w of z).  zvar=None sets z = 1.
     """
     order = Fraction(order)
+    if sector not in ("NS", "R"):
+        raise ValueError("sector must be 'NS' or 'R'")
     total = QSeries.zero(ring, order)
-    for k in _k_range(sector, order):
+    for k in lattice_points("int" if sector == "NS" else "half", order):
         term = eps_inner_sum(units, ring, order, k).shift(k * k / 2).truncated(order)
         if zvar is not None:
             zexp = Fraction(zscale) * k
@@ -407,17 +389,12 @@ def npoint(label: ModuleLabel, units, ring, order):
         if half:
             raise LabelError("c_infinity has integer levels only")
         return weyl_correlator(weight, "C", l, units, ring, order)
-    if label.algebra == "d":
-        if not half:
-            return weyl_correlator(weight, "D", l, units, ring, order)
-        pre = half_level_base("D", units, ring, order)
-        return (pre * weyl_correlator(weight, "B", l, units, ring, order)).truncated(order)
-    if label.algebra == "b":
-        if not label.spin:
+    if label.algebra in ("d", "b"):
+        if label.algebra == "b" and not label.spin:
             raise LabelError("b_infinity labels carry the spin flag")
         if not half:
             return weyl_correlator(weight, "D", l, units, ring, order)
-        pre = half_level_base("B", units, ring, order)
+        pre = half_level_base(label.algebra.upper(), units, ring, order)
         return (pre * weyl_correlator(weight, "B", l, units, ring, order)).truncated(order)
     raise LabelError(f"unknown algebra {label.algebra!r}")
 
@@ -443,15 +420,16 @@ def refined_g(order):
     order = Fraction(order)
     ring = RatFuncRing(("s",))
     qq2 = qq_odd(ring, order)
-    body = QSeries.zero(ring, order)
+    terms = []
     n = 1
     while 2 * n - 1 < order:
         coeff = ring.add(ring.var("s", -(2 * n - 1)), ring.neg(ring.var("s", 2 * n - 1)))
         j = 0
         while (2 * n - 1) * (j + 1) < order:
-            body = body + QSeries.monomial(ring, (2 * n - 1) * (j + 1), coeff, order)
+            terms.append(((2 * n - 1) * (j + 1), coeff))
             j += 1
         n += 1
+    body = QSeries.from_terms(ring, terms, order)
     colon_g = (qq2 * body) * Fraction(2)
     s = LaurentPoly.var(("s",), "s")
     central = RationalFunction(LaurentPoly.const(("s",), 2), s - s ** -1)
@@ -478,7 +456,7 @@ def _tddt_log_pochhammer(ring, c, x2, qshift, step, order):
     """
     order = Fraction(order)
     x = Fraction(x2, 2)
-    total = QSeries.zero(ring, order)
+    terms = []
     r = 0
     while True:
         e = Fraction(qshift) + r * Fraction(step)
@@ -487,17 +465,17 @@ def _tddt_log_pochhammer(ring, c, x2, qshift, step, order):
         if e == 0:
             mono = LaurentPoly.var(ring.vars, "s", x2, c)
             rf = RationalFunction(mono, LaurentPoly.const(ring.vars, 1) - mono)
-            total = total + QSeries.monomial(ring, 0, ring.mul(ring.from_fraction(-x), rf), order)
+            terms.append((0, ring.mul(ring.from_fraction(-x), rf)))
         else:
             m = 1
             while e * m < order:
                 w = ring.from_fraction(-x * c ** m)
-                total = total + QSeries.monomial(ring, e * m, ring.mul(w, ring.var("s", x2 * m)), order)
+                terms.append((e * m, ring.mul(w, ring.var("s", x2 * m))))
                 m += 1
         r += 1
         if e == 0 and Fraction(step) <= 0:
             break
-    return total
+    return QSeries.from_terms(ring, terms, order)
 
 
 def refined_form1(sign, order):
@@ -506,20 +484,20 @@ def refined_form1(sign, order):
     ring = RatFuncRing(("s",))
     units = (ring.var("s"),)
     base = f_bo(units, ring, order)
-    bracket = QSeries.zero(ring, order)
+    terms = []
     r = 0
     while Fraction(r + 1) < order:
         # q^{r+1} t^{-1/2} / (1 - q^{2r+2} t^{-1}) - q^{r+1} t^{1/2} / (1 - q^{2r+2} t)
         j = 0
         while (r + 1) * (2 * j + 1) < order:
             e = Fraction((r + 1) * (2 * j + 1))
-            bracket = bracket + QSeries.monomial(ring, e, ring.var("s", -(2 * j + 1)), order)
-            bracket = bracket - QSeries.monomial(ring, e, ring.var("s", 2 * j + 1), order)
+            terms.append((e, ring.var("s", -(2 * j + 1))))
+            terms.append((e, ring.neg(ring.var("s", 2 * j + 1))))
             j += 1
         r += 1
     s = LaurentPoly.var(("s",), "s")
-    central = RationalFunction(LaurentPoly.const(("s",), 1), s - s ** -1)
-    bracket = bracket + QSeries.monomial(ring, 0, central, order)
+    terms.append((0, RationalFunction(LaurentPoly.const(("s",), 1), s - s ** -1)))
+    bracket = QSeries.from_terms(ring, terms, order)
     corr = qq_odd(ring, order) * bracket
     return (base + corr) if sign > 0 else (base - corr)
 
@@ -561,20 +539,15 @@ def qdim(label: ModuleLabel, order) -> QSeries:
     if label.algebra == "a":
         raise LabelError("q-dimensions are provided for algebras b, c, d")
     weight = label.weight()
+    wtype, pre, shift = "D", inv_qq(ring, order) ** l, Fraction(0)
     if label.algebra == "c":
-        wtype, pre, shift = "C", inv_qq(ring, order) ** l, Fraction(0)
-    elif label.algebra == "d" and not half:
-        wtype, pre, shift = "D", inv_qq(ring, order) ** l, Fraction(0)
-    elif label.algebra == "d":
+        wtype = "C"
+    elif half:
         wtype = "B"
-        pre = em_half(ring, order) * inv_qq(ring, order) ** l
-        shift = Fraction(0)
-    elif label.algebra == "b" and not half:
-        wtype, pre, shift = "D", inv_qq(ring, order) ** l, Fraction(0)
-    else:
-        wtype = "B"
-        pre = em_one(ring, order) * inv_qq(ring, order) ** l
-        shift = Fraction(1, 16)
+        if label.algebra == "d":
+            pre = em_half(ring, order) * pre
+        else:
+            pre, shift = em_one(ring, order) * pre, Fraction(1, 16)
     sum_form = weyl_qpoly(weight, wtype, l, order)
     prod_form = weyl_sum_product_form(weight, wtype, l, order)
     if sum_form.first_mismatch(prod_form) is not None:
@@ -607,7 +580,7 @@ def corollary_d_rhs(order):
     - (q^{r+1}t^{-1})^{1/2}/(1-q^{r+1}t^{-1}) ]."""
     order = Fraction(order)
     ring = RatFuncRing(("s",))
-    total = QSeries.zero(ring, order)
+    terms = []
     r = 0
     while Fraction(r + 1, 2) < order:
         sgn = -1 if r % 2 else 1
@@ -615,10 +588,11 @@ def corollary_d_rhs(order):
         while Fraction(r + 1, 2) + (r + 1) * j < order:
             e = Fraction(r + 1, 2) + (r + 1) * j
             c = ring.from_fraction(sgn)
-            total = total + QSeries.monomial(ring, e, ring.mul(c, ring.var("s", 2 * j + 1)), order)
-            total = total - QSeries.monomial(ring, e, ring.mul(c, ring.var("s", -(2 * j + 1))), order)
+            terms.append((e, ring.mul(c, ring.var("s", 2 * j + 1))))
+            terms.append((e, ring.neg(ring.mul(c, ring.var("s", -(2 * j + 1))))))
             j += 1
         r += 1
+    total = QSeries.from_terms(ring, terms, order)
     factor = ring.add(ring.var("s"), ring.neg(ring.var("s", -1)))
     return (QSeries.one(ring, order) + total.scale(factor)).truncated(order)
 
@@ -642,7 +616,7 @@ def corollary_b_rhs(order):
     - q^{r+1}t^{-1}/(1-q^{r+1}t^{-1}) ]."""
     order = Fraction(order)
     ring = RatFuncRing(("s",))
-    total = QSeries.zero(ring, order)
+    terms = []
     r = 0
     while Fraction(r + 1) < order:
         sgn = 2 if r % 2 == 0 else -2
@@ -650,14 +624,14 @@ def corollary_b_rhs(order):
         while (r + 1) * j < order:
             e = Fraction((r + 1) * j)
             c = ring.from_fraction(sgn)
-            total = total + QSeries.monomial(ring, e, ring.mul(c, ring.var("s", 2 * j)), order)
-            total = total - QSeries.monomial(ring, e, ring.mul(c, ring.var("s", -2 * j)), order)
+            terms.append((e, ring.mul(c, ring.var("s", 2 * j))))
+            terms.append((e, ring.neg(ring.mul(c, ring.var("s", -2 * j)))))
             j += 1
         r += 1
     s2 = LaurentPoly.var(("s",), "s", 2)
     one = LaurentPoly.const(("s",), 1)
-    central = RationalFunction(s2 + one, s2 - one)
-    return (total + QSeries.monomial(ring, 0, central, order)).truncated(order)
+    terms.append((0, RationalFunction(s2 + one, s2 - one)))
+    return QSeries.from_terms(ring, terms, order)
 
 
 def corollary_b_rhs_log(order):

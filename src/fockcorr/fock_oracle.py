@@ -2,9 +2,13 @@
 
 Every operator in scope is diagonal on the occupation basis, so a trace is
 an exact sum over basis states below an energy cutoff.  States are built
-per fermion flavor (strict mode subsets) and merged flavor-by-flavor with
-energy pruning; identical (energy, charge, eigenvalue) signatures merge
-with multiplicity, which keeps the combined lists small.
+per fermion flavor (strict mode subsets) and merged with energy pruning;
+identical (energy, charge, eigenvalue) signatures merge with multiplicity,
+which keeps the combined lists small.  One merge does all the combining:
+it joins the two flavors of a pair (charges add), and after each pair is
+keyed by its physical charge, with the charge filter applied there, it
+folds the pairs together (charge tuples concatenate).  The neutral fermion
+joins last.
 
 Conventions (NS = modes in 1/2+Z, R = modes in Z):
   * NS charged pair: psi^{+-} creators at k in 1/2+Z_+, charge +-1 each.
@@ -164,13 +168,12 @@ def _flavor_signature_states(spec, flavor, ops, ring, max_states, counter):
                 [ring.add(v, w) for v, w in zip(vals, weights[j])],
                 chosen + [modes[j]])
 
-    rec(0, 0, [ring.zero()] * len(ops), [])
+    rec(0, 0, [ring.zero() for _ in ops], [])
     return out
 
 
 def enumerate_states(spec: SectorSpec, max_states=None):
     """Every basis state with unshifted energy < cutoff, exactly once."""
-    ring = _KeyRing()
     counter = [0]
     groups = []
     for p in range(spec.pairs):
@@ -180,7 +183,7 @@ def enumerate_states(spec: SectorSpec, max_states=None):
         groups.append(("neutral", None))
     cutoff16 = to16(spec.cutoff)
     lists = [
-        _flavor_signature_states(spec, flavor, (), ring, max_states, counter)
+        _flavor_signature_states(spec, flavor, (), None, max_states, counter)
         for flavor, _ in groups
     ]
 
@@ -211,16 +214,6 @@ def enumerate_states(spec: SectorSpec, max_states=None):
     yield from rec(0, 0, [], [], ())
 
 
-class _KeyRing:
-    """Minimal ring stub for op-free enumeration paths."""
-
-    def zero(self):
-        return 0
-
-    def add(self, a, b):
-        return 0
-
-
 def trace(spec: SectorSpec, ops, ring, *, zvars=None, zscale=1,
           charge=None, max_states=None) -> QSeries:
     """Exact graded trace  tr q^{L_0} prod_p z_p^{e_pp} prod_i X_i(t_i).
@@ -243,7 +236,8 @@ def trace(spec: SectorSpec, ops, ring, *, zvars=None, zscale=1,
     cutoff16 = to16(spec.cutoff)
     counter = [0]
 
-    # merged per-pair states: (energy16, charge, opvals) -> multiplicity
+    # (energy16, charge, opvals) -> multiplicity; under a merge charges add,
+    # so per-pair charge tuples concatenate
     def merge(a, b):
         out = {}
         for (e1, c1, v1), m1 in a.items():
@@ -269,8 +263,14 @@ def trace(spec: SectorSpec, ops, ring, *, zvars=None, zscale=1,
 
     rshift = Fraction(1, 2) if spec.sector == RAMOND else Fraction(0)
     per_pair = []
-    for _ in range(spec.pairs):
-        per_pair.append(merge(flavor_dict("plus"), flavor_dict("minus")))
+    for p in range(spec.pairs):
+        want = None if charge is None or charge[p] is None else Fraction(charge[p])
+        keyed = {}
+        for (e, c, vals), m in merge(flavor_dict("plus"), flavor_dict("minus")).items():
+            cphys = Fraction(c) + rshift
+            if want is None or cphys == want:
+                keyed[(e, (cphys,), vals)] = m
+        per_pair.append(keyed)
     neutral_states = flavor_dict("neutral") if spec.neutral else None
 
     centrals = [op_central(op.kind, spec.level, ring, op.unit) for op in ops]
@@ -292,30 +292,9 @@ def trace(spec: SectorSpec, ops, ring, *, zvars=None, zscale=1,
         else:
             total_terms[e] = val
 
-    # fold pairs one by one, applying charge filters early
-    def fold(pair_states):
-        acc = {(0, (), tuple(ring.zero() for _ in range(nops))): 1}
-        for p, states in enumerate(pair_states):
-            nxt = {}
-            for (e1, zk1, v1), m1 in acc.items():
-                for (e2, c2, v2), m2 in states.items():
-                    e = e1 + e2
-                    if e >= cutoff16:
-                        continue
-                    cphys = Fraction(c2) + rshift
-                    if charge is not None and charge[p] is not None \
-                            and cphys != Fraction(charge[p]):
-                        continue
-                    key = (e, zk1 + (cphys,),
-                           tuple(ring.add(x, y) for x, y in zip(v1, v2)))
-                    nxt[key] = nxt.get(key, 0) + m1 * m2
-                    if max_states is not None and len(nxt) > max_states:
-                        raise ResourceLimitError(
-                            f"state budget {max_states} exceeded during merge")
-            acc = nxt
-        return acc
-
-    folded = fold(per_pair)
+    folded = {(0, (), tuple(ring.zero() for _ in range(nops))): 1}
+    for states in per_pair:
+        folded = merge(folded, states)
     for (e1, zks, v1), m1 in folded.items():
         if zvars is None:
             zcoeff = None

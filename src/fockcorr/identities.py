@@ -10,6 +10,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from . import correlators as corr
 from .combinat import (Partition, enumerate_labels,
@@ -123,11 +124,20 @@ def check_weyl_lemma(wtype=None, l=None, order=15, count=20, seed=0):
 
 def check_osp_gf(order=20):
     ring = LaurentRing(("z",))
-    lhs = QSeries.zero(ring, order)
-    for mu in odd_strict_partitions(int(order) - 1):
-        lhs = lhs + QSeries.monomial(ring, sum(mu), ring.var("z", len(mu)), order)
+    osp = odd_strict_partitions(int(order) - 1)
+    lhs = QSeries.from_terms(ring, [(sum(mu), ring.var("z", len(mu))) for mu in osp], order)
     rhs = pochhammer(ring, ring.var("z", 1, -1), 1, 2, order)
     return _compare("osp-gf", {}, order, lhs, rhs)
+
+
+def _gt_term(ring, hooks):
+    """+-2 sum over the odd hook lengths e of (s^e - s^-e); the sign is
+    (-1)^(number of hooks)."""
+    inner = ring.zero()
+    for e in hooks:
+        inner = ring.add(inner, ring.add(ring.var("s", e), ring.neg(ring.var("s", -e))))
+    sgn = -2 if len(hooks) % 2 else 2
+    return ring.mul(ring.from_fraction(sgn), inner)
 
 
 def check_gt_osp(order=12):
@@ -137,28 +147,16 @@ def check_gt_osp(order=12):
     central = ring.mul(ring.from_fraction(2),
                        ring.inv(ring.add(ring.var("s"), ring.neg(ring.var("s", -1)))))
     closed = corr.refined_g(order) - corr.qq_odd(ring, order).scale(central)
-    by_partitions = QSeries.zero(ring, order)
+    terms = []
     for lam in partitions_up_to(int(order) - 1):
         part = Partition(lam)
-        if not part.is_symmetric():
-            continue
-        inner = ring.zero()
-        for i in range(part.rank()):
-            e = 2 * part.parts[i] - 2 * i - 1  # 2(lam_i - i) + 1
-            inner = ring.add(inner, ring.add(ring.var("s", e),
-                                             ring.neg(ring.var("s", -e))))
-        sgn = -2 if part.rank() % 2 else 2
-        by_partitions = by_partitions + QSeries.monomial(
-            ring, part.size, ring.mul(ring.from_fraction(sgn), inner), order)
-    by_osp = QSeries.zero(ring, order)
-    for mu in odd_strict_partitions(int(order) - 1):
-        inner = ring.zero()
-        for m in mu:
-            inner = ring.add(inner, ring.add(ring.var("s", m),
-                                             ring.neg(ring.var("s", -m))))
-        sgn = -2 if len(mu) % 2 else 2
-        by_osp = by_osp + QSeries.monomial(
-            ring, sum(mu), ring.mul(ring.from_fraction(sgn), inner), order)
+        if part.is_symmetric():
+            # 2(lam_i - i) + 1, rows i counted from 1
+            hooks = [2 * part.parts[i] - 2 * i - 1 for i in range(part.rank())]
+            terms.append((part.size, _gt_term(ring, hooks)))
+    by_partitions = QSeries.from_terms(ring, terms, order)
+    osp = odd_strict_partitions(int(order) - 1)
+    by_osp = QSeries.from_terms(ring, [(sum(mu), _gt_term(ring, mu)) for mu in osp], order)
     rep = _compare("gt-osp", {}, order, by_partitions, closed)
     if not rep.ok:
         return rep
@@ -235,17 +233,9 @@ def check_oracle_a1(order=8, mmax=2):
     return Report("oracle-a1", {"mmax": mmax}, Fraction(order), True, checks=checks)
 
 
-def _eval_units(ring, svals):
-    return tuple(ring.from_fraction(Fraction(s)) for s in svals)
-
-
 def check_graded_a(n=2, order=5, svals=(2, 3), mode="eval"):
-    if mode == "eval":
-        ring = LaurentRing(("z",))
-        units = _eval_units(ring, svals[:n])
-    else:
-        ring = RatFuncRing(tuple(f"s{i+1}" for i in range(n)) + ("z",))
-        units = tuple(ring.var(f"s{i+1}") for i in range(n))
+    ring = corr.make_ring(n, mode, ("z",))
+    units = corr.make_units(ring, n, mode, svals[:n])
     ops = [OpSpec("D", u) for u in units]
     lhs = trace(SectorSpec(1, 0, NS, order), ops, ring, zvars=("z",))
     rhs = corr.graded_trace_F("NS", units, ring, order, zvar="z")
@@ -253,12 +243,8 @@ def check_graded_a(n=2, order=5, svals=(2, 3), mode="eval"):
 
 
 def check_graded_b(n=1, order=6, svals=(2,), mode="exact"):
-    if mode == "eval":
-        ring = LaurentRing(("w",))
-        units = _eval_units(ring, svals[:n])
-    else:
-        ring = RatFuncRing(tuple(f"s{i+1}" for i in range(n)) + ("w",))
-        units = tuple(ring.var(f"s{i+1}") for i in range(n))
+    ring = corr.make_ring(n, mode, ("w",))
+    units = corr.make_units(ring, n, mode, svals[:n])
     ops = [OpSpec("B", u) for u in units]
     lhs = trace(SectorSpec(1, 0, RAMOND, order), ops, ring, zvars=("w",), zscale=2)
     rhs = corr.graded_trace_F("R", units, ring, order, zvar="w", zscale=2)
@@ -300,16 +286,14 @@ def howe_check(identity, l=1, n=1, order=6, svals=(2, 3), mode="eval"):
     order = Fraction(order)
     gvars = torus_vars(family, l)
     if mode == "exact":
-        ring = RatFuncRing(tuple(f"s{i+1}" for i in range(n)) + gvars)
-        units = tuple(ring.var(f"s{i+1}") for i in range(n))
         params = {"l": l, "n": n, "mode": mode}
     else:
         svals = tuple(Fraction(s) for s in svals)[:n]
         if len(svals) != n:
             raise ValueError("need one s-value per point")
-        ring = LaurentRing(gvars) if l else RationalRing()
-        units = _eval_units(ring, svals)
         params = {"l": l, "n": n, "s": svals}
+    ring = corr.make_ring(n, mode, gvars)
+    units = corr.make_units(ring, n, mode, svals)
     ops = [OpSpec(opkind, u) for u in units]
 
     lhs = QSeries.one(ring, order)
@@ -330,8 +314,8 @@ def howe_check(identity, l=1, n=1, order=6, svals=(2, 3), mode="eval"):
     if mode == "exact":
         scalar, scalar_units = ring, units
     else:
-        scalar = RationalRing()
-        scalar_units = _eval_units(scalar, svals)
+        scalar = corr.make_ring(n, mode)
+        scalar_units = corr.make_units(scalar, n, mode, svals)
     for label in enumerate_labels(algebra, level, order):
         series = corr.npoint(label, scalar_units, scalar, order)
         if scalar is not ring:
@@ -346,51 +330,28 @@ def howe_check(identity, l=1, n=1, order=6, svals=(2, 3), mode="eval"):
     return _compare(identity, params, order, lhs, rhs)
 
 
-def check_howe_d(l=1, n=1, order=6, svals=(2, 3), mode="eval"):
-    return howe_check("howe-D", l, n, order, svals, mode)
-
-
-def check_howe_c(l=1, n=1, order=6, svals=(2, 3), mode="eval"):
-    return howe_check("howe-C", l, n, order, svals, mode)
-
-
-def check_howe_pin(l=1, n=1, order=6, svals=(2, 3), mode="eval"):
-    return howe_check("howe-Pin", l, n, order, svals, mode)
-
-
-def check_howe_dhalf(l=1, n=1, order=5, svals=(2, 3), mode="eval"):
-    return howe_check("howe-Dhalf", l, n, order, svals, mode)
-
-
-def check_howe_bhalf(l=1, n=1, order=5, svals=(2, 3), mode="eval"):
-    return howe_check("howe-Bhalf", l, n, order, svals, mode)
-
-
 # ---------------------------------------------------------------------------
 # half-level recursion and refined functions
 # ---------------------------------------------------------------------------
 
-def _rec_setup(n, order, mode, svals):
-    if mode == "exact":
-        ring = RatFuncRing(tuple(f"s{i+1}" for i in range(n)))
-        units = tuple(ring.var(f"s{i+1}") for i in range(n))
-    else:
-        ring = RationalRing()
-        units = _eval_units(ring, tuple(svals)[:n])
-    return ring, units
+def _subset_sum(sector, n, units, ring, order):
+    """sum over subsets I of {1..n} of base(t_I) base(t_I^c)."""
+    total = QSeries.zero(ring, order)
+    for bits in range(2 ** n):
+        left = tuple(units[i] for i in range(n) if bits >> i & 1)
+        right = tuple(units[i] for i in range(n) if not bits >> i & 1)
+        total = total + corr.half_level_base(sector, left, ring, order) \
+            * corr.half_level_base(sector, right, ring, order)
+    return total
 
 
 def check_rec_d_half(n=2, order=8, mode="exact", svals=(2, 3, 5)):
     """F(1,q;t) == sum over subsets I of base(t_I) base(t_I^c); the n = 1
     base also equals the Jacobi-product closed form."""
-    ring, units = _rec_setup(n, order, mode, svals)
+    ring = corr.make_ring(n, mode)
+    units = corr.make_units(ring, n, mode, tuple(svals)[:n])
     lhs = corr.graded_trace_F("NS", units, ring, order)
-    rhs = QSeries.zero(ring, order)
-    for bits in range(2 ** n):
-        left = tuple(units[i] for i in range(n) if bits >> i & 1)
-        right = tuple(units[i] for i in range(n) if not bits >> i & 1)
-        rhs = rhs + corr.half_level_base("D", left, ring, order) \
-            * corr.half_level_base("D", right, ring, order)
+    rhs = _subset_sum("D", n, units, ring, order)
     rep = _compare("rec-d-half", {"n": n, "mode": mode}, order, lhs, rhs)
     if not rep.ok or n != 1:
         return rep
@@ -406,15 +367,10 @@ def check_rec_d_half(n=2, order=8, mode="exact", svals=(2, 3, 5)):
 
 
 def check_rec_b_half(n=2, order=8, mode="exact", svals=(2, 3, 5)):
-    ring, units = _rec_setup(n, order, mode, svals)
+    ring = corr.make_ring(n, mode)
+    units = corr.make_units(ring, n, mode, tuple(svals)[:n])
     lhs = corr.graded_trace_F("R", units, ring, order)
-    rhs = QSeries.zero(ring, order)
-    for bits in range(2 ** n):
-        left = tuple(units[i] for i in range(n) if bits >> i & 1)
-        right = tuple(units[i] for i in range(n) if not bits >> i & 1)
-        rhs = rhs + corr.half_level_base("B", left, ring, order) \
-            * corr.half_level_base("B", right, ring, order)
-    rhs = rhs * Fraction(2)
+    rhs = _subset_sum("B", n, units, ring, order) * Fraction(2)
     rep = _compare("rec-b-half", {"n": n, "mode": mode}, order, lhs, rhs)
     if not rep.ok or n != 1:
         return rep
@@ -512,11 +468,13 @@ REGISTRY = {
     "f0-trace": (check_f0_trace, "charge-zero D-trace equals 2 F_bo (oracle)"),
     "graded-A": (check_graded_a, "NS graded trace formula (oracle)"),
     "graded-B": (check_graded_b, "R graded trace formula (oracle)"),
-    "howe-D": (check_howe_d, "(O(2l), d) duality, integer level"),
-    "howe-Dhalf": (check_howe_dhalf, "(O(2l+1), d) duality, half level"),
-    "howe-C": (check_howe_c, "(Sp(2l), c) duality"),
-    "howe-Pin": (check_howe_pin, "(Pin(2l), b) duality, integer level"),
-    "howe-Bhalf": (check_howe_bhalf, "(Spin(2l+1), b) duality, half level"),
+    "howe-D": (partial(howe_check, "howe-D"), "(O(2l), d) duality, integer level"),
+    "howe-Dhalf": (partial(howe_check, "howe-Dhalf", order=5),
+                   "(O(2l+1), d) duality, half level"),
+    "howe-C": (partial(howe_check, "howe-C"), "(Sp(2l), c) duality"),
+    "howe-Pin": (partial(howe_check, "howe-Pin"), "(Pin(2l), b) duality, integer level"),
+    "howe-Bhalf": (partial(howe_check, "howe-Bhalf", order=5),
+                   "(Spin(2l+1), b) duality, half level"),
     "rec-d-half": (check_rec_d_half, "NS half-level subset recursion"),
     "rec-b-half": (check_rec_b_half, "R half-level subset recursion"),
     "refined-d": (check_refined_d, "refined level-1 trace, all closed forms"),

@@ -569,9 +569,6 @@ class RationalFunction:
             self._hash = hash((self.num, self.den))
         return self._hash
 
-    def invert_vars(self, names):
-        return RationalFunction(self.num.invert_vars(names), self.den.invert_vars(names))
-
     def subst(self, target_vars, unit_map):
         num = self.num.subst(target_vars, unit_map)
         den = self.den.subst(target_vars, unit_map)
@@ -597,13 +594,3 @@ class RationalFunction:
             LaurentPoly.from_json(variables, data["num"]),
             LaurentPoly.from_json(variables, data["den"]),
         )
-
-
-def rf_normalize(num: LaurentPoly, den: LaurentPoly) -> RationalFunction:
-    """Canonicalize num/den (the RationalFunction constructor does the work)."""
-    return RationalFunction(num, den)
-
-
-def eval_at(x, point):
-    """Exact evaluation of a LaurentPoly or RationalFunction."""
-    return x.eval_at(point)

@@ -5,6 +5,11 @@ sixteenths; the public API accepts and returns Fractions.  A series with
 truncation T is known exactly for all exponents < T and unknown at >= T
 (Laurent-style big-O, so negative exponents are representable).
 
+The three coefficient rings (rational, Laurent, rational-function) share
+one base class for the element operators and the ring identity.  A series
+given term by term is built with ``QSeries.from_terms``, which sums
+(exponent, coefficient) pairs into one dict in the order given.
+
 Products of rational (evaluation-mode) series run through an integer
 kernel: each factor is scaled to integer numerators over the lcm of its
 coefficient denominators, the convolution is done in plain ints, and each
@@ -41,11 +46,45 @@ def from16(n: int) -> Fraction:
 # coefficient rings
 # ---------------------------------------------------------------------------
 
-class RationalRing:
+class _Ring:
+    """What the three coefficient rings share: the element operators and an
+    identity of (mode, variables).  ``repr`` is part of the disk-cache keys."""
+
+    def __init__(self, variables=()):
+        self.vars = tuple(variables)
+
+    def is_zero(self, c):
+        return c.is_zero
+
+    def eq(self, a, b):
+        return a == b
+
+    def add(self, a, b):
+        return a + b
+
+    def neg(self, a):
+        return -a
+
+    def mul(self, a, b):
+        return a * b
+
+    def coeff_json(self, c):
+        return c.to_json()
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self.vars == other.vars
+
+    def __hash__(self):
+        return hash((self.mode, self.vars))
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.vars})"
+
+
+class RationalRing(_Ring):
     """Exact big rationals (evaluation mode)."""
 
     mode = "rational"
-    vars = ()
 
     def zero(self):
         return Fraction(0)
@@ -59,18 +98,6 @@ class RationalRing:
     def is_zero(self, c):
         return c == 0
 
-    def eq(self, a, b):
-        return a == b
-
-    def add(self, a, b):
-        return a + b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a * b
-
     def inv(self, a):
         if a == 0:
             raise NonUnitError("zero is not invertible")
@@ -82,23 +109,14 @@ class RationalRing:
     def coeff_from_json(self, data):
         return Fraction(data)
 
-    def __eq__(self, other):
-        return type(other) is RationalRing
-
-    def __hash__(self):
-        return hash("rational")
-
     def __repr__(self):
         return "RationalRing()"
 
 
-class LaurentRing:
+class LaurentRing(_Ring):
     """Multivariate Laurent polynomials in formal square-root / z variables."""
 
     mode = "laurent"
-
-    def __init__(self, variables):
-        self.vars = tuple(variables)
 
     def zero(self):
         return LaurentPoly.zero(self.vars)
@@ -112,49 +130,19 @@ class LaurentRing:
     def var(self, name, power=1, c=1):
         return LaurentPoly.var(self.vars, name, power, c)
 
-    def is_zero(self, c):
-        return c.is_zero
-
-    def eq(self, a, b):
-        return a == b
-
-    def add(self, a, b):
-        return a + b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a * b
-
     def inv(self, a):
         if not a.is_monomial():
             raise NonUnitError("only monomials are units of the Laurent ring")
         return a ** -1
 
-    def coeff_json(self, c):
-        return c.to_json()
-
     def coeff_from_json(self, data):
         return LaurentPoly.from_json(self.vars, data)
 
-    def __eq__(self, other):
-        return type(other) is LaurentRing and self.vars == other.vars
 
-    def __hash__(self):
-        return hash(("laurent", self.vars))
-
-    def __repr__(self):
-        return f"LaurentRing({self.vars})"
-
-
-class RatFuncRing:
+class RatFuncRing(_Ring):
     """Normalized rational functions over a Laurent ring (exact mode)."""
 
     mode = "ratfunc"
-
-    def __init__(self, variables):
-        self.vars = tuple(variables)
 
     def zero(self):
         return RationalFunction.const(self.vars, 0)
@@ -168,40 +156,13 @@ class RatFuncRing:
     def var(self, name, power=1, c=1):
         return RationalFunction.from_laurent(LaurentPoly.var(self.vars, name, power, c))
 
-    def is_zero(self, c):
-        return c.is_zero
-
-    def eq(self, a, b):
-        return a == b
-
-    def add(self, a, b):
-        return a + b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a * b
-
     def inv(self, a):
         if a.is_zero:
             raise NonUnitError("zero is not invertible")
         return a.inverse()
 
-    def coeff_json(self, c):
-        return c.to_json()
-
     def coeff_from_json(self, data):
         return RationalFunction.from_json(self.vars, data)
-
-    def __eq__(self, other):
-        return type(other) is RatFuncRing and self.vars == other.vars
-
-    def __hash__(self):
-        return hash(("ratfunc", self.vars))
-
-    def __repr__(self):
-        return f"RatFuncRing({self.vars})"
 
 
 def lift_coeff(target_ring, coeff):
@@ -209,27 +170,20 @@ def lift_coeff(target_ring, coeff):
     or the same mode with a variable superset)."""
     if isinstance(coeff, (int, Fraction)):
         return target_ring.from_fraction(coeff)
-    if isinstance(coeff, LaurentPoly):
-        if set(coeff.vars) - set(target_ring.vars):
-            raise ModeMismatchError(f"cannot embed vars {coeff.vars} into {target_ring.vars}")
-        unit_map = {
-            v: LaurentPoly.var(target_ring.vars, v) for v in coeff.vars
-        }
-        p = coeff.subst(target_ring.vars, unit_map)
-        if target_ring.mode == "laurent":
-            return p
-        if target_ring.mode == "ratfunc":
-            return RationalFunction.from_laurent(p)
-        raise ModeMismatchError("cannot lower a Laurent coefficient to rational mode")
-    if isinstance(coeff, RationalFunction):
-        if target_ring.mode != "ratfunc":
+    if isinstance(coeff, (LaurentPoly, RationalFunction)):
+        if isinstance(coeff, RationalFunction) and target_ring.mode != "ratfunc":
             raise ModeMismatchError("rational functions only embed into ratfunc mode")
         if set(coeff.vars) - set(target_ring.vars):
             raise ModeMismatchError(f"cannot embed vars {coeff.vars} into {target_ring.vars}")
         unit_map = {
             v: LaurentPoly.var(target_ring.vars, v) for v in coeff.vars
         }
-        return coeff.subst(target_ring.vars, unit_map)
+        p = coeff.subst(target_ring.vars, unit_map)
+        if target_ring.mode == "rational":
+            raise ModeMismatchError("cannot lower a Laurent coefficient to rational mode")
+        if target_ring.mode == "ratfunc" and isinstance(p, LaurentPoly):
+            return RationalFunction.from_laurent(p)
+        return p
     raise ModeMismatchError(f"unknown coefficient type {type(coeff)}")
 
 
@@ -274,6 +228,25 @@ class QSeries:
             return cls(ring, {}, t, _clean=False)
         return cls(ring, {e: coeff}, t, _clean=False)
 
+    @classmethod
+    def from_terms(cls, ring, pairs, trunc):
+        """The sum of coeff * q**qexp over (qexp, coeff) pairs, truncated below
+        ``trunc``; equal coefficients add in the order given, as a running
+        sum of ``monomial``s would."""
+        t = None if trunc is None else to16(trunc)
+        terms = {}
+        for qexp, c in pairs:
+            e = to16(qexp)
+            if (t is not None and e >= t) or ring.is_zero(c):
+                continue
+            if e in terms:
+                c = ring.add(terms[e], c)
+                if ring.is_zero(c):
+                    del terms[e]
+                    continue
+            terms[e] = c
+        return cls(ring, terms, t, _clean=False)
+
     # -- inspection ----------------------------------------------------------
     @property
     def is_zero(self):
@@ -297,9 +270,6 @@ class QSeries:
     def items(self):
         """(Fraction exponent, coeff) pairs in ascending exponent order."""
         return [(from16(e), c) for e, c in self.sorted_terms()]
-
-    def trunc_frac(self):
-        return None if self.trunc is None else from16(self.trunc)
 
     # -- arithmetic ------------------------------------------------------------
     def _check(self, other):
@@ -464,13 +434,7 @@ class QSeries:
                        trunc, _clean=False)
 
     def map_coeffs(self, f):
-        ring = self.ring
-        out = {}
-        for e, c in self.terms.items():
-            v = f(c)
-            if not ring.is_zero(v):
-                out[e] = v
-        return QSeries(ring, out, self.trunc, _clean=False)
+        return self.map_to(self.ring, f)
 
     def map_to(self, target_ring, f):
         """Like map_coeffs but lands in a different coefficient ring."""
@@ -483,12 +447,7 @@ class QSeries:
 
     def convert(self, target_ring):
         """Lift every coefficient into a wider ring."""
-        out = {}
-        for e, c in self.terms.items():
-            v = lift_coeff(target_ring, c)
-            if not target_ring.is_zero(v):
-                out[e] = v
-        return QSeries(target_ring, out, self.trunc, _clean=False)
+        return self.map_to(target_ring, lambda c: lift_coeff(target_ring, c))
 
     # -- comparison --------------------------------------------------------------
     def first_mismatch(self, other, order=None):
@@ -510,9 +469,6 @@ class QSeries:
             if not ring.eq(a, b):
                 return (from16(e), a, b)
         return None
-
-    def eq_to_order(self, other, order=None):
-        return self.first_mismatch(other, order) is None
 
     # -- display / io ---------------------------------------------------------------
     def __repr__(self):
@@ -635,35 +591,28 @@ def lattice_sum(ring, offsets, unit, order, *, half_unit=False) -> QSeries:
     ``unit`` argument is the square root of the weight and weight(k) =
     unit^(2k); this is required for half-integral offsets.
     """
-    order = Fraction(order)
-    if offsets not in ("int", "half"):
-        raise ValueError("offsets must be 'int' or 'half'")
+    ks = lattice_points(offsets, order)
     if offsets == "half" and not half_unit:
         raise ValueError("half-integral offsets require half_unit=True")
     if isinstance(unit, (int, Fraction)):
         unit = ring.from_fraction(unit)
-    out = QSeries.zero(ring, order)
+    scale = 2 if half_unit else 1
+    return QSeries.from_terms(
+        ring, [(k * k / 2, unit_pow(ring, unit, int(scale * k))) for k in ks], order)
+
+
+def lattice_points(offsets, order):
+    """The k with k^2/2 < order, ascending: k in Z for offsets 'int', in
+    1/2 + Z for 'half'."""
+    if offsets not in ("int", "half"):
+        raise ValueError("offsets must be 'int' or 'half'")
+    order = Fraction(order)
+    k = Fraction(0) if offsets == "int" else Fraction(1, 2)
     ks = []
-    if offsets == "int":
-        k = 0
-        while Fraction(k * k, 2) < order:
-            ks.append(Fraction(k))
-            if k:
-                ks.append(Fraction(-k))
-            k += 1
-    else:
-        k = Fraction(1, 2)
-        while k * k / 2 < order:
-            ks.append(k)
-            ks.append(-k)
-            k += 1
-    for k in ks:
-        if half_unit:
-            w = unit_pow(ring, unit, int(2 * k))
-        else:
-            w = unit_pow(ring, unit, int(k))
-        out = out + QSeries.monomial(ring, k * k / 2, w, order)
-    return out.truncated(order)
+    while k * k / 2 < order:
+        ks.extend((k, -k) if k else (k,))
+        k += 1
+    return sorted(ks)
 
 
 def unit_pow(ring, unit, k: int):

@@ -146,13 +146,9 @@ def weyl_sum(lam, wtype, l):
 
 def weyl_qpoly(lam, wtype, l, order=None):
     """sum_sigma (-1)^l(sigma) q^{||lam+rho-sigma(rho)||^2/2} as a rational QSeries."""
-    ring = RationalRing()
-    out = QSeries.zero(ring, order)
-    for sign, qexp, _ in weyl_sum(lam, wtype, l):
-        if order is not None and qexp >= Fraction(order):
-            continue
-        out = out + QSeries.monomial(ring, qexp, Fraction(sign), order)
-    return out
+    return QSeries.from_terms(
+        RationalRing(),
+        [(qexp, Fraction(sign)) for sign, qexp, _ in weyl_sum(lam, wtype, l)], order)
 
 
 def weyl_sum_product_form(lam, wtype, l, order):

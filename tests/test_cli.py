@@ -1,6 +1,9 @@
 import json
 import subprocess
 import sys
+from fractions import Fraction
+
+import pytest
 
 
 def run_cli(*args):
@@ -214,3 +217,78 @@ def test_oracle_graded_output():
     blob = json.loads(proc.stdout)
     assert blob["mode"] == "laurent"
     assert blob["vars"] == ["z1"]
+
+
+def test_parser_is_built_once_and_main_keeps_no_state(capsys):
+    from fockcorr import cli
+    assert cli.build_parser() is cli.build_parser()
+    argv = ["qdim", "--algebra", "c", "--level", "1", "--lambda", "1", "--order", "3"]
+    assert cli.main(argv + ["--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["schema"] == "fock-correlators/1"
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out.startswith("# mode=rational\n")
+
+
+def test_every_registry_entry_binds_the_verify_overrides(monkeypatch, capsys):
+    import inspect
+
+    from fockcorr import cli, identities
+    seen = {}
+
+    def fake_run(identity_id, **kwargs):
+        seen[identity_id] = kwargs
+        return identities.Report(identity_id, {}, Fraction(3), True)
+
+    monkeypatch.setattr(identities, "run", fake_run)
+    flags = ["--order", "3", "--l", "1", "--n", "1", "--type", "B", "--s", "2",
+             "--mode", "eval", "--seed", "1", "--count", "1", "--kmax", "1",
+             "--mmax", "1"]
+    for key, (fn, _) in identities.REGISTRY.items():
+        assert cli.main(["verify", key, *flags]) == 0
+        assert seen[key], key
+        inspect.signature(fn).bind(**seen[key])
+    capsys.readouterr()
+
+
+def test_half_level_howe_default_order_and_override(capsys):
+    from fockcorr import cli
+    for key in ("howe-Dhalf", "howe-Bhalf"):
+        assert cli.main(["verify", key]) == 0
+        assert capsys.readouterr().out.rstrip().endswith("order<5")
+        assert cli.main(["verify", key, "--order", "7"]) == 0
+        assert capsys.readouterr().out.rstrip().endswith("order<7")
+
+
+def _exit_code_table():
+    """class name -> exit code, read from the table in ``errors``."""
+    from fockcorr import errors
+    table = {}
+    for line in errors.__doc__.splitlines():
+        parts = line.split()
+        if len(parts) >= 2 and hasattr(errors, parts[0]) and parts[1].isdigit():
+            table[parts[0]] = int(parts[1])
+    return table
+
+
+def _error_classes():
+    from fockcorr import errors
+    return sorted(name for name, obj in vars(errors).items()
+                  if isinstance(obj, type) and issubclass(obj, errors.FockcorrError)
+                  and obj is not errors.FockcorrError)
+
+
+def test_exit_code_table_lists_every_error_class():
+    assert set(_error_classes()) <= set(_exit_code_table())
+
+
+@pytest.mark.parametrize("name", _error_classes())
+def test_exit_code_of_each_error_class(name, monkeypatch, capsys):
+    from fockcorr import cli, errors
+
+    def raise_it(*args):
+        raise getattr(errors, name)("raised by the test")
+
+    monkeypatch.setattr(cli, "qdim", raise_it)
+    argv = ["qdim", "--algebra", "d", "--level", "1", "--order", "3"]
+    assert cli.main(argv) == _exit_code_table()[name]
+    assert "raised by the test" in capsys.readouterr().err

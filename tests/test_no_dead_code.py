@@ -1,0 +1,55 @@
+"""Every public function, class and method of the package has a user.
+
+A definition in ``src/fockcorr`` counts as used when some module under
+``src/``, ``tests/``, ``scripts/`` or ``perfbench/`` names it outside its
+own body: as a name, an attribute, an import or a string constant (the
+last covers ``getattr`` and monkeypatching by name).  A name that occurs
+anywhere counts for every definition of that name, so the check can miss
+dead code but does not flag live code.
+"""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SCANNED = ("src", "tests", "scripts", "perfbench")
+DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def references(node):
+    """Counter of the names ``node`` refers to."""
+    out = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            out[sub.id] += 1
+        elif isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
+            out[sub.attr] += 1
+        elif isinstance(sub, ast.alias):
+            out[sub.name.rsplit(".", 1)[-1]] += 1
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            out[sub.value] += 1
+    return out
+
+
+def parsed(dirs):
+    for d in dirs:
+        for path in sorted((ROOT / d).rglob("*.py")):
+            yield path, ast.parse(path.read_text(), filename=str(path))
+
+
+def unreferenced():
+    used = Counter()
+    for _, tree in parsed(SCANNED):
+        used += references(tree)
+    dead = []
+    for path, tree in parsed(["src/fockcorr"]):
+        for node in ast.walk(tree):
+            if isinstance(node, DEFS) and not node.name.startswith("_"):
+                if used[node.name] - references(node)[node.name] <= 0:
+                    dead.append(f"{path.relative_to(ROOT)}:{node.lineno} {node.name}")
+    return dead
+
+
+def test_every_public_definition_is_referenced():
+    assert unreferenced() == []

@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from itertools import product
 
 import pytest
 
@@ -10,7 +11,7 @@ from fockcorr.fock_oracle import (FockState, OpSpec, SectorSpec,
                                   enumerate_states, eigenvalue, reorder_sign,
                                   tau_refined_trace, trace)
 from fockcorr.laurent import LaurentPoly, RationalFunction
-from fockcorr.qseries import (LaurentRing, RatFuncRing, RationalRing,
+from fockcorr.qseries import (LaurentRing, QSeries, RatFuncRing, RationalRing,
                               lattice_sum)
 
 SV = ("s",)
@@ -125,6 +126,28 @@ class TestTraces:
             plus = trace(spec, [OpSpec("D", self.u)], self.ring, charge=k)
             minus = trace(spec, [OpSpec("D", self.u)], self.ring, charge=-k)
             assert plus.first_mismatch(minus) is None
+
+    @pytest.mark.parametrize("pairs, neutral, sector, kind",
+                             [(2, 1, "ns", "D"), (2, 0, "r", "B")])
+    def test_charge_filtered_traces_sum_to_the_trace(self, pairs, neutral, sector, kind):
+        # each state has one charge per pair, so summing the filtered traces
+        # over every charge value, one pair at a time or all pairs jointly,
+        # gives back the unfiltered trace
+        spec = SectorSpec(pairs, neutral, sector, 3)
+        ops = [OpSpec(kind, self.u)]
+        full = trace(spec, ops, self.ring)
+        shift = F(1, 2) if sector == "r" else F(0)
+        values = [F(k) + shift for k in range(-3, 3)]
+        for p in range(pairs):
+            total = QSeries.zero(self.ring, 3)
+            for c in values:
+                charge = tuple(c if q == p else None for q in range(pairs))
+                total = total + trace(spec, ops, self.ring, charge=charge)
+            assert total.first_mismatch(full) is None
+        total = QSeries.zero(self.ring, 3)
+        for charge in product(values, repeat=pairs):
+            total = total + trace(spec, ops, self.ring, charge=charge)
+        assert total.first_mismatch(full) is None
 
     def test_neutral_trace_matches_recursion(self):
         spec = SectorSpec(0, 1, "ns", 6)

@@ -299,3 +299,50 @@ def test_json_round_trip_all_modes():
     blob = json.loads(rat.dumps())
     assert blob["schema"] == "fock-correlators/1"
     assert blob["mode"] == "rational"
+
+
+def monomial_sum(ring, pairs, trunc):
+    """The running sum of monomials that ``QSeries.from_terms`` replaces."""
+    out = QSeries.zero(ring, trunc)
+    for e, c in pairs:
+        out = out + QSeries.monomial(ring, e, c, trunc)
+    return out
+
+
+few_exps = st.integers(min_value=-4, max_value=8)   # sixteenths: repeats are common
+
+
+@st.composite
+def term_lists(draw):
+    """(qexp, coeff) pairs over LS with repeated exponents, zero coefficients
+    and, for a drawn subset, a negated copy that cancels the original."""
+    raw = draw(st.lists(st.tuples(few_exps, st.integers(-2, 2), st.integers(-2, 2)),
+                        max_size=10))
+    raw += [(e, k, -c) for e, k, c in raw if draw(st.booleans())]
+    pairs = [(F(e, 16), LS.var("s", k, c)) for e, k, c in raw]
+    trunc = draw(st.one_of(st.none(), few_exps.map(lambda t: F(t, 16))))
+    return pairs, trunc
+
+
+@given(term_lists())
+@settings(max_examples=80, deadline=None)
+def test_from_terms_equals_monomial_sum(drawn):
+    pairs, trunc = drawn
+    got, ref = QSeries.from_terms(LS, pairs, trunc), monomial_sum(LS, pairs, trunc)
+    assert list(got.terms.items()) == list(ref.terms.items())  # same insertion order
+    assert got.trunc == ref.trunc
+    assert got.dumps() == ref.dumps()
+
+
+def test_rings_hash_as_they_compare():
+    for make in (RationalRing, lambda: LaurentRing(("s", "z")),
+                 lambda: RatFuncRing(("s", "z"))):
+        a, b = make(), make()
+        assert a == b and hash(a) == hash(b)
+    assert LaurentRing(("s",)) != RatFuncRing(("s",))
+    assert LaurentRing(("s",)) != LaurentRing(("z",))
+    assert RationalRing() != LaurentRing(())
+    # the disk-cache keys embed these reprs
+    assert repr(RationalRing()) == "RationalRing()"
+    assert repr(LaurentRing(("s",))) == "LaurentRing(('s',))"
+    assert repr(RatFuncRing(("s1", "s2"))) == "RatFuncRing(('s1', 's2'))"

@@ -45,10 +45,13 @@ def _fraction_list(text):
 
 
 def render_text(series: QSeries):
+    """One line per term; a rational coefficient prints as the repr of its
+    ``Fraction`` value, whatever its Python type."""
+    rational = series.ring.mode == "rational"
     lines = [f"# mode={series.ring.mode}"
              + (f" vars={','.join(series.ring.vars)}" if series.ring.vars else "")]
     for e, c in series.sorted_terms():
-        lines.append(f"q^{from16(e)}: {c!r}")
+        lines.append(f"q^{from16(e)}: {Fraction(c) if rational else c!r}")
     if series.trunc is not None:
         lines.append(f"O(q^{from16(series.trunc)})")
     return "\n".join(lines)

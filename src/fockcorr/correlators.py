@@ -6,6 +6,12 @@ power t^k with 2k integral is the unit power s^(2k).  Exact mode works over
 rational functions in s_1..s_n (plus any z/w grading variables); evaluation
 mode substitutes rational s-values and needs only Laurent (or plain rational)
 coefficients.
+
+The n-point kernel ``f_bo`` sums a theta determinant over the n!
+permutations.  Within one call it expands each distinct minor of size >= 2
+once and shares it between permutations, and ``theta_at`` computes each unit
+power once; both do the same arithmetic in the same order as expanding every
+determinant afresh, so exact outputs keep their unreduced denominators.
 """
 
 from __future__ import annotations
@@ -63,10 +69,13 @@ def make_ring(n, mode, extra_vars=()):
 
 
 def make_units(ring, n, mode, svals=()):
-    """The square-root units s_1..s_n as elements of ``ring``."""
+    """The square-root units s_1..s_n as elements of ``ring``; eval mode
+    takes them from the first n of ``svals``."""
     if mode == "exact":
         return tuple(ring.var(f"s{i + 1}") for i in range(n))
-    return tuple(ring.from_fraction(s) for s in svals)
+    if len(svals) < n:
+        raise ValueError("need one s-value per point")
+    return tuple(ring.from_fraction(s) for s in svals[:n])
 
 
 def _unit_prod(ring, units):
@@ -137,18 +146,22 @@ def theta_k(k, order):
     return prev.map_coeffs(lambda c: c.scale_exp_weighted((Fraction(1, 2),)))
 
 
-def _subst_s(coeff, ring, unit):
-    """Evaluate a Laurent-in-s coefficient at s -> unit of the target ring."""
+def _subst_s(coeff, ring, unit, powers):
+    """Evaluate a Laurent-in-s coefficient at s -> unit of the target ring;
+    ``powers`` memoizes unit**m by m."""
     acc = ring.zero()
     for (m,), c in coeff.terms.items():
-        acc = ring.add(acc, ring.mul(ring.from_fraction(c), unit_pow(ring, unit, m)))
+        if m not in powers:
+            powers[m] = unit_pow(ring, unit, m)
+        acc = ring.add(acc, ring.mul(ring.from_fraction(c), powers[m]))
     return acc
 
 
 @lru_cache(maxsize=None)
 def theta_at(k, unit, ring, order):
     """Theta^{(k)} with argument t = unit^2, as a series over ``ring``."""
-    return theta_k(k, order).map_to(ring, lambda c: _subst_s(c, ring, unit))
+    powers = {}
+    return theta_k(k, order).map_to(ring, lambda c: _subst_s(c, ring, unit, powers))
 
 
 @lru_cache(maxsize=None)
@@ -169,7 +182,12 @@ def inv_theta_at(unit, ring, order):
 # the theta-determinant n-point kernel
 # ---------------------------------------------------------------------------
 
-def _det_qseries(rows, ring, order):
+def _det_qseries(rows, cols, ring, order, minors, row=0):
+    """Determinant of ``rows`` by Laplace expansion along the first row.
+
+    ``rows`` are rows ``row``.. of a larger matrix and ``cols[j]`` names the
+    entries of column j.  A minor of size >= 2 is looked up in ``minors`` by
+    its first row and its column names, and expanded only on a miss."""
     n = len(rows)
     if n == 1:
         return rows[0][0] if rows[0][0] is not None else QSeries.zero(ring, order)
@@ -178,8 +196,15 @@ def _det_qseries(rows, ring, order):
         entry = rows[0][j]
         if entry is None or entry.is_zero:
             continue
-        minor = [r[:j] + r[j + 1:] for r in rows[1:]]
-        term = entry * _det_qseries(minor, ring, order)
+        sub_cols = cols[:j] + cols[j + 1:]
+        key = (row + 1, sub_cols)
+        det = minors.get(key)
+        if det is None:
+            minor = [r[:j] + r[j + 1:] for r in rows[1:]]
+            det = _det_qseries(minor, sub_cols, ring, order, minors, row + 1)
+            if n > 2:
+                minors[key] = det
+        term = entry * det
         total = total + (term if j % 2 == 0 else -term)
     return total
 
@@ -187,18 +212,31 @@ def _det_qseries(rows, ring, order):
 @lru_cache(maxsize=None)
 def f_bo(units, ring, order):
     """The determinant n-point kernel; n = 0 gives 1/(q;q), n = 1 gives
-    1/((q;q) Theta(t))."""
+    1/((q;q) Theta(t)).
+
+    A sum over permutations sigma of a theta determinant, each expanded
+    along its first row.  Column j (1-based) of sigma's matrix depends only
+    on j, the row and the index set sigma[:n-j], so a minor is named by its
+    first row and, per column, j and that set's bitmask.  Minors of size >= 2
+    are kept under that name for the length of one call and shared between
+    the permutations.  The keys hold indices only, never ring elements,
+    whose hash need not follow their equality (``RationalFunction``)."""
     order = Fraction(order)
     n = len(units)
     if n == 0:
         return inv_qq(ring, order)
     total = QSeries.zero(ring, order)
     one = ring.one()
+    minors = {}
     for sigma in permutations(range(n)):
-        # partial products u_m = s_{sigma(1)} ... s_{sigma(m)}
+        # partial products u_m = s_{sigma(1)} ... s_{sigma(m)}, and the
+        # bitmasks of the index sets sigma[:m]
         partial = [one]
+        masks = [0]
         for m in range(n):
             partial.append(ring.mul(partial[-1], units[sigma[m]]))
+            masks.append(masks[-1] | 1 << sigma[m])
+        cols = tuple((j, masks[n - j]) for j in range(1, n + 1))
         rows = []
         for i in range(1, n + 1):
             row = []
@@ -212,7 +250,7 @@ def f_bo(units, ring, order):
                     entry = entry * Fraction(1, factorial(k))
                 row.append(entry)
             rows.append(row)
-        term = _det_qseries(rows, ring, order)
+        term = _det_qseries(rows, cols, ring, order, minors)
         for m in range(1, n + 1):
             term = term * inv_theta_at(partial[m], ring, order)
         total = total + term

@@ -51,7 +51,7 @@ def put(key, obj):
     fd, tmp = tempfile.mkstemp(dir=_cache_dir, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            json.dump(obj, fh)
+            fh.write(json.dumps(obj))
         os.replace(tmp, _path(key))
     except BaseException:
         os.unlink(tmp)

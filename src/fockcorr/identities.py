@@ -235,7 +235,7 @@ def check_oracle_a1(order=8, mmax=2):
 
 def check_graded_a(n=2, order=5, svals=(2, 3), mode="eval"):
     ring = corr.make_ring(n, mode, ("z",))
-    units = corr.make_units(ring, n, mode, svals[:n])
+    units = corr.make_units(ring, n, mode, svals)
     ops = [OpSpec("D", u) for u in units]
     lhs = trace(SectorSpec(1, 0, NS, order), ops, ring, zvars=("z",))
     rhs = corr.graded_trace_F("NS", units, ring, order, zvar="z")
@@ -244,7 +244,7 @@ def check_graded_a(n=2, order=5, svals=(2, 3), mode="eval"):
 
 def check_graded_b(n=1, order=6, svals=(2,), mode="exact"):
     ring = corr.make_ring(n, mode, ("w",))
-    units = corr.make_units(ring, n, mode, svals[:n])
+    units = corr.make_units(ring, n, mode, svals)
     ops = [OpSpec("B", u) for u in units]
     lhs = trace(SectorSpec(1, 0, RAMOND, order), ops, ring, zvars=("w",), zscale=2)
     rhs = corr.graded_trace_F("R", units, ring, order, zvar="w", zscale=2)
@@ -289,8 +289,6 @@ def howe_check(identity, l=1, n=1, order=6, svals=(2, 3), mode="eval"):
         params = {"l": l, "n": n, "mode": mode}
     else:
         svals = tuple(Fraction(s) for s in svals)[:n]
-        if len(svals) != n:
-            raise ValueError("need one s-value per point")
         params = {"l": l, "n": n, "s": svals}
     ring = corr.make_ring(n, mode, gvars)
     units = corr.make_units(ring, n, mode, svals)
@@ -349,7 +347,7 @@ def check_rec_d_half(n=2, order=8, mode="exact", svals=(2, 3, 5)):
     """F(1,q;t) == sum over subsets I of base(t_I) base(t_I^c); the n = 1
     base also equals the Jacobi-product closed form."""
     ring = corr.make_ring(n, mode)
-    units = corr.make_units(ring, n, mode, tuple(svals)[:n])
+    units = corr.make_units(ring, n, mode, svals)
     lhs = corr.graded_trace_F("NS", units, ring, order)
     rhs = _subset_sum("D", n, units, ring, order)
     rep = _compare("rec-d-half", {"n": n, "mode": mode}, order, lhs, rhs)
@@ -368,7 +366,7 @@ def check_rec_d_half(n=2, order=8, mode="exact", svals=(2, 3, 5)):
 
 def check_rec_b_half(n=2, order=8, mode="exact", svals=(2, 3, 5)):
     ring = corr.make_ring(n, mode)
-    units = corr.make_units(ring, n, mode, tuple(svals)[:n])
+    units = corr.make_units(ring, n, mode, svals)
     lhs = corr.graded_trace_F("R", units, ring, order)
     rhs = _subset_sum("B", n, units, ring, order) * Fraction(2)
     rep = _compare("rec-b-half", {"n": n, "mode": mode}, order, lhs, rhs)

@@ -292,3 +292,25 @@ def test_exit_code_of_each_error_class(name, monkeypatch, capsys):
     argv = ["qdim", "--algebra", "d", "--level", "1", "--order", "3"]
     assert cli.main(argv) == _exit_code_table()[name]
     assert "raised by the test" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("identity", ["rec-d-half", "rec-b-half", "graded-A",
+                                      "graded-B", "howe-D"])
+def test_verify_eval_needs_one_s_value_per_point(identity, capsys):
+    from fockcorr import cli
+    argv = ["verify", identity, "--n", "3", "--s", "2,3", "--mode", "eval"]
+    assert cli.main(argv) == 2
+    out = capsys.readouterr()
+    assert "error: need one s-value per point" in out.err
+    assert "Traceback" not in out.err
+    assert out.out == ""
+
+
+def test_render_text_prints_rational_coefficients_by_value():
+    from fockcorr import cli
+    from fockcorr.qseries import QSeries, RationalRing
+    ring = RationalRing()
+    as_int = QSeries(ring, {0: 3, 16: -1}, 32)
+    as_fraction = QSeries(ring, {0: Fraction(3), 16: Fraction(-1)}, 32)
+    assert cli.render_text(as_int) == cli.render_text(as_fraction)
+    assert "q^0: Fraction(3, 1)" in cli.render_text(as_int)

@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -18,7 +19,7 @@ from fockcorr.correlators import (CorrelatorRequest, a_npoint, correlator,
 from fockcorr.errors import LabelError, PoleError
 from fockcorr.laurent import LaurentPoly, RationalFunction
 from fockcorr.qseries import (QSeries, RatFuncRing, RationalRing,
-                              lattice_sum, pochhammer)
+                              lattice_sum, pochhammer, unit_pow)
 
 SV = ("s",)
 
@@ -78,6 +79,91 @@ class TestFbo:
     def test_zero_point_kernel(self):
         ring = RationalRing()
         assert f_bo((), ring, 8).first_mismatch(inv_qq(ring, 8)) is None
+
+
+# A plain reference for f_bo: every permutation's determinant expanded along
+# its first row afresh, and every unit power recomputed per term, with
+# no cache of any kind.  The package shares minors and powers but must do
+# the same arithmetic in the same order, so even exact-mode outputs (whose
+# denominators are not reduced) agree byte for byte.
+
+def _ref_theta_at(k, unit, ring, order):
+    def subst(coeff):
+        acc = ring.zero()
+        for (m,), c in coeff.terms.items():
+            acc = ring.add(acc, ring.mul(ring.from_fraction(c), unit_pow(ring, unit, m)))
+        return acc
+    return theta_k(k, order).map_to(ring, subst)
+
+
+def _ref_det(rows, ring, order):
+    n = len(rows)
+    if n == 1:
+        return rows[0][0] if rows[0][0] is not None else QSeries.zero(ring, order)
+    total = QSeries.zero(ring, order)
+    for j in range(n):
+        entry = rows[0][j]
+        if entry is None or entry.is_zero:
+            continue
+        minor = [r[:j] + r[j + 1:] for r in rows[1:]]
+        term = entry * _ref_det(minor, ring, order)
+        total = total + (term if j % 2 == 0 else -term)
+    return total
+
+
+def _ref_f_bo(units, ring, order):
+    order = F(order)
+    n = len(units)
+    total = QSeries.zero(ring, order)
+    for sigma in itertools.permutations(range(n)):
+        partial = [ring.one()]
+        for m in range(n):
+            partial.append(ring.mul(partial[-1], units[sigma[m]]))
+        rows = []
+        for i in range(1, n + 1):
+            row = []
+            for j in range(1, n + 1):
+                k = j - i + 1
+                if k < 0:
+                    row.append(None)
+                    continue
+                entry = _ref_theta_at(k, partial[n - j], ring, order)
+                if k > 1:
+                    entry = entry * F(1, math.factorial(k))
+                row.append(entry)
+            rows.append(row)
+        term = _ref_det(rows, ring, order)
+        for m in range(1, n + 1):
+            term = term * _ref_theta_at(0, partial[m], ring, order).inverse()
+        total = total + term
+    return (total * qq_series(ring, order).inverse()).truncated(order)
+
+
+class TestSharedMinors:
+    @pytest.mark.parametrize("svals, order", [
+        ((F(2), F(3), F(5)), 5),
+        ((F(-3, 2), F(7), F(2, 5)), 4),
+        ((F(2), F(-3, 2), F(5), F(7, 3)), 3),
+    ])
+    def test_eval_mode_matches_reference(self, svals, order):
+        ring = RationalRing()
+        got = f_bo(svals, ring, order)
+        ref = _ref_f_bo(svals, ring, order)
+        assert got.terms == ref.terms
+        assert got.trunc == ref.trunc
+
+    def test_exact_two_point_bytes_match_reference(self):
+        ring = RatFuncRing(("s1", "s2"))
+        units = (ring.var("s1"), ring.var("s2"))
+        assert f_bo(units, ring, 4).dumps() == _ref_f_bo(units, ring, 4).dumps()
+
+    def test_exact_theta_at_bytes_match_reference(self):
+        ring = RatFuncRing(("s1", "s2"))
+        s1, s2 = ring.var("s1"), ring.var("s2")
+        for unit in (s1, ring.inv(s1), ring.mul(s1, s2)):
+            for k in range(3):
+                assert (theta_at(k, unit, ring, 4).dumps()
+                        == _ref_theta_at(k, unit, ring, 4).dumps())
 
 
 class TestTypeA:

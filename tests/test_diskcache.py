@@ -60,3 +60,10 @@ def test_corrupt_blob_is_a_miss(cache_dir):
     assert diskcache.get("k") is None
     diskcache.put("k", {"v": 1})
     assert diskcache.get("k") == {"v": 1}
+
+
+def test_blob_bytes_are_the_one_shot_encoding(cache_dir):
+    obj = {"terms": [["1/2", {"s1": [[1, -2], "3/4"]}]], "trunc": None, "n": 2}
+    diskcache.put("k", obj)
+    (blob,) = cache_dir.iterdir()
+    assert blob.read_text() == json.dumps(obj)

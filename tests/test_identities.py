@@ -3,7 +3,12 @@ and alternate evaluation points.  The default grid lives in the acceptance
 module; these push the machinery into corners the grid does not reach.
 """
 
+import itertools
+import math
 from fractions import Fraction as F
+
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from fockcorr.combinat import enumerate_labels
 from fockcorr.correlators import npoint
@@ -74,3 +79,25 @@ def test_correlator_label_window_scaling():
         for label in enumerate_labels(algebra, 2, 3):
             series = npoint(label, (F(2),), ring, 3)
             assert F(min(series.terms), 16) == label.norm2() / 2
+
+
+def _off_poles(svals):
+    """No product of t_i^{+-1} (t = s^2) over a nonempty subset equals 1."""
+    for eps in itertools.product((-1, 0, 1), repeat=len(svals)):
+        if any(eps) and math.prod(s ** (2 * e) for s, e in zip(svals, eps)) == 1:
+            return False
+    return True
+
+
+@given(check=st.sampled_from((check_graded_a, check_graded_b)),
+       n=st.integers(1, 2), order=st.integers(1, 5),
+       svals=st.lists(st.fractions(min_value=-6, max_value=6, max_denominator=5)
+                      .filter(lambda s: s not in (0, 1, -1)),
+                      min_size=2, max_size=2))
+@settings(max_examples=60, deadline=None)
+def test_oracle_equals_graded_trace_at_random_points(check, n, order, svals):
+    # the Fock-space trace against the closed graded trace, off the fixed grid
+    svals = tuple(svals[:n])
+    assume(_off_poles(svals))
+    rep = check(n=n, order=order, svals=svals, mode="eval")
+    assert rep.ok, rep.line()

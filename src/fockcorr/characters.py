@@ -180,7 +180,7 @@ def character(family, label: ModuleLabel) -> LaurentPoly:
         raise LabelError("Pin2l takes spin labels")
     lam_last_zero = (not label.lam) or label.lam[-1] == 0
     if diskcache.enabled():
-        key = f"char:{family}:{w}:{l}:{lam_last_zero}"
+        key = diskcache.key("char", family, w, l, lam_last_zero)
         hit = diskcache.get(key)
         if hit is not None:
             return LaurentPoly.from_json(torus_vars(family, l), hit)

@@ -3,7 +3,8 @@
 Subcommands: corr, qdim, oracle, verify, list-identities.
 Exit codes: 0 success / all identities pass, 1 verification failure
 (a failed identity, or two internal forms that disagree), 2 usage error,
-3 pole-guard violation, 4 resource limit; see ``errors`` for the mapping.
+3 pole-guard violation, 4 resource limit, 5 internal error (any other
+exception), 141 stdout closed by its reader; see ``errors`` for the mapping.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import argparse
 import functools
 import inspect
 import math
+import os
 import sys
 from fractions import Fraction
 
@@ -79,8 +81,8 @@ def cmd_corr(args):
     label = _build_label(args)
     req = CorrelatorRequest(label=label, npoints=args.n, order=args.order,
                             mode=args.mode, eval_points=args.svals)
-    key = (f"corr:{label.algebra}:{label.level}:{label.lam}:{label.det}:"
-           f"{label.spin}:{args.n}:{args.order}:{args.mode}:{args.svals}")
+    key = diskcache.key("corr", label.algebra, label.level, label.lam, label.det,
+                        label.spin, req.npoints, req.order, req.mode, req.eval_points)
     cached = diskcache.get(key)
     if cached is not None:
         series = QSeries.from_json(cached)
@@ -269,7 +271,14 @@ def main(argv=None):
     args = parser.parse_args(argv)
     diskcache.configure(args.cache_dir)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader went away (``| head``): stop without a message, and
+        # point stdout at devnull so that the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except PoleError as exc:
         print(f"pole-guard violation: {exc}", file=sys.stderr)
         return 3
@@ -282,6 +291,9 @@ def main(argv=None):
     except (FockcorrError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 5
 
 
 if __name__ == "__main__":

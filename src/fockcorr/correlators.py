@@ -12,6 +12,12 @@ permutations.  Within one call it expands each distinct minor of size >= 2
 once and shares it between permutations, and ``theta_at`` computes each unit
 power once; both do the same arithmetic in the same order as expanding every
 determinant afresh, so exact outputs keep their unreduced denominators.
+
+The eps sums over the 2^n sign vectors use F_bo(q; 1/t) = (-1)^n F_bo(q; t)
+(Bloch-Okounkov): the terms for eps and -eps pair up as
+[eps] F_bo(q; t^eps) (x^k + x^-k) with x = prod t^eps, so ``f_bo`` runs only
+for the 2^(n-1) vectors with eps_1 = +1.  ``graded_trace_F`` folds its
+lattice sum over k into one series product per such pair.
 """
 
 from __future__ import annotations
@@ -44,15 +50,15 @@ class CorrelatorRequest:
     eval_points: tuple = ()        # square roots s_i of the t_i
 
     def __post_init__(self):
+        """Keeps the first ``npoints`` eval points, the ones used; too few
+        are left for ``make_units`` to reject."""
         object.__setattr__(self, "order", Fraction(self.order))
-        object.__setattr__(self, "eval_points",
-                           tuple(Fraction(s) for s in self.eval_points))
         if self.mode not in ("exact", "eval"):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.npoints < 0:
             raise ValueError("npoints must be >= 0")
-        if self.mode == "eval" and len(self.eval_points) != self.npoints:
-            raise PoleError("eval mode needs one s-value per point")
+        object.__setattr__(self, "eval_points", tuple(
+            Fraction(s) for s in self.eval_points[:self.npoints]))
         for s in self.eval_points:
             if s in (0, 1, -1):
                 raise PoleError(f"s = {s} sits on a pole (t in {{0, 1}})")
@@ -258,11 +264,20 @@ def f_bo(units, ring, order):
 
 
 def _eps_data(units, ring):
-    """For every sign vector: (sign, inverted unit tuple, product unit)."""
+    """(sign, unit tuple u^eps, product unit) for the sign vectors eps with
+    eps_1 = +1 (at n = 0, the one empty vector, which has no mirror).
+
+    These are the first half of ``product((1, -1))``; the mirror -eps of
+    entry i of that order is entry 2^n - 1 - i.  F_bo(q; t^-1) =
+    (-1)^n F_bo(q; t) and [-eps] = (-1)^n [eps], so the terms for eps and
+    -eps of an eps sum share the factor [eps] F_bo(q; t^eps).
+    """
     n = len(units)
     inv_units = tuple(ring.inv(u) for u in units)
     out = []
     for eps in product((1, -1), repeat=n):
+        if eps and eps[0] < 0:
+            break
         us = tuple(units[i] if eps[i] > 0 else inv_units[i] for i in range(n))
         sign = 1
         for e in eps:
@@ -271,14 +286,25 @@ def _eps_data(units, ring):
     return out
 
 
+def _pair_weight(ring, uprod, k2, n):
+    """x^k + x^-k for x = uprod^2 and k = k2/2: the weight of an eps pair
+    (just x^k = 1 at n = 0)."""
+    w = unit_pow(ring, uprod, k2)
+    return ring.add(w, unit_pow(ring, uprod, -k2)) if n else w
+
+
 def eps_inner_sum(units, ring, order, k):
-    """sum over eps of [eps] (prod t^eps)^k F_bo(q; t^eps); k may be half-integral."""
+    """sum over eps of [eps] (prod t^eps)^k F_bo(q; t^eps); k may be half-integral.
+
+    Summed over the vectors with eps_1 = +1 only, each as
+    [eps] F_bo(q; t^eps) (x^k + x^-k) with x = prod t^eps, so ``f_bo`` runs
+    2^(n-1) times."""
     k2 = Fraction(k) * 2
     if k2.denominator != 1:
         raise ValueError("k must be integral or half-integral")
     total = QSeries.zero(ring, Fraction(order))
     for sign, us, uprod in _eps_data(units, ring):
-        w = unit_pow(ring, uprod, int(k2))
+        w = _pair_weight(ring, uprod, int(k2), len(units))
         term = f_bo(us, ring, order).scale(w)
         total = total + (term if sign > 0 else -term)
     return total
@@ -294,19 +320,29 @@ def graded_trace_F(sector, units, ring, order, zvar=None, zscale=1):
     NS sums k over Z, R over 1/2 + Z.  ``zvar`` names the grading variable;
     z^k enters as zvar^(zscale*k), so half-integral k needs zscale = 2 (the
     variable is then the square root w of z).  zvar=None sets z = 1.
+
+    The k-sum is folded into the eps sum: pairing eps with -eps as in
+    ``eps_inner_sum``, each vector with eps_1 = +1 contributes one product
+    [eps] F_bo(q;t^eps) * sum_k (x^k + x^-k) z^k q^{k^2/2}.
     """
     order = Fraction(order)
     if sector not in ("NS", "R"):
         raise ValueError("sector must be 'NS' or 'R'")
+    ks = lattice_points("int" if sector == "NS" else "half", order)
+    zpows = None
+    if zvar is not None:
+        zexps = [Fraction(zscale) * k for k in ks]
+        if any(z.denominator != 1 for z in zexps):
+            raise ValueError("z-exponent not integral; use zscale=2 with w-variables")
+        zpows = [ring.var(zvar, int(z)) for z in zexps]
     total = QSeries.zero(ring, order)
-    for k in lattice_points("int" if sector == "NS" else "half", order):
-        term = eps_inner_sum(units, ring, order, k).shift(k * k / 2).truncated(order)
-        if zvar is not None:
-            zexp = Fraction(zscale) * k
-            if zexp.denominator != 1:
-                raise ValueError("z-exponent not integral; use zscale=2 with w-variables")
-            term = term.scale(ring.var(zvar, int(zexp)))
-        total = total + term
+    for sign, us, uprod in _eps_data(units, ring):
+        ws = [_pair_weight(ring, uprod, int(2 * k), len(units)) for k in ks]
+        if zpows is not None:
+            ws = [ring.mul(w, z) for w, z in zip(ws, zpows)]
+        lattice = QSeries.from_terms(ring, [(k * k / 2, w) for k, w in zip(ks, ws)], order)
+        term = f_bo(us, ring, order) * lattice
+        total = total + (term if sign > 0 else -term)
     return total.truncated(order)
 
 
@@ -366,7 +402,8 @@ def half_level_base(sector, units, ring, order):
     q^{1/16} (-q;q); the recursion halves the full R graded trace.
     """
     if diskcache.enabled():
-        key = f"halfbase:{sector}:{units!r}:{ring!r}:{Fraction(order)}"
+        key = diskcache.key("halfbase", sector, ring.mode, ring.vars,
+                            [ring.coeff_json(u) for u in units], Fraction(order))
         hit = diskcache.get(key)
         if hit is not None:
             return QSeries.from_json(hit)

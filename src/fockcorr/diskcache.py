@@ -1,8 +1,9 @@
 """Optional content-addressed disk cache (--cache-dir).
 
-Stores JSON blobs keyed by the sha256 of a canonical parameter string.
-Files are immutable and safe to delete at any time.  A blob that cannot be
-read back as JSON counts as a miss and is overwritten by the next ``put``.
+Stores JSON blobs keyed by the sha256 of a canonical parameter string,
+built by ``key``.  Files are immutable and safe to delete at any time.  A
+blob that cannot be read back as JSON counts as a miss and is overwritten by
+the next ``put``.
 """
 
 from __future__ import annotations
@@ -11,8 +12,27 @@ import hashlib
 import json
 import os
 import tempfile
+from fractions import Fraction
+
+# leads every key; change it whenever a blob's content for the same
+# parameters changes, so that blobs of the old form are never served
+FORMAT = "fockcorr-cache/1"
 
 _cache_dir = None
+
+
+def key(kind, *parts):
+    """The key of a ``kind`` blob: ``FORMAT``, ``kind`` and ``parts`` as
+    compact JSON with sorted object keys; a tuple encodes as a list and a
+    ``Fraction`` as its string."""
+    return json.dumps([FORMAT, kind, *parts], sort_keys=True,
+                      separators=(",", ":"), default=_key_part)
+
+
+def _key_part(obj):
+    if isinstance(obj, Fraction):
+        return str(obj)
+    raise TypeError(f"no canonical cache-key form for {type(obj).__name__}")
 
 
 def configure(path):

@@ -14,10 +14,13 @@ Exit codes of the CLI (``cli.main``), class by class:
     NonUnitError           2     usage error
     InexactDivisionError   2     usage error
     ValueError             2     usage error (bad argument value)
+    any other Exception    5     internal error (a bug; no traceback)
+    BrokenPipeError        141   stdout closed by its reader (quiet)
     =====================  ====  ===================================
 
 A ``verify`` run whose identity reports a mismatch also exits 1; malformed
-flags and an unknown ``verify`` identity exit 2.
+flags and an unknown ``verify`` identity exit 2.  141 is the status a shell
+reports for a process that SIGPIPE stops.
 """
 
 

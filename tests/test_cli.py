@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -314,3 +315,68 @@ def test_render_text_prints_rational_coefficients_by_value():
     as_fraction = QSeries(ring, {0: Fraction(3), 16: Fraction(-1)}, 32)
     assert cli.render_text(as_int) == cli.render_text(as_fraction)
     assert "q^0: Fraction(3, 1)" in cli.render_text(as_int)
+
+
+@pytest.mark.parametrize("n, svals", [("2", "2"), ("3", "2,3")])
+def test_corr_eval_too_few_s_values_is_a_usage_error(n, svals, capsys):
+    from fockcorr import cli
+    argv = ["corr", "--algebra", "d", "--level", "1", "--lambda", "0",
+            "--n", n, "--order", "2", "--mode", "eval", "--s", svals]
+    assert cli.main(argv) == 2
+    out = capsys.readouterr()
+    assert out.err == "error: need one s-value per point\n"
+    assert out.out == ""
+
+
+def test_corr_eval_extra_s_values_are_ignored(tmp_path, capsys):
+    from fockcorr import cli
+    argv = ["corr", "--algebra", "d", "--level", "1", "--lambda", "0",
+            "--n", "1", "--order", "3", "--mode", "eval", "--s"]
+    assert cli.main(argv + ["2"]) == 0
+    exact_count = capsys.readouterr()
+    assert cli.main(argv + ["2,3,1"]) == 0
+    extra = capsys.readouterr()
+    assert extra.out == exact_count.out
+    assert extra.err == ""
+    # the cache key holds only the s-values used, so both share one blob
+    cached = ["--cache-dir", str(tmp_path)] + argv
+    assert cli.main(cached + ["2"]) == 0
+    assert cli.main(cached + ["2,3,1"]) == 0
+    assert capsys.readouterr().out == exact_count.out * 2
+    assert len(list(tmp_path.glob("*.json"))) == 1
+
+
+def test_uncaught_exception_has_its_own_exit_code(monkeypatch, capsys):
+    from fockcorr import cli, errors
+
+    def broken(*args):
+        raise KeyError("raised by the test")
+
+    monkeypatch.setattr(cli, "qdim", broken)
+    argv = ["qdim", "--algebra", "d", "--level", "1", "--order", "3"]
+    assert cli.main(argv) == 5
+    out = capsys.readouterr()
+    assert out.err == "internal error: KeyError: 'raised by the test'\n"
+    assert out.out == ""
+    rows = [line.split() for line in errors.__doc__.splitlines()]
+    assert ["any", "other", "Exception", "5"] in [r[:4] for r in rows]
+
+
+@pytest.mark.parametrize("buffered", [True, False])
+def test_stdout_closed_by_reader_exits_quietly(buffered):
+    # buffered, the write fails only when main flushes stdout
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)   # every write to stdout now fails with EPIPE
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "fockcorr.cli", "qdim", "--algebra", "d",
+             "--level", "1", "--order", "3"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=60,
+            env=env)
+    finally:
+        os.close(write_end)
+    assert proc.stderr == ""
+    assert proc.returncode == 141

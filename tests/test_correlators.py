@@ -10,8 +10,8 @@ from fockcorr.combinat import ModuleLabel
 from fockcorr.correlators import (CorrelatorRequest, a_npoint, correlator,
                                   corollary_b_lhs, corollary_b_rhs,
                                   corollary_b_rhs_log, corollary_d_lhs,
-                                  corollary_d_rhs, em_half, em_one, f_bo,
-                                  graded_trace_F, half_level_base, inv_qq,
+                                  corollary_d_rhs, em_half, em_one,
+                                  eps_inner_sum, f_bo, graded_trace_F, half_level_base, inv_qq,
                                   inv_theta_at, npoint, qdim, qq_series,
                                   refined_form1, refined_form2, refined_g,
                                   refined_level1, theta, theta_at, theta_k,
@@ -19,7 +19,8 @@ from fockcorr.correlators import (CorrelatorRequest, a_npoint, correlator,
 from fockcorr.errors import LabelError, PoleError
 from fockcorr.laurent import LaurentPoly, RationalFunction
 from fockcorr.qseries import (QSeries, RatFuncRing, RationalRing,
-                              lattice_sum, pochhammer, unit_pow)
+                              lattice_points, lattice_sum, pochhammer,
+                              unit_pow)
 
 SV = ("s",)
 
@@ -164,6 +165,80 @@ class TestSharedMinors:
             for k in range(3):
                 assert (theta_at(k, unit, ring, 4).dumps()
                         == _ref_theta_at(k, unit, ring, 4).dumps())
+
+
+# Reference eps sum and graded trace: every sign vector and every lattice
+# point on its own, as the formulas read.  The package pairs eps with -eps
+# through F_bo(q; 1/t) = (-1)^n F_bo(q; t) and folds the k-sum into one
+# product per pair; even exact-mode outputs must keep their bytes.
+
+def _ref_eps_inner_sum(units, ring, order, k):
+    total = QSeries.zero(ring, F(order))
+    for eps in itertools.product((1, -1), repeat=len(units)):
+        us = tuple(u if e > 0 else ring.inv(u) for u, e in zip(units, eps))
+        x = ring.one()
+        for u in us:
+            x = ring.mul(x, u)
+        term = f_bo(us, ring, order).scale(unit_pow(ring, x, int(2 * k)))
+        total = total + (term if math.prod(eps) > 0 else -term)
+    return total
+
+
+def _ref_graded_trace_F(sector, units, ring, order, zvar=None, zscale=1):
+    order = F(order)
+    total = QSeries.zero(ring, order)
+    for k in lattice_points("int" if sector == "NS" else "half", order):
+        term = _ref_eps_inner_sum(units, ring, order, k).shift(k * k / 2).truncated(order)
+        if zvar is not None:
+            term = term.scale(ring.var(zvar, int(zscale * k)))
+        total = total + term
+    return total.truncated(order)
+
+
+def _exact_units(n, *extra):
+    ring = RatFuncRing(tuple(f"s{i + 1}" for i in range(n)) + extra)
+    return ring, tuple(ring.var(f"s{i + 1}") for i in range(n))
+
+
+class TestEpsPairs:
+    @given(svals=st.lists(st.fractions(min_value=-5, max_value=5, max_denominator=7)
+                          .filter(lambda s: s not in (0, 1, -1)),
+                          min_size=1, max_size=3),
+           order=st.integers(1, 4))
+    @settings(max_examples=25, deadline=None)
+    def test_f_bo_under_inversion_eval(self, svals, order):
+        assume(_off_poles(svals))
+        ring = RationalRing()
+        inverted = tuple(1 / s for s in svals)
+        got = f_bo(inverted, ring, order)
+        want = f_bo(tuple(svals), ring, order) * (-1) ** len(svals)
+        assert got.terms == want.terms
+        assert got.trunc == want.trunc
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_exact_eps_inner_sum_bytes_match_reference(self, n):
+        ring, units = _exact_units(n)
+        for k in (0, 1, -2, F(1, 2), F(-3, 2)):
+            assert (eps_inner_sum(units, ring, 3, k).dumps()
+                    == _ref_eps_inner_sum(units, ring, 3, k).dumps())
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_exact_graded_trace_bytes_match_reference(self, n):
+        ring, units = _exact_units(n, "z")
+        assert (graded_trace_F("NS", units, ring, 3, zvar="z").dumps()
+                == _ref_graded_trace_F("NS", units, ring, 3, zvar="z").dumps())
+        ring, units = _exact_units(n, "w")
+        assert (graded_trace_F("R", units, ring, 3, zvar="w", zscale=2).dumps()
+                == _ref_graded_trace_F("R", units, ring, 3, zvar="w", zscale=2).dumps())
+
+    def test_zero_points_and_z_exponent_check(self):
+        ring = RationalRing()
+        for k in (0, 2, F(-1, 2)):
+            assert (eps_inner_sum((), ring, 4, k).dumps()
+                    == _ref_eps_inner_sum((), ring, 4, k).dumps())
+        ring, units = _exact_units(1, "w")
+        with pytest.raises(ValueError, match="z-exponent"):
+            graded_trace_F("R", units, ring, 2, zvar="w")
 
 
 class TestTypeA:

@@ -67,3 +67,22 @@ def test_blob_bytes_are_the_one_shot_encoding(cache_dir):
     diskcache.put("k", obj)
     (blob,) = cache_dir.iterdir()
     assert blob.read_text() == json.dumps(obj)
+
+
+def test_key_is_versioned_canonical_json():
+    from fractions import Fraction
+    key = diskcache.key("corr", "d", Fraction(3, 2), (1, 0), True, {"b": 1, "a": 2})
+    assert key == '["fockcorr-cache/1","corr","d","3/2",[1,0],true,{"a":2,"b":1}]'
+    assert json.loads(key)[0] == diskcache.FORMAT
+    with pytest.raises(TypeError):
+        diskcache.key("corr", object())
+
+
+def test_blob_of_another_format_version_is_a_miss(cache_dir, monkeypatch):
+    monkeypatch.setattr(diskcache, "FORMAT", "fockcorr-cache/0")
+    diskcache.put(diskcache.key("corr", 1), {"v": "old"})
+    monkeypatch.undo()
+    assert diskcache.get(diskcache.key("corr", 1)) is None
+    diskcache.put(diskcache.key("corr", 1), {"v": "new"})
+    assert diskcache.get(diskcache.key("corr", 1)) == {"v": "new"}
+    assert len(list(cache_dir.iterdir())) == 2

@@ -156,8 +156,6 @@ def cmd_oracle(args):
     if args.charge is not None:
         charge = tuple(None if x.strip() in ("-", "") else Fraction(x)
                        for x in args.charge.split(","))
-        if len(charge) == 1 and args.pairs == 1:
-            charge = (charge[0],)
     series = trace(spec, ops, ring, zvars=zvars, zscale=zscale,
                    charge=charge, max_states=args.max_states)
     _emit(series, args.json)

@@ -50,15 +50,16 @@ class CorrelatorRequest:
     eval_points: tuple = ()        # square roots s_i of the t_i
 
     def __post_init__(self):
-        """Keeps the first ``npoints`` eval points, the ones used; too few
-        are left for ``make_units`` to reject."""
+        """Keeps the eval points that are used: the first ``npoints`` in eval
+        mode, none in exact mode.  Too few are left for ``make_units`` to
+        reject."""
         object.__setattr__(self, "order", Fraction(self.order))
         if self.mode not in ("exact", "eval"):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.npoints < 0:
             raise ValueError("npoints must be >= 0")
-        object.__setattr__(self, "eval_points", tuple(
-            Fraction(s) for s in self.eval_points[:self.npoints]))
+        used = self.eval_points[:self.npoints] if self.mode == "eval" else ()
+        object.__setattr__(self, "eval_points", tuple(Fraction(s) for s in used))
         for s in self.eval_points:
             if s in (0, 1, -1):
                 raise PoleError(f"s = {s} sits on a pole (t in {{0, 1}})")

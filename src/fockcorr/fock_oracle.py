@@ -1,14 +1,18 @@
 """Brute-force graded traces over fermionic Fock spaces.
 
 Every operator in scope is diagonal on the occupation basis, so a trace is
-an exact sum over basis states below an energy cutoff.  States are built
-per fermion flavor (strict mode subsets) and merged with energy pruning;
-identical (energy, charge, eigenvalue) signatures merge with multiplicity,
-which keeps the combined lists small.  One merge does all the combining:
-it joins the two flavors of a pair (charges add), and after each pair is
-keyed by its physical charge, with the charge filter applied there, it
-folds the pairs together (charge tuples concatenate).  The neutral fermion
-joins last.
+an exact sum over basis states below an energy cutoff.  Every state is
+enumerated, per fermion flavor (strict mode subsets), and the flavors are
+merged with energy pruning.  A state is keyed by its signature: its energy
+and its occupation count per weight class, a weight class being one
+distinct nonzero tuple of per-op mode weights (found with ``ring.eq``, so
+no ring element is hashed).  Each signature carries its charges as an
+integer polynomial {charge: multiplicity}.  One merge does all the
+combining, adding count tuples and multiplying charge polynomials: it
+joins the two flavors of a pair (charges add), and after each pair's
+charge filter it folds the pairs together (per-pair charge tuples
+concatenate).  The neutral fermion joins as one more merge.  So merges do
+integer work only, and the ring is touched once per final signature.
 
 Conventions (NS = modes in 1/2+Z, R = modes in Z):
   * NS charged pair: psi^{+-} creators at k in 1/2+Z_+, charge +-1 each.
@@ -24,9 +28,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 
 from .errors import PoleError, ResourceLimitError
-from .qseries import QSeries, to16, unit_pow
+from .laurent import LaurentPoly, RationalFunction
+from .qseries import QSeries, from16, to16, unit_pow
 
 NS, RAMOND = "ns", "r"
 
@@ -224,6 +230,15 @@ def trace(spec: SectorSpec, ops, ring, *, zvars=None, zscale=1,
            the half-integral R-sector charges).
     charge: per-pair e_pp filter (Fraction or None per pair), or a single
             value when pairs == 1.
+    max_states: budget on the states enumerated and on the (energy, counts,
+                charge) entries of any one merge.
+
+    The merges see only signatures (energy, occupation count per weight
+    class) and integer charge polynomials; see the module docstring.  The
+    ring is used once per final signature: op i has the eigenvalue
+    central_i + sum_j count_j * W_j[i] there, W_j being the weights of
+    class j, and the product of the eigenvalues multiplies the charge
+    polynomial, read as sum m * z^{zscale * charge}.
     """
     ops = tuple(ops)
     _check_ops(spec, ops)
@@ -236,89 +251,109 @@ def trace(spec: SectorSpec, ops, ring, *, zvars=None, zscale=1,
     cutoff16 = to16(spec.cutoff)
     counter = [0]
 
-    # (energy16, charge, opvals) -> multiplicity; under a merge charges add,
-    # so per-pair charge tuples concatenate
+    classes = []   # distinct nonzero weight tuples W_j
+    class_of = {}  # (flavor, mode) -> j
+    for flavor in ("plus", "minus") * bool(spec.pairs) + ("neutral",) * spec.neutral:
+        for k in _flavor_modes(spec, flavor):
+            w = tuple(op_mode_weight(op.kind, flavor, k, ring, op.unit) for op in ops)
+            if all(map(ring.is_zero, w)):
+                continue
+            j = next((j for j, seen in enumerate(classes)
+                      if all(map(ring.eq, w, seen))), len(classes))
+            if j == len(classes):
+                classes.append(w)
+            class_of[flavor, k] = j
+
+    # (energy16, counts) -> {charge: multiplicity}; under a merge counts and
+    # charges add, so per-pair charge tuples concatenate
     def merge(a, b):
         out = {}
-        for (e1, c1, v1), m1 in a.items():
-            for (e2, c2, v2), m2 in b.items():
+        size = 0
+        for (e1, n1), p1 in a.items():
+            for (e2, n2), p2 in b.items():
                 e = e1 + e2
                 if e >= cutoff16:
                     continue
-                key = (e, c1 + c2,
-                       tuple(ring.add(x, y) for x, y in zip(v1, v2)))
-                out[key] = out.get(key, 0) + m1 * m2
-                if max_states is not None and len(out) > max_states:
-                    raise ResourceLimitError(
-                        f"state budget {max_states} exceeded during merge")
+                key = (e, tuple(map(add, n1, n2)))
+                poly = out.get(key)
+                if poly is None:
+                    poly = out[key] = {}
+                for c1, m1 in p1.items():
+                    for c2, m2 in p2.items():
+                        c = c1 + c2
+                        if c not in poly:
+                            size += 1
+                            if max_states is not None and size > max_states:
+                                raise ResourceLimitError(
+                                    f"state budget {max_states} exceeded during merge")
+                        poly[c] = poly.get(c, 0) + m1 * m2
         return out
 
     def flavor_dict(flavor):
         d = {}
-        for e, c, vals, _ in _flavor_signature_states(
-                spec, flavor, ops, ring, max_states, counter):
-            key = (e, c, vals)
-            d[key] = d.get(key, 0) + 1
+        for e, c, _, chosen in _flavor_signature_states(
+                spec, flavor, (), None, max_states, counter):
+            counts = [0] * len(classes)
+            for k in chosen:
+                if (flavor, k) in class_of:
+                    counts[class_of[flavor, k]] += 1
+            poly = d.setdefault((e, tuple(counts)), {})
+            poly[c] = poly.get(c, 0) + 1
         return d
 
     rshift = Fraction(1, 2) if spec.sector == RAMOND else Fraction(0)
-    per_pair = []
+    graded = [zvars is not None and zvars[p] is not None for p in range(spec.pairs)]
+    parts = []  # per pair, then the neutral fermion
     for p in range(spec.pairs):
         want = None if charge is None or charge[p] is None else Fraction(charge[p])
         keyed = {}
-        for (e, c, vals), m in merge(flavor_dict("plus"), flavor_dict("minus")).items():
-            cphys = Fraction(c) + rshift
-            if want is None or cphys == want:
-                keyed[(e, (cphys,), vals)] = m
-        per_pair.append(keyed)
-    neutral_states = flavor_dict("neutral") if spec.neutral else None
+        for sig, poly in merge(flavor_dict("plus"), flavor_dict("minus")).items():
+            for c, m in poly.items():
+                if want is None or c + rshift == want:
+                    kept = keyed.setdefault(sig, {})
+                    key = (c,) if graded[p] else ()
+                    kept[key] = kept.get(key, 0) + m
+        parts.append(keyed)
+    if spec.neutral:
+        parts.append({sig: {(): sum(poly.values())}
+                      for sig, poly in flavor_dict("neutral").items()})
 
     centrals = [op_central(op.kind, spec.level, ring, op.unit) for op in ops]
-    nops = len(ops)
-    shift16 = to16(spec.energy_shift)
-    total_terms = {}
-
-    def emit(e16, zcoeff, opvals, mult):
-        val = ring.from_fraction(mult)
-        if zcoeff is not None:
-            val = ring.mul(val, zcoeff)
-        for i in range(nops):
-            val = ring.mul(val, ring.add(centrals[i], opvals[i]))
-        if ring.is_zero(val):
-            return
-        e = e16 + shift16
-        if e in total_terms:
-            total_terms[e] = ring.add(total_terms[e], val)
-        else:
-            total_terms[e] = val
-
-    folded = {(0, (), tuple(ring.zero() for _ in range(nops))): 1}
-    for states in per_pair:
+    folded = {(0, (0,) * len(classes)): {(): 1}}
+    for states in parts:
         folded = merge(folded, states)
-    for (e1, zks, v1), m1 in folded.items():
-        if zvars is None:
-            zcoeff = None
-        else:
-            zcoeff = ring.one()
-            for p, c in enumerate(zks):
-                if zvars[p] is None:
-                    continue
-                zexp = Fraction(zscale) * c
-                if zexp.denominator != 1:
-                    raise ValueError(
-                        "z-exponent not integral; use zscale=2 for the R sector")
-                zcoeff = ring.mul(zcoeff, ring.var(zvars[p], int(zexp)))
-        if neutral_states is None:
-            emit(e1, zcoeff, v1, m1)
-        else:
-            for (e2, _, v2), m2 in neutral_states.items():
-                if e1 + e2 >= cutoff16:
-                    continue
-                emit(e1 + e2, zcoeff,
-                     tuple(ring.add(x, y) for x, y in zip(v1, v2)), m1 * m2)
 
-    out = QSeries(ring, total_terms, cutoff16 + shift16, _clean=True)
-    return out
+    zindex = [ring.vars.index(zvars[p]) for p in range(spec.pairs) if graded[p]]
+    zshift = zscale * rshift  # z-exponent of raw charge c: zscale * c + zshift
+    if zindex and folded and zshift.denominator != 1:
+        raise ValueError("z-exponent not integral; use zscale=2 for the R sector")
+
+    def charge_element(poly):
+        """sum m * prod_p z_p^{zscale * c_p + zshift} as one ring element."""
+        if not zindex:
+            return ring.from_fraction(poly[()])
+        monomials = {}
+        for cs, m in poly.items():
+            exps = [0] * len(ring.vars)
+            for idx, c in zip(zindex, cs):
+                exps[idx] += zscale * c + int(zshift)
+            exps = tuple(exps)
+            monomials[exps] = monomials.get(exps, 0) + m
+        out = LaurentPoly(ring.vars, monomials, _clean=False)
+        return RationalFunction.from_laurent(out) if ring.mode == "ratfunc" else out
+
+    terms = []
+    for (e16, counts), poly in folded.items():
+        val = charge_element(poly)
+        for i, central in enumerate(centrals):
+            ev = central
+            for w, n in zip(classes, counts):
+                if n:
+                    ev = ring.add(ev, w[i] if n == 1 else
+                                  ring.mul(ring.from_fraction(n), w[i]))
+            val = ring.mul(val, ev)
+        terms.append((from16(e16) + spec.energy_shift, val))
+    return QSeries.from_terms(ring, terms, spec.cutoff + spec.energy_shift)
 
 
 def eigenvalue(op: OpSpec, state: FockState, spec: SectorSpec, ring):

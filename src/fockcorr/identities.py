@@ -419,8 +419,8 @@ def _qdim_grid(order):
 
 def check_qdim_consistency(order=10):
     """Internal sum-vs-product agreement for every grid label, then the
-    n = 0 duality: sum over labels of dim V_lambda * qdim == oracle
-    dim_q of the Fock space."""
+    n = 0 duality at levels 1, 3/2, 2, 5/2 and 3: sum over labels of
+    dim V_lambda * qdim == oracle dim_q of the Fock space."""
     order = Fraction(order)
     for label in _qdim_grid(order):
         corr.qdim(label, order)  # raises InternalCheckError on mismatch
@@ -431,6 +431,12 @@ def check_qdim_consistency(order=10):
         ("b", Fraction(1), "Pin2l", RAMOND, 1, 0),
         ("d", Fraction(3, 2), "B2l1", NS, 1, 1),
         ("b", Fraction(3, 2), "B2l1", RAMOND, 1, 1),
+        ("d", Fraction(2), "O2l", NS, 2, 0),
+        ("c", Fraction(2), "Sp2l", NS, 2, 0),
+        ("b", Fraction(2), "Pin2l", RAMOND, 2, 0),
+        ("d", Fraction(5, 2), "B2l1", NS, 2, 1),
+        ("b", Fraction(5, 2), "B2l1", RAMOND, 2, 1),
+        ("d", Fraction(3), "O2l", NS, 3, 0),
     ]
     checks = len(_qdim_grid(order))
     for algebra, level, family, sector, pairs, neutral in setups:

@@ -346,6 +346,25 @@ def test_corr_eval_extra_s_values_are_ignored(tmp_path, capsys):
     assert len(list(tmp_path.glob("*.json"))) == 1
 
 
+def test_corr_exact_ignores_s_values(tmp_path, capsys):
+    from fockcorr import cli
+    argv = ["corr", "--algebra", "d", "--level", "1", "--lambda", "0",
+            "--n", "1", "--order", "2", "--mode", "exact"]
+    assert cli.main(argv) == 0
+    plain = capsys.readouterr()
+    # s = 1 is a pole, but exact mode never evaluates at s
+    assert cli.main(argv + ["--s", "1"]) == 0
+    with_s = capsys.readouterr()
+    assert with_s.out == plain.out
+    assert with_s.err == ""
+    # the cache key holds no s-values in exact mode, so both share one blob
+    cached = ["--cache-dir", str(tmp_path)] + argv
+    assert cli.main(cached + ["--s", "2"]) == 0
+    assert cli.main(cached + ["--s", "3"]) == 0
+    assert capsys.readouterr().out == plain.out * 2
+    assert len(list(tmp_path.glob("*.json"))) == 1
+
+
 def test_uncaught_exception_has_its_own_exit_code(monkeypatch, capsys):
     from fockcorr import cli, errors
 

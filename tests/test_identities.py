@@ -12,9 +12,10 @@ from hypothesis import strategies as st
 
 from fockcorr.combinat import enumerate_labels
 from fockcorr.correlators import npoint
-from fockcorr.identities import (check_graded_a, check_graded_b,
-                                 check_rec_b_half, check_rec_d_half,
-                                 check_weyl_lemma, howe_check)
+from fockcorr.identities import (_qdim_grid, check_graded_a, check_graded_b,
+                                 check_qdim_consistency, check_rec_b_half,
+                                 check_rec_d_half, check_weyl_lemma,
+                                 howe_check)
 from fockcorr.qseries import RationalRing
 
 
@@ -69,6 +70,14 @@ def test_recursions_alternate_points():
 
 def test_weyl_lemma_spot_high_order():
     assert check_weyl_lemma(wtype="C", l=4, order=18, count=5, seed=7).ok
+
+
+def test_qdim_duality_at_levels_2_to_3():
+    # one oracle-vs-qdim duality check per setup: five at levels 1 and 3/2,
+    # then d, c, b at level 2, d, b at level 5/2 and d at level 3
+    rep = check_qdim_consistency(order=6)
+    assert rep.ok, rep.line()
+    assert rep.checks == len(_qdim_grid(F(6))) + 11
 
 
 def test_correlator_label_window_scaling():

@@ -1,18 +1,22 @@
+import hashlib
 from fractions import Fraction as F
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fockcorr.correlators import (em_half, em_one, f_bo, graded_trace_F,
                                   half_level_base, inv_qq, qq_odd,
                                   refined_level1)
 from fockcorr.errors import ResourceLimitError
-from fockcorr.fock_oracle import (FockState, OpSpec, SectorSpec,
-                                  enumerate_states, eigenvalue, reorder_sign,
-                                  tau_refined_trace, trace)
+from fockcorr.fock_oracle import (RAMOND, FockState, OpSpec, SectorSpec,
+                                  _check_ops, _flavor_signature_states,
+                                  enumerate_states, eigenvalue, op_central,
+                                  reorder_sign, tau_refined_trace, trace)
 from fockcorr.laurent import LaurentPoly, RationalFunction
 from fockcorr.qseries import (LaurentRing, QSeries, RatFuncRing, RationalRing,
-                              lattice_sum)
+                              lattice_sum, to16)
 
 SV = ("s",)
 
@@ -220,3 +224,277 @@ class TestTauRefined:
         s = LaurentPoly.var(SV, "s")
         assert diff.coeff(0) == RationalFunction(
             LaurentPoly.const(SV, 2), s - s ** -1)
+
+
+# ---------------------------------------------------------------------------
+# the count-keyed trace against the value-keyed one it replaced
+# ---------------------------------------------------------------------------
+
+def reference_trace(spec, ops, ring, *, zvars=None, zscale=1, charge=None,
+                    max_states=None):
+    """The value-keyed trace the oracle used before its states were keyed by
+    occupation counts: every merge adds ring elements per basis state."""
+    ops = tuple(ops)
+    _check_ops(spec, ops)
+    if charge is not None and not isinstance(charge, (tuple, list)):
+        charge = (F(charge),)
+    if charge is not None and len(charge) != spec.pairs:
+        raise ValueError("one charge filter entry per pair required")
+    if zvars is not None and len(zvars) != spec.pairs:
+        raise ValueError("one z-variable entry per pair required")
+    cutoff16 = to16(spec.cutoff)
+    counter = [0]
+
+    # (energy16, charge, opvals) -> multiplicity; under a merge charges add,
+    # so per-pair charge tuples concatenate
+    def merge(a, b):
+        out = {}
+        for (e1, c1, v1), m1 in a.items():
+            for (e2, c2, v2), m2 in b.items():
+                e = e1 + e2
+                if e >= cutoff16:
+                    continue
+                key = (e, c1 + c2,
+                       tuple(ring.add(x, y) for x, y in zip(v1, v2)))
+                out[key] = out.get(key, 0) + m1 * m2
+                if max_states is not None and len(out) > max_states:
+                    raise ResourceLimitError(
+                        f"state budget {max_states} exceeded during merge")
+        return out
+
+    def flavor_dict(flavor):
+        d = {}
+        for e, c, vals, _ in _flavor_signature_states(
+                spec, flavor, ops, ring, max_states, counter):
+            key = (e, c, vals)
+            d[key] = d.get(key, 0) + 1
+        return d
+
+    rshift = F(1, 2) if spec.sector == RAMOND else F(0)
+    per_pair = []
+    for p in range(spec.pairs):
+        want = None if charge is None or charge[p] is None else F(charge[p])
+        keyed = {}
+        for (e, c, vals), m in merge(flavor_dict("plus"), flavor_dict("minus")).items():
+            cphys = F(c) + rshift
+            if want is None or cphys == want:
+                keyed[(e, (cphys,), vals)] = m
+        per_pair.append(keyed)
+    neutral_states = flavor_dict("neutral") if spec.neutral else None
+
+    centrals = [op_central(op.kind, spec.level, ring, op.unit) for op in ops]
+    nops = len(ops)
+    shift16 = to16(spec.energy_shift)
+    total_terms = {}
+
+    def emit(e16, zcoeff, opvals, mult):
+        val = ring.from_fraction(mult)
+        if zcoeff is not None:
+            val = ring.mul(val, zcoeff)
+        for i in range(nops):
+            val = ring.mul(val, ring.add(centrals[i], opvals[i]))
+        if ring.is_zero(val):
+            return
+        e = e16 + shift16
+        if e in total_terms:
+            total_terms[e] = ring.add(total_terms[e], val)
+        else:
+            total_terms[e] = val
+
+    folded = {(0, (), tuple(ring.zero() for _ in range(nops))): 1}
+    for states in per_pair:
+        folded = merge(folded, states)
+    for (e1, zks, v1), m1 in folded.items():
+        if zvars is None:
+            zcoeff = None
+        else:
+            zcoeff = ring.one()
+            for p, c in enumerate(zks):
+                if zvars[p] is None:
+                    continue
+                zexp = F(zscale) * c
+                if zexp.denominator != 1:
+                    raise ValueError(
+                        "z-exponent not integral; use zscale=2 for the R sector")
+                zcoeff = ring.mul(zcoeff, ring.var(zvars[p], int(zexp)))
+        if neutral_states is None:
+            emit(e1, zcoeff, v1, m1)
+        else:
+            for (e2, _, v2), m2 in neutral_states.items():
+                if e1 + e2 >= cutoff16:
+                    continue
+                emit(e1 + e2, zcoeff,
+                     tuple(ring.add(x, y) for x, y in zip(v1, v2)), m1 * m2)
+
+    return QSeries(ring, total_terms, cutoff16 + shift16, _clean=True)
+
+
+ZV = ("z1", "z2", "z3")
+RINGS = {"rational": RationalRing(), "laurent": LaurentRing(ZV),
+         "ratfunc": RatFuncRing(("s",) + ZV)}
+UNITS = (F(2), F(-3), F(3, 2), F(-5, 2), F(5, 3))
+
+
+@st.composite
+def oracle_calls(draw):
+    sector = draw(st.sampled_from(("ns", "r")))
+    pairs = draw(st.integers(0, 3))
+    neutral = draw(st.integers(0, 1))
+    cutoffs = (F(1), F(3, 2), F(2), F(5, 2), F(3))
+    spec = SectorSpec(pairs, neutral, sector, draw(st.sampled_from(
+        cutoffs if pairs < 3 else cutoffs[:3])))
+    mode = draw(st.sampled_from(sorted(RINGS)))
+    ring = RINGS[mode]
+    if sector == "r":
+        kinds = ("B",)
+    else:
+        kinds = ("D", "C") if neutral else ("A", "D", "C")
+
+    def unit():
+        if mode == "ratfunc" and draw(st.booleans()):
+            return ring.var("s", draw(st.sampled_from((1, -1, 2))))
+        return ring.from_fraction(draw(st.sampled_from(UNITS)))
+
+    ops = [OpSpec(draw(st.sampled_from(kinds)), unit())
+           for _ in range(draw(st.integers(0, 2)))]
+    shift = F(1, 2) if sector == "r" else F(0)
+    charge = None
+    if draw(st.booleans()):
+        charge = tuple(draw(st.one_of(st.none(), st.integers(-2, 2).map(
+            lambda c: c + shift))) for _ in range(pairs))
+        if pairs == 1 and charge[0] is not None and draw(st.booleans()):
+            charge = charge[0]
+    zvars = None
+    if draw(st.booleans()):
+        names = (None,) if mode == "rational" else (None, "z1", "z2", "z3")
+        zvars = tuple(draw(st.sampled_from(names)) for _ in range(pairs))
+    zscale = draw(st.sampled_from((1, 2)))
+    return spec, ops, ring, dict(zvars=zvars, zscale=zscale, charge=charge)
+
+
+def assert_matches_reference(spec, ops, ring, **kwargs):
+    try:
+        want = reference_trace(spec, ops, ring, **kwargs)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            trace(spec, ops, ring, **kwargs)
+        assert str(got.value) == str(exc)
+        return
+    got = trace(spec, ops, ring, **kwargs)
+    assert got.trunc == want.trunc
+    assert got.terms.keys() == want.terms.keys()
+    assert all(ring.eq(c, want.terms[e]) for e, c in got.terms.items())
+    if ring.mode != "ratfunc":
+        assert got.to_json() == want.to_json()
+        assert got.dumps() == want.dumps()
+
+
+class TestCountKeyedTrace:
+    @given(call=oracle_calls())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_the_value_keyed_trace(self, call):
+        spec, ops, ring, kwargs = call
+        assert_matches_reference(spec, ops, ring, **kwargs)
+
+    def test_mixed_kinds_and_a_shared_z_variable(self):
+        # D weighs psi^+_k and psi^-_k alike and A does not, so the two modes
+        # share a weight class only if every op is compared; two pairs graded
+        # by one variable add their exponents
+        ring = RINGS["laurent"]
+        ops = [OpSpec("D", ring.from_fraction(2)), OpSpec("A", ring.from_fraction(3))]
+        assert_matches_reference(SectorSpec(1, 0, "ns", 3), ops, ring)
+        assert_matches_reference(SectorSpec(2, 0, "ns", 3), ops[:1], ring,
+                                 zvars=("z1", "z1"))
+
+    @pytest.mark.parametrize("fn", [trace, reference_trace])
+    def test_error_texts(self, fn):
+        rational = RationalRing()
+        with pytest.raises(ResourceLimitError,
+                           match="^state budget 60 exceeded during enumeration$"):
+            fn(SectorSpec(2, 0, "ns", 8), [], rational, max_states=60)
+        ring = LaurentRing(("z1", "z2"))
+        with pytest.raises(ResourceLimitError,
+                           match="^state budget 100 exceeded during merge$"):
+            fn(SectorSpec(2, 0, "ns", 6), [OpSpec("D", ring.from_fraction(2))],
+               ring, zvars=("z1", "z2"), max_states=100)
+        with pytest.raises(ValueError, match="^z-exponent not integral; "
+                                             "use zscale=2 for the R sector$"):
+            fn(SectorSpec(1, 0, "r", 2), [], ring, zvars=("z1",))
+
+    @pytest.mark.parametrize("spec, kind", [
+        (SectorSpec(2, 1, "ns", F(5, 2)), "D"),
+        (SectorSpec(2, 0, "ns", 3), "A"),
+        (SectorSpec(1, 1, "r", 3), "B"),
+    ])
+    def test_equals_the_sum_over_enumerated_states(self, spec, kind):
+        # the definition: sum over basis states of q^E z^charge * eigenvalue
+        ring = RatFuncRing(("s", "w1", "w2"))
+        op = OpSpec(kind, ring.var("s"))
+        zvars = ("w1", "w2")[:spec.pairs]
+        zscale = 2 if spec.sector == "r" else 1
+        terms = []
+        for state in enumerate_states(spec):
+            coeff = eigenvalue(op, state, spec, ring)
+            for name, c in zip(zvars, state.charges):
+                coeff = ring.mul(coeff, ring.var(name, int(zscale * c)))
+            terms.append((state.energy, coeff))
+        ref = QSeries.from_terms(ring, terms, spec.cutoff + spec.energy_shift)
+        got = trace(spec, [op], ring, zvars=zvars, zscale=zscale)
+        assert got.trunc == ref.trunc
+        assert got.first_mismatch(ref) is None
+
+    def test_ring_work_is_per_signature(self):
+        # about 25,000 ring add/mul calls when every basis state did ring
+        # work; about 450 once the ring sees only the final signatures
+        class CountingRing:
+            def __init__(self, ring):
+                self.ring = ring
+                self.calls = 0
+
+            def add(self, a, b):
+                self.calls += 1
+                return self.ring.add(a, b)
+
+            def mul(self, a, b):
+                self.calls += 1
+                return self.ring.mul(a, b)
+
+            def __getattr__(self, name):
+                return getattr(self.ring, name)
+
+        ring = CountingRing(LaurentRing(ZV))
+        out = trace(SectorSpec(3, 0, "ns", 7),
+                    [OpSpec("D", ring.from_fraction(F(5, 2)))], ring, zvars=ZV)
+        assert not out.is_zero
+        assert ring.calls < 1000
+
+
+# sha256 of the outputs below, recorded before the trace rework; the
+# enumeration and the tau-refined trace share its flavor enumerator
+ENUMERATED = {
+    (2, 1, "ns", F(3)):
+        "6652c01f5fc8c1666d8f09bc4001f62c965c9a06b8ea998be17f2ce18bb26770",
+    (2, 1, "r", F(5, 2)):
+        "bb8f9f0f849c06966037945614b425ec74afb73fac0d9365561f5e55e2a24179",
+    (1, 0, "r", F(4)):
+        "996d161c2a53484ab9074ed055c3e82569b4de40db025aa9dc10cf6373d693f4",
+}
+TAU_REFINED = (
+    "dd8f2b8f592f21e6d8439c4bbcb8973850e63cb9a20435d33104e19af3026416",
+    "cc16d6c9ee1741afd9672cede044c42315a38cccb000fc06799e5257a58e3b33",
+)
+
+
+@pytest.mark.parametrize("args", sorted(ENUMERATED))
+def test_enumerate_states_unchanged(args):
+    text = "\n".join(repr(s) for s in enumerate_states(SectorSpec(*args)))
+    assert hashlib.sha256(text.encode()).hexdigest() == ENUMERATED[args]
+
+
+def test_tau_refined_trace_unchanged():
+    laurent = LaurentRing(("x",))
+    calls = [(RationalRing(), [OpSpec("D", F(2)), OpSpec("C", F(-3, 2))]),
+             (laurent, [OpSpec("D", laurent.from_fraction(F(5, 3)))])]
+    for (ring, ops), digest in zip(calls, TAU_REFINED):
+        tp, tm = tau_refined_trace(ops, 5, ring)
+        assert hashlib.sha256((tp.dumps() + tm.dumps()).encode()).hexdigest() == digest

@@ -264,9 +264,33 @@ def build_parser():
     return parser
 
 
+# options whose value is a comma list that may start with '-': a negative
+# number, or '-' for a skipped oracle pair
+LIST_OPTIONS = frozenset({"--s", "--charge"})
+
+
+def _attach_list_values(argv):
+    """Rewrite ``--s -2,3`` as ``--s=-2,3`` for the options in LIST_OPTIONS.
+
+    argparse reads a word that starts with '-' as an option unless it is a
+    plain negative number, so '-2,3', '-1/2' or '-,1/2' would otherwise
+    leave the option without its value.  A following word that looks like
+    an option ('-h', '--json') is left alone.
+    """
+    out = []
+    for word in argv:
+        if (out and out[-1] in LIST_OPTIONS and word.startswith("-")
+                and not word[1:2].isalpha() and not word.startswith("--")):
+            out[-1] += "=" + word
+        else:
+            out.append(word)
+    return out
+
+
 def main(argv=None):
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(
+        _attach_list_values(sys.argv[1:] if argv is None else argv))
     diskcache.configure(args.cache_dir)
     try:
         code = args.func(args)

@@ -7,6 +7,14 @@ in one normal form: a plain ``int`` when integral, a ``Fraction`` only when
 not.  Since ``4 == Fraction(4)``, ``hash(4) == hash(Fraction(4))`` and
 ``str(4) == str(Fraction(4))``, the form changes no equality, hash or
 rendering; it only keeps the common integral case off ``Fraction``.
+
+Most ring work in exact mode has a unit or one-term operand, so the ring
+short-circuits it with the same result as the general code: a product with
+a one-term factor shifts and scales the other factor (and returns it as is
+for 1), ``exact_div`` by a one-term divisor shifts and scales ``num``, a
+division whose exponent spans rule it out raises before any long division
+step, and ``RationalFunction`` returns a denominator of 1 at once and runs
+no gcd against a constant one.
 """
 
 from __future__ import annotations
@@ -155,9 +163,13 @@ class LaurentPoly:
             c = _fr(other)
             if not c:
                 return LaurentPoly.zero(self.vars)
-            return LaurentPoly(self.vars, {e: _fr(v * c) for e, v in self.terms.items()},
-                               _clean=False)
+            return self._times_term((0,) * len(self.vars), c)
         self._check(other)
+        # a one-term factor only shifts and scales the other one
+        if len(other.terms) == 1:
+            return self._times_term(*next(iter(other.terms.items())))
+        if len(self.terms) == 1:
+            return other._times_term(*next(iter(self.terms.items())))
         out = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
@@ -170,6 +182,16 @@ class LaurentPoly:
         return LaurentPoly(self.vars, {e: _fr(v) for e, v in out.items()}, _clean=False)
 
     __rmul__ = __mul__
+
+    def _times_term(self, exps, c):
+        """Product with the nonzero term ``c * x**exps``; ``self`` itself for 1."""
+        if c == 1:
+            return self.shift(exps)
+        return LaurentPoly(
+            self.vars,
+            {tuple(map(add, e, exps)): _fr(v * c) for e, v in self.terms.items()},
+            _clean=False,
+        )
 
     def __pow__(self, n):
         if not isinstance(n, int):
@@ -319,14 +341,29 @@ class LaurentPoly:
 
 
 def exact_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
-    """Exact quotient in the Laurent ring; raises if den does not divide num."""
+    """Exact quotient in the Laurent ring; raises if den does not divide num.
+
+    A one-term divisor ``c * x**e`` always divides: the quotient is ``num``
+    shifted by ``-e`` with coefficients over ``c``, and ``num`` itself when
+    the divisor is 1.  Otherwise the exponent span (max - min) of each
+    variable adds under multiplication, so a variable whose span in ``num``
+    is smaller than in ``den`` rules the division out before any long
+    division step.
+    """
     if den.is_zero:
         raise ZeroDivisionError("division by the zero polynomial")
     if num.is_zero:
         return LaurentPoly.zero(num.vars)
     num._check(den)
-    nshift = num.min_exps()
-    dshift = den.min_exps()
+    if len(den.terms) == 1:
+        (e, c), = den.terms.items()
+        return num._times_term(tuple(-x for x in e), _div(1, c))
+    ncols = tuple(zip(*num.terms))
+    dcols = tuple(zip(*den.terms))
+    if any(max(n) - min(n) < max(d) - min(d) for n, d in zip(ncols, dcols)):
+        raise InexactDivisionError("inexact division")
+    nshift = tuple(map(min, ncols))
+    dshift = tuple(map(min, dcols))
     # normalize both to honest polynomials; the quotient of the normalized
     # parts is again a polynomial, so lex long division applies.  The
     # remainder is one dict, updated in place at each step.
@@ -418,15 +455,27 @@ class RationalFunction:
 
     @staticmethod
     def _normalize(num, den):
+        """Canonical (num, den) of the class docstring.
+
+        A denominator equal to 1 is already canonical and returns at once.
+        The univariate gcd runs only on a denominator with more than one
+        term after its monomial content is moved out: against a constant
+        it is always 1.
+        """
         if num.is_zero:
             return num, LaurentPoly.const(den.vars, 1)
+        if len(den.terms) == 1:
+            (e, c), = den.terms.items()
+            if c == 1 and not any(e):
+                return num, den
         # pure Laurent content of den moves to num
         dshift = den.min_exps()
         if any(dshift):
             den = den.shift(tuple(-x for x in dshift))
             num = num.shift(tuple(-x for x in dshift))
         # single shared effective variable: univariate gcd over Q
-        evars = num.effective_vars() | den.effective_vars()
+        evars = (num.effective_vars() | den.effective_vars()
+                 if len(den.terms) > 1 else ())
         if len(evars) == 1:
             idx = next(iter(evars))
             nshift = num.min_exps()

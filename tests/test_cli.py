@@ -399,3 +399,34 @@ def test_stdout_closed_by_reader_exits_quietly(buffered):
         os.close(write_end)
     assert proc.stderr == ""
     assert proc.returncode == 141
+
+
+ORACLE_NS2 = ["oracle", "--pairs", "2", "--sector", "ns", "--order", "2"]
+CORR_EVAL2 = ["corr", "--algebra", "d", "--level", "1", "--n", "2",
+              "--order", "2", "--mode", "eval"]
+
+
+@pytest.mark.parametrize("head, option, value", [
+    (ORACLE_NS2, "--charge", "-1,0"),
+    (ORACLE_NS2, "--charge", "-,1/2"),
+    (["oracle", "--pairs", "1", "--sector", "r", "--order", "2"],
+     "--charge", "-1/2"),
+    (CORR_EVAL2, "--s", "-2,3"),
+    (["verify", "graded-A", "--n", "2", "--mode", "eval"], "--s", "-2,3"),
+])
+def test_list_value_starting_with_minus(head, option, value, capsys):
+    from fockcorr import cli
+    assert cli.main(head + [option, value]) == 0
+    spaced = capsys.readouterr()
+    assert cli.main(head + [f"{option}={value}"]) == 0
+    joined = capsys.readouterr()
+    assert spaced.out and spaced.out == joined.out
+    assert spaced.err == joined.err == ""
+
+
+def test_list_option_followed_by_an_option_still_lacks_its_value(capsys):
+    from fockcorr import cli
+    with pytest.raises(SystemExit) as exc:
+        cli.main(CORR_EVAL2 + ["--s", "--json"])
+    assert exc.value.code == 2
+    assert "argument --s: expected one argument" in capsys.readouterr().err

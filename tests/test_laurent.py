@@ -1,11 +1,13 @@
 from fractions import Fraction as F
+from operator import add, sub
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fockcorr.errors import InexactDivisionError, PoleError
-from fockcorr.laurent import LaurentPoly, RationalFunction, exact_div
+from fockcorr.laurent import (LaurentPoly, RationalFunction, _div, _fr,
+                              _univariate_coeffs, _univariate_gcd, exact_div)
 
 SV = ("s",)
 ZV = ("z1", "z2")
@@ -216,3 +218,175 @@ def test_eval_at_integer_points_is_fraction(entries, x, y):
     value = p.eval_at({"z1": x, "z2": y})
     assert type(value) is F
     assert type(LaurentPoly.const(ZV, 3).eval_at({"z1": x, "z2": y})) is F
+
+
+# -- fast paths against the general code they short-circuit -------------------
+# The references are the general product loop, long division and normal form
+# that ``__mul__``, ``exact_div`` and ``RationalFunction._normalize`` run when
+# no fast path applies.
+
+def reference_mul(a, b):
+    out = {}
+    for e1, c1 in a.terms.items():
+        for e2, c2 in b.terms.items():
+            e = tuple(map(add, e1, e2))
+            v = out.get(e, 0) + c1 * c2
+            if v:
+                out[e] = v
+            else:
+                out.pop(e, None)
+    return LaurentPoly(a.vars, {e: _fr(v) for e, v in out.items()}, _clean=False)
+
+
+def reference_exact_div(num, den):
+    if den.is_zero:
+        raise ZeroDivisionError("division by the zero polynomial")
+    if num.is_zero:
+        return LaurentPoly.zero(num.vars)
+    nshift = num.min_exps()
+    dshift = den.min_exps()
+    rem = {tuple(map(sub, e, nshift)): c for e, c in num.terms.items()}
+    d0 = [(tuple(map(sub, e, dshift)), c) for e, c in den.terms.items()]
+    dlead_e, dlead_c = max(d0)
+    total_shift = tuple(map(sub, nshift, dshift))
+    quot = {}
+    while rem:
+        rlead_e = max(rem)
+        qe = tuple(map(sub, rlead_e, dlead_e))
+        if any(x < 0 for x in qe):
+            raise InexactDivisionError("inexact division")
+        qc = _div(rem[rlead_e], dlead_c)
+        quot[tuple(map(add, qe, total_shift))] = qc
+        for e, c in d0:
+            e = tuple(map(add, e, qe))
+            v = rem.get(e, 0) - c * qc
+            if v:
+                rem[e] = _fr(v)
+            else:
+                rem.pop(e, None)
+    return LaurentPoly(num.vars, quot, _clean=False)
+
+
+def reference_normalize(num, den):
+    if num.is_zero:
+        return num, LaurentPoly.const(den.vars, 1)
+    dshift = den.min_exps()
+    if any(dshift):
+        den = den.shift(tuple(-x for x in dshift))
+        num = num.shift(tuple(-x for x in dshift))
+    evars = num.effective_vars() | den.effective_vars()
+    if len(evars) == 1:
+        idx = next(iter(evars))
+        nshift = num.min_exps()
+        n0 = num.shift(tuple(-x for x in nshift))
+        g = _univariate_gcd(_univariate_coeffs(n0, idx), _univariate_coeffs(den, idx))
+        if len(g) > 1:
+            vars_ = num.vars
+            gpoly = LaurentPoly(
+                vars_,
+                {tuple(k if i == idx else 0 for i in range(len(vars_))): c
+                 for k, c in enumerate(g) if c},
+            )
+            n0 = reference_exact_div(n0, gpoly)
+            den = reference_exact_div(den, gpoly)
+            num = n0.shift(nshift)
+            dshift2 = den.min_exps()
+            if any(dshift2):
+                den = den.shift(tuple(-x for x in dshift2))
+                num = num.shift(tuple(-x for x in dshift2))
+    _, lead = den.lex_lead()
+    if lead != 1:
+        den = den.map_coeffs(lambda c: _div(c, lead))
+        num = num.map_coeffs(lambda c: _div(c, lead))
+    return num, den
+
+
+def typed_terms(p):
+    """Terms with each coefficient's type, so int and Fraction differ."""
+    return sorted((e, type(c).__name__, c) for e, c in p.terms.items())
+
+
+def div_outcome(div, num, den):
+    try:
+        return typed_terms(div(num, den))
+    except InexactDivisionError:
+        return "inexact"
+
+
+@st.composite
+def fast_path_polys(draw, vars_):
+    """The constant 1, other constants, monomials and general polynomials."""
+    exps = st.tuples(*[st.integers(-2, 2)] * len(vars_))
+    kind = draw(st.sampled_from(("one", "const", "monomial", "general")))
+    if kind == "one":
+        return LaurentPoly.const(vars_, 1)
+    if kind == "const":
+        return LaurentPoly.const(vars_, draw(rand_coeff.filter(bool)))
+    if kind == "monomial":
+        return LaurentPoly.monomial(vars_, draw(exps), draw(rand_coeff.filter(bool)))
+    return LaurentPoly(vars_, dict(draw(st.lists(st.tuples(exps, rand_coeff),
+                                                 min_size=1, max_size=5))))
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_fast_paths_match_the_general_code(data):
+    vars_ = ("s1", "s2", "s3")[:data.draw(st.integers(1, 3))]
+    a = data.draw(fast_path_polys(vars_))
+    b = data.draw(fast_path_polys(vars_))
+    assert typed_terms(a * b) == typed_terms(reference_mul(a, b))
+    assert typed_terms(b * a) == typed_terms(reference_mul(b, a))
+    if b.is_zero:
+        return
+    # an exact product d*q as well as an arbitrary numerator
+    for num in (a, reference_mul(b, a)):
+        assert div_outcome(exact_div, num, b) \
+            == div_outcome(reference_exact_div, num, b)
+        rf = RationalFunction(num, b)
+        ref_num, ref_den = reference_normalize(num, b)
+        assert typed_terms(rf.num) == typed_terms(ref_num)
+        assert typed_terms(rf.den) == typed_terms(ref_den)
+
+
+def test_unit_operands_return_the_other_operand():
+    p = poly(ZV, {(1, -1): 2, (0, 2): F(1, 3)})
+    one = LaurentPoly.const(ZV, 1)
+    assert p * one is p and one * p is p and p * 1 is p
+    assert exact_div(p, one) is p
+    assert RationalFunction(p, one).num is p
+
+
+def test_one_term_divisor_and_span_test_skip_long_division(monkeypatch):
+    from fockcorr import laurent
+    calls = {"max": 0}
+
+    def counting_max(*args, **kwargs):
+        calls["max"] += 1
+        return max(*args, **kwargs)
+
+    monkeypatch.setattr(laurent, "max", counting_max, raising=False)
+    s = LaurentPoly.var(SV, "s")
+    num = reference_mul(s + 1, sum((s ** k * (k + 1) for k in range(40)),
+                                   LaurentPoly.zero(SV)))
+    # long division takes one max() per quotient term
+    assert exact_div(num, s + 1) == reference_exact_div(num, s + 1)
+    assert calls["max"] > 40
+    calls["max"] = 0
+    den = LaurentPoly.monomial(SV, (-3,), 7)
+    assert typed_terms(exact_div(num, den)) \
+        == typed_terms(reference_exact_div(num, den))
+    assert calls["max"] == 0
+    # span 1 in s cannot be divided by span 2: no quotient term is formed
+    monkeypatch.setattr(laurent, "_div", lambda a, b: pytest.fail("long division"))
+    with pytest.raises(InexactDivisionError):
+        exact_div(s + 1, s * s + 1)
+
+
+def test_constant_denominator_runs_no_gcd(monkeypatch):
+    from fockcorr import laurent
+    monkeypatch.setattr(laurent, "_univariate_gcd",
+                        lambda a, b: pytest.fail("gcd against a constant"))
+    s = LaurentPoly.var(SV, "s")
+    rf = RationalFunction(s * s - 1, LaurentPoly.monomial(SV, (2,), -2))
+    assert typed_terms(rf.num) == typed_terms(poly(SV, {(0,): F(-1, 2), (-2,): F(1, 2)}))
+    assert rf.den == LaurentPoly.const(SV, 1)

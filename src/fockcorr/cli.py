@@ -28,6 +28,8 @@ from .qseries import LaurentRing, QSeries, RationalRing, from16
 
 
 def _fraction(text):
+    """The one parser of rational CLI input: a bad value is a usage error
+    (exit 2), whether argparse or a subcommand meets it."""
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
@@ -43,7 +45,13 @@ def _int_list(text):
 def _fraction_list(text):
     if not text:
         return ()
-    return tuple(Fraction(x) for x in text.split(","))
+    return tuple(_fraction(x) for x in text.split(","))
+
+
+def _charge_list(text):
+    """Per-pair charges; '-' or an empty item skips a pair (None)."""
+    return tuple(None if x.strip() in ("-", "") else _fraction(x)
+                 for x in text.split(","))
 
 
 def render_text(series: QSeries):
@@ -67,13 +75,12 @@ def _emit(series, as_json):
 
 
 def _build_label(args):
-    level = Fraction(args.level)
     lam = _int_list(args.lam)
-    l = int(level)
+    l = int(args.level)
     if len(lam) < l and all(m >= 0 for m in lam):
         lam = lam + (0,) * (l - len(lam))   # pad partitions to declared length
     spin = args.spin or args.algebra == "b"
-    return ModuleLabel(args.algebra, level, lam, det=args.det, spin=spin,
+    return ModuleLabel(args.algebra, args.level, lam, det=args.det, spin=spin,
                        folded=not args.det)
 
 
@@ -114,7 +121,7 @@ def _parse_ops(text, ring):
         except ValueError as exc:
             raise LabelError(f"bad op spec {chunk!r}; expected KIND,s=RAT") from exc
         kind = kind.strip().upper()
-        val = Fraction(val)
+        val = _fraction(val)
         if var.strip() == "s":
             s = val
         elif var.strip() == "t":
@@ -152,12 +159,8 @@ def cmd_oracle(args):
         ring = RationalRing()
         zscale = 1
     ops = _parse_ops(args.ops, ring)
-    charge = None
-    if args.charge is not None:
-        charge = tuple(None if x.strip() in ("-", "") else Fraction(x)
-                       for x in args.charge.split(","))
     series = trace(spec, ops, ring, zvars=zvars, zscale=zscale,
-                   charge=charge, max_states=args.max_states)
+                   charge=args.charge, max_states=args.max_states)
     _emit(series, args.json)
     return 0
 
@@ -208,7 +211,7 @@ def build_parser():
 
     def add_label_flags(p):
         p.add_argument("--algebra", required=True, choices=("a", "b", "c", "d"))
-        p.add_argument("--level", required=True,
+        p.add_argument("--level", type=_fraction, required=True,
                        help="positive integer or half-integer, e.g. 2 or 3/2")
         p.add_argument("--lambda", dest="lam", default="",
                        help="comma-separated weakly decreasing parts")
@@ -235,7 +238,7 @@ def build_parser():
     p.add_argument("--sector", required=True, choices=("ns", "r"))
     p.add_argument("--ops", default="none",
                    help='";"-separated ops, e.g. "D,s=2;D,t=9"')
-    p.add_argument("--charge", default=None,
+    p.add_argument("--charge", type=_charge_list, default=None,
                    help="per-pair charge filter (comma list; '-' skips a pair)")
     p.add_argument("--order", type=_fraction, required=True)
     p.add_argument("--graded", action="store_true",
@@ -261,6 +264,8 @@ def build_parser():
 
     p = sub.add_parser("list-identities", help="list verify registry entries")
     p.set_defaults(func=cmd_list_identities)
+    parser.list_option_words = {name: _list_option_words(p)
+                                for name, p in sub.choices.items()}
     return parser
 
 
@@ -269,30 +274,52 @@ def build_parser():
 LIST_OPTIONS = frozenset({"--s", "--charge"})
 
 
-def _attach_list_values(argv):
-    """Rewrite ``--s -2,3`` as ``--s=-2,3`` for the options in LIST_OPTIONS.
+def _list_option_words(parser):
+    """The words that ``parser`` reads as an option in LIST_OPTIONS: its full
+    name, or, as argparse resolves abbreviations, a prefix of it that is no
+    option itself and starts no other long option."""
+    names = [s for s in parser._option_string_actions if s.startswith("--")]
+    words = set()
+    for name in LIST_OPTIONS.intersection(names):
+        words.add(name)
+        for end in range(3, len(name)):
+            prefix = name[:end]
+            if [n for n in names if n.startswith(prefix)] == [name]:
+                words.add(prefix)
+    return frozenset(words)
+
+
+def _attach_list_values(argv, list_option_words):
+    """Rewrite ``--s -2,3`` as ``--s=-2,3`` for the options in LIST_OPTIONS,
+    also when named by an abbreviation (``--charg -1,0``).
 
     argparse reads a word that starts with '-' as an option unless it is a
     plain negative number, so '-2,3', '-1/2' or '-,1/2' would otherwise
     leave the option without its value.  A following word that looks like
-    an option ('-h', '--json') is left alone.
+    an option ('-h', '--json') is left alone.  The words after the first
+    one naming a subcommand are read with that subcommand's options
+    (``list_option_words`` maps a subcommand to its list-option words).
     """
+    command = None
     out = []
     for word in argv:
-        if (out and out[-1] in LIST_OPTIONS and word.startswith("-")
-                and not word[1:2].isalpha() and not word.startswith("--")):
+        if (out and out[-1] in list_option_words.get(command, ())
+                and word.startswith("-") and not word[1:2].isalpha()
+                and not word.startswith("--")):
             out[-1] += "=" + word
         else:
             out.append(word)
+            if command is None and word in list_option_words:
+                command = word
     return out
 
 
 def main(argv=None):
     parser = build_parser()
-    args = parser.parse_args(
-        _attach_list_values(sys.argv[1:] if argv is None else argv))
-    diskcache.configure(args.cache_dir)
     try:
+        args = parser.parse_args(_attach_list_values(
+            sys.argv[1:] if argv is None else argv, parser.list_option_words))
+        diskcache.configure(args.cache_dir)
         code = args.func(args)
         sys.stdout.flush()
         return code
@@ -310,7 +337,7 @@ def main(argv=None):
     except InternalCheckError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 1
-    except (FockcorrError, ValueError) as exc:
+    except (FockcorrError, ValueError, argparse.ArgumentTypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

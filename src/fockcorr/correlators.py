@@ -8,10 +8,15 @@ mode substitutes rational s-values and needs only Laurent (or plain rational)
 coefficients.
 
 The n-point kernel ``f_bo`` sums a theta determinant over the n!
-permutations.  Within one call it expands each distinct minor of size >= 2
-once and shares it between permutations, and ``theta_at`` computes each unit
+permutations.  Within one call it builds each distinct matrix entry (a theta
+derivative, scaled by 1/k!) and expands each distinct minor of size >= 2 once
+and shares them between permutations, and ``theta_at`` computes each unit
 power once; both do the same arithmetic in the same order as expanding every
-determinant afresh, so exact outputs keep their unreduced denominators.
+determinant afresh, so exact outputs keep their unreduced denominators.  In
+eval mode ``theta_at`` substitutes s through the ring's integer evaluator,
+and the series products and inverses run on integer numerators (see
+``qseries``); those values are exact and ``Fraction`` is canonical, so the
+outputs are the same bytes.
 
 The eps sums over the 2^n sign vectors use F_bo(q; 1/t) = (-1)^n F_bo(q; t)
 (Bloch-Okounkov): the terms for eps and -eps pair up as
@@ -51,8 +56,8 @@ class CorrelatorRequest:
 
     def __post_init__(self):
         """Keeps the eval points that are used: the first ``npoints`` in eval
-        mode, none in exact mode.  Too few are left for ``make_units`` to
-        reject."""
+        mode, none in exact mode.  Too few, or one on a pole, are left for
+        ``make_units`` to reject."""
         object.__setattr__(self, "order", Fraction(self.order))
         if self.mode not in ("exact", "eval"):
             raise ValueError(f"unknown mode {self.mode!r}")
@@ -60,9 +65,6 @@ class CorrelatorRequest:
             raise ValueError("npoints must be >= 0")
         used = self.eval_points[:self.npoints] if self.mode == "eval" else ()
         object.__setattr__(self, "eval_points", tuple(Fraction(s) for s in used))
-        for s in self.eval_points:
-            if s in (0, 1, -1):
-                raise PoleError(f"s = {s} sits on a pole (t in {{0, 1}})")
 
 
 def make_ring(n, mode, extra_vars=()):
@@ -77,11 +79,15 @@ def make_ring(n, mode, extra_vars=()):
 
 def make_units(ring, n, mode, svals=()):
     """The square-root units s_1..s_n as elements of ``ring``; eval mode
-    takes them from the first n of ``svals``."""
+    takes them from the first n of ``svals``, none of which may be 0 or
+    +-1 (a pole: t in {0, 1})."""
     if mode == "exact":
         return tuple(ring.var(f"s{i + 1}") for i in range(n))
     if len(svals) < n:
         raise ValueError("need one s-value per point")
+    for s in svals[:n]:
+        if s in (0, 1, -1):
+            raise PoleError(f"s = {s} sits on a pole (t in {{0, 1}})")
     return tuple(ring.from_fraction(s) for s in svals[:n])
 
 
@@ -153,22 +159,10 @@ def theta_k(k, order):
     return prev.map_coeffs(lambda c: c.scale_exp_weighted((Fraction(1, 2),)))
 
 
-def _subst_s(coeff, ring, unit, powers):
-    """Evaluate a Laurent-in-s coefficient at s -> unit of the target ring;
-    ``powers`` memoizes unit**m by m."""
-    acc = ring.zero()
-    for (m,), c in coeff.terms.items():
-        if m not in powers:
-            powers[m] = unit_pow(ring, unit, m)
-        acc = ring.add(acc, ring.mul(ring.from_fraction(c), powers[m]))
-    return acc
-
-
 @lru_cache(maxsize=None)
 def theta_at(k, unit, ring, order):
     """Theta^{(k)} with argument t = unit^2, as a series over ``ring``."""
-    powers = {}
-    return theta_k(k, order).map_to(ring, lambda c: _subst_s(c, ring, unit, powers))
+    return theta_k(k, order).map_to(ring, ring.evaluator(unit))
 
 
 @lru_cache(maxsize=None)
@@ -226,8 +220,9 @@ def f_bo(units, ring, order):
     on j, the row and the index set sigma[:n-j], so a minor is named by its
     first row and, per column, j and that set's bitmask.  Minors of size >= 2
     are kept under that name for the length of one call and shared between
-    the permutations.  The keys hold indices only, never ring elements,
-    whose hash need not follow their equality (``RationalFunction``)."""
+    the permutations, and so is each entry, under (k, bitmask).  The keys
+    hold indices only, never ring elements, whose hash need not follow their
+    equality (``RationalFunction``)."""
     order = Fraction(order)
     n = len(units)
     if n == 0:
@@ -235,6 +230,7 @@ def f_bo(units, ring, order):
     total = QSeries.zero(ring, order)
     one = ring.one()
     minors = {}
+    entries = {}
     for sigma in permutations(range(n)):
         # partial products u_m = s_{sigma(1)} ... s_{sigma(m)}, and the
         # bitmasks of the index sets sigma[:m]
@@ -252,9 +248,13 @@ def f_bo(units, ring, order):
                 if k < 0:
                     row.append(None)
                     continue
-                entry = theta_at(k, partial[n - j], ring, order)
-                if k > 1:
-                    entry = entry * Fraction(1, factorial(k))
+                key = (k, masks[n - j])
+                entry = entries.get(key)
+                if entry is None:
+                    entry = theta_at(k, partial[n - j], ring, order)
+                    if k > 1:
+                        entry = entry * Fraction(1, factorial(k))
+                    entries[key] = entry
                 row.append(entry)
             rows.append(row)
         term = _det_qseries(rows, cols, ring, order, minors)

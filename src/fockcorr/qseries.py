@@ -10,11 +10,15 @@ one base class for the element operators and the ring identity.  A series
 given term by term is built with ``QSeries.from_terms``, which sums
 (exponent, coefficient) pairs into one dict in the order given.
 
-Products of rational (evaluation-mode) series run through an integer
-kernel: each factor is scaled to integer numerators over the lcm of its
-coefficient denominators, the convolution is done in plain ints, and each
-output coefficient is reduced once.  Every other ring uses the generic
-coefficient loop.
+Rational (evaluation-mode) series run their products and inverses through
+integer kernels.  A series' integer form, its coefficients as integer
+numerators over the lcm of their denominators, is made on first use and
+kept (series never change after construction).  A product convolves two
+integer forms in plain ints; an inverse runs its recurrence fraction-free,
+scaled by powers of the lowest coefficient; and each output coefficient is
+one reduced ``Fraction``.  ``RationalRing.evaluator`` likewise evaluates a
+Laurent polynomial at a rational point as one integer sum.  Every other
+ring uses the generic coefficient loops, in the same order as ever.
 """
 
 from __future__ import annotations
@@ -71,6 +75,21 @@ class _Ring:
     def coeff_json(self, c):
         return c.to_json()
 
+    def evaluator(self, unit):
+        """A function that evaluates a Laurent polynomial in one variable at
+        ``unit``, one ring operation per term; it computes each power
+        unit**m once."""
+        powers = {}
+
+        def at(coeff):
+            acc = self.zero()
+            for (m,), c in coeff.terms.items():
+                if m not in powers:
+                    powers[m] = unit_pow(self, unit, m)
+                acc = self.add(acc, self.mul(self.from_fraction(c), powers[m]))
+            return acc
+        return at
+
     def __eq__(self, other):
         return type(other) is type(self) and self.vars == other.vars
 
@@ -105,6 +124,32 @@ class RationalRing(_Ring):
 
     def coeff_json(self, c):
         return str(c)
+
+    def evaluator(self, unit):
+        """Like the base evaluator, as one integer sum per polynomial: at
+        s = a/b, sum c_m s^m over lo <= m <= hi is
+        sum (c_m D) a^(m-lo) b^(hi-m) / (D a^-lo b^hi) for the lcm D of the
+        denominators of the c_m, and one ``Fraction`` is built from it."""
+        a, b = unit.numerator, unit.denominator
+        apow, bpow = [1], [1]
+
+        def at(coeff):
+            terms = coeff.terms
+            if not terms:
+                return Fraction(0)
+            lo = min(terms)[0]
+            hi = max(terms)[0]
+            while len(apow) <= max(hi - lo, -lo, hi):
+                apow.append(apow[-1] * a)
+                bpow.append(bpow[-1] * b)
+            den = math.lcm(*[c.denominator for c in terms.values()])
+            num = 0
+            for (m,), c in terms.items():
+                num += c.numerator * (den // c.denominator) * apow[m - lo] * bpow[hi - m]
+            num *= apow[max(lo, 0)] * bpow[max(-hi, 0)]
+            den *= apow[max(-lo, 0)] * bpow[max(hi, 0)]
+            return Fraction(num, den)
+        return at
 
     def coeff_from_json(self, data):
         return Fraction(data)
@@ -194,10 +239,11 @@ def lift_coeff(target_ring, coeff):
 class QSeries:
     """Sparse truncated series: {exponent-in-16ths: coeff} + truncation."""
 
-    __slots__ = ("ring", "terms", "trunc")
+    __slots__ = ("ring", "terms", "trunc", "_ints")
 
     def __init__(self, ring, terms, trunc, _clean=True):
         self.ring = ring
+        self._ints = None  # integer form of a rational series, made on first use
         self.trunc = trunc  # int sixteenths, or None for "known to all orders"
         if _clean:
             clean = {}
@@ -353,8 +399,7 @@ class QSeries:
                 candidates.append(t + o)
         trunc = min(candidates) if candidates else None
         if ring.mode == "rational":
-            return QSeries(ring, _rational_product(self.terms, other.terms, trunc),
-                           trunc, _clean=False)
+            return QSeries(ring, _rational_product(self, other, trunc), trunc, _clean=False)
         out = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
@@ -409,6 +454,9 @@ class QSeries:
             return QSeries(ring, inv_terms, out_trunc, _clean=False)
         if rel_trunc is None:
             raise NonUnitError("cannot invert an untruncated non-monomial series")
+        if ring.mode == "rational":
+            return QSeries(ring, _rational_inverse(self, v, rel_trunc), rel_trunc - v,
+                           _clean=False)
         offsets = sorted(e for e in rel if e > 0)
         b = {0: c0inv}
         for e in range(1, rel_trunc):
@@ -448,6 +496,14 @@ class QSeries:
     def convert(self, target_ring):
         """Lift every coefficient into a wider ring."""
         return self.map_to(target_ring, lambda c: lift_coeff(target_ring, c))
+
+    def _integer_form(self):
+        """(list of (exponent, numerator), common denominator) of a rational
+        series; each coefficient is numerator / denominator.  Made once per
+        series, which never changes after construction."""
+        if self._ints is None:
+            self._ints = _integer_numerators(self.terms)
+        return self._ints
 
     # -- comparison --------------------------------------------------------------
     def first_mismatch(self, other, order=None):
@@ -522,26 +578,25 @@ class QSeries:
 
 
 def _integer_numerators(terms):
-    """(numerators, common denominator) of a rational term dict: each
-    coefficient c equals numerators[e] / den."""
+    """([(exponent, numerator)], common denominator) of a rational term
+    dict: each coefficient c equals numerator / den."""
     # a list, not a generator: on CPython 3.11 each generator unpacked into
     # the call waits for the cycle collector, which raised peak memory
     den = math.lcm(*[c.denominator for c in terms.values()])
-    return {e: c.numerator * (den // c.denominator) for e, c in terms.items()}, den
+    return [(e, c.numerator * (den // c.denominator)) for e, c in terms.items()], den
 
 
 def _rational_product(a, b, trunc):
-    """Term dict of the product of two rational term dicts below ``trunc``.
+    """Term dict of the product of two rational series below ``trunc``.
 
     The same sum of coefficient products as the generic loop, accumulated
     over integer numerators, so each output term costs one gcd instead of
     about three per term pair.  Coefficients come out as ``Fraction``.
     """
-    na, da = _integer_numerators(a)
-    nb, db = _integer_numerators(b)
-    nb = list(nb.items())
+    na, da = a._integer_form()
+    nb, db = b._integer_form()
     acc = {}
-    for e1, n1 in na.items():
+    for e1, n1 in na:
         for e2, n2 in nb:
             e = e1 + e2
             if trunc is not None and e >= trunc:
@@ -549,6 +604,42 @@ def _rational_product(a, b, trunc):
             acc[e] = acc.get(e, 0) + n1 * n2
     den = da * db
     return {e: Fraction(v, den) for e, v in acc.items() if v}
+
+
+def _rational_inverse(a, v, rel_trunc):
+    """Term dict of the inverse of a rational series ``a`` of lowest
+    exponent ``v``, known below ``v + rel_trunc``, from its integer form.
+
+    With the series q^v (n_0 + sum_d n_d q^d) / D, the inverse is
+    q^-v D sum_e y_e q^e, where y_0 = 1/n_0 and
+    y_e = -(1/n_0) sum_d n_d y_(e-d), the generic recurrence.  A path to e
+    has at most e // g steps for the smallest offset g, so
+    y_e = Y_e / n_0^(e // g + 1) with an integer Y_e; the Y_e are summed in
+    plain ints and each output term is one ``Fraction``.
+    """
+    nums, den = a._integer_form()
+    rel = {e - v: n for e, n in nums}
+    n0 = rel.pop(0)
+    offsets = sorted(rel)
+    g = offsets[0]
+    n0pow = [1, n0]  # n0pow[i] = n0**i, for i up to e // g + 1
+    ys = {0: 1}
+    out = {-v: Fraction(den, n0)}
+    for e in range(1, rel_trunc):
+        p = e // g
+        if p + 1 == len(n0pow):
+            n0pow.append(n0pow[-1] * n0)
+        acc = 0
+        for d in offsets:
+            if d > e:
+                break
+            y = ys.get(e - d)
+            if y is not None:
+                acc += rel[d] * y * n0pow[p - (e - d) // g - 1]
+        if acc:
+            ys[e] = -acc
+            out[e - v] = Fraction(-acc * den, n0pow[p + 1])
+    return out
 
 
 # ---------------------------------------------------------------------------

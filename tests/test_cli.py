@@ -430,3 +430,61 @@ def test_list_option_followed_by_an_option_still_lacks_its_value(capsys):
         cli.main(CORR_EVAL2 + ["--s", "--json"])
     assert exc.value.code == 2
     assert "argument --s: expected one argument" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("abbrev", ["--charg", "--ch", "--c"])
+def test_abbreviated_list_option_takes_a_value_starting_with_minus(abbrev, capsys):
+    # argparse resolves a unique prefix of --charge to it; so does the
+    # rewrite that attaches a list value starting with '-'
+    from fockcorr import cli
+    assert cli.main(ORACLE_NS2 + [abbrev, "-1,0"]) == 0
+    spaced = capsys.readouterr()
+    assert cli.main(ORACLE_NS2 + ["--charge=-1,0"]) == 0
+    joined = capsys.readouterr()
+    assert spaced.out and spaced.out == joined.out
+    assert spaced.err == joined.err == ""
+
+
+def test_prefix_of_another_option_keeps_its_meaning(capsys):
+    # in verify, --c abbreviates --count, not a list option
+    from fockcorr import cli
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "graded-A", "--c", "-1,0"])
+    assert exc.value.code == 2
+    assert "argument --count: expected one argument" in capsys.readouterr().err
+
+
+def _exit_code(argv):
+    from fockcorr import cli
+    try:
+        return cli.main(argv)
+    except SystemExit as exc:  # argparse's usage errors
+        return exc.code
+
+
+@pytest.mark.parametrize("argv", [
+    CORR_EVAL2 + ["--s", "2/0,3"],
+    ["verify", "howe-D", "--l", "1", "--n", "1", "--order", "3", "--s", "2/0"],
+    ORACLE_NS2 + ["--charge", "1/0,0"],
+    ORACLE_NS2 + ["--ops", "D,s=1/0"],
+    ORACLE_NS2 + ["--ops", "D,t=x"],
+    ["corr", "--algebra", "d", "--level", "1/0", "--n", "1", "--order", "2"],
+    ["qdim", "--algebra", "d", "--level", "1", "--order", "2/0"],
+])
+def test_bad_rational_input_is_a_usage_error(argv, capsys):
+    assert _exit_code(argv) == 2
+    err = capsys.readouterr().err
+    assert "not a rational: " in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    CORR_EVAL2 + ["--s", "2,0"],
+    ["verify", "graded-A", "--n", "1", "--order", "3", "--mode", "eval", "--s", "0"],
+    ["verify", "howe-D", "--l", "1", "--n", "1", "--order", "3", "--s", "0"],
+    ["verify", "rec-d-half", "--n", "1", "--order", "2", "--mode", "eval", "--s", "-1"],
+    ORACLE_NS2 + ["--ops", "D,s=0"],
+])
+def test_s_on_a_pole_exits_3_for_every_command(argv, capsys):
+    assert _exit_code(argv) == 3
+    assert capsys.readouterr().err.startswith("pole-guard violation: s = ")

@@ -1,11 +1,13 @@
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from fockcorr import qseries
 from fockcorr.combinat import ModuleLabel
 from fockcorr.correlators import (CorrelatorRequest, a_npoint, correlator,
                                   corollary_b_lhs, corollary_b_rhs,
@@ -157,6 +159,41 @@ class TestSharedMinors:
         ring = RatFuncRing(("s1", "s2"))
         units = (ring.var("s1"), ring.var("s2"))
         assert f_bo(units, ring, 4).dumps() == _ref_f_bo(units, ring, 4).dumps()
+
+    @given(st.one_of(
+        st.fractions(min_value=-50, max_value=50, max_denominator=1000),
+        st.builds(F, st.integers(min_value=-10**30, max_value=10**30),
+                  st.integers(min_value=1, max_value=10**20))).filter(bool),
+        st.integers(min_value=0, max_value=4))
+    @settings(max_examples=60, deadline=None)
+    def test_eval_theta_at_matches_reference(self, s, k):
+        # s negative, non-integral and large: the integer evaluator must
+        # give the per-term values exactly
+        ring = RationalRing()
+        got, ref = theta_at(k, s, ring, 3), _ref_theta_at(k, s, ring, 3)
+        assert got.terms == ref.terms
+        assert got.trunc == ref.trunc
+
+    def test_eval_f_bo_scales_and_converts_each_series_once(self, monkeypatch):
+        counts = Counter()
+        scale, ints = QSeries.scale, qseries._integer_numerators
+
+        def counting_scale(series, c):
+            counts["scale"] += 1
+            return scale(series, c)
+
+        def counting_ints(terms):
+            counts["ints"] += 1
+            return ints(terms)
+
+        monkeypatch.setattr(QSeries, "scale", counting_scale)
+        monkeypatch.setattr(qseries, "_integer_numerators", counting_ints)
+        f_bo.__wrapped__((F(2), F(3), F(5), F(7)), RationalRing(), 6)
+        # 17 distinct entries theta^(k)/k! with k >= 2 (144 when scaled per
+        # permutation); about 290 integer forms (680 when both factors of
+        # each of the 340 products are converted)
+        assert counts["scale"] < 20
+        assert counts["ints"] < 300
 
     def test_exact_theta_at_bytes_match_reference(self):
         ring = RatFuncRing(("s1", "s2"))
@@ -511,9 +548,10 @@ class TestCorollaries:
 
 class TestRequests:
     def test_eval_pole_guard_on_s(self):
+        req = CorrelatorRequest(ModuleLabel("d", 1, (0,), folded=True),
+                                npoints=1, order=3, mode="eval", eval_points=(1,))
         with pytest.raises(PoleError):
-            CorrelatorRequest(ModuleLabel("d", 1, (0,), folded=True),
-                              npoints=1, order=3, mode="eval", eval_points=(1,))
+            correlator(req)  # the guard sits in make_units
 
     def test_eval_pole_guard_on_products(self):
         req = CorrelatorRequest(ModuleLabel("d", 1, (0,), folded=True),

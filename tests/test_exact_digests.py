@@ -1,11 +1,14 @@
-"""Every exact-mode ``corr`` job of the benchmark prints its recorded bytes.
+"""Every job of the benchmark prints its recorded bytes.
 
 ``perfbench/digests.json`` holds the sha256 of the stdout of every job the
-benchmark can run.  The exact-mode outputs are unreduced rational functions
-whose printed form depends on the order of the ring operations, so any
-change to ``laurent`` or to the correlator builders that reorders them shows
-up here as a changed digest, long before a benchmark run.  The test reads
-``perfbench/`` (the job list and the digests) and writes nothing there.
+benchmark can run: 19 exact-mode ``corr`` jobs, 105 eval-mode ``corr`` and
+``qdim`` jobs, and 72 oracle and ``verify`` jobs.  The exact-mode outputs
+are unreduced rational functions whose printed form depends on the order of
+the ring operations, so any change to ``laurent`` or to the correlator
+builders that reorders them shows up here as a changed digest, long before
+a benchmark run; the eval-mode and oracle outputs pin the rational kernels
+and the oracle.  The test reads ``perfbench/`` (the job lists and the
+digests) and writes nothing there.
 """
 
 import contextlib
@@ -33,19 +36,41 @@ def _workloads():
 
 
 WORKLOADS = _workloads()
-DIGESTS = json.loads((PERFBENCH / "digests.json").read_text())["exact-corr"]
+DIGESTS = json.loads((PERFBENCH / "digests.json").read_text())
 JOBS = WORKLOADS.universe("exact-corr")
+EVAL_JOBS = WORKLOADS.universe("eval-corr")
+ORACLE_JOBS = WORKLOADS.universe("oracle-verify")
+
+
+def _digest(job):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(list(job)) == 0
+    return hashlib.sha256(out.getvalue().encode()).hexdigest()
 
 
 def test_every_exact_job_has_a_digest():
     assert len(JOBS) == 19
-    assert sorted(WORKLOADS.key(job) for job in JOBS) == sorted(DIGESTS)
+    assert sorted(WORKLOADS.key(job) for job in JOBS) == sorted(DIGESTS["exact-corr"])
+
+
+@pytest.mark.parametrize("name, jobs, count", [
+    ("eval-corr", EVAL_JOBS, 105), ("oracle-verify", ORACLE_JOBS, 72)])
+def test_every_eval_and_oracle_job_has_a_digest(name, jobs, count):
+    assert len(jobs) == count
+    assert sorted(WORKLOADS.key(job) for job in jobs) == sorted(DIGESTS[name])
 
 
 @pytest.mark.parametrize("job", JOBS, ids=WORKLOADS.key)
 def test_exact_corr_output_bytes(job):
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        assert cli.main(list(job)) == 0
-    digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
-    assert digest == DIGESTS[WORKLOADS.key(job)]
+    assert _digest(job) == DIGESTS["exact-corr"][WORKLOADS.key(job)]
+
+
+@pytest.mark.parametrize("job", EVAL_JOBS, ids=WORKLOADS.key)
+def test_eval_corr_output_bytes(job):
+    assert _digest(job) == DIGESTS["eval-corr"][WORKLOADS.key(job)]
+
+
+@pytest.mark.parametrize("job", ORACLE_JOBS, ids=WORKLOADS.key)
+def test_oracle_verify_output_bytes(job):
+    assert _digest(job) == DIGESTS["oracle-verify"][WORKLOADS.key(job)]

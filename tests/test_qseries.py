@@ -276,6 +276,65 @@ def test_rational_kernel_times_inverse_is_one(terms, known):
     assert prod.trunc == to16(T)
 
 
+def generic_inverse(a):
+    """Reference inverse: the generic recurrence over ring elements, one
+    Fraction operation per step, as every non-rational ring still runs it."""
+    ring = a.ring
+    v = min(a.terms)
+    c0inv = ring.inv(a.terms[v])
+    rel_trunc = a.trunc - v
+    rel = {e - v: c for e, c in a.terms.items()}
+    if len(rel) == 1:
+        return QSeries(ring, {-v: c0inv}, rel_trunc - v, _clean=False)
+    offsets = sorted(e for e in rel if e > 0)
+    b = {0: c0inv}
+    for e in range(1, rel_trunc):
+        acc = None
+        for d in offsets:
+            if d > e:
+                break
+            be = b.get(e - d)
+            if be is None:
+                continue
+            term = ring.mul(rel[d], be)
+            acc = term if acc is None else ring.add(acc, term)
+        if acc is None or ring.is_zero(acc):
+            continue
+        b[e] = ring.neg(ring.mul(c0inv, acc))
+    out = {e - v: c for e, c in b.items() if not ring.is_zero(c)}
+    return QSeries(ring, out, rel_trunc - v, _clean=False)
+
+
+wide_coeffs = st.one_of(st.integers(min_value=-10**6, max_value=10**6),
+                        st.fractions(min_value=-50, max_value=50, max_denominator=10**4))
+
+
+@given(st.dictionaries(st.integers(min_value=-40, max_value=60),
+                       wide_coeffs.filter(bool), min_size=1, max_size=6),
+       st.integers(min_value=1, max_value=120))
+@settings(max_examples=80, deadline=None)
+def test_rational_inverse_matches_generic_recurrence(terms, known):
+    # lowest exponents off 0 (negative, odd sixteenths), gaps between the
+    # offsets, and int and Fraction coefficients side by side
+    a = QSeries(R, terms, max(terms) + known)
+    got, ref = a.inverse(), generic_inverse(a)
+    assert got.terms == ref.terms
+    assert got.trunc == ref.trunc
+    assert got.dumps() == ref.dumps()
+
+
+def test_rational_inverse_fixed_cases():
+    for terms, trunc in [({-3: 7, 13: F(-2, 3), 45: 5}, 200),   # gaps, v < 0
+                         ({5: F(3, 4), 37: 1}, 101),             # v > 0, one offset
+                         ({0: 2, 1: F(1, 2), 16: -3}, 64),       # offsets 1 and 16
+                         ({8: F(-5), 24: F(5)}, 40)]:            # all Fractions
+        a = QSeries(R, terms, trunc)
+        assert a.inverse().dumps() == generic_inverse(a).dumps()
+    a = QSeries(R, {0: 3, 16: 1}, 48)  # a reused integer form gives the same bytes
+    assert (a * a).dumps() == (a * QSeries(R, dict(a.terms), 48)).dumps()
+    assert a.inverse().dumps() == generic_inverse(a).dumps()
+
+
 @given(st.integers(min_value=2, max_value=25))
 @settings(max_examples=12, deadline=None)
 def test_pochhammer_times_inverse(order):

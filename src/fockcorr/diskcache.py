@@ -3,11 +3,13 @@
 Stores JSON blobs keyed by the sha256 of a canonical parameter string,
 built by ``key``.  Files are immutable and safe to delete at any time.  A
 blob that cannot be read back as JSON counts as a miss and is overwritten by
-the next ``put``.
+the next ``put``; a blob that cannot be written is not stored, and its key
+stays a miss.  A cache directory that cannot be made is a usage error.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
@@ -40,7 +42,10 @@ def configure(path):
     if path is None:
         _cache_dir = None
         return
-    os.makedirs(path, exist_ok=True)
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ValueError(f"cannot use cache directory {path!r}: {exc}") from exc
     _cache_dir = path
 
 
@@ -68,11 +73,16 @@ def put(key, obj):
         return
     # a unique temp name per writer, so concurrent puts of one key cannot
     # interleave; os.replace publishes each complete blob atomically
-    fd, tmp = tempfile.mkstemp(dir=_cache_dir, suffix=".tmp")
+    try:
+        fd, tmp = tempfile.mkstemp(dir=_cache_dir, suffix=".tmp")
+    except OSError:
+        return
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(json.dumps(obj))
         os.replace(tmp, _path(key))
-    except BaseException:
-        os.unlink(tmp)
-        raise
+    except BaseException as exc:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        if not isinstance(exc, OSError):
+            raise

@@ -20,7 +20,8 @@ no gcd against a constant one.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import add, sub
+from heapq import heapify, heappop, heappush
+from operator import add, neg, sub
 
 from .errors import InexactDivisionError, PoleError
 
@@ -366,14 +367,20 @@ def exact_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
     dshift = tuple(map(min, dcols))
     # normalize both to honest polynomials; the quotient of the normalized
     # parts is again a polynomial, so lex long division applies.  The
-    # remainder is one dict, updated in place at each step.
+    # remainder is one dict, updated in place at each step; a heap of its
+    # negated exponents finds the leading term, and an entry whose
+    # exponent has left the remainder is skipped when it comes up
     rem = {tuple(map(sub, e, nshift)): c for e, c in num.terms.items()}
+    heap = [tuple(map(neg, e)) for e in rem]
+    heapify(heap)
     d0 = [(tuple(map(sub, e, dshift)), c) for e, c in den.terms.items()]
     dlead_e, dlead_c = max(d0)
     total_shift = tuple(map(sub, nshift, dshift))
     quot = {}
     while rem:
-        rlead_e = max(rem)
+        rlead_e = tuple(map(neg, heappop(heap)))
+        if rlead_e not in rem:
+            continue
         qe = tuple(map(sub, rlead_e, dlead_e))
         if any(x < 0 for x in qe):
             raise InexactDivisionError("inexact division")
@@ -383,6 +390,8 @@ def exact_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
             e = tuple(map(add, e, qe))
             v = rem.get(e, 0) - c * qc
             if v:
+                if e not in rem:
+                    heappush(heap, tuple(map(neg, e)))
                 rem[e] = _fr(v)
             else:
                 rem.pop(e, None)

@@ -10,15 +10,17 @@ one base class for the element operators and the ring identity.  A series
 given term by term is built with ``QSeries.from_terms``, which sums
 (exponent, coefficient) pairs into one dict in the order given.
 
-Rational (evaluation-mode) series run their products and inverses through
-integer kernels.  A series' integer form, its coefficients as integer
-numerators over the lcm of their denominators, is made on first use and
-kept (series never change after construction).  A product convolves two
-integer forms in plain ints; an inverse runs its recurrence fraction-free,
-scaled by powers of the lowest coefficient; and each output coefficient is
-one reduced ``Fraction``.  ``RationalRing.evaluator`` likewise evaluates a
-Laurent polynomial at a rational point as one integer sum.  Every other
-ring uses the generic coefficient loops, in the same order as ever.
+A rational (evaluation-mode) series works on its integer form: a list of
+(exponent, integer numerator) pairs over one positive common denominator,
+divided by their gcd, so the numbers are as small as those of the reduced
+coefficients.  Sums, negation, scalings, shifts, truncations, products
+and inverses take integer forms to an integer form in plain ints; the dict
+of reduced ``Fraction`` coefficients (``terms``) is built only when it is
+read, for output or comparison, and kept (series never change after
+construction).  A series built from coefficients makes its integer form on
+first use.  ``RationalRing.evaluator`` likewise evaluates a Laurent
+polynomial at a rational point as one integer sum.  Every other ring uses
+the generic coefficient loops, in the same order as ever.
 """
 
 from __future__ import annotations
@@ -35,11 +37,10 @@ SIXTEENTH = 16
 
 def to16(x) -> int:
     """Exact conversion of a q-exponent to sixteenths; denominator must divide 16."""
-    f = Fraction(x)
-    n = f * SIXTEENTH
-    if n.denominator != 1:
+    f = x if isinstance(x, (int, Fraction)) else Fraction(x)
+    if SIXTEENTH % f.denominator:
         raise ValueError(f"q-exponent {f} has denominator not dividing 16")
-    return int(n)
+    return f.numerator * (SIXTEENTH // f.denominator)
 
 
 def from16(n: int) -> Fraction:
@@ -239,7 +240,7 @@ def lift_coeff(target_ring, coeff):
 class QSeries:
     """Sparse truncated series: {exponent-in-16ths: coeff} + truncation."""
 
-    __slots__ = ("ring", "terms", "trunc", "_ints")
+    __slots__ = ("ring", "_terms", "trunc", "_ints")
 
     def __init__(self, ring, terms, trunc, _clean=True):
         self.ring = ring
@@ -253,7 +254,22 @@ class QSeries:
                 if not ring.is_zero(c):
                     clean[int(e)] = c
             terms = clean
-        self.terms = terms
+        self._terms = terms
+
+    @classmethod
+    def _from_ints(cls, ring, nums, den, trunc):
+        """The rational series of integer form ``(nums, den)``: nonzero
+        numerators by exponent over ``den`` > 0, divided here by their gcd."""
+        g = 1 if den == 1 else math.gcd(den, *[n for _, n in nums])
+        if g != 1:
+            nums = [(e, n // g) for e, n in nums]
+            den //= g
+        self = cls.__new__(cls)
+        self.ring = ring
+        self.trunc = trunc
+        self._terms = None  # built from the integer form when read
+        self._ints = (nums, den)
+        return self
 
     # -- constructors ------------------------------------------------------
     @classmethod
@@ -295,13 +311,26 @@ class QSeries:
 
     # -- inspection ----------------------------------------------------------
     @property
+    def terms(self):
+        """{exponent in sixteenths: coefficient}, nonzero coefficients only."""
+        if self._terms is None:
+            nums, den = self._ints
+            self._terms = {e: Fraction(n, den) for e, n in nums}
+        return self._terms
+
+    @property
     def is_zero(self):
-        return not self.terms
+        if self._terms is None:
+            return not self._ints[0]
+        return not self._terms
 
     def order16(self):
         """Lowest stored exponent; falls back to trunc for the zero series."""
-        if self.terms:
-            return min(self.terms)
+        if self._terms is None:
+            nums = self._ints[0]
+            return min(nums)[0] if nums else self.trunc
+        if self._terms:
+            return min(self._terms)
         return self.trunc
 
     def coeff(self, qexp):
@@ -336,8 +365,10 @@ class QSeries:
             other = QSeries.monomial(self.ring, 0, self.ring.from_fraction(other))
         self._check(other)
         trunc = self._min_trunc(self.trunc, other.trunc)
-        terms = dict(self.terms)
         ring = self.ring
+        if ring.mode == "rational":
+            return _rational_sum(self, other, trunc)
+        terms = dict(self.terms)
         for e, c in other.terms.items():
             if e in terms:
                 v = ring.add(terms[e], c)
@@ -355,6 +386,9 @@ class QSeries:
 
     def __neg__(self):
         ring = self.ring
+        if ring.mode == "rational":
+            nums, den = self._integer_form()
+            return QSeries._from_ints(ring, [(e, -n) for e, n in nums], den, self.trunc)
         return QSeries(ring, {e: ring.neg(c) for e, c in self.terms.items()},
                        self.trunc, _clean=False)
 
@@ -371,6 +405,11 @@ class QSeries:
         ring = self.ring
         if ring.is_zero(coeff):
             return QSeries(ring, {}, self.trunc, _clean=False)
+        if ring.mode == "rational":
+            nums, den = self._integer_form()
+            p = coeff.numerator
+            return QSeries._from_ints(ring, [(e, n * p) for e, n in nums],
+                                      den * coeff.denominator, self.trunc)
         out = {}
         for e, c in self.terms.items():
             v = ring.mul(c, coeff)
@@ -384,6 +423,9 @@ class QSeries:
         if d == 0:
             return self
         trunc = None if self.trunc is None else self.trunc + d
+        if self.ring.mode == "rational":
+            nums, den = self._integer_form()
+            return QSeries._from_ints(self.ring, [(e + d, n) for e, n in nums], den, trunc)
         return QSeries(self.ring, {e + d: c for e, c in self.terms.items()},
                        trunc, _clean=False)
 
@@ -399,7 +441,7 @@ class QSeries:
                 candidates.append(t + o)
         trunc = min(candidates) if candidates else None
         if ring.mode == "rational":
-            return QSeries(ring, _rational_product(self, other, trunc), trunc, _clean=False)
+            return QSeries._from_ints(ring, *_rational_product(self, other, trunc), trunc)
         out = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
@@ -438,25 +480,23 @@ class QSeries:
         if self.is_zero:
             raise NonUnitError("cannot invert the zero series")
         ring = self.ring
-        v = min(self.terms)
-        c0 = self.terms[v]
-        c0inv = ring.inv(c0)  # raises NonUnitError if not a unit
-        if self.trunc is None:
-            rel_trunc = None
-        else:
-            rel_trunc = self.trunc - v  # relative orders known: [0, rel_trunc)
+        v = self.order16()
         # a = q^v * c0 * (1 + x); invert the (1 + x) part by recurrence.
         # x is known below relative order rel_trunc, so a^-1 below rel_trunc - v
+        rel_trunc = None if self.trunc is None else self.trunc - v
+        out_trunc = None if rel_trunc is None else rel_trunc - v
+        if ring.mode == "rational":
+            nums, den = self._integer_form()
+            if len(nums) > 1 and rel_trunc is None:
+                raise NonUnitError("cannot invert an untruncated non-monomial series")
+            return QSeries._from_ints(ring, *_rational_inverse(nums, den, v, rel_trunc),
+                                      out_trunc)
+        c0inv = ring.inv(self.terms[v])  # raises NonUnitError if not a unit
         rel = {e - v: c for e, c in self.terms.items()}
         if len(rel) == 1:
-            inv_terms = {-v: c0inv}
-            out_trunc = None if rel_trunc is None else rel_trunc - v
-            return QSeries(ring, inv_terms, out_trunc, _clean=False)
+            return QSeries(ring, {-v: c0inv}, out_trunc, _clean=False)
         if rel_trunc is None:
             raise NonUnitError("cannot invert an untruncated non-monomial series")
-        if ring.mode == "rational":
-            return QSeries(ring, _rational_inverse(self, v, rel_trunc), rel_trunc - v,
-                           _clean=False)
         offsets = sorted(e for e in rel if e > 0)
         b = {0: c0inv}
         for e in range(1, rel_trunc):
@@ -473,11 +513,15 @@ class QSeries:
                 continue
             b[e] = ring.neg(ring.mul(c0inv, acc))
         out = {e - v: c for e, c in b.items() if not ring.is_zero(c)}
-        return QSeries(ring, out, rel_trunc - v, _clean=False)
+        return QSeries(ring, out, out_trunc, _clean=False)
 
     def truncated(self, order):
         t = to16(order)
         trunc = t if self.trunc is None else min(t, self.trunc)
+        if self.ring.mode == "rational":
+            nums, den = self._integer_form()
+            return QSeries._from_ints(self.ring, [(e, n) for e, n in nums if e < trunc],
+                                      den, trunc)
         return QSeries(self.ring, {e: c for e, c in self.terms.items() if e < trunc},
                        trunc, _clean=False)
 
@@ -586,12 +630,30 @@ def _integer_numerators(terms):
     return [(e, c.numerator * (den // c.denominator)) for e, c in terms.items()], den
 
 
+def _rational_sum(a, b, trunc):
+    """The sum of two rational series below ``trunc``: both integer forms
+    brought to the lcm of their denominators and added in plain ints; a
+    zero operand returns the other, when that keeps its truncation."""
+    na, da = a._integer_form()
+    nb, db = b._integer_form()
+    if not na and trunc == b.trunc:
+        return b
+    if not nb and trunc == a.trunc:
+        return a
+    den = math.lcm(da, db)
+    fa, fb = den // da, den // db
+    acc = dict(na) if fa == 1 else {e: n * fa for e, n in na}
+    for e, n in nb:
+        acc[e] = acc.get(e, 0) + n * fb
+    nums = [(e, n) for e, n in acc.items() if n and (trunc is None or e < trunc)]
+    return QSeries._from_ints(a.ring, nums, den, trunc)
+
+
 def _rational_product(a, b, trunc):
-    """Term dict of the product of two rational series below ``trunc``.
+    """Integer form of the product of two rational series below ``trunc``.
 
     The same sum of coefficient products as the generic loop, accumulated
-    over integer numerators, so each output term costs one gcd instead of
-    about three per term pair.  Coefficients come out as ``Fraction``.
+    over integer numerators over the product of the two denominators.
     """
     na, da = a._integer_form()
     nb, db = b._integer_form()
@@ -602,29 +664,31 @@ def _rational_product(a, b, trunc):
             if trunc is not None and e >= trunc:
                 continue
             acc[e] = acc.get(e, 0) + n1 * n2
-    den = da * db
-    return {e: Fraction(v, den) for e, v in acc.items() if v}
+    return [(e, v) for e, v in acc.items() if v], da * db
 
 
-def _rational_inverse(a, v, rel_trunc):
-    """Term dict of the inverse of a rational series ``a`` of lowest
-    exponent ``v``, known below ``v + rel_trunc``, from its integer form.
+def _rational_inverse(nums, den, v, rel_trunc):
+    """Integer form of the inverse of the rational series of integer form
+    ``(nums, den)`` and lowest exponent ``v``, known below ``v + rel_trunc``
+    (``None`` for a one-term series, known to all orders).
 
     With the series q^v (n_0 + sum_d n_d q^d) / D, the inverse is
     q^-v D sum_e y_e q^e, where y_0 = 1/n_0 and
     y_e = -(1/n_0) sum_d n_d y_(e-d), the generic recurrence.  A path to e
     has at most e // g steps for the smallest offset g, so
     y_e = Y_e / n_0^(e // g + 1) with an integer Y_e; the Y_e are summed in
-    plain ints and each output term is one ``Fraction``.
+    plain ints.  Over the common denominator n_0^(P + 1), for the largest
+    P = e // g of a nonzero term, the term at e has numerator
+    D Y_e n_0^(P - e // g); the signs are flipped when n_0^(P + 1) < 0.
     """
-    nums, den = a._integer_form()
     rel = {e - v: n for e, n in nums}
     n0 = rel.pop(0)
     offsets = sorted(rel)
+    if not offsets:
+        return [(-v, den if n0 > 0 else -den)], abs(n0)
     g = offsets[0]
     n0pow = [1, n0]  # n0pow[i] = n0**i, for i up to e // g + 1
     ys = {0: 1}
-    out = {-v: Fraction(den, n0)}
     for e in range(1, rel_trunc):
         p = e // g
         if p + 1 == len(n0pow):
@@ -638,8 +702,11 @@ def _rational_inverse(a, v, rel_trunc):
                 acc += rel[d] * y * n0pow[p - (e - d) // g - 1]
         if acc:
             ys[e] = -acc
-            out[e - v] = Fraction(-acc * den, n0pow[p + 1])
-    return out
+    top = max(ys) // g
+    out_den = n0pow[top + 1]
+    scale = den if out_den > 0 else -den
+    return ([(e - v, scale * y * n0pow[top - e // g]) for e, y in ys.items()],
+            abs(out_den))
 
 
 # ---------------------------------------------------------------------------

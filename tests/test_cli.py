@@ -180,6 +180,43 @@ def test_cache_dir_truncated_blob_is_recomputed(tmp_path):
     assert blob.read_text() == good
 
 
+EVAL_CORR = ["corr", "--algebra", "d", "--level", "1", "--n", "1", "--order", "2",
+             "--mode", "eval", "--s", "2"]
+
+
+@pytest.mark.parametrize("below", [(), ("sub",)])
+def test_unusable_cache_dir_is_a_usage_error(below, tmp_path, monkeypatch, capsys):
+    from fockcorr import cli, diskcache
+    monkeypatch.setattr(diskcache, "_cache_dir", None)
+    regular = tmp_path / "regular"
+    regular.write_text("")
+    path = regular.joinpath(*below)  # the file itself, or a path under it
+    assert cli.main(["--cache-dir", str(path)] + EVAL_CORR) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: cannot use cache directory")
+    assert regular.read_text() == ""
+
+
+def test_failed_cache_write_keeps_the_result(tmp_path, monkeypatch, capsys):
+    import tempfile
+
+    from fockcorr import cli, diskcache
+    monkeypatch.setattr(diskcache, "_cache_dir", None)
+    assert cli.main(EVAL_CORR) == 0
+    expected = capsys.readouterr().out
+
+    def no_space(*args, **kwargs):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(tempfile, "mkstemp", no_space)
+    assert cli.main(["--cache-dir", str(tmp_path)] + EVAL_CORR) == 0
+    out = capsys.readouterr()
+    assert out.out == expected
+    assert out.err == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_oracle_charge_sector_value():
     # charge-1 trace is (t+1/t)/2 q^{1/2} times the charge-0 one; at s=2 the
     # leading coefficient is (17/4)/2 * 4/3 = 17/6

@@ -62,6 +62,16 @@ def test_corrupt_blob_is_a_miss(cache_dir):
     assert diskcache.get("k") == {"v": 1}
 
 
+def test_failed_publish_stores_nothing(cache_dir, monkeypatch):
+    def fail(src, dst):
+        raise OSError(13, "Permission denied")
+
+    monkeypatch.setattr(diskcache.os, "replace", fail)
+    diskcache.put("k", {"v": 1})
+    assert list(cache_dir.iterdir()) == []  # the temp blob is gone too
+    assert diskcache.get("k") is None
+
+
 def test_blob_bytes_are_the_one_shot_encoding(cache_dir):
     obj = {"terms": [["1/2", {"s1": [[1, -2], "3/4"]}]], "trunc": None, "n": 2}
     diskcache.put("k", obj)

@@ -12,10 +12,10 @@ from hypothesis import strategies as st
 
 from fockcorr.combinat import enumerate_labels
 from fockcorr.correlators import npoint
-from fockcorr.identities import (_qdim_grid, check_graded_a, check_graded_b,
-                                 check_qdim_consistency, check_rec_b_half,
-                                 check_rec_d_half, check_weyl_lemma,
-                                 howe_check)
+from fockcorr.identities import (_HOWE_SETUP, _qdim_grid, check_graded_a,
+                                 check_graded_b, check_qdim_consistency,
+                                 check_rec_b_half, check_rec_d_half,
+                                 check_weyl_lemma, howe_check)
 from fockcorr.qseries import RationalRing
 
 
@@ -109,4 +109,20 @@ def test_oracle_equals_graded_trace_at_random_points(check, n, order, svals):
     svals = tuple(svals[:n])
     assume(_off_poles(svals))
     rep = check(n=n, order=order, svals=svals, mode="eval")
+    assert rep.ok, rep.line()
+
+
+@given(identity=st.sampled_from(sorted(_HOWE_SETUP)),
+       l=st.integers(1, 3), n=st.integers(1, 2), order=st.integers(2, 5),
+       svals=st.lists(st.fractions(min_value=-6, max_value=6, max_denominator=5)
+                      .filter(lambda s: s not in (0, 1, -1)),
+                      min_size=2, max_size=2))
+@settings(max_examples=60, deadline=None)
+def test_howe_duality_at_random_points(identity, l, n, order, svals):
+    # the oracle's graded-trace product against the sum over labels of
+    # closed-form correlators, off the fixed grid; at n = 2 the points avoid
+    # |s1| = |s2| and s1 s2 = +-1 as well, where the correlators have poles
+    svals = tuple(svals[:n])
+    assume(_off_poles(svals))
+    rep = howe_check(identity, l=l, n=n, order=order, svals=svals, mode="eval")
     assert rep.ok, rep.line()

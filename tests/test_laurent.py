@@ -358,24 +358,27 @@ def test_unit_operands_return_the_other_operand():
 
 def test_one_term_divisor_and_span_test_skip_long_division(monkeypatch):
     from fockcorr import laurent
-    calls = {"max": 0}
+    div = laurent._div
+    calls = []
 
-    def counting_max(*args, **kwargs):
-        calls["max"] += 1
-        return max(*args, **kwargs)
+    def counting_div(a, b):
+        calls.append((a, b))
+        return div(a, b)
 
-    monkeypatch.setattr(laurent, "max", counting_max, raising=False)
+    monkeypatch.setattr(laurent, "_div", counting_div)
     s = LaurentPoly.var(SV, "s")
     num = reference_mul(s + 1, sum((s ** k * (k + 1) for k in range(40)),
                                    LaurentPoly.zero(SV)))
-    # long division takes one max() per quotient term
+    # long division takes one coefficient quotient per quotient term, and
+    # the quotient has 40 terms
     assert exact_div(num, s + 1) == reference_exact_div(num, s + 1)
-    assert calls["max"] > 40
-    calls["max"] = 0
+    assert len(calls) == 40
+    calls.clear()
     den = LaurentPoly.monomial(SV, (-3,), 7)
     assert typed_terms(exact_div(num, den)) \
         == typed_terms(reference_exact_div(num, den))
-    assert calls["max"] == 0
+    # only the reciprocal of the divisor's coefficient: no division step
+    assert calls == [(1, 7)]
     # span 1 in s cannot be divided by span 2: no quotient term is formed
     monkeypatch.setattr(laurent, "_div", lambda a, b: pytest.fail("long division"))
     with pytest.raises(InexactDivisionError):

@@ -1,4 +1,5 @@
 import json
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -405,3 +406,182 @@ def test_rings_hash_as_they_compare():
     assert repr(RationalRing()) == "RationalRing()"
     assert repr(LaurentRing(("s",))) == "LaurentRing(('s',))"
     assert repr(RatFuncRing(("s1", "s2"))) == "RatFuncRing(('s1', 's2'))"
+
+
+# Reference rational-series operations on Fraction term dicts, one Fraction
+# operation per term, as the rational ring ran them before its series kept
+# integer numerators over one denominator.
+
+def ref_series(terms, trunc):
+    return QSeries(R, terms, trunc, _clean=False)
+
+
+def ref_add(a, b):
+    trunc = QSeries._min_trunc(a.trunc, b.trunc)
+    terms = dict(a.terms)
+    for e, c in b.terms.items():
+        if e in terms:
+            v = terms[e] + c
+            if v == 0:
+                del terms[e]
+            else:
+                terms[e] = v
+        else:
+            terms[e] = c
+    if trunc is not None:
+        terms = {e: c for e, c in terms.items() if e < trunc}
+    return ref_series(terms, trunc)
+
+
+def ref_neg(a):
+    return ref_series({e: -c for e, c in a.terms.items()}, a.trunc)
+
+
+def ref_scale(a, coeff):
+    if coeff == 0:
+        return ref_series({}, a.trunc)
+    out = {}
+    for e, c in a.terms.items():
+        v = c * coeff
+        if v != 0:
+            out[e] = v
+    return ref_series(out, a.trunc)
+
+
+def ref_shift(a, d):
+    return ref_series({e + d: c for e, c in a.terms.items()},
+                      None if a.trunc is None else a.trunc + d)
+
+
+def ref_truncated(a, t):
+    trunc = t if a.trunc is None else min(t, a.trunc)
+    return ref_series({e: c for e, c in a.terms.items() if e < trunc}, trunc)
+
+
+def ref_product(a, b):
+    """Integer numerators summed per exponent, then one Fraction each."""
+    def order16(x):
+        return min(x.terms) if x.terms else x.trunc
+
+    cands = [t + o for t, o in ((a.trunc, order16(b)), (b.trunc, order16(a)))
+             if t is not None and o is not None]
+    trunc = min(cands) if cands else None
+    da = math.lcm(*[F(c).denominator for c in a.terms.values()])
+    db = math.lcm(*[F(c).denominator for c in b.terms.values()])
+    acc = {}
+    for e1, c1 in a.terms.items():
+        for e2, c2 in b.terms.items():
+            e = e1 + e2
+            if trunc is not None and e >= trunc:
+                continue
+            n1, n2 = F(c1) * da, F(c2) * db
+            acc[e] = acc.get(e, 0) + int(n1) * int(n2)
+    return ref_series({e: F(v, da * db) for e, v in acc.items() if v}, trunc)
+
+
+chain_coeffs = st.one_of(st.integers(min_value=-5, max_value=5),
+                         st.fractions(min_value=-3, max_value=3, max_denominator=9))
+chain_terms = st.dictionaries(st.integers(min_value=-8, max_value=24), chain_coeffs,
+                              max_size=6)
+chain_truncs = st.one_of(st.none(), st.integers(min_value=-4, max_value=40))
+
+
+@st.composite
+def operand(draw, current):
+    """A second operand: a fresh series, or (for forced cancellation) the
+    current series itself, or its terms on a subset of exponents."""
+    kind = draw(st.sampled_from(["fresh", "self", "part"]))
+    if kind == "fresh" or current.is_zero:
+        return draw(chain_terms), draw(chain_truncs)
+    if kind == "self":
+        return dict(current.terms), current.trunc
+    keep = draw(st.sets(st.sampled_from(sorted(current.terms))))
+    return {e: c for e, c in current.terms.items() if e in keep}, draw(chain_truncs)
+
+
+@st.composite
+def op_chains(draw):
+    start = (draw(chain_terms), draw(chain_truncs))
+    got = QSeries(R, *start)
+    ref = QSeries(R, *start)
+    steps = []
+    for _ in range(draw(st.integers(min_value=1, max_value=6))):
+        op = draw(st.sampled_from(["+", "-", "neg", "scale", "shift", "trunc", "*"]))
+        if op in ("+", "-", "*"):
+            terms, trunc = draw(operand(got))
+            b_got, b_ref = QSeries(R, terms, trunc), QSeries(R, terms, trunc)
+            if op == "+":
+                got, ref = got + b_got, ref_add(ref, b_ref)
+            elif op == "-":
+                got, ref = got - b_got, ref_add(ref, ref_neg(b_ref))
+            else:
+                got, ref = got * b_got, ref_product(ref, b_ref)
+        elif op == "neg":
+            got, ref = -got, ref_neg(ref)
+        elif op == "scale":
+            # a scale by 0, by an int, or by a Fraction whose denominator
+            # may cancel every numerator
+            c = draw(st.one_of(st.just(0), chain_coeffs,
+                               st.integers(1, 6).map(lambda k: F(k, 720))))
+            if draw(st.booleans()):
+                got, ref = got.scale(c), ref_scale(ref, c)
+            else:
+                got, ref = got * c, ref_scale(ref, c)
+        elif op == "shift":
+            d = draw(st.integers(min_value=-20, max_value=20))
+            got, ref = got.shift(F(d, 16)), ref_shift(ref, d)
+        else:
+            t = draw(st.integers(min_value=-8, max_value=40))
+            got, ref = got.truncated(F(t, 16)), ref_truncated(ref, t)
+        steps.append((got, ref))
+    return steps
+
+
+@given(op_chains())
+@settings(max_examples=150, deadline=None)
+def test_integer_form_chains_match_fraction_reference(steps):
+    for got, ref in steps:
+        assert got.trunc == ref.trunc
+        assert got.is_zero == ref.is_zero
+        assert got.order16() == (min(ref.terms) if ref.terms else ref.trunc)
+        assert got.terms == ref.terms
+        assert all(c != 0 for c in got.terms.values())
+        assert got.dumps() == ref.dumps()
+
+
+def test_integer_form_is_reduced():
+    a = QSeries(R, {0: F(1, 6), 16: F(1, 3)}, 64)
+    b = QSeries(R, {0: F(1, 6), 16: F(-2, 3)}, 64)
+    # (1/6 + q/3) - (1/6 - 2q/3) = q: the denominators cancel with the sum
+    assert (a - b)._integer_form() == ([(16, 1)], 1)
+    assert a.scale(F(6, 5))._integer_form() == ([(0, 1), (16, 2)], 5)
+    assert (a - a)._integer_form() == ([], 1)
+    assert (a - a).is_zero and (a - a).order16() == 64
+
+
+def test_eval_f_bo_materializes_few_term_dicts(monkeypatch):
+    from fockcorr.correlators import f_bo
+    counts = {"created": 0, "materialized": 0}
+    init, from_ints = QSeries.__init__, QSeries._from_ints.__func__
+    terms = QSeries.terms.fget
+
+    def counting_init(self, *args, **kwargs):
+        counts["created"] += 1
+        init(self, *args, **kwargs)
+
+    def counting_from_ints(cls, *args):
+        counts["created"] += 1
+        return from_ints(cls, *args)
+
+    def counting_terms(self):
+        counts["materialized"] += self._terms is None
+        return terms(self)
+
+    monkeypatch.setattr(QSeries, "__init__", counting_init)
+    monkeypatch.setattr(QSeries, "_from_ints", classmethod(counting_from_ints))
+    monkeypatch.setattr(QSeries, "terms", property(counting_terms))
+    f_bo.__wrapped__((F(2), F(3), F(5), F(7)), R, 6)
+    # about 1,040 series are made and none builds its Fraction dict; the
+    # bound allows one series in fifty
+    assert counts["created"] > 500
+    assert counts["materialized"] < counts["created"] // 50

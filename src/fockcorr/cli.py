@@ -20,7 +20,7 @@ from fractions import Fraction
 from . import diskcache
 from . import identities
 from .combinat import ModuleLabel
-from .correlators import CorrelatorRequest, correlator, qdim
+from .correlators import CorrelatorRequest, _cached_series, correlator, qdim
 from .errors import (FockcorrError, InternalCheckError, LabelError, PoleError,
                      ResourceLimitError)
 from .fock_oracle import RAMOND, OpSpec, SectorSpec, trace
@@ -90,13 +90,7 @@ def cmd_corr(args):
                             mode=args.mode, eval_points=args.svals)
     key = diskcache.key("corr", label.algebra, label.level, label.lam, label.det,
                         label.spin, req.npoints, req.order, req.mode, req.eval_points)
-    cached = diskcache.get(key)
-    if cached is not None:
-        series = QSeries.from_json(cached)
-    else:
-        series = correlator(req)
-        diskcache.put(key, series.to_json())
-    _emit(series, args.json)
+    _emit(_cached_series(key, req.ring, lambda: correlator(req)), args.json)
     return 0
 
 

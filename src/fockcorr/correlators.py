@@ -35,7 +35,8 @@ from math import factorial
 
 from . import diskcache
 from .combinat import ModuleLabel
-from .errors import InternalCheckError, LabelError, NonUnitError, PoleError
+from .errors import (InternalCheckError, LabelError, ModeMismatchError,
+                     NonUnitError, PoleError)
 from .laurent import LaurentPoly, RationalFunction
 from .qseries import (LaurentRing, QSeries, RatFuncRing, RationalRing,
                       lattice_points, pochhammer, unit_pow)
@@ -65,6 +66,12 @@ class CorrelatorRequest:
             raise ValueError("npoints must be >= 0")
         used = self.eval_points[:self.npoints] if self.mode == "eval" else ()
         object.__setattr__(self, "eval_points", tuple(Fraction(s) for s in used))
+
+    @property
+    def ring(self):
+        """The coefficient ring of the result (the q-dimension's for
+        npoints = 0)."""
+        return make_ring(self.npoints, self.mode) if self.npoints else RationalRing()
 
 
 def make_ring(n, mode, extra_vars=()):
@@ -405,13 +412,27 @@ def half_level_base(sector, units, ring, order):
     if diskcache.enabled():
         key = diskcache.key("halfbase", sector, ring.mode, ring.vars,
                             [ring.coeff_json(u) for u in units], Fraction(order))
-        hit = diskcache.get(key)
-        if hit is not None:
-            return QSeries.from_json(hit)
-        out = _half_level_base(sector, units, ring, Fraction(order))
-        diskcache.put(key, out.to_json())
-        return out
+        return _cached_series(key, ring, lambda: _half_level_base(
+            sector, units, ring, Fraction(order)))
     return _half_level_base(sector, units, ring, Fraction(order))
+
+
+def _cached_series(key, ring, compute):
+    """The series over ``ring`` that the disk cache holds under ``key``;
+    on a miss, ``compute()``, stored under ``key``.  A blob that does not
+    decode, or decodes to a series over another ring, is a miss, so a
+    corrupt blob is recomputed and overwritten, never served."""
+    blob = diskcache.get(key)
+    if blob is not None:
+        try:
+            series = QSeries.from_json(blob)
+        except (KeyError, TypeError, ValueError, ZeroDivisionError, ModeMismatchError):
+            series = None
+        if series is not None and series.ring == ring:
+            return series
+    series = compute()
+    diskcache.put(key, series.to_json())
+    return series
 
 
 @lru_cache(maxsize=None)
@@ -479,7 +500,7 @@ def correlator(req: CorrelatorRequest) -> QSeries:
     """Evaluate a CorrelatorRequest (npoints = 0 routes to the q-dimension)."""
     if req.npoints == 0:
         return qdim(req.label, req.order)
-    ring = make_ring(req.npoints, req.mode)
+    ring = req.ring
     units = make_units(ring, req.npoints, req.mode, req.eval_points)
     return npoint(req.label, units, ring, req.order)
 

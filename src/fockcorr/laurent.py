@@ -15,13 +15,20 @@ for 1), ``exact_div`` by a one-term divisor shifts and scales ``num``, a
 division whose exponent spans rule it out raises before any long division
 step, and ``RationalFunction`` returns a denominator of 1 at once and runs
 no gcd against a constant one.
+
+The other products and divisions run on packed keys: the terms' exponent
+vectors map once to plain ints over an exponent box (``_strides``), the
+inner loops add and compare those ints, and each output term is unpacked
+once.  Int order is lex order, so long division keeps its order of steps,
+and the product keeps the term order of a loop over exponent tuples.
+``terms`` stays keyed by tuples.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from operator import add, neg, sub
+from operator import add, gt, mul, sub
 
 from .errors import InexactDivisionError, PoleError
 
@@ -42,6 +49,47 @@ def _div(a, b):
     if type(a) is int and type(b) is int and not a % b:
         return a // b
     return _fr(Fraction(a) / b)
+
+
+# -- packed exponent keys ------------------------------------------------------
+# Inside a box lo <= e <= hi, an exponent vector e packs to the int
+# sum(e_i * stride_i), where the last variable has stride 1 and each other
+# stride is the next one times (that next variable's span + 1).  This is
+# mixed radix with signed digits: two vectors of the box differ by at most
+# span_i in digit i, which no lower digits can make up, so the map is one to
+# one and int order is the lex order of the vectors.  It is linear, so adding
+# keys adds vectors, and the packing of a box holds for any sum that stays
+# in it.
+
+def _box(terms):
+    """Componentwise (min, max) exponent vectors of a nonempty term dict."""
+    cols = tuple(zip(*terms))
+    return tuple(map(min, cols)), tuple(map(max, cols))
+
+
+def _strides(spans):
+    """Strides of the keys of a box with these (hi - lo) spans."""
+    out = [1]
+    for span in reversed(tuple(spans)[1:]):
+        out.append(out[-1] * (span + 1))
+    return out[::-1]
+
+
+def _pack(terms, strides):
+    """[(key, coeff)] of a term dict."""
+    return [(sum(map(mul, e, strides)), c) for e, c in terms.items()]
+
+
+def _unpack(keys, strides, lo):
+    """The exponent vectors of ``keys`` in order, for a box whose minimum is
+    ``lo``: relative to ``lo`` every digit is in [0, span], so it is read off
+    by floor division and remainder, one variable at a time."""
+    base = sum(map(mul, lo, strides))
+    keys = [k - base for k in keys]
+    cols = [[k // strides[0] + lo[0] for k in keys]]
+    for above, stride, low in zip(strides, strides[1:], lo[1:]):
+        cols.append([k % above // stride + low for k in keys])
+    return zip(*cols)
 
 
 class LaurentPoly:
@@ -171,16 +219,26 @@ class LaurentPoly:
             return self._times_term(*next(iter(other.terms.items())))
         if len(self.terms) == 1:
             return other._times_term(*next(iter(self.terms.items())))
+        # the general product adds int keys over the product's box; a zero
+        # sum deletes its key, so the term order does not depend on packing
+        alo, ahi = _box(self.terms)
+        blo, bhi = _box(other.terms)
+        lo = tuple(map(add, alo, blo))
+        strides = _strides(map(sub, map(add, ahi, bhi), lo))
+        b = _pack(other.terms, strides)
         out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(map(add, e1, e2))
-                v = out.get(e, 0) + c1 * c2
+        get = out.get
+        for ka, ca in _pack(self.terms, strides):
+            for kb, cb in b:
+                k = ka + kb
+                v = get(k, 0) + ca * cb
                 if v:
-                    out[e] = v
+                    out[k] = v
                 else:
-                    out.pop(e, None)
-        return LaurentPoly(self.vars, {e: _fr(v) for e, v in out.items()}, _clean=False)
+                    del out[k]
+        return LaurentPoly(self.vars, dict(zip(_unpack(out, strides, lo),
+                                               map(_fr, out.values()))),
+                           _clean=False)
 
     __rmul__ = __mul__
 
@@ -333,11 +391,18 @@ class LaurentPoly:
 
     @classmethod
     def from_json(cls, variables, data):
+        """Inverse of ``to_json``; an exponent on a name that is not one of
+        ``variables`` raises ``ValueError``."""
         variables = tuple(variables)
+        known = set(variables)
         terms = {}
         for mono in data:
-            exps = tuple(mono["exps"].get(v, 0) for v in variables)
-            terms[exps] = Fraction(mono["coeff"])
+            exps = mono["exps"]
+            if not exps.keys() <= known:
+                raise ValueError(f"unknown variables {sorted(exps.keys() - known)}")
+            coeff = mono["coeff"]
+            terms[tuple(exps.get(v, 0) for v in variables)] = (
+                Fraction(coeff) if "/" in coeff else int(coeff))
         return cls(variables, terms)
 
 
@@ -346,10 +411,14 @@ def exact_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
 
     A one-term divisor ``c * x**e`` always divides: the quotient is ``num``
     shifted by ``-e`` with coefficients over ``c``, and ``num`` itself when
-    the divisor is 1.  Otherwise the exponent span (max - min) of each
-    variable adds under multiplication, so a variable whose span in ``num``
-    is smaller than in ``den`` rules the division out before any long
-    division step.
+    the divisor is 1.  Otherwise lex long division runs on keys packed over
+    ``num``'s exponent box.  The minimum and the maximum exponent of each
+    variable add under multiplication, so every term of an exact quotient
+    lies in the box [nlo - dlo, nhi - dhi] of the two boxes' corners, and no
+    remainder term ever leaves ``num``'s box.  An empty quotient box (a
+    variable whose span in ``num`` is smaller than in ``den``) rules the
+    division out before any long division step, and a trial quotient term
+    outside the box raises ``InexactDivisionError`` at once.
     """
     if den.is_zero:
         raise ZeroDivisionError("division by the zero polynomial")
@@ -359,43 +428,53 @@ def exact_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
     if len(den.terms) == 1:
         (e, c), = den.terms.items()
         return num._times_term(tuple(-x for x in e), _div(1, c))
-    ncols = tuple(zip(*num.terms))
-    dcols = tuple(zip(*den.terms))
-    if any(max(n) - min(n) < max(d) - min(d) for n, d in zip(ncols, dcols)):
+    nlo, nhi = _box(num.terms)
+    dlo, dhi = _box(den.terms)
+    qlo = tuple(map(sub, nlo, dlo))
+    qhi = tuple(map(sub, nhi, dhi))
+    if any(map(gt, qlo, qhi)):
         raise InexactDivisionError("inexact division")
-    nshift = tuple(map(min, ncols))
-    dshift = tuple(map(min, dcols))
-    # normalize both to honest polynomials; the quotient of the normalized
-    # parts is again a polynomial, so lex long division applies.  The
-    # remainder is one dict, updated in place at each step; a heap of its
-    # negated exponents finds the leading term, and an entry whose
-    # exponent has left the remainder is skipped when it comes up
-    rem = {tuple(map(sub, e, nshift)): c for e, c in num.terms.items()}
-    heap = [tuple(map(neg, e)) for e in rem]
+    # keys over num's box, which holds every remainder term, so each
+    # remainder update is one int addition.  The remainder is one dict,
+    # updated in place at each step; a heap of its negated keys finds the
+    # leading term, and an entry whose key has left the remainder is
+    # skipped when it comes up
+    strides = _strides(map(sub, nhi, nlo))
+    nbase = sum(map(mul, nlo, strides))
+    rem = dict(_pack(num.terms, strides))
+    heap = [-k for k in rem]
     heapify(heap)
-    d0 = [(tuple(map(sub, e, dshift)), c) for e, c in den.terms.items()]
-    dlead_e, dlead_c = max(d0)
-    total_shift = tuple(map(sub, nshift, dshift))
+    d0 = _pack(den.terms, strides)
+    dlead = max(den.terms)
+    dlead_k, dlead_c = sum(map(mul, dlead, strides)), den.terms[dlead]
+    # digit i of a leading remainder term, relative to nlo, is dlead_i plus
+    # a quotient exponent in [qlo_i, qhi_i], minus nlo_i
+    ranges = tuple(zip(strides, map(sub, map(add, dlead, qlo), nlo),
+                       map(sub, qhi, qlo)))
     quot = {}
     while rem:
-        rlead_e = tuple(map(neg, heappop(heap)))
-        if rlead_e not in rem:
+        rlead_k = -heappop(heap)
+        if rlead_k not in rem:
             continue
-        qe = tuple(map(sub, rlead_e, dlead_e))
-        if any(x < 0 for x in qe):
-            raise InexactDivisionError("inexact division")
-        qc = _div(rem[rlead_e], dlead_c)
-        quot[tuple(map(add, qe, total_shift))] = qc
-        for e, c in d0:
-            e = tuple(map(add, e, qe))
-            v = rem.get(e, 0) - c * qc
+        r = rlead_k - nbase
+        for stride, low, span in ranges:
+            digit, r = divmod(r, stride)
+            if not 0 <= digit - low <= span:
+                raise InexactDivisionError("inexact division")
+        qk = rlead_k - dlead_k
+        qc = _div(rem[rlead_k], dlead_c)
+        quot[qk] = qc
+        for k, c in d0:
+            k += qk
+            v = rem.get(k, 0) - c * qc
             if v:
-                if e not in rem:
-                    heappush(heap, tuple(map(neg, e)))
-                rem[e] = _fr(v)
+                if k not in rem:
+                    heappush(heap, -k)
+                rem[k] = v
             else:
-                rem.pop(e, None)
-    return LaurentPoly(num.vars, quot, _clean=False)
+                del rem[k]
+    return LaurentPoly(num.vars, dict(zip(_unpack(quot, strides, qlo), quot.values())),
+                       _clean=False)
 
 
 def try_exact_div(num, den):

@@ -74,3 +74,15 @@ def test_eval_corr_output_bytes(job):
 @pytest.mark.parametrize("job", ORACLE_JOBS, ids=WORKLOADS.key)
 def test_oracle_verify_output_bytes(job):
     assert _digest(job) == DIGESTS["oracle-verify"][WORKLOADS.key(job)]
+
+
+# The exact n = 3 output is pinned as well: 1,768,142 bytes of unreduced
+# rational functions.  It is the slowest tier-1 test, about 5 s under
+# CPython 3.11 on a shared 2-core x86-64 host.
+N3_JOB = ("corr", "--algebra", "d", "--level", "1", "--n", "3", "--order", "1",
+          "--mode", "exact")
+N3_DIGEST = "7700f1f18f43b465676321463993ec6267e9c5789c590d426f8a32f18b6e2515"
+
+
+def test_exact_n3_output_bytes():
+    assert _digest(N3_JOB) == N3_DIGEST

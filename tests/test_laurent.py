@@ -2,7 +2,7 @@ from fractions import Fraction as F
 from operator import add, sub
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fockcorr.errors import InexactDivisionError, PoleError
@@ -306,9 +306,9 @@ def typed_terms(p):
     return sorted((e, type(c).__name__, c) for e, c in p.terms.items())
 
 
-def div_outcome(div, num, den):
+def div_outcome(div, num, den, terms=typed_terms):
     try:
-        return typed_terms(div(num, den))
+        return terms(div(num, den))
     except InexactDivisionError:
         return "inexact"
 
@@ -393,3 +393,59 @@ def test_constant_denominator_runs_no_gcd(monkeypatch):
     rf = RationalFunction(s * s - 1, LaurentPoly.monomial(SV, (2,), -2))
     assert typed_terms(rf.num) == typed_terms(poly(SV, {(0,): F(-1, 2), (-2,): F(1, 2)}))
     assert rf.den == LaurentPoly.const(SV, 1)
+
+
+# -- packed-key kernels against the tuple-key loops they replace ---------------
+# ``reference_mul`` and ``reference_exact_div`` above are those loops.  The
+# kernels must give the same terms, coefficient types and term order.
+
+VARS4 = ("s1", "s2", "s3", "s4")
+
+
+def ordered_terms(p):
+    return [(e, type(c).__name__, c) for e, c in p.terms.items()]
+
+
+@st.composite
+def general_polys(draw, vars_):
+    """Polynomials with at least two terms, so that no fast path applies."""
+    exps = st.tuples(*[st.integers(-3, 3)] * len(vars_))
+    terms = draw(st.lists(st.tuples(exps, rand_coeff), min_size=2, max_size=6))
+    p = LaurentPoly(vars_, dict(terms))
+    assume(len(p.terms) > 1)
+    return p
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_packed_kernels_match_the_tuple_loops(data):
+    vars_ = VARS4[:data.draw(st.integers(1, 4))]
+    a = data.draw(general_polys(vars_))
+    b = data.draw(general_polys(vars_))
+    # (u + v)(u - v) = u^2 - v^2: the cross terms cancel in the accumulator
+    (eu, cu), (ev, cv) = list(a.terms.items())[:2]
+    plus = LaurentPoly(vars_, {eu: cu, ev: cv})
+    minus = LaurentPoly(vars_, {eu: cu, ev: -cv})
+    for x, y in ((a, b), (b, a), (reference_mul(b, plus), reference_mul(b, minus))):
+        assert ordered_terms(x * y) == ordered_terms(reference_mul(x, y))
+    # exact quotients, arbitrary (mostly inexact) ones, and exact ones spoilt
+    # by one more term
+    prod = reference_mul(a, b)
+    spoilt = prod + LaurentPoly.monomial(vars_, data.draw(
+        st.tuples(*[st.integers(-6, 6)] * len(vars_))))
+    for num in (prod, a, spoilt):
+        assert div_outcome(exact_div, num, b, ordered_terms) \
+            == div_outcome(reference_exact_div, num, b, ordered_terms)
+    assert exact_div(prod, b) == a
+
+
+def test_quotient_term_outside_the_box_raises_at_once(monkeypatch):
+    from fockcorr import laurent
+    x, y = (LaurentPoly.var(ZV, v) for v in ZV)
+    # x*y^2 + 1 over x + y^2: the spans pass, but the quotient box allows only
+    # y^0, and the first trial quotient term is y^2
+    monkeypatch.setattr(laurent, "_div", lambda a, b: pytest.fail("long division"))
+    with pytest.raises(InexactDivisionError):
+        exact_div(x * y * y + 1, x + y * y)
+    monkeypatch.undo()
+    assert div_outcome(reference_exact_div, x * y * y + 1, x + y * y) == "inexact"

@@ -18,7 +18,6 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from . import diskcache
 from .combinat import ModuleLabel
 from .errors import LabelError
 from .laurent import LaurentPoly, exact_div
@@ -27,23 +26,13 @@ FAMILIES = ("SO2l", "O2l", "B2l1", "Sp2l", "Pin2l")
 
 
 def det_laurent(rows):
-    """Determinant of a square matrix of LaurentPoly entries.
-
-    Cofactor expansion up to 4x4; fraction-free (Bareiss) elimination with
-    exact Laurent division beyond.
-    """
+    """Determinant of a square matrix of LaurentPoly entries, by cofactor
+    expansion along the first row."""
     n = len(rows)
     if n == 0:
         raise ValueError("empty determinant")
     if any(len(r) != n for r in rows):
         raise ValueError("matrix must be square")
-    if n <= 4:
-        return _det_cofactor(rows)
-    return _det_bareiss(rows)
-
-
-def _det_cofactor(rows):
-    n = len(rows)
     if n == 1:
         return rows[0][0]
     total = LaurentPoly.zero(rows[0][0].vars)
@@ -52,33 +41,9 @@ def _det_cofactor(rows):
         if entry.is_zero:
             continue
         minor = [r[:j] + r[j + 1:] for r in rows[1:]]
-        term = entry * _det_cofactor(minor)
+        term = entry * det_laurent(minor)
         total = total + (term if j % 2 == 0 else -term)
     return total
-
-
-def _det_bareiss(rows):
-    n = len(rows)
-    m = [list(r) for r in rows]
-    vars_ = m[0][0].vars
-    one = LaurentPoly.const(vars_, 1)
-    prev = one
-    sign = 1
-    for k in range(n - 1):
-        if m[k][k].is_zero:
-            for i in range(k + 1, n):
-                if not m[i][k].is_zero:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return LaurentPoly.zero(vars_)
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = m[i][j] * m[k][k] - m[i][k] * m[k][j]
-                m[i][j] = exact_div(num, prev)
-        prev = m[k][k]
-    return m[n - 1][n - 1] if sign == 1 else -m[n - 1][n - 1]
 
 
 def torus_vars(family, l):
@@ -141,14 +106,6 @@ def denominator_det(family, l, kind=None):
     return det_laurent(rows)
 
 
-def _weight_for(family, label: ModuleLabel):
-    w = label.weight()
-    if family in ("B2l1", "Pin2l") and family == "Pin2l":
-        if not label.spin:
-            raise LabelError("Pin(2l) characters need a spin label")
-    return w
-
-
 @lru_cache(maxsize=None)
 def _character_cached(family, weight, l, lam_last_zero):
     num = numerator_det(family, weight, l)
@@ -172,28 +129,18 @@ def character(family, label: ModuleLabel) -> LaurentPoly:
     """
     if family not in FAMILIES:
         raise LabelError(f"unknown family {family!r}")
-    l = label.rank()
-    w = _weight_for(family, label)
     if family in ("O2l", "SO2l", "Sp2l") and label.spin:
         raise LabelError(f"{family} takes non-spin labels")
     if family == "Pin2l" and not label.spin:
         raise LabelError("Pin2l takes spin labels")
     lam_last_zero = (not label.lam) or label.lam[-1] == 0
-    if diskcache.enabled():
-        key = diskcache.key("char", family, w, l, lam_last_zero)
-        hit = diskcache.get(key)
-        if hit is not None:
-            return LaurentPoly.from_json(torus_vars(family, l), hit)
-        ch = _character_cached(family, w, l, lam_last_zero)
-        diskcache.put(key, ch.to_json())
-        return ch
-    return _character_cached(family, w, l, lam_last_zero)
+    return _character_cached(family, label.weight(), label.rank(), lam_last_zero)
 
 
 def dominant_coefficient(family, label: ModuleLabel) -> int:
     """Coefficient of z^{lambda+rho} in the numerator determinant."""
     l = label.rank()
-    w = _weight_for(family, label)
+    w = label.weight()
     num = numerator_det(family, w, l)
     exps = _num_exponents(family, w, l)
     if family in ("B2l1", "Pin2l"):

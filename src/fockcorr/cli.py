@@ -20,9 +20,9 @@ from fractions import Fraction
 from . import diskcache
 from . import identities
 from .combinat import ModuleLabel
-from .correlators import CorrelatorRequest, _cached_series, correlator, qdim
-from .errors import (FockcorrError, InternalCheckError, LabelError, PoleError,
-                     ResourceLimitError)
+from .correlators import CorrelatorRequest, correlator, qdim
+from .errors import (FockcorrError, InternalCheckError, LabelError,
+                     ModeMismatchError, PoleError, ResourceLimitError)
 from .fock_oracle import RAMOND, OpSpec, SectorSpec, trace
 from .qseries import LaurentRing, QSeries, RationalRing, from16
 
@@ -82,6 +82,24 @@ def _build_label(args):
     spin = args.spin or args.algebra == "b"
     return ModuleLabel(args.algebra, args.level, lam, det=args.det, spin=spin,
                        folded=not args.det)
+
+
+def _cached_series(key, ring, compute):
+    """The series over ``ring`` that the disk cache holds under ``key``;
+    on a miss, ``compute()``, stored under ``key``.  A blob that does not
+    decode, or decodes to a series over another ring, is a miss, so a
+    corrupt blob is recomputed and overwritten, never served."""
+    blob = diskcache.get(key)
+    if blob is not None:
+        try:
+            series = QSeries.from_json(blob)
+        except (KeyError, TypeError, ValueError, ArithmeticError, ModeMismatchError):
+            series = None
+        if series is not None and series.ring == ring:
+            return series
+    series = compute()
+    diskcache.put(key, series.to_json())
+    return series
 
 
 def cmd_corr(args):

@@ -33,10 +33,8 @@ from functools import lru_cache
 from itertools import permutations, product
 from math import factorial
 
-from . import diskcache
 from .combinat import ModuleLabel
-from .errors import (InternalCheckError, LabelError, ModeMismatchError,
-                     NonUnitError, PoleError)
+from .errors import InternalCheckError, LabelError, NonUnitError, PoleError
 from .laurent import LaurentPoly, RationalFunction
 from .qseries import (LaurentRing, QSeries, RatFuncRing, RationalRing,
                       lattice_points, pochhammer, unit_pow)
@@ -402,6 +400,7 @@ def weyl_correlator(weight, wtype, l, units, ring, order):
     return total.truncated(order)
 
 
+@lru_cache(maxsize=None)
 def half_level_base(sector, units, ring, order):
     """Level-1/2 base function by the subset recursion, memoized per subset.
 
@@ -409,34 +408,6 @@ def half_level_base(sector, units, ring, order):
     (-q^{1/2};q).  sector 'B': the R analogue with n = 0 value
     q^{1/16} (-q;q); the recursion halves the full R graded trace.
     """
-    if diskcache.enabled():
-        key = diskcache.key("halfbase", sector, ring.mode, ring.vars,
-                            [ring.coeff_json(u) for u in units], Fraction(order))
-        return _cached_series(key, ring, lambda: _half_level_base(
-            sector, units, ring, Fraction(order)))
-    return _half_level_base(sector, units, ring, Fraction(order))
-
-
-def _cached_series(key, ring, compute):
-    """The series over ``ring`` that the disk cache holds under ``key``;
-    on a miss, ``compute()``, stored under ``key``.  A blob that does not
-    decode, or decodes to a series over another ring, is a miss, so a
-    corrupt blob is recomputed and overwritten, never served."""
-    blob = diskcache.get(key)
-    if blob is not None:
-        try:
-            series = QSeries.from_json(blob)
-        except (KeyError, TypeError, ValueError, ZeroDivisionError, ModeMismatchError):
-            series = None
-        if series is not None and series.ring == ring:
-            return series
-    series = compute()
-    diskcache.put(key, series.to_json())
-    return series
-
-
-@lru_cache(maxsize=None)
-def _half_level_base(sector, units, ring, order):
     order = Fraction(order)
     n = len(units)
     memo = {}

@@ -1,10 +1,11 @@
 """Optional content-addressed disk cache (--cache-dir).
 
-Stores JSON blobs keyed by the sha256 of a canonical parameter string,
-built by ``key``.  Files are immutable and safe to delete at any time.  A
-blob that cannot be read back as JSON counts as a miss and is overwritten by
-the next ``put``; a blob that cannot be written is not stored, and its key
-stays a miss.  A cache directory that cannot be made is a usage error.
+Holds the results of the ``corr`` command only, as JSON blobs keyed by the
+sha256 of a canonical parameter string, built by ``key``.  Files are
+immutable and safe to delete at any time.  A blob that cannot be read back
+as JSON counts as a miss and is overwritten by the next ``put``; a blob that
+cannot be written is not stored, and its key stays a miss.  A cache
+directory that cannot be made is a usage error.
 """
 
 from __future__ import annotations

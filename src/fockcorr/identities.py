@@ -499,10 +499,5 @@ def run(identity_id, **params):
     return fn(**params)
 
 
-def run_all(subset=None):
-    out = []
-    for key in REGISTRY:
-        if subset and key not in subset:
-            continue
-        out.append(run(key))
-    return out
+def run_all():
+    return [run(key) for key in REGISTRY]

@@ -391,13 +391,15 @@ class LaurentPoly:
 
     @classmethod
     def from_json(cls, variables, data):
-        """Inverse of ``to_json``; an exponent on a name that is not one of
-        ``variables`` raises ``ValueError``."""
+        """Inverse of ``to_json``; ``exps`` that is not an object, or names
+        a variable not in ``variables``, raises ``ValueError``."""
         variables = tuple(variables)
         known = set(variables)
         terms = {}
         for mono in data:
             exps = mono["exps"]
+            if not isinstance(exps, dict):
+                raise ValueError(f"exponents must be an object, not {exps!r}")
             if not exps.keys() <= known:
                 raise ValueError(f"unknown variables {sorted(exps.keys() - known)}")
             coeff = mono["coeff"]

@@ -3,12 +3,13 @@ from itertools import permutations, product
 
 import pytest
 
-from fockcorr.characters import (character, denominator_det, det_laurent,
+from fockcorr.characters import (character, denominator_det,
                                  dominant_coefficient, numerator_det,
                                  torus_vars)
 from fockcorr.combinat import ModuleLabel
 from fockcorr.errors import LabelError
 from fockcorr.laurent import LaurentPoly, exact_div
+from fockcorr.weyl import weyl_denominator_poly
 
 
 def lp(vars_, terms):
@@ -139,15 +140,9 @@ def test_dimensions(family, label, dim):
     assert character(family, label).eval_at(ones) == dim
 
 
-def test_det_laurent_bareiss_matches_cofactor():
-    vars_ = ("z1",)
-    rows5 = [[lp(vars_, {(i - j,): 1, (j - i,): 1}) for j in range(5)]
-             for i in range(5)]
-    by_bareiss = det_laurent(rows5)
-    # cofactor on the same matrix via a 4x4 minor expansion by hand
-    total = LaurentPoly.zero(vars_)
-    for j in range(5):
-        minor = [r[:j] + r[j + 1:] for r in rows5[1:]]
-        term = rows5[0][j] * det_laurent(minor)
-        total = total + (term if j % 2 == 0 else -term)
-    assert by_bareiss == total
+def test_rank5_denominator_determinants_match_weyl_sums():
+    # the second route of check_weyl_denom_*: a sum over the Weyl group
+    half_det = denominator_det("O2l", 5).map_coeffs(lambda c: F(c, 2))
+    assert half_det == weyl_denominator_poly("D", 5, torus_vars("O2l", 5))
+    assert denominator_det("B2l1", 5) == weyl_denominator_poly(
+        "B", 5, torus_vars("B2l1", 5))

@@ -190,28 +190,48 @@ OTHER_RING = {"schema": "fock-correlators/1", "mode": "rational", "vars": [],
               "trunc": "2", "terms": [{"q": "0", "coeff": "7"}]}
 
 
-@pytest.mark.parametrize("corrupt", [_unknown_variable, lambda blob: {},
+def _list_exponents(blob):
+    blob["terms"][0]["coeff"]["num"][0]["exps"] = []
+    return blob
+
+
+def _infinite_trunc(blob):
+    blob["trunc"] = float("inf")  # json writes Infinity and reads it back
+    return blob
+
+
+@pytest.mark.parametrize("corrupt", [_unknown_variable, _list_exponents,
+                                     _infinite_trunc, lambda blob: {},
                                      lambda blob: [], lambda blob: OTHER_RING],
-                         ids=["unknown-variable", "empty-object", "list",
+                         ids=["unknown-variable", "list-exponents",
+                              "infinite-trunc", "empty-object", "list",
                               "other-ring"])
 @pytest.mark.parametrize("level", ["1", "3/2"])
 def test_cache_dir_corrupt_blob_is_recomputed(corrupt, level, tmp_path,
                                               monkeypatch, capsys):
-    # level 3/2 also caches its half-level base, through a second call site
     from fockcorr import cli, diskcache
     monkeypatch.setattr(diskcache, "_cache_dir", None)
     argv = ["--cache-dir", str(tmp_path), "corr", "--algebra", "d", "--level",
             level, "--lambda", "0", "--n", "1", "--order", "2", "--mode", "exact"]
     assert cli.main(argv) == 0
     expected = capsys.readouterr().out
-    blobs = {path: path.read_text() for path in tmp_path.glob("*.json")}
-    assert len(blobs) == (1 if level == "1" else 2)
-    for path, good in blobs.items():
-        path.write_text(json.dumps(corrupt(json.loads(good))))
+    (path,) = tmp_path.glob("*.json")
+    good = path.read_text()
+    path.write_text(json.dumps(corrupt(json.loads(good))))
     assert cli.main(argv) == 0
     out = capsys.readouterr()
     assert out.out == expected and out.err == ""
-    assert {path: path.read_text() for path in blobs} == blobs
+    assert path.read_text() == good
+
+
+def test_verify_writes_no_cache_blob(tmp_path, monkeypatch, capsys):
+    from fockcorr import cli, diskcache
+    monkeypatch.setattr(diskcache, "_cache_dir", None)
+    argv = ["--cache-dir", str(tmp_path), "verify", "qdim-consistency",
+            "--order", "4"]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out.startswith("[pass] qdim-consistency")
+    assert list(tmp_path.glob("*.json")) == []
 
 
 EVAL_CORR = ["corr", "--algebra", "d", "--level", "1", "--n", "1", "--order", "2",

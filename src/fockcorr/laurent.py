@@ -16,12 +16,22 @@ division whose exponent spans rule it out raises before any long division
 step, and ``RationalFunction`` returns a denominator of 1 at once and runs
 no gcd against a constant one.
 
+Every ``RationalFunction`` is canonical from the moment it is built (see its
+docstring), so work that would only re-derive that form is skipped: a
+product with a one-term factor over 1 (a unit, a constant or a monomial)
+scales or shifts the other factor's numerator and keeps its denominator,
+with no normalization and no trial division.  The univariate gcd first
+tries a certificate mod the prime 2**31 - 1 (W. S. Brown, J. ACM 18, 1971):
+when that shows the gcd is 1, which it is in most calls, no Euclid over Q
+runs.
+
 The other products and divisions run on packed keys: the terms' exponent
 vectors map once to plain ints over an exponent box (``_strides``), the
 inner loops add and compare those ints, and each output term is unpacked
 once.  Int order is lex order, so long division keeps its order of steps,
 and the product keeps the term order of a loop over exponent tuples.
-``terms`` stays keyed by tuples.
+``terms`` stays keyed by tuples.  A ``LaurentPoly`` keeps its box once
+computed, since its terms never change.
 """
 
 from __future__ import annotations
@@ -101,7 +111,7 @@ class LaurentPoly:
     construction.
     """
 
-    __slots__ = ("vars", "terms", "_hash")
+    __slots__ = ("vars", "terms", "_hash", "_ebox")
 
     def __init__(self, variables, terms, _clean=True):
         self.vars = tuple(variables)
@@ -121,6 +131,7 @@ class LaurentPoly:
             terms = {e: _fr(c) for e, c in clean.items() if c}
         self.terms = terms
         self._hash = None
+        self._ebox = None
 
     # -- constructors -------------------------------------------------
     @classmethod
@@ -167,14 +178,12 @@ class LaurentPoly:
     def is_monomial(self):
         return len(self.terms) == 1
 
-    def effective_vars(self):
-        """Indices of variables that actually occur."""
-        used = set()
-        for e in self.terms:
-            for i, x in enumerate(e):
-                if x:
-                    used.add(i)
-        return used
+    def _exp_box(self):
+        """``_box(self.terms)`` of a nonzero poly, computed on first use."""
+        box = self._ebox
+        if box is None:
+            box = self._ebox = _box(self.terms)
+        return box
 
     # -- arithmetic ----------------------------------------------------
     def _check(self, other):
@@ -221,8 +230,8 @@ class LaurentPoly:
             return other._times_term(*next(iter(self.terms.items())))
         # the general product adds int keys over the product's box; a zero
         # sum deletes its key, so the term order does not depend on packing
-        alo, ahi = _box(self.terms)
-        blo, bhi = _box(other.terms)
+        alo, ahi = self._exp_box()
+        blo, bhi = other._exp_box()
         lo = tuple(map(add, alo, blo))
         strides = _strides(map(sub, map(add, ahi, bhi), lo))
         b = _pack(other.terms, strides)
@@ -284,11 +293,9 @@ class LaurentPoly:
     # -- structure -----------------------------------------------------
     def min_exps(self):
         """Componentwise minimum exponent (0 vector for the zero poly)."""
-        n = len(self.vars)
         if not self.terms:
-            return (0,) * n
-        mins = [min(e[i] for e in self.terms) for i in range(n)]
-        return tuple(mins)
+            return (0,) * len(self.vars)
+        return self._exp_box()[0]
 
     def shift(self, exps):
         """Multiply by the monomial with exponent vector ``exps``."""
@@ -391,8 +398,9 @@ class LaurentPoly:
 
     @classmethod
     def from_json(cls, variables, data):
-        """Inverse of ``to_json``; ``exps`` that is not an object, or names
-        a variable not in ``variables``, raises ``ValueError``."""
+        """Inverse of ``to_json``; ``exps`` that is not an object, names a
+        variable not in ``variables`` or repeats an exponent vector raises
+        ``ValueError``."""
         variables = tuple(variables)
         known = set(variables)
         terms = {}
@@ -402,9 +410,11 @@ class LaurentPoly:
                 raise ValueError(f"exponents must be an object, not {exps!r}")
             if not exps.keys() <= known:
                 raise ValueError(f"unknown variables {sorted(exps.keys() - known)}")
+            e = tuple(exps.get(v, 0) for v in variables)
+            if e in terms:
+                raise ValueError(f"repeated exponent vector {exps!r}")
             coeff = mono["coeff"]
-            terms[tuple(exps.get(v, 0) for v in variables)] = (
-                Fraction(coeff) if "/" in coeff else int(coeff))
+            terms[e] = Fraction(coeff) if "/" in coeff else int(coeff)
         return cls(variables, terms)
 
 
@@ -430,8 +440,8 @@ def exact_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
     if len(den.terms) == 1:
         (e, c), = den.terms.items()
         return num._times_term(tuple(-x for x in e), _div(1, c))
-    nlo, nhi = _box(num.terms)
-    dlo, dhi = _box(den.terms)
+    nlo, nhi = num._exp_box()
+    dlo, dhi = den._exp_box()
     qlo = tuple(map(sub, nlo, dlo))
     qhi = tuple(map(sub, nhi, dhi))
     if any(map(gt, qlo, qhi)):
@@ -488,21 +498,70 @@ def try_exact_div(num, den):
 
 def _univariate_coeffs(p: LaurentPoly, idx: int):
     """Dense coefficient list of a poly using only variable ``idx`` (min exp 0)."""
-    deg = max(e[idx] for e in p.terms)
+    deg = p._exp_box()[1][idx]
     out = [0] * (deg + 1)
     for e, c in p.terms.items():
         out[e[idx]] = c
     return out
 
 
+_P = 2 ** 31 - 1  # a prime
+
+
+def _mod_p(coeffs):
+    """``coeffs`` reduced mod ``_P``; None when a denominator vanishes mod ``_P``."""
+    out = []
+    for c in coeffs:
+        if type(c) is int:
+            out.append(c % _P)
+        else:
+            d = c.denominator % _P
+            if not d:
+                return None
+            out.append(c.numerator * pow(d, -1, _P) % _P)
+    return out
+
+
+def _coprime_mod_p(a, b):
+    """True when a, b (nonempty, no trailing zero) have gcd 1 over Q by a
+    certificate mod ``_P``: no denominator and neither leading coefficient
+    vanishes mod p, and the Euclid over F_p ends at a constant.  A gcd g of
+    degree >= 1 over Q, scaled primitive over the integers localized at p,
+    divides a and b there (Gauss's lemma); its leading coefficient divides
+    theirs, so it keeps its degree mod p and would divide the gcd over F_p.
+    False proves nothing."""
+    a, b = _mod_p(a), _mod_p(b)
+    if a is None or b is None or not a[-1] or not b[-1]:
+        return False
+    while len(b) > 1:
+        # a mod b, one quotient coefficient per step; the remainder's
+        # entries are reduced once, when it is complete
+        inv = pow(b[-1], -1, _P)
+        low = b[:-1]
+        for k in range(len(a) - len(b), -1, -1):
+            f = a.pop() * inv % _P
+            if f:
+                a[k:] = map(sub, a[k:], map(f.__mul__, low))
+        a = [x % _P for x in a]
+        while a and not a[-1]:
+            a.pop()
+        if not a:
+            return False
+        a, b = b, a
+    return True
+
+
 def _univariate_gcd(a, b):
-    """Monic gcd of dense coefficient lists."""
+    """Monic gcd of dense coefficient lists: ``[1]`` when ``_coprime_mod_p``
+    shows it, else by Euclid over Q."""
     def norm(x):
         while x and not x[-1]:
             x.pop()
         return x
 
     a, b = norm(list(a)), norm(list(b))
+    if a and b and _coprime_mod_p(a, b):
+        return [1]
     while b:
         # a mod b
         d = len(b) - 1
@@ -523,13 +582,30 @@ def _univariate_gcd(a, b):
     return a
 
 
+def _occurring(num, den):
+    """Indices of the variables of nonzero ``num`` and ``den`` that occur: a
+    variable occurs exactly when its min or max exponent in one of them is
+    nonzero."""
+    bounds = zip(*num._exp_box(), *den._exp_box())
+    return [i for i, b in enumerate(bounds) if any(b)]
+
+
 class RationalFunction:
     """Quotient of Laurent polynomials in canonical form.
 
     Canonical form: den is monomial-free (min exponent 0 per variable), its
     lexicographically leading coefficient is +1, and the shared rational
-    content of num is reduced.  Equality is decided by cross-multiplication,
-    so correctness never rests on the gcd heuristic.
+    content of num is reduced; when num and den involve a single variable,
+    their univariate gcd is divided out.  Equality is decided by
+    cross-multiplication, so correctness never rests on the gcd heuristic.
+
+    Every instance is canonical: ``__init__`` normalizes and ``__neg__``
+    keeps the form.  So ``other * m`` for a one-term m over 1 is
+    ``other.num * m`` over ``other.den``: den keeps min exponent 0 and
+    lead 1, and a gcd that would run on the product already ran on
+    ``other``.  The exception is an m that leaves a single variable where
+    ``other`` had more, so that no gcd ran on it; that product takes the
+    general path.
     """
 
     __slots__ = ("num", "den", "_hash")
@@ -564,10 +640,9 @@ class RationalFunction:
             den = den.shift(tuple(-x for x in dshift))
             num = num.shift(tuple(-x for x in dshift))
         # single shared effective variable: univariate gcd over Q
-        evars = (num.effective_vars() | den.effective_vars()
-                 if len(den.terms) > 1 else ())
+        evars = _occurring(num, den) if len(den.terms) > 1 else ()
         if len(evars) == 1:
-            idx = next(iter(evars))
+            idx = evars[0]
             nshift = num.min_exps()
             n0 = num.shift(tuple(-x for x in nshift))
             g = _univariate_gcd(_univariate_coeffs(n0, idx), _univariate_coeffs(den, idx))
@@ -643,11 +718,7 @@ class RationalFunction:
     __radd__ = __add__
 
     def __neg__(self):
-        out = RationalFunction.__new__(RationalFunction)
-        out.num = -self.num
-        out.den = self.den
-        out._hash = None
-        return out
+        return self._canonical(-self.num, self.den)
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -660,6 +731,16 @@ class RationalFunction:
         if not isinstance(other, RationalFunction):
             return NotImplemented
         a, b, c, d = self.num, self.den, other.num, other.den
+        # a one-term factor over 1 only shifts and scales the other factor
+        if a.terms and c.terms:
+            if len(d.terms) == 1 and len(c.terms) == 1:
+                out = self._times_term(c)
+                if out is not None:
+                    return out
+            elif len(b.terms) == 1 and len(a.terms) == 1:
+                out = other._times_term(a)
+                if out is not None:
+                    return out
         # cheap cross-cancellations keep central-term denominators small
         q = try_exact_div(a, d)
         if q is not None:
@@ -671,6 +752,26 @@ class RationalFunction:
         return RationalFunction(a * c, b * d)
 
     __rmul__ = __mul__
+
+    def _times_term(self, m):
+        """``self * m`` for a one-term Laurent ``m``, with no gcd and no trial
+        division (see the class docstring), or None when ``m`` leaves a
+        single variable where ``self`` had more."""
+        num, den = self.num * m, self.den
+        if len(den.terms) > 1 and any(next(iter(m.terms))):
+            after = _occurring(num, den)
+            if len(after) == 1 and len(_occurring(self.num, den)) > 1:
+                return None
+        return self._canonical(num, den)
+
+    @staticmethod
+    def _canonical(num, den):
+        """The RationalFunction of a (num, den) pair already in canonical form."""
+        out = RationalFunction.__new__(RationalFunction)
+        out.num = num
+        out.den = den
+        out._hash = None
+        return out
 
     def inverse(self):
         if self.is_zero:

@@ -613,7 +613,10 @@ class QSeries:
         trunc = None if data["trunc"] is None else to16(Fraction(data["trunc"]))
         terms = {}
         for item in data["terms"]:
-            terms[to16(Fraction(item["q"]))] = ring.coeff_from_json(item["coeff"])
+            e = to16(Fraction(item["q"]))
+            if e in terms:
+                raise ValueError(f"repeated q exponent {item['q']!r}")
+            terms[e] = ring.coeff_from_json(item["coeff"])
         return cls(ring, terms, trunc)
 
     @classmethod

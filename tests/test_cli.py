@@ -200,11 +200,27 @@ def _infinite_trunc(blob):
     return blob
 
 
+def _repeated_q(blob):
+    # a second entry for the lowest q exponent, which a dict would keep
+    blob["terms"].append({"q": blob["terms"][0]["q"],
+                          "coeff": {"num": [{"exps": {}, "coeff": "7"}],
+                                    "den": [{"exps": {}, "coeff": "1"}]}})
+    return blob
+
+
+def _repeated_exponents(blob):
+    num = blob["terms"][-1]["coeff"]["num"]
+    num.append({"exps": dict(num[0]["exps"]), "coeff": "5"})
+    return blob
+
+
 @pytest.mark.parametrize("corrupt", [_unknown_variable, _list_exponents,
-                                     _infinite_trunc, lambda blob: {},
+                                     _infinite_trunc, _repeated_q,
+                                     _repeated_exponents, lambda blob: {},
                                      lambda blob: [], lambda blob: OTHER_RING],
                          ids=["unknown-variable", "list-exponents",
-                              "infinite-trunc", "empty-object", "list",
+                              "infinite-trunc", "repeated-q",
+                              "repeated-exponents", "empty-object", "list",
                               "other-ring"])
 @pytest.mark.parametrize("level", ["1", "3/2"])
 def test_cache_dir_corrupt_blob_is_recomputed(corrupt, level, tmp_path,

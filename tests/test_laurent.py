@@ -6,8 +6,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fockcorr.errors import InexactDivisionError, PoleError
-from fockcorr.laurent import (LaurentPoly, RationalFunction, _div, _fr,
-                              _univariate_coeffs, _univariate_gcd, exact_div)
+from fockcorr.laurent import (_P, LaurentPoly, RationalFunction, _box, _div,
+                              _fr, _univariate_coeffs, _univariate_gcd,
+                              exact_div)
 
 SV = ("s",)
 ZV = ("z1", "z2")
@@ -267,6 +268,34 @@ def reference_exact_div(num, den):
     return LaurentPoly(num.vars, quot, _clean=False)
 
 
+def reference_univariate_gcd(a, b):
+    """Monic gcd of dense coefficient lists by Euclid over Q."""
+    def norm(x):
+        while x and not x[-1]:
+            x.pop()
+        return x
+
+    a, b = norm(list(a)), norm(list(b))
+    while b:
+        # a mod b
+        d = len(b) - 1
+        lead = b[-1]
+        r = list(a)
+        while len(r) - 1 >= d and norm(r):
+            k = len(r) - 1 - d
+            f = _div(r[-1], lead)
+            for i, bc in enumerate(b):
+                r[k + i] -= f * bc
+            r = norm(r)
+            if not r:
+                break
+        a, b = b, r
+    if a:
+        lead = a[-1]
+        a = [_div(c, lead) for c in a]
+    return a
+
+
 def reference_normalize(num, den):
     if num.is_zero:
         return num, LaurentPoly.const(den.vars, 1)
@@ -274,12 +303,13 @@ def reference_normalize(num, den):
     if any(dshift):
         den = den.shift(tuple(-x for x in dshift))
         num = num.shift(tuple(-x for x in dshift))
-    evars = num.effective_vars() | den.effective_vars()
+    evars = {i for p in (num, den) for e in p.terms for i, x in enumerate(e) if x}
     if len(evars) == 1:
         idx = next(iter(evars))
         nshift = num.min_exps()
         n0 = num.shift(tuple(-x for x in nshift))
-        g = _univariate_gcd(_univariate_coeffs(n0, idx), _univariate_coeffs(den, idx))
+        g = reference_univariate_gcd(_univariate_coeffs(n0, idx),
+                                     _univariate_coeffs(den, idx))
         if len(g) > 1:
             vars_ = num.vars
             gpoly = LaurentPoly(
@@ -449,3 +479,180 @@ def test_quotient_term_outside_the_box_raises_at_once(monkeypatch):
         exact_div(x * y * y + 1, x + y * y)
     monkeypatch.undo()
     assert div_outcome(reference_exact_div, x * y * y + 1, x + y * y) == "inexact"
+
+
+# -- canonical-form shortcuts against the code they short-circuit --------------
+# ``reference_rf_mul`` is the product with trial cross-cancellations that
+# ``RationalFunction.__mul__`` runs when neither factor is a one-term Laurent
+# polynomial, and ``reference_univariate_gcd`` above is the Euclid that runs
+# when the mod-p certificate does not apply.
+
+def reference_rf_mul(x, y):
+    """(num, den) of x * y."""
+    def try_div(num, den):
+        try:
+            return reference_exact_div(num, den)
+        except InexactDivisionError:
+            return None
+
+    a, b, c, d = x.num, x.den, y.num, y.den
+    one = LaurentPoly.const(a.vars, 1)
+    q = try_div(a, d)
+    if q is not None:
+        a, d = q, one
+    else:
+        q = try_div(c, b)
+        if q is not None:
+            c, b = q, one
+    return reference_normalize(reference_mul(a, c), reference_mul(b, d))
+
+
+def assert_canonical(r):
+    """Building r again from its (num, den) changes nothing: the invariant
+    the one-term shortcut of the product rests on."""
+    again = RationalFunction(r.num, r.den)
+    assert typed_terms(again.num) == typed_terms(r.num)
+    assert typed_terms(again.den) == typed_terms(r.den)
+
+
+@st.composite
+def rational_functions(draw, vars_):
+    """Quotients of ``fast_path_polys``, some with a shared factor to cancel."""
+    num = draw(fast_path_polys(vars_))
+    den = draw(fast_path_polys(vars_).filter(lambda p: not p.is_zero))
+    if draw(st.booleans()):
+        shared = draw(fast_path_polys(vars_).filter(lambda p: not p.is_zero))
+        num, den = reference_mul(num, shared), reference_mul(den, shared)
+    return RationalFunction(num, den)
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_products_match_the_cross_cancelling_product(data):
+    vars_ = ("s1", "s2", "s3")[:data.draw(st.integers(1, 3))]
+    x = data.draw(rational_functions(vars_))
+    y = data.draw(rational_functions(vars_))
+    c = data.draw(rand_coeff)
+    const = RationalFunction.const(vars_, c)
+    cases = ((x, y, x * y), (y, x, y * x), (x, const, x * c), (const, x, c * x))
+    for u, v, w in cases:
+        ref_num, ref_den = reference_rf_mul(u, v)
+        assert typed_terms(w.num) == typed_terms(ref_num)
+        assert typed_terms(w.den) == typed_terms(ref_den)
+        assert_canonical(w)
+
+
+def test_monomial_that_leaves_one_variable_reduces():
+    # x2 (x1 - 1) / ((x1 - 1)(x1 + 1)) runs no gcd, since x2 occurs; times
+    # 1/x2 it is univariate, and the common factor x1 - 1 must cancel
+    x1, x2 = (LaurentPoly.var(ZV, v) for v in ZV)
+    r = RationalFunction(x2 * (x1 - 1), (x1 - 1) * (x1 + 1))
+    assert r.den == x1 * x1 - 1
+    inv_x2 = RationalFunction.from_laurent(LaurentPoly.monomial(ZV, (0, -1)))
+    for w in (r * inv_x2, inv_x2 * r):
+        assert (w.num, w.den) == (LaurentPoly.const(ZV, 1), x1 + 1)
+        assert_canonical(w)
+
+
+dense = st.lists(rand_coeff, max_size=5)
+
+
+def dense_mul(a, b):
+    out = [0] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return [_fr(c) for c in out]
+
+
+def typed_list(coeffs):
+    return [(type(c).__name__, c) for c in coeffs]
+
+
+@given(dense, dense, dense)
+@settings(max_examples=300, deadline=None)
+def test_gcd_matches_the_euclid(a, b, shared):
+    for x, y in ((a, b), (dense_mul(a, shared), dense_mul(b, shared))):
+        assert typed_list(_univariate_gcd(x, y)) \
+            == typed_list(reference_univariate_gcd(x, y))
+
+
+@pytest.mark.parametrize("a, b", [
+    # a denominator that vanishes mod p, with and without a common factor
+    ([F(1, _P), 1], [2, 1]),
+    (dense_mul([F(1, _P), 1], [1, 1]), dense_mul([2, 1], [1, 1])),
+    # a gcd P x + 1 that is a constant mod p: the leading coefficients vanish
+    (dense_mul([1, _P], [2, 1]), dense_mul([1, _P], [3, 1])),
+    (dense_mul([1, 3 * _P], [2, 1]), [2, 1]),
+    # a real common factor
+    (dense_mul([1, 1], [2, 1]), dense_mul([1, 1], [3, 1])),
+    (dense_mul([F(1, 2), 1], [1, F(2, 3)]), [F(1, 2), 1]),
+], ids=["den-p", "den-p-shared", "lead-p-shared", "lead-p", "shared",
+        "shared-fractions"])
+def test_gcd_falls_back_to_the_euclid(a, b, monkeypatch):
+    from fockcorr import laurent
+    calls = []
+
+    def counting_div(x, y):
+        calls.append((x, y))
+        return _div(x, y)
+
+    monkeypatch.setattr(laurent, "_div", counting_div)
+    g = _univariate_gcd(a, b)
+    assert calls, "the Euclid did not run"
+    assert typed_list(g) == typed_list(reference_univariate_gcd(a, b))
+
+
+def test_coprime_gcd_makes_no_coefficient_division(monkeypatch):
+    from fockcorr import laurent
+    monkeypatch.setattr(laurent, "_div", lambda a, b: pytest.fail("Euclid over Q"))
+    assert _univariate_gcd([1, 2, 1], [3, 1]) == [1]
+    assert _univariate_gcd([F(1, 2), 0, F(-3, 7), 5], [F(2, 3), 1, 1]) == [1]
+
+
+def test_unit_times_a_series_runs_no_gcd_and_no_division(monkeypatch):
+    from fockcorr import laurent
+    from fockcorr.qseries import QSeries, RatFuncRing
+    ring = RatFuncRing(("s1",))
+    s = LaurentPoly.var(ring.vars, "s1")
+    x = QSeries(ring, {0: RationalFunction(s, s * s - 1),
+                       16: RationalFunction(s * s + 3, s + 2),
+                       32: RationalFunction.from_laurent(s * s * s - s)}, 64)
+    one = QSeries.one(ring, 4)
+    monkeypatch.setattr(laurent, "_univariate_gcd",
+                        lambda a, b: pytest.fail("gcd in a unit product"))
+    monkeypatch.setattr(laurent, "exact_div",
+                        lambda a, b: pytest.fail("division in a unit product"))
+    product = one * x
+    assert product.terms == x.terms
+
+
+def test_box_is_computed_once_per_poly(monkeypatch):
+    from fockcorr import laurent
+    calls = []
+
+    def counting_box(terms):
+        calls.append(terms)
+        return _box(terms)
+
+    monkeypatch.setattr(laurent, "_box", counting_box)
+    s = LaurentPoly.var(SV, "s")
+    p = s * s + 3 * s - 2
+    for q in (s + 1, s * s - 1, s - 5):
+        p * q
+        q * p
+        exact_div(reference_mul(p, q), p)
+    assert sum(t is p.terms for t in calls) == 1
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_cached_box_is_the_box_of_the_terms(data):
+    vars_ = VARS4[:data.draw(st.integers(1, 4))]
+    a = data.draw(general_polys(vars_))
+    b = data.draw(general_polys(vars_))
+    prod = a * b
+    for p in (a, b, prod, exact_div(prod, b), prod * F(2, 3),
+              prod.shift((1,) * len(vars_))):
+        assert p._exp_box() == _box(p.terms)
+        assert p._exp_box() == _box(p.terms)  # the cached value, the second time

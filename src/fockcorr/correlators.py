@@ -7,16 +7,21 @@ rational functions in s_1..s_n (plus any z/w grading variables); evaluation
 mode substitutes rational s-values and needs only Laurent (or plain rational)
 coefficients.
 
-The n-point kernel ``f_bo`` sums a theta determinant over the n!
-permutations.  Within one call it builds each distinct matrix entry (a theta
-derivative, scaled by 1/k!) and expands each distinct minor of size >= 2 once
-and shares them between permutations, and ``theta_at`` computes each unit
-power once; both do the same arithmetic in the same order as expanding every
-determinant afresh, so exact outputs keep their unreduced denominators.  In
-eval mode ``theta_at`` substitutes s through the ring's integer evaluator,
-and the series products and inverses run on integer numerators (see
-``qseries``); those values are exact and ``Fraction`` is canonical, so the
-outputs are the same bytes.
+The n-point kernel ``f_bo`` has two routes, chosen by ring.  Over
+``Fraction`` and ``LaurentPoly`` coefficients, whose elements have one
+canonical form, it runs the subset recursion, each subset's value from
+``f_bo``'s own cache: about 3^n series products for all subsets of n units,
+where the permutation sum expanded n! determinants.  The values are exact,
+so the bytes are the same.  In eval mode ``theta_at`` substitutes s through
+the ring's integer evaluator, and the series products and inverses run on
+integer numerators (see ``qseries``).
+
+Over ``RatFuncRing`` it keeps the permutation sum of theta determinants.  It
+shares entries and minors within a call and ``theta_at`` computes each unit
+power once, but the arithmetic is that of expanding every determinant
+afresh, in the same order: exact rational functions are stored unreduced,
+so their bytes follow the order of operations, which the recorded outputs
+pin.  This route goes once exact values have a canonical form.
 
 The eps sums over the 2^n sign vectors use F_bo(q; 1/t) = (-1)^n F_bo(q; t)
 (Bloch-Okounkov): the terms for eps and -eps pair up as
@@ -217,21 +222,46 @@ def _det_qseries(rows, cols, ring, order, minors, row=0):
 
 @lru_cache(maxsize=None)
 def f_bo(units, ring, order):
-    """The determinant n-point kernel; n = 0 gives 1/(q;q), n = 1 gives
+    """The Bloch-Okounkov n-point kernel; n = 0 gives 1/(q;q), n = 1 gives
     1/((q;q) Theta(t)).
 
-    A sum over permutations sigma of a theta determinant, each expanded
-    along its first row.  Column j (1-based) of sigma's matrix depends only
-    on j, the row and the index set sigma[:n-j], so a minor is named by its
-    first row and, per column, j and that set's bitmask.  Minors of size >= 2
-    are kept under that name for the length of one call and shared between
-    the permutations, and so is each entry, under (k, bitmask).  The keys
-    hold indices only, never ring elements, whose hash need not follow their
-    equality (``RationalFunction``)."""
+    Over every ring but ``RatFuncRing`` it runs the subset recursion
+
+        F(B) = Theta(t_B)^-1 sum_{A < B} (-1)^(|B-A|-1) Theta^(|B-A|)(t_A) F(A)
+
+    over the proper sub-tuples A of B = ``units`` (in index order, t_A the
+    product of their t's), with no 1/k!: the |B-A|! orderings of the
+    permutation sum below cancel it.  Each F(A) is a call of ``f_bo``, so its
+    cache shares every subset's series between sign vectors, jobs and the
+    subset traces of ``half_level_base``; a call costs about 2^n products.
+    The coefficients of these rings have one canonical form, so the values
+    are those of the permutation sum, to the byte.
+
+    Exact rational functions are kept unreduced, so their bytes follow the
+    order of operations; ``RatFuncRing`` keeps the permutation sum of theta
+    determinants, each expanded along its first row.  Column j (1-based) of
+    sigma's matrix depends only on j, the row and the index set sigma[:n-j],
+    so a minor is named by its first row and, per column, j and that set's
+    bitmask.  Minors of size >= 2 are kept under that name for the length of
+    one call and shared between the permutations, and so is each entry,
+    under (k, bitmask).  The keys hold indices only, never ring elements,
+    whose hash need not follow their equality (``RationalFunction``)."""
     order = Fraction(order)
     n = len(units)
     if n == 0:
         return inv_qq(ring, order)
+    if not isinstance(ring, RatFuncRing):
+        total = QSeries.zero(ring, order)
+        for bits in range(2 ** n - 1):
+            sub = tuple(u for i, u in enumerate(units) if bits >> i & 1)
+            k = n - len(sub)
+            th = theta_at(k, _unit_prod(ring, sub), ring, order)
+            if th.is_zero:
+                continue
+            term = th * f_bo(sub, ring, order)
+            total = total + (term if k % 2 else -term)
+        inv = inv_theta_at(_unit_prod(ring, units), ring, order)
+        return (total * inv).truncated(order)
     total = QSeries.zero(ring, order)
     one = ring.one()
     minors = {}

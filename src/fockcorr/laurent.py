@@ -399,8 +399,9 @@ class LaurentPoly:
     @classmethod
     def from_json(cls, variables, data):
         """Inverse of ``to_json``; ``exps`` that is not an object, names a
-        variable not in ``variables`` or repeats an exponent vector raises
-        ``ValueError``."""
+        variable not in ``variables``, holds an exponent that is not a JSON
+        integer or repeats an exponent vector raises ``ValueError``, and so
+        does a zero coefficient.  Each term is checked here, once."""
         variables = tuple(variables)
         known = set(variables)
         terms = {}
@@ -411,11 +412,16 @@ class LaurentPoly:
             if not exps.keys() <= known:
                 raise ValueError(f"unknown variables {sorted(exps.keys() - known)}")
             e = tuple(exps.get(v, 0) for v in variables)
+            if any(type(x) is not int for x in e):
+                raise ValueError(f"exponents must be integers, not {exps!r}")
             if e in terms:
                 raise ValueError(f"repeated exponent vector {exps!r}")
             coeff = mono["coeff"]
-            terms[e] = Fraction(coeff) if "/" in coeff else int(coeff)
-        return cls(variables, terms)
+            c = _fr(Fraction(coeff)) if "/" in coeff else int(coeff)
+            if not c:
+                raise ValueError(f"zero coefficient at {exps!r}")
+            terms[e] = c
+        return cls(variables, terms, _clean=False)
 
 
 def exact_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:

@@ -214,13 +214,33 @@ def _repeated_exponents(blob):
     return blob
 
 
+def _exponents_as(convert):
+    # every exponent of the first numerator term, as another JSON type
+    def corrupt(blob):
+        mono = blob["terms"][0]["coeff"]["num"][0]
+        mono["exps"] = {v: convert(k) for v, k in mono["exps"].items()}
+        return blob
+    return corrupt
+
+
+def _zero_coefficient(blob):
+    # an extra term at an unused exponent, with coefficient 0
+    blob["terms"][0]["coeff"]["num"].append({"exps": {blob["vars"][0]: 99},
+                                             "coeff": "0"})
+    return blob
+
+
 @pytest.mark.parametrize("corrupt", [_unknown_variable, _list_exponents,
                                      _infinite_trunc, _repeated_q,
-                                     _repeated_exponents, lambda blob: {},
+                                     _repeated_exponents, _exponents_as(bool),
+                                     _exponents_as(float), _exponents_as(str),
+                                     _zero_coefficient, lambda blob: {},
                                      lambda blob: [], lambda blob: OTHER_RING],
                          ids=["unknown-variable", "list-exponents",
                               "infinite-trunc", "repeated-q",
-                              "repeated-exponents", "empty-object", "list",
+                              "repeated-exponents", "bool-exponent",
+                              "float-exponent", "string-exponent",
+                              "zero-coefficient", "empty-object", "list",
                               "other-ring"])
 @pytest.mark.parametrize("level", ["1", "3/2"])
 def test_cache_dir_corrupt_blob_is_recomputed(corrupt, level, tmp_path,
@@ -595,3 +615,19 @@ def test_bad_rational_input_is_a_usage_error(argv, capsys):
 def test_s_on_a_pole_exits_3_for_every_command(argv, capsys):
     assert _exit_code(argv) == 3
     assert capsys.readouterr().err.startswith("pole-guard violation: s = ")
+
+
+@pytest.mark.parametrize("extra", [
+    ["--s", "2,2"],
+    ["--s", "2,1/2"],
+    ["--s", "2,-1/2"],
+    ["--n", "3", "--s", "2,3,6"],
+], ids=["t1=t2", "t1*t2=1", "s1*s2=-1", "t1/(t2*t3)=1"])
+def test_unit_product_on_a_pole_exits_3(extra, capsys):
+    # a subset of the t^eps multiplies to 1, so a theta factor of f_bo
+    # vanishes at q^0
+    assert _exit_code(CORR_EVAL2 + extra) == 3
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == ("pole-guard violation: theta argument t = 1 "
+                       "(vanishing leading term)\n")

@@ -14,7 +14,8 @@ from fockcorr.correlators import (CorrelatorRequest, a_npoint, correlator,
                                   corollary_b_rhs_log, corollary_d_lhs,
                                   corollary_d_rhs, em_half, em_one,
                                   eps_inner_sum, f_bo, graded_trace_F, half_level_base, inv_qq,
-                                  inv_theta_at, npoint, qdim, qq_series,
+                                  inv_theta_at, make_ring, make_units, npoint,
+                                  qdim, qq_series,
                                   refined_form1, refined_form2, refined_g,
                                   refined_level1, theta, theta_at, theta_k,
                                   weyl_correlator)
@@ -86,9 +87,11 @@ class TestFbo:
 
 # A plain reference for f_bo: every permutation's determinant expanded along
 # its first row afresh, and every unit power recomputed per term, with
-# no cache of any kind.  The package shares minors and powers but must do
-# the same arithmetic in the same order, so even exact-mode outputs (whose
-# denominators are not reduced) agree byte for byte.
+# no cache of any kind.  Over RatFuncRing the package shares minors and
+# powers but must do the same arithmetic in the same order, so even
+# exact-mode outputs (whose denominators are not reduced) agree byte for
+# byte.  Over the other rings it runs the subset recursion, whose values
+# must agree term by term.
 
 def _ref_theta_at(k, unit, ring, order):
     def subst(coeff):
@@ -144,9 +147,14 @@ def _ref_f_bo(units, ring, order):
 
 class TestSharedMinors:
     @pytest.mark.parametrize("svals, order", [
+        ((F(3),), 6),
+        ((F(-2, 3),), F(7, 2)),
+        ((F(2), F(-5, 3)), 5),
         ((F(2), F(3), F(5)), 5),
         ((F(-3, 2), F(7), F(2, 5)), 4),
         ((F(2), F(-3, 2), F(5), F(7, 3)), 3),
+        ((F(2), F(3), F(-5), F(7, 2), F(1, 11)), 1),
+        ((F(-2, 3), F(3), F(5), F(7), F(11, 2)), 2),
     ])
     def test_eval_mode_matches_reference(self, svals, order):
         ring = RationalRing()
@@ -154,6 +162,49 @@ class TestSharedMinors:
         ref = _ref_f_bo(svals, ring, order)
         assert got.terms == ref.terms
         assert got.trunc == ref.trunc
+
+    @given(svals=st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=9)
+                          .filter(lambda s: s not in (0, 1, -1)),
+                          min_size=1, max_size=4),
+           order=st.integers(1, 4))
+    @settings(max_examples=30, deadline=None)
+    def test_eval_recursion_matches_reference(self, svals, order):
+        svals = tuple(svals)
+        assume(_off_poles(svals))
+        ring = RationalRing()
+        got = f_bo(svals, ring, order)
+        ref = _ref_f_bo(svals, ring, order)
+        assert got.terms == ref.terms
+        assert got.trunc == ref.trunc
+
+    @pytest.mark.parametrize("svals", [(F(2),), (F(3), F(-1, 2))])
+    def test_z_graded_laurent_matches_reference(self, svals):
+        # eval mode with a grading variable: the Laurent ring, canonical too
+        ring = make_ring(len(svals), "eval", ("z",))
+        units = make_units(ring, len(svals), "eval", svals)
+        assert f_bo(units, ring, 3).dumps() == _ref_f_bo(units, ring, 3).dumps()
+        got = graded_trace_F("NS", units, ring, 3, zvar="z")
+        ref = _ref_graded_trace_F("NS", units, ring, 3, zvar="z", kernel=_ref_f_bo)
+        assert got.dumps() == ref.dumps()
+
+    def test_eval_f_bo_runs_at_most_3_to_the_n_products(self, monkeypatch):
+        # the subset recursion makes about 2^|B| products for each subset B
+        # of the 4 units, 3^4 in all; the permutation sum made about 350
+        ring, order = RationalRing(), 6
+        inv_qq(ring, order)
+        for k in range(5):
+            theta_k(k, order)
+        f_bo.cache_clear()
+        calls = Counter()
+        mul = QSeries.__mul__
+
+        def counting_mul(self, other):
+            calls["mul"] += 1
+            return mul(self, other)
+
+        monkeypatch.setattr(QSeries, "__mul__", counting_mul)
+        f_bo((F(2), F(3), F(5), F(7)), ring, order)
+        assert 0 < calls["mul"] <= 3 ** 4
 
     def test_exact_two_point_bytes_match_reference(self):
         ring = RatFuncRing(("s1", "s2"))
@@ -188,12 +239,14 @@ class TestSharedMinors:
 
         monkeypatch.setattr(QSeries, "scale", counting_scale)
         monkeypatch.setattr(qseries, "_integer_numerators", counting_ints)
+        f_bo.cache_clear()  # the sub-tuples' values come from f_bo's cache
         f_bo.__wrapped__((F(2), F(3), F(5), F(7)), RationalRing(), 6)
-        # 17 distinct entries theta^(k)/k! with k >= 2 (144 when scaled per
-        # permutation); about 290 integer forms (680 when both factors of
-        # each of the 340 products are converted)
-        assert counts["scale"] < 20
-        assert counts["ints"] < 300
+        # the subset recursion scales nothing (the permutation sum scaled its
+        # 17 entries theta^(k)/k!); about 70 integer forms from cold theta
+        # caches, 15 from warm ones (146 if both factors of each of the 73
+        # products were converted)
+        assert counts["scale"] == 0
+        assert counts["ints"] < 100
 
     def test_exact_theta_at_bytes_match_reference(self):
         ring = RatFuncRing(("s1", "s2"))
@@ -209,23 +262,23 @@ class TestSharedMinors:
 # through F_bo(q; 1/t) = (-1)^n F_bo(q; t) and folds the k-sum into one
 # product per pair; even exact-mode outputs must keep their bytes.
 
-def _ref_eps_inner_sum(units, ring, order, k):
+def _ref_eps_inner_sum(units, ring, order, k, kernel=f_bo):
     total = QSeries.zero(ring, F(order))
     for eps in itertools.product((1, -1), repeat=len(units)):
         us = tuple(u if e > 0 else ring.inv(u) for u, e in zip(units, eps))
         x = ring.one()
         for u in us:
             x = ring.mul(x, u)
-        term = f_bo(us, ring, order).scale(unit_pow(ring, x, int(2 * k)))
+        term = kernel(us, ring, order).scale(unit_pow(ring, x, int(2 * k)))
         total = total + (term if math.prod(eps) > 0 else -term)
     return total
 
 
-def _ref_graded_trace_F(sector, units, ring, order, zvar=None, zscale=1):
+def _ref_graded_trace_F(sector, units, ring, order, zvar=None, zscale=1, kernel=f_bo):
     order = F(order)
     total = QSeries.zero(ring, order)
     for k in lattice_points("int" if sector == "NS" else "half", order):
-        term = _ref_eps_inner_sum(units, ring, order, k).shift(k * k / 2).truncated(order)
+        term = _ref_eps_inner_sum(units, ring, order, k, kernel).shift(k * k / 2).truncated(order)
         if zvar is not None:
             term = term.scale(ring.var(zvar, int(zscale * k)))
         total = total + term

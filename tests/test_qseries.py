@@ -580,8 +580,10 @@ def test_eval_f_bo_materializes_few_term_dicts(monkeypatch):
     monkeypatch.setattr(QSeries, "__init__", counting_init)
     monkeypatch.setattr(QSeries, "_from_ints", classmethod(counting_from_ints))
     monkeypatch.setattr(QSeries, "terms", property(counting_terms))
+    f_bo.cache_clear()  # the sub-tuples' values come from f_bo's cache
     f_bo.__wrapped__((F(2), F(3), F(5), F(7)), R, 6)
-    # about 1,040 series are made and none builds its Fraction dict; the
-    # bound allows one series in fifty
-    assert counts["created"] > 500
+    # about 360 series are made from cold theta caches (about 160 from warm
+    # ones) and none builds its Fraction dict; the bound allows one series
+    # in fifty
+    assert counts["created"] > 150
     assert counts["materialized"] < counts["created"] // 50

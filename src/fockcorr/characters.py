@@ -25,9 +25,10 @@ from .laurent import LaurentPoly, exact_div
 FAMILIES = ("SO2l", "O2l", "B2l1", "Sp2l", "Pin2l")
 
 
-def det_laurent(rows):
-    """Determinant of a square matrix of LaurentPoly entries, by cofactor
-    expansion along the first row."""
+def det_laurent(rows, zero):
+    """Determinant of a square matrix by cofactor expansion along the first
+    row, skipping zero entries; ``zero`` is the zero of the entries' type
+    (a ``LaurentPoly`` or a ``QSeries``), where the running total starts."""
     n = len(rows)
     if n == 0:
         raise ValueError("empty determinant")
@@ -35,13 +36,13 @@ def det_laurent(rows):
         raise ValueError("matrix must be square")
     if n == 1:
         return rows[0][0]
-    total = LaurentPoly.zero(rows[0][0].vars)
+    total = zero
     for j in range(n):
         entry = rows[0][j]
         if entry.is_zero:
             continue
         minor = [r[:j] + r[j + 1:] for r in rows[1:]]
-        term = entry * det_laurent(minor)
+        term = entry * det_laurent(minor, zero)
         total = total + (term if j % 2 == 0 else -term)
     return total
 
@@ -95,7 +96,7 @@ def numerator_det(family, weight, l, kind=None):
     variables = torus_vars(family, l)
     kind = kind or _det_kind(family)
     rows = _weight_rows(family, _num_exponents(family, weight, l), l, variables, kind)
-    return det_laurent(rows)
+    return det_laurent(rows, LaurentPoly.zero(variables))
 
 
 @lru_cache(maxsize=None)
@@ -103,7 +104,7 @@ def denominator_det(family, l, kind=None):
     variables = torus_vars(family, l)
     kind = kind or _det_kind(family)
     rows = _weight_rows(family, _den_exponents(family, l), l, variables, kind)
-    return det_laurent(rows)
+    return det_laurent(rows, LaurentPoly.zero(variables))
 
 
 @lru_cache(maxsize=None)

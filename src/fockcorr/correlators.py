@@ -16,12 +16,11 @@ so the bytes are the same.  In eval mode ``theta_at`` substitutes s through
 the ring's integer evaluator, and the series products and inverses run on
 integer numerators (see ``qseries``).
 
-Over ``RatFuncRing`` it keeps the permutation sum of theta determinants.  It
-shares entries and minors within a call and ``theta_at`` computes each unit
-power once, but the arithmetic is that of expanding every determinant
-afresh, in the same order: exact rational functions are stored unreduced,
-so their bytes follow the order of operations, which the recorded outputs
-pin.  This route goes once exact values have a canonical form.
+Over ``RatFuncRing`` it keeps the permutation sum of theta determinants,
+each built and expanded afresh (``theta_at`` still computes each unit power
+once), in a fixed order: exact rational functions are stored unreduced, so
+their bytes follow the order of operations, which the recorded outputs pin.
+This route goes once exact values have a canonical form.
 
 The eps sums over the 2^n sign vectors use F_bo(q; 1/t) = (-1)^n F_bo(q; t)
 (Bloch-Okounkov): the terms for eps and -eps pair up as
@@ -38,6 +37,7 @@ from functools import lru_cache
 from itertools import permutations, product
 from math import factorial
 
+from .characters import det_laurent
 from .combinat import ModuleLabel
 from .errors import InternalCheckError, LabelError, NonUnitError, PoleError
 from .laurent import LaurentPoly, RationalFunction
@@ -193,33 +193,6 @@ def inv_theta_at(unit, ring, order):
 # the theta-determinant n-point kernel
 # ---------------------------------------------------------------------------
 
-def _det_qseries(rows, cols, ring, order, minors, row=0):
-    """Determinant of ``rows`` by Laplace expansion along the first row.
-
-    ``rows`` are rows ``row``.. of a larger matrix and ``cols[j]`` names the
-    entries of column j.  A minor of size >= 2 is looked up in ``minors`` by
-    its first row and its column names, and expanded only on a miss."""
-    n = len(rows)
-    if n == 1:
-        return rows[0][0] if rows[0][0] is not None else QSeries.zero(ring, order)
-    total = QSeries.zero(ring, order)
-    for j in range(n):
-        entry = rows[0][j]
-        if entry is None or entry.is_zero:
-            continue
-        sub_cols = cols[:j] + cols[j + 1:]
-        key = (row + 1, sub_cols)
-        det = minors.get(key)
-        if det is None:
-            minor = [r[:j] + r[j + 1:] for r in rows[1:]]
-            det = _det_qseries(minor, sub_cols, ring, order, minors, row + 1)
-            if n > 2:
-                minors[key] = det
-        term = entry * det
-        total = total + (term if j % 2 == 0 else -term)
-    return total
-
-
 @lru_cache(maxsize=None)
 def f_bo(units, ring, order):
     """The Bloch-Okounkov n-point kernel; n = 0 gives 1/(q;q), n = 1 gives
@@ -239,13 +212,8 @@ def f_bo(units, ring, order):
 
     Exact rational functions are kept unreduced, so their bytes follow the
     order of operations; ``RatFuncRing`` keeps the permutation sum of theta
-    determinants, each expanded along its first row.  Column j (1-based) of
-    sigma's matrix depends only on j, the row and the index set sigma[:n-j],
-    so a minor is named by its first row and, per column, j and that set's
-    bitmask.  Minors of size >= 2 are kept under that name for the length of
-    one call and shared between the permutations, and so is each entry,
-    under (k, bitmask).  The keys hold indices only, never ring elements,
-    whose hash need not follow their equality (``RationalFunction``)."""
+    determinants, each built afresh and expanded along its first row by
+    ``det_laurent``."""
     order = Fraction(order)
     n = len(units)
     if n == 0:
@@ -262,37 +230,28 @@ def f_bo(units, ring, order):
             total = total + (term if k % 2 else -term)
         inv = inv_theta_at(_unit_prod(ring, units), ring, order)
         return (total * inv).truncated(order)
-    total = QSeries.zero(ring, order)
+    zero = QSeries.zero(ring, order)
+    total = zero
     one = ring.one()
-    minors = {}
-    entries = {}
     for sigma in permutations(range(n)):
-        # partial products u_m = s_{sigma(1)} ... s_{sigma(m)}, and the
-        # bitmasks of the index sets sigma[:m]
+        # partial products u_m = s_{sigma(1)} ... s_{sigma(m)}
         partial = [one]
-        masks = [0]
         for m in range(n):
             partial.append(ring.mul(partial[-1], units[sigma[m]]))
-            masks.append(masks[-1] | 1 << sigma[m])
-        cols = tuple((j, masks[n - j]) for j in range(1, n + 1))
         rows = []
         for i in range(1, n + 1):
             row = []
             for j in range(1, n + 1):
                 k = j - i + 1
                 if k < 0:
-                    row.append(None)
+                    row.append(zero)
                     continue
-                key = (k, masks[n - j])
-                entry = entries.get(key)
-                if entry is None:
-                    entry = theta_at(k, partial[n - j], ring, order)
-                    if k > 1:
-                        entry = entry * Fraction(1, factorial(k))
-                    entries[key] = entry
+                entry = theta_at(k, partial[n - j], ring, order)
+                if k > 1:
+                    entry = entry * Fraction(1, factorial(k))
                 row.append(entry)
             rows.append(row)
-        term = _det_qseries(rows, cols, ring, order, minors)
+        term = det_laurent(rows, zero)
         for m in range(1, n + 1):
             term = term * inv_theta_at(partial[m], ring, order)
         total = total + term
@@ -432,7 +391,13 @@ def weyl_correlator(weight, wtype, l, units, ring, order):
 
 @lru_cache(maxsize=None)
 def half_level_base(sector, units, ring, order):
-    """Level-1/2 base function by the subset recursion, memoized per subset.
+    """Level-1/2 base function by the subset recursion
+
+        base(B) = (F(B) - sum_{A} base(A) base(B-A)) / (2 base(()))
+
+    over the nonempty proper sub-tuples A of B = ``units`` (in index order),
+    with F the graded trace of the sector.  Each base(A) is a call of
+    ``half_level_base``, so its cache shares every subset's series.
 
     sector 'D': the NS neutral-fermion n-point function; its n = 0 value is
     (-q^{1/2};q).  sector 'B': the R analogue with n = 0 value
@@ -440,7 +405,6 @@ def half_level_base(sector, units, ring, order):
     """
     order = Fraction(order)
     n = len(units)
-    memo = {}
     if sector == "D":
         empty = em_half(ring, order)
         norm = empty.inverse()
@@ -451,28 +415,18 @@ def half_level_base(sector, units, ring, order):
         trace_sector = "R"
     else:
         raise ValueError("sector must be 'D' or 'B'")
-
-    def base(idx):
-        if idx in memo:
-            return memo[idx]
-        if not idx:
-            memo[idx] = empty
-            return empty
-        sub = tuple(units[i] for i in idx)
-        full = graded_trace_F(trace_sector, sub, ring, order)
-        if sector == "B":
-            full = full * Fraction(1, 2)
-        cross = QSeries.zero(ring, order)
-        m = len(idx)
-        for bits in range(1, 2 ** m - 1):
-            left = tuple(idx[i] for i in range(m) if bits >> i & 1)
-            right = tuple(idx[i] for i in range(m) if not bits >> i & 1)
-            cross = cross + base(left) * base(right)
-        val = ((full - cross) * norm) * Fraction(1, 2)
-        memo[idx] = val.truncated(order)
-        return memo[idx]
-
-    return base(tuple(range(n)))
+    if n == 0:
+        return empty
+    full = graded_trace_F(trace_sector, units, ring, order)
+    if sector == "B":
+        full = full * Fraction(1, 2)
+    cross = QSeries.zero(ring, order)
+    for bits in range(1, 2 ** n - 1):
+        left = tuple(u for i, u in enumerate(units) if bits >> i & 1)
+        right = tuple(u for i, u in enumerate(units) if not bits >> i & 1)
+        cross = cross + (half_level_base(sector, left, ring, order)
+                         * half_level_base(sector, right, ring, order))
+    return (((full - cross) * norm) * Fraction(1, 2)).truncated(order)
 
 
 def npoint(label: ModuleLabel, units, ring, order):

@@ -138,6 +138,28 @@ def test_verify_pass_and_list():
         assert key in proc.stdout
 
 
+@pytest.mark.parametrize("argv", [
+    ["weyl-denom-B", "--l", "-3"],
+    ["weyl-denom-D", "--l", "0"],
+    ["shift-sym", "--kmax", "-1"],
+    ["oracle-a1", "--mmax", "-1"],
+    ["weyl-lemma", "--count", "0"],
+])
+def test_verify_that_checks_nothing_is_a_usage_error(argv, capsys):
+    from fockcorr import cli
+    assert cli.main(["verify", *argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error:")
+
+
+def test_verify_weyl_lemma_reports_only_the_requested_rank(capsys):
+    from fockcorr import cli
+    assert cli.main(["verify", "weyl-lemma", "--l", "0", "--count", "1"]) == 0
+    out = capsys.readouterr().out
+    assert "l=0 " in out and "1..4" not in out
+
+
 def test_verify_with_s_values():
     proc = run_cli("verify", "howe-D", "--l", "1", "--n", "1", "--order", "6",
                    "--s", "2")

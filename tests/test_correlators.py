@@ -87,8 +87,8 @@ class TestFbo:
 
 # A plain reference for f_bo: every permutation's determinant expanded along
 # its first row afresh, and every unit power recomputed per term, with
-# no cache of any kind.  Over RatFuncRing the package shares minors and
-# powers but must do the same arithmetic in the same order, so even
+# no cache of any kind.  Over RatFuncRing the package shares unit powers
+# but must do the same arithmetic in the same order, so even
 # exact-mode outputs (whose denominators are not reduced) agree byte for
 # byte.  Over the other rings it runs the subset recursion, whose values
 # must agree term by term.

@@ -10,6 +10,7 @@ from fractions import Fraction as F
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from fockcorr import correlators as corr
 from fockcorr.combinat import enumerate_labels
 from fockcorr.correlators import npoint
 from fockcorr.identities import (_HOWE_SETUP, _qdim_grid, check_graded_a,
@@ -66,6 +67,34 @@ def test_graded_traces_eval_n3():
 def test_recursions_alternate_points():
     assert check_rec_d_half(n=2, order=6, mode="eval", svals=(F(5, 2), 3)).ok
     assert check_rec_b_half(n=2, order=6, mode="eval", svals=(F(5, 2), 3)).ok
+
+
+def test_recursions_above_one_point_have_an_oracle_route():
+    # above n = 1 the subset recursion holds by construction of the base,
+    # so a pass has to include the comparison with the oracle
+    for check in (check_rec_d_half, check_rec_b_half):
+        rep = check(n=2, order=5, mode="eval", svals=(F(5, 2), 3))
+        assert rep.ok and rep.checks == 2, rep.line()
+
+
+def test_rec_d_half_computes_each_subset_trace_once(monkeypatch):
+    # one graded trace per nonempty subset of the 3 units, plus the left side
+    calls = []
+    graded_trace_F = corr.graded_trace_F
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return graded_trace_F(*args, **kwargs)
+
+    corr.half_level_base.cache_clear()
+    monkeypatch.setattr(corr, "graded_trace_F", counted)
+    assert check_rec_d_half(n=3, order=6, mode="eval", svals=(2, 3, 5)).ok
+    assert len(calls) <= 2 ** 3
+
+
+def test_weyl_lemma_rank_zero_reports_rank_zero():
+    rep = check_weyl_lemma(l=0, count=1)
+    assert rep.ok and rep.params["l"] == 0 and rep.checks == 3
 
 
 def test_weyl_lemma_spot_high_order():

@@ -2,6 +2,8 @@
 """Run the whole identity registry with per-identity timing.
 
 Usage: python scripts/run_verification_suite.py [identity ...]
+
+Exit codes: 0 all pass, 1 a failure, 2 an unknown identity name.
 """
 
 import sys
@@ -12,6 +14,11 @@ from fockcorr import identities
 
 def main(argv):
     subset = set(argv) or None
+    unknown = sorted(set(argv) - set(identities.REGISTRY))
+    if unknown:
+        print(f"unknown identity {', '.join(map(repr, unknown))}; "
+              f"see fockcorr list-identities", file=sys.stderr)
+        return 2
     failures = 0
     t_total = time.monotonic()
     for key in identities.REGISTRY:

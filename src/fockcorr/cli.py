@@ -36,6 +36,23 @@ def _fraction(text):
         raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from exc
 
 
+def _order(text):
+    """A q-order: a positive rational; below it nothing would be computed,
+    compared or printed, so zero or less is a usage error (exit 2)."""
+    order = _fraction(text)
+    if order <= 0:
+        raise argparse.ArgumentTypeError(f"order must be positive: {text!r}")
+    return order
+
+
+def _state_budget(text):
+    """An oracle state budget: an integer of at least 1 (exit 2 otherwise)."""
+    budget = _fraction(text)
+    if budget.denominator != 1 or budget < 1:
+        raise argparse.ArgumentTypeError(f"state budget must be an integer >= 1: {text!r}")
+    return int(budget)
+
+
 def _int_list(text):
     if not text:
         return ()
@@ -229,7 +246,7 @@ def build_parser():
                        help="comma-separated weakly decreasing parts")
         p.add_argument("--det", action="store_true")
         p.add_argument("--spin", action="store_true")
-        p.add_argument("--order", type=_fraction, required=True)
+        p.add_argument("--order", type=_order, required=True)
         p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("corr", help="closed-form correlation function")
@@ -252,16 +269,16 @@ def build_parser():
                    help='";"-separated ops, e.g. "D,s=2;D,t=9"')
     p.add_argument("--charge", type=_charge_list, default=None,
                    help="per-pair charge filter (comma list; '-' skips a pair)")
-    p.add_argument("--order", type=_fraction, required=True)
+    p.add_argument("--order", type=_order, required=True)
     p.add_argument("--graded", action="store_true",
                    help="grade the output by per-pair charge variables")
-    p.add_argument("--max-states", type=int, default=None)
+    p.add_argument("--max-states", type=_state_budget, default=None)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("verify", help="run a registry identity (or 'all')")
     p.add_argument("identity")
-    p.add_argument("--order", type=_fraction, default=None)
+    p.add_argument("--order", type=_order, default=None)
     p.add_argument("--l", type=int, default=None)
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--type", choices=("B", "C", "D"), default=None)

@@ -17,10 +17,10 @@ the ring's integer evaluator, and the series products and inverses run on
 integer numerators (see ``qseries``).
 
 Over ``RatFuncRing`` it keeps the permutation sum of theta determinants,
-each built and expanded afresh (``theta_at`` still computes each unit power
-once), in a fixed order: exact rational functions are stored unreduced, so
-their bytes follow the order of operations, which the recorded outputs pin.
-This route goes once exact values have a canonical form.
+each built and expanded afresh, in a fixed order: exact rational functions
+are stored unreduced, so their bytes follow the order of operations, which
+the recorded outputs pin.  This route goes once exact values have a
+canonical form.
 
 The eps sums over the 2^n sign vectors use F_bo(q; 1/t) = (-1)^n F_bo(q; t)
 (Bloch-Okounkov): the terms for eps and -eps pair up as
@@ -288,12 +288,14 @@ def _pair_weight(ring, uprod, k2, n):
     return ring.add(w, unit_pow(ring, uprod, -k2)) if n else w
 
 
+@lru_cache(maxsize=None)
 def eps_inner_sum(units, ring, order, k):
     """sum over eps of [eps] (prod t^eps)^k F_bo(q; t^eps); k may be half-integral.
 
     Summed over the vectors with eps_1 = +1 only, each as
     [eps] F_bo(q; t^eps) (x^k + x^-k) with x = prod t^eps, so ``f_bo`` runs
-    2^(n-1) times."""
+    2^(n-1) times.  Cached: the Weyl sums of every label over the same
+    units, ring and order share the inner sums."""
     k2 = Fraction(k) * 2
     if k2.denominator != 1:
         raise ValueError("k must be integral or half-integral")
@@ -370,23 +372,30 @@ def weyl_correlator(weight, wtype, l, units, ring, order):
     order = Fraction(order)
     if l == 0:
         return QSeries.one(ring, order)
-    inner_cache = {}
-
-    def inner(k):
-        if k not in inner_cache:
-            inner_cache[k] = eps_inner_sum(units, ring, order, k)
-        return inner_cache[k]
-
     total = QSeries.zero(ring, order)
     for sign, qexp, kvec in weyl_sum(weight, wtype, l):
         if qexp >= order:
             continue
         term = QSeries.one(ring, order)
         for k in kvec:
-            term = term * inner(k)
+            term = term * eps_inner_sum(units, ring, order, k)
         term = term.shift(qexp)
         total = total + (term if sign > 0 else -term)
     return total.truncated(order)
+
+
+@lru_cache(maxsize=None)
+def _half_level_sector(sector, ring, order):
+    """(base(()), 1/base(()), trace sector) of a level-1/2 sector, built
+    once per (sector, ring, order) for all of ``half_level_base``'s subsets."""
+    if sector == "D":
+        empty = em_half(ring, order)
+        return empty, empty.inverse(), "NS"
+    if sector == "B":
+        return (em_one(ring, order - Fraction(1, 16)).shift(Fraction(1, 16)),
+                em_one(ring, order + Fraction(1, 16)).inverse().shift(Fraction(-1, 16)),
+                "R")
+    raise ValueError("sector must be 'D' or 'B'")
 
 
 @lru_cache(maxsize=None)
@@ -405,16 +414,7 @@ def half_level_base(sector, units, ring, order):
     """
     order = Fraction(order)
     n = len(units)
-    if sector == "D":
-        empty = em_half(ring, order)
-        norm = empty.inverse()
-        trace_sector = "NS"
-    elif sector == "B":
-        empty = em_one(ring, order - Fraction(1, 16)).shift(Fraction(1, 16))
-        norm = em_one(ring, order + Fraction(1, 16)).inverse().shift(Fraction(-1, 16))
-        trace_sector = "R"
-    else:
-        raise ValueError("sector must be 'D' or 'B'")
+    empty, norm, trace_sector = _half_level_sector(sector, ring, order)
     if n == 0:
         return empty
     full = graded_trace_F(trace_sector, units, ring, order)

@@ -31,7 +31,7 @@ from fractions import Fraction
 from operator import add
 
 from .errors import PoleError, ResourceLimitError
-from .laurent import LaurentPoly, RationalFunction
+from .laurent import LaurentPoly
 from .qseries import QSeries, from16, to16, unit_pow
 
 NS, RAMOND = "ns", "r"
@@ -339,8 +339,7 @@ def trace(spec: SectorSpec, ops, ring, *, zvars=None, zscale=1,
                 exps[idx] += zscale * c + int(zshift)
             exps = tuple(exps)
             monomials[exps] = monomials.get(exps, 0) + m
-        out = LaurentPoly(ring.vars, monomials, _clean=False)
-        return RationalFunction.from_laurent(out) if ring.mode == "ratfunc" else out
+        return ring.from_laurent(LaurentPoly(ring.vars, monomials, _clean=False))
 
     terms = []
     for (e16, counts), poly in folded.items():

@@ -317,7 +317,7 @@ def howe_check(identity, l=1, n=1, order=6, svals=(2, 3), mode="eval"):
     for label in enumerate_labels(algebra, level, order):
         series = corr.npoint(label, scalar_units, scalar, order)
         if scalar is not ring:
-            series = series.convert(ring)
+            series = series.map_to(ring, ring.from_fraction)
         factor = _coeff_factor(identity, label)
         if l:
             num = lift_coeff(ring, numerator_det(family, label.weight(), l))

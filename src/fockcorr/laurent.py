@@ -32,6 +32,10 @@ once.  Int order is lex order, so long division keeps its order of steps,
 and the product keeps the term order of a loop over exponent tuples.
 ``terms`` stays keyed by tuples.  A ``LaurentPoly`` keeps its box once
 computed, since its terms never change.
+
+``LaurentPoly.subst`` is the one substitution of monomials for variables
+(theta at a unit, a character embedded into a larger ring): each term maps
+to one term, with no products of polynomials.
 """
 
 from __future__ import annotations
@@ -41,8 +45,6 @@ from heapq import heapify, heappop, heappush
 from operator import add, gt, mul, sub
 
 from .errors import InexactDivisionError, PoleError
-
-Exps = tuple  # integer exponent vector aligned with a variable tuple
 
 
 def _fr(x):
@@ -329,33 +331,26 @@ class LaurentPoly:
                 out[e] = _fr(c * w)
         return LaurentPoly(self.vars, out, _clean=False)
 
-    def invert_vars(self, names):
-        """Substitute v -> 1/v for each named variable."""
-        idx = [i for i, v in enumerate(self.vars) if v in names]
-        if not idx:
-            return self
+    def subst(self, target_vars, images):
+        """Substitute ``images[v]``, a one-term LaurentPoly c_v * x**e_v in
+        ``target_vars``, for each variable v; the one place where monomials
+        are substituted for variables.  A term c * prod v**k maps to the one
+        term c * prod c_v**k * x**(sum k * e_v), with no LaurentPoly products;
+        terms with equal images add, and a zero sum drops."""
+        target_vars = tuple(target_vars)
+        imgs = [images[v] for v in self.vars]
+        if any(img.vars != target_vars or len(img.terms) != 1 for img in imgs):
+            raise ValueError(f"images must be one term in {target_vars}")
+        imgs = [next(iter(img.terms.items())) for img in imgs]
         out = {}
-        for e, c in self.terms.items():
-            ee = list(e)
-            for i in idx:
-                ee[i] = -ee[i]
-            out[tuple(ee)] = c
-        return LaurentPoly(self.vars, out, _clean=False)
-
-    def subst(self, target_vars, unit_map):
-        """Substitute each variable by a (unit) LaurentPoly in ``target_vars``.
-
-        ``unit_map[name]`` must be a monomial so negative exponents stay
-        representable.
-        """
-        out = LaurentPoly.zero(target_vars)
-        for e, c in self.terms.items():
-            m = LaurentPoly.const(target_vars, c)
-            for name, k in zip(self.vars, e):
+        for exps, c in self.terms.items():
+            e = (0,) * len(target_vars)
+            for k, (ek, ck) in zip(exps, imgs):
                 if k:
-                    m = m * (unit_map[name] ** k)
-            out = out + m
-        return out
+                    e = tuple([a + k * x for a, x in zip(e, ek)])
+                    c = c if ck == 1 else c * Fraction(ck) ** k
+            out[e] = out.get(e, 0) + c
+        return LaurentPoly(target_vars, {e: _fr(c) for e, c in out.items() if c}, _clean=False)
 
     def eval_at(self, point):
         """Exact evaluation to a Fraction; every variable must be bound."""
@@ -784,22 +779,6 @@ class RationalFunction:
             raise ZeroDivisionError("inverse of zero")
         return RationalFunction(self.den, self.num)
 
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        return self * other.inverse()
-
-    def __pow__(self, n):
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = RationalFunction.const(self.vars, 1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return out
-
     def __eq__(self, other):
         other = self._coerce(other)
         if not isinstance(other, RationalFunction):
@@ -814,11 +793,6 @@ class RationalFunction:
         if self._hash is None:
             self._hash = hash((self.num, self.den))
         return self._hash
-
-    def subst(self, target_vars, unit_map):
-        num = self.num.subst(target_vars, unit_map)
-        den = self.den.subst(target_vars, unit_map)
-        return RationalFunction(num, den)
 
     def eval_at(self, point):
         d = self.den.eval_at(point)

@@ -20,7 +20,8 @@ read, for output or comparison, and kept (series never change after
 construction).  A series built from coefficients makes its integer form on
 first use.  ``RationalRing.evaluator`` likewise evaluates a Laurent
 polynomial at a rational point as one integer sum.  Every other ring uses
-the generic coefficient loops, in the same order as ever.
+the generic coefficient loops, in the same order as ever, and substitutes
+through ``LaurentPoly.subst`` (see ``_Ring``).
 """
 
 from __future__ import annotations
@@ -53,10 +54,27 @@ def from16(n: int) -> Fraction:
 
 class _Ring:
     """What the three coefficient rings share: the element operators and an
-    identity of (mode, variables).  ``repr`` is part of the disk-cache keys."""
+    identity of (mode, variables).  ``repr`` is part of the disk-cache keys.
+
+    The Laurent-based rings own their conversions, ``from_laurent`` and
+    ``to_laurent``; their constants and variables, the evaluator and
+    ``lift_coeff`` go through them, so a substitution is one
+    ``LaurentPoly.subst``, never a ring operation per term."""
 
     def __init__(self, variables=()):
         self.vars = tuple(variables)
+
+    def zero(self):
+        return self.from_laurent(LaurentPoly.zero(self.vars))
+
+    def one(self):
+        return self.from_fraction(1)
+
+    def from_fraction(self, c):
+        return self.from_laurent(LaurentPoly.const(self.vars, c))
+
+    def var(self, name, power=1, c=1):
+        return self.from_laurent(LaurentPoly.var(self.vars, name, power, c))
 
     def is_zero(self, c):
         return c.is_zero
@@ -78,17 +96,12 @@ class _Ring:
 
     def evaluator(self, unit):
         """A function that evaluates a Laurent polynomial in one variable at
-        ``unit``, one ring operation per term; it computes each power
-        unit**m once."""
-        powers = {}
+        ``unit``: one ``LaurentPoly.subst`` of the unit's Laurent form,
+        taken back into the ring by ``from_laurent``."""
+        image = self.to_laurent(unit)
 
         def at(coeff):
-            acc = self.zero()
-            for (m,), c in coeff.terms.items():
-                if m not in powers:
-                    powers[m] = unit_pow(self, unit, m)
-                acc = self.add(acc, self.mul(self.from_fraction(c), powers[m]))
-            return acc
+            return self.from_laurent(coeff.subst(self.vars, {coeff.vars[0]: image}))
         return at
 
     def __eq__(self, other):
@@ -152,6 +165,9 @@ class RationalRing(_Ring):
             return Fraction(num, den)
         return at
 
+    def from_laurent(self, p):
+        raise ModeMismatchError("cannot lower a Laurent coefficient to rational mode")
+
     def coeff_from_json(self, data):
         return Fraction(data)
 
@@ -164,17 +180,11 @@ class LaurentRing(_Ring):
 
     mode = "laurent"
 
-    def zero(self):
-        return LaurentPoly.zero(self.vars)
+    def from_laurent(self, p):
+        return p
 
-    def one(self):
-        return LaurentPoly.const(self.vars, 1)
-
-    def from_fraction(self, c):
-        return LaurentPoly.const(self.vars, c)
-
-    def var(self, name, power=1, c=1):
-        return LaurentPoly.var(self.vars, name, power, c)
+    def to_laurent(self, a):
+        return a
 
     def inv(self, a):
         if not a.is_monomial():
@@ -190,17 +200,11 @@ class RatFuncRing(_Ring):
 
     mode = "ratfunc"
 
-    def zero(self):
-        return RationalFunction.const(self.vars, 0)
+    def from_laurent(self, p):
+        return RationalFunction.from_laurent(p)
 
-    def one(self):
-        return RationalFunction.const(self.vars, 1)
-
-    def from_fraction(self, c):
-        return RationalFunction.const(self.vars, c)
-
-    def var(self, name, power=1, c=1):
-        return RationalFunction.from_laurent(LaurentPoly.var(self.vars, name, power, c))
+    def to_laurent(self, a):
+        return a.as_laurent()
 
     def inv(self, a):
         if a.is_zero:
@@ -212,25 +216,17 @@ class RatFuncRing(_Ring):
 
 
 def lift_coeff(target_ring, coeff):
-    """Embed a coefficient into a wider ring (rational -> laurent -> ratfunc,
-    or the same mode with a variable superset)."""
+    """Embed a rational (``from_fraction``) or a Laurent polynomial in some
+    of the ring's variables (``from_laurent`` of its ``subst``) into
+    ``target_ring``; anything else raises ``ModeMismatchError``."""
     if isinstance(coeff, (int, Fraction)):
         return target_ring.from_fraction(coeff)
-    if isinstance(coeff, (LaurentPoly, RationalFunction)):
-        if isinstance(coeff, RationalFunction) and target_ring.mode != "ratfunc":
-            raise ModeMismatchError("rational functions only embed into ratfunc mode")
-        if set(coeff.vars) - set(target_ring.vars):
-            raise ModeMismatchError(f"cannot embed vars {coeff.vars} into {target_ring.vars}")
-        unit_map = {
-            v: LaurentPoly.var(target_ring.vars, v) for v in coeff.vars
-        }
-        p = coeff.subst(target_ring.vars, unit_map)
-        if target_ring.mode == "rational":
-            raise ModeMismatchError("cannot lower a Laurent coefficient to rational mode")
-        if target_ring.mode == "ratfunc" and isinstance(p, LaurentPoly):
-            return RationalFunction.from_laurent(p)
-        return p
-    raise ModeMismatchError(f"unknown coefficient type {type(coeff)}")
+    if not isinstance(coeff, LaurentPoly):
+        raise ModeMismatchError(f"cannot embed a {type(coeff).__name__} coefficient")
+    if not set(coeff.vars) <= set(target_ring.vars):
+        raise ModeMismatchError(f"cannot embed vars {coeff.vars} into {target_ring.vars}")
+    images = {v: LaurentPoly.var(target_ring.vars, v) for v in coeff.vars}
+    return target_ring.from_laurent(coeff.subst(target_ring.vars, images))
 
 
 # ---------------------------------------------------------------------------
@@ -536,10 +532,6 @@ class QSeries:
             if not target_ring.is_zero(v):
                 out[e] = v
         return QSeries(target_ring, out, self.trunc, _clean=False)
-
-    def convert(self, target_ring):
-        """Lift every coefficient into a wider ring."""
-        return self.map_to(target_ring, lambda c: lift_coeff(target_ring, c))
 
     def _integer_form(self):
         """(list of (exponent, numerator), common denominator) of a rational

@@ -611,6 +611,37 @@ def _exit_code(argv):
         return exc.code
 
 
+# an order of zero or less computes, compares and prints nothing: at best an
+# empty series or a vacuous [pass], at worst an internal error text
+@pytest.mark.parametrize("argv", [
+    ["verify", "jacobi-z", "--order", "0"],
+    ["verify", "jacobi-z", "--order", "-3"],
+    ["verify", "weyl-lemma", "--order", "0"],
+    ["verify", "qdim-consistency", "--order", "0"],
+    ["verify", "howe-D", "--s", "2", "--order", "0"],
+    ["verify", "f0-trace", "--order", "0"],
+    ["verify", "cor-d", "--order", "0"],
+    ["qdim", "--algebra", "d", "--level", "1", "--order", "0"],
+    ["corr", "--algebra", "d", "--level", "1", "--n", "0", "--order", "0"],
+    ["corr", "--algebra", "d", "--level", "1", "--n", "1", "--order", "0"],
+    ["corr", "--algebra", "d", "--level", "1/2", "--n", "1", "--order", "0"],
+    ["corr", "--algebra", "d", "--level", "1", "--n", "1", "--order=-1/2"],
+    ["oracle", "--pairs", "1", "--sector", "ns", "--order", "0"],
+])
+def test_non_positive_order_is_a_usage_error(argv, capsys):
+    assert _exit_code(argv) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "argument --order: order must be positive: " in out.err
+
+
+@pytest.mark.parametrize("budget", ["-1", "0", "3/2"])
+def test_state_budget_that_is_no_positive_integer_is_a_usage_error(budget, capsys):
+    assert _exit_code(ORACLE_NS2 + ["--max-states", budget]) == 2
+    assert ("argument --max-states: state budget must be an integer >= 1: "
+            in capsys.readouterr().err)
+
+
 @pytest.mark.parametrize("argv", [
     CORR_EVAL2 + ["--s", "2/0,3"],
     ["verify", "howe-D", "--l", "1", "--n", "1", "--order", "3", "--s", "2/0"],

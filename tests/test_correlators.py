@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fockcorr import qseries
+from fockcorr import correlators, qseries
 from fockcorr.combinat import ModuleLabel
 from fockcorr.correlators import (CorrelatorRequest, a_npoint, correlator,
                                   corollary_b_lhs, corollary_b_rhs,
@@ -21,7 +21,7 @@ from fockcorr.correlators import (CorrelatorRequest, a_npoint, correlator,
                                   weyl_correlator)
 from fockcorr.errors import LabelError, PoleError
 from fockcorr.laurent import LaurentPoly, RationalFunction
-from fockcorr.qseries import (QSeries, RatFuncRing, RationalRing,
+from fockcorr.qseries import (LaurentRing, QSeries, RatFuncRing, RationalRing,
                               lattice_points, lattice_sum, pochhammer,
                               unit_pow)
 
@@ -41,7 +41,7 @@ class TestTheta:
 
     def test_antisymmetry(self):
         th = theta(8)
-        flipped = th.map_coeffs(lambda c: c.invert_vars(("s",)))
+        flipped = th.map_coeffs(lambda c: c.subst(SV, {"s": LaurentPoly.var(SV, "s", -1)}))
         assert flipped.first_mismatch(-th) is None
 
     def test_first_derivative_constant_term(self):
@@ -248,6 +248,15 @@ class TestSharedMinors:
         assert counts["scale"] == 0
         assert counts["ints"] < 100
 
+    @pytest.mark.parametrize("unit", [F(3, 2), F(-5), F(1, 7), "z1"])
+    def test_laurent_theta_at_matches_reference(self, unit):
+        # a constant unit (eval mode with z-variables) and a monomial one
+        ring = LaurentRing(("z1",))
+        u = ring.var("z1", 1, F(2, 3)) if unit == "z1" else ring.from_fraction(unit)
+        for k in range(3):
+            assert (theta_at(k, u, ring, 4).dumps()
+                    == _ref_theta_at(k, u, ring, 4).dumps())
+
     def test_exact_theta_at_bytes_match_reference(self):
         ring = RatFuncRing(("s1", "s2"))
         s1, s2 = ring.var("s1"), ring.var("s2")
@@ -329,6 +338,16 @@ class TestEpsPairs:
         ring, units = _exact_units(1, "w")
         with pytest.raises(ValueError, match="z-exponent"):
             graded_trace_F("R", units, ring, 2, zvar="w")
+
+    def test_second_label_over_the_same_units_reuses_the_inner_sums(self):
+        ring, units = RationalRing(), (F(2), F(3))
+        eps_inner_sum.cache_clear()
+        npoint(ModuleLabel("d", 2, (1, 0)), units, ring, 5)
+        before = eps_inner_sum.cache_info()
+        npoint(ModuleLabel("c", 2, (1, 0)), units, ring, 5)
+        after = eps_inner_sum.cache_info()
+        assert after.misses == before.misses
+        assert after.hits > before.hits
 
 
 class TestTypeA:
@@ -480,6 +499,25 @@ class TestHalfLevelBases:
                * em_one(ring, 6) * F(2))
         ref = (num * den.inverse()).shift(F(1, 16))
         assert got.first_mismatch(ref) is None
+
+    @pytest.mark.parametrize("sector", ["D", "B"])
+    def test_normalizer_is_inverted_once_per_sector(self, sector, monkeypatch):
+        # with f_bo warm, the 7 subset calls of an n = 3 base share one
+        # normalizer, built once per (sector, ring, order)
+        ring, units = RationalRing(), (F(2), F(3), F(5))
+        half_level_base(sector, units, ring, 6)
+        half_level_base.cache_clear()
+        correlators._half_level_sector.cache_clear()
+        calls = Counter()
+        inverse = QSeries.inverse
+
+        def counting_inverse(series):
+            calls["inverse"] += 1
+            return inverse(series)
+
+        monkeypatch.setattr(QSeries, "inverse", counting_inverse)
+        half_level_base(sector, units, ring, 6)
+        assert calls["inverse"] <= 1
 
 
 class TestClosedSumForms:

@@ -656,3 +656,56 @@ def test_cached_box_is_the_box_of_the_terms(data):
               prod.shift((1,) * len(vars_))):
         assert p._exp_box() == _box(p.terms)
         assert p._exp_box() == _box(p.terms)  # the cached value, the second time
+
+
+# ``subst`` builds each image term directly; the reference is the
+# substitution by ring operations, a product of powers of the images per
+# term, summed term by term.
+
+def reference_subst(p, target_vars, images):
+    out = LaurentPoly.zero(target_vars)
+    for e, c in p.terms.items():
+        m = LaurentPoly.const(target_vars, c)
+        for name, k in zip(p.vars, e):
+            if k:
+                m = m * (images[name] ** k)
+        out = out + m
+    return out
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_subst_matches_the_ring_operations(data):
+    source = ("x", "y", "z")[:data.draw(st.integers(1, 3))]
+    target = ("s1", "s2", "s3")[:data.draw(st.integers(1, 3))]
+    exps = st.tuples(*[st.integers(-3, 3)] * len(source))
+    p = LaurentPoly(source, dict(data.draw(st.lists(st.tuples(exps, rand_coeff),
+                                                   max_size=6))))
+    # small image exponents and a shared pool of images make equal images,
+    # and so collisions that add or cancel, common
+    pool = data.draw(st.lists(
+        st.builds(lambda e, c: LaurentPoly.monomial(target, e, c),
+                  st.tuples(*[st.integers(-1, 1)] * len(target)),
+                  st.one_of(st.just(1), rand_coeff.filter(bool))),
+        min_size=1, max_size=3))
+    images = {v: data.draw(st.sampled_from(pool)) for v in source}
+    got = p.subst(target, images)
+    assert got.vars == target
+    assert typed_terms(got) == typed_terms(reference_subst(p, target, images))
+
+
+def test_subst_adds_and_cancels_terms_with_equal_images():
+    x, y = LaurentPoly.var(("x", "y"), "x"), LaurentPoly.var(("x", "y"), "y")
+    s = LaurentPoly.var(SV, "s", c=F(1, 2))
+    images = {"x": s, "y": s}
+    assert (x * 2 - y * 2).subst(SV, images).is_zero
+    assert (x * y ** -1 + 3).subst(SV, images) == LaurentPoly.const(SV, 4)
+    assert (x * x - y).subst(SV, images) == poly(SV, {(2,): F(1, 4), (1,): F(-1, 2)})
+
+
+@pytest.mark.parametrize("image", [LaurentPoly.zero(SV),
+                                   LaurentPoly.var(SV, "s") + 1,
+                                   LaurentPoly.var(ZV, "z1")])
+def test_subst_takes_one_term_images_in_the_target_variables(image):
+    with pytest.raises(ValueError):
+        LaurentPoly.var(("x",), "x").subst(SV, {"x": image})

@@ -18,3 +18,17 @@ def test_correlator_tables_runs(capsys):
     out = capsys.readouterr().out
     assert "== level-1/2 bases ==" in out
     assert "== q-dimensions to order q^2 ==" in out
+
+
+def test_run_verification_suite_runs_a_named_identity(capsys):
+    assert _load("run_verification_suite").main(["jacobi-z"]) == 0
+    out = capsys.readouterr().out
+    assert "[pass] jacobi-z" in out
+    assert "all identities pass" in out
+
+
+def test_run_verification_suite_rejects_an_unknown_name(capsys):
+    assert _load("run_verification_suite").main(["jacobi-z", "nosuch"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "unknown identity 'nosuch'" in out.err

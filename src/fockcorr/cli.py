@@ -298,9 +298,10 @@ def build_parser():
     return parser
 
 
-# options whose value is a comma list that may start with '-': a negative
-# number, or '-' for a skipped oracle pair
-LIST_OPTIONS = frozenset({"--s", "--charge"})
+# options whose value may start with '-': a comma list led by a negative
+# number or by '-' for a skipped oracle pair, or a rational that is read
+# here and rejected by its own check (a negative fraction such as -1/2)
+LIST_OPTIONS = frozenset({"--s", "--charge", "--order", "--level", "--max-states"})
 
 
 def _list_option_words(parser):
@@ -324,10 +325,12 @@ def _attach_list_values(argv, list_option_words):
 
     argparse reads a word that starts with '-' as an option unless it is a
     plain negative number, so '-2,3', '-1/2' or '-,1/2' would otherwise
-    leave the option without its value.  A following word that looks like
-    an option ('-h', '--json') is left alone.  The words after the first
-    one naming a subcommand are read with that subcommand's options
-    (``list_option_words`` maps a subcommand to its list-option words).
+    leave the option without its value (``--order -1/2`` would fail with
+    "expected one argument", not with the order's own check).  A following
+    word that looks like an option ('-h', '--json') is left alone.  The
+    words after the first one naming a subcommand are read with that
+    subcommand's options (``list_option_words`` maps a subcommand to its
+    list-option words).
     """
     command = None
     out = []

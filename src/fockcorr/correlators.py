@@ -7,14 +7,20 @@ rational functions in s_1..s_n (plus any z/w grading variables); evaluation
 mode substitutes rational s-values and needs only Laurent (or plain rational)
 coefficients.
 
+Theta and its t d/dt derivatives are built from the Jacobi triple product,
+Theta^(k) = N_k / (q;q)^3, where the numerator ``theta_num_k`` is lacunary:
+two s-terms per q-power n(n-1)/2, about 2 sqrt(2 order) terms in all.
+
 The n-point kernel ``f_bo`` has two routes, chosen by ring.  Over
 ``Fraction`` and ``LaurentPoly`` coefficients, whose elements have one
 canonical form, it runs the subset recursion, each subset's value from
 ``f_bo``'s own cache: about 3^n series products for all subsets of n units,
-where the permutation sum expanded n! determinants.  The values are exact,
-so the bytes are the same.  In eval mode ``theta_at`` substitutes s through
-the ring's integer evaluator, and the series products and inverses run on
-integer numerators (see ``qseries``).
+where the permutation sum expanded n! determinants.  The recursion is a
+ratio of thetas, so (q;q)^3 cancels and it runs on the numerators N_k,
+never on the dense Theta^(k).  The values are exact, so the bytes are the
+same.  In eval mode ``theta_num_at`` substitutes s through the ring's
+integer evaluator, and the series products and inverses run on integer
+numerators (see ``qseries``).
 
 Over ``RatFuncRing`` it keeps the permutation sum of theta determinants,
 each built and expanded afresh, in a fixed order: exact rational functions
@@ -149,24 +155,34 @@ _SRING = LaurentRing(("s",))
 
 
 @lru_cache(maxsize=None)
-def theta(order):
-    """Theta(t) = (t^{1/2}-t^{-1/2}) (q;q)^{-2} (qt;q) (qt^{-1};q), Laurent in s."""
-    order = Fraction(order)
-    ring = _SRING
-    lead = QSeries.monomial(ring, 0, ring.var("s") + ring.var("s", -1, -1), order)
-    body = inv_qq(ring, order) ** 2
-    body = body * pochhammer(ring, ring.var("s", 2), 1, 1, order)
-    body = body * pochhammer(ring, ring.var("s", -2), 1, 1, order)
-    return lead * body
+def theta_num_k(k, order):
+    """N_k(t) = sum_n (-1)^(n+1) (n - 1/2)^k q^(n(n-1)/2) t^(n-1/2), Laurent
+    in s: by the Jacobi triple product Theta^(k) = N_k / (q;q)^3, where
+    Theta(t) = (t^{1/2}-t^{-1/2}) (q;q)^{-2} (qt;q) (qt^{-1};q) and
+    Theta^(k) = (t d/dt)^k Theta.  The q-power n(n-1)/2 carries the two
+    s-terms of n and 1 - n, so N_k has about 2 sqrt(2 order) terms."""
+    terms = []
+    n = 1
+    while n * (n - 1) < 2 * order:
+        c = Fraction(2 * n - 1, 2) ** k * (1 if n % 2 else -1)
+        mirror = c if k % 2 else -c   # the term of 1 - n
+        coeff = LaurentPoly(_SRING.vars, {(2 * n - 1,): c, (1 - 2 * n,): mirror})
+        terms.append((Fraction(n * (n - 1), 2), coeff))
+        n += 1
+    return QSeries.from_terms(_SRING, terms, order)
 
 
 @lru_cache(maxsize=None)
 def theta_k(k, order):
-    """(t d/dt)^k Theta, applied termwise: s^m picks up a factor m/2."""
-    if k == 0:
-        return theta(order)
-    prev = theta_k(k - 1, order)
-    return prev.map_coeffs(lambda c: c.scale_exp_weighted((Fraction(1, 2),)))
+    """Theta^(k) = (t d/dt)^k Theta as N_k (q;q)^-3, Laurent in s."""
+    return theta_num_k(k, order) * inv_qq(_SRING, order) ** 3
+
+
+@lru_cache(maxsize=None)
+def theta_num_at(k, unit, ring, order):
+    """N_k with argument t = unit^2, as a series over ``ring``; cached as
+    ``theta_at`` is, whose place it takes in the subset recursion."""
+    return theta_num_k(k, order).map_to(ring, ring.evaluator(unit))
 
 
 @lru_cache(maxsize=None)
@@ -175,18 +191,20 @@ def theta_at(k, unit, ring, order):
     return theta_k(k, order).map_to(ring, ring.evaluator(unit))
 
 
-@lru_cache(maxsize=None)
-def inv_theta_at(unit, ring, order):
-    th = theta_at(0, unit, ring, order)
-    if th.is_zero or min(th.terms) != 0:
-        raise PoleError("theta argument t = 1 (vanishing leading term)")
-    lead = th.terms[0]
-    if ring.is_zero(lead):
+def _theta_inverse(th):
+    """1/th for a theta factor (or numerator) ``th``, whose q^0 term must be
+    a unit: it vanishes at t = 1, a pole."""
+    if th.is_zero or th.order16() != 0:
         raise PoleError("theta argument t = 1 (vanishing leading term)")
     try:
         return th.inverse()
     except NonUnitError as exc:
         raise PoleError(f"theta factor is not invertible: {exc}") from exc
+
+
+@lru_cache(maxsize=None)
+def inv_theta_at(unit, ring, order):
+    return _theta_inverse(theta_at(0, unit, ring, order))
 
 
 # ---------------------------------------------------------------------------
@@ -204,11 +222,14 @@ def f_bo(units, ring, order):
 
     over the proper sub-tuples A of B = ``units`` (in index order, t_A the
     product of their t's), with no 1/k!: the |B-A|! orderings of the
-    permutation sum below cancel it.  Each F(A) is a call of ``f_bo``, so its
-    cache shares every subset's series between sign vectors, jobs and the
-    subset traces of ``half_level_base``; a call costs about 2^n products.
-    The coefficients of these rings have one canonical form, so the values
-    are those of the permutation sum, to the byte.
+    permutation sum below cancel it.  With Theta^(k) = N_k / (q;q)^3 the
+    factors (q;q)^3 cancel, so it runs on the lacunary numerators:
+    F(B) = N_0(t_B)^-1 sum_{A < B} (-1)^(|B-A|-1) N_(|B-A|)(t_A) F(A).
+    Each F(A) is a call of ``f_bo``, so its cache shares every subset's
+    series between sign vectors, jobs and the subset traces of
+    ``half_level_base``; a call costs about 2^n products.  The coefficients
+    of these rings have one canonical form, so the values are those of the
+    permutation sum, to the byte.
 
     Exact rational functions are kept unreduced, so their bytes follow the
     order of operations; ``RatFuncRing`` keeps the permutation sum of theta
@@ -219,17 +240,18 @@ def f_bo(units, ring, order):
     if n == 0:
         return inv_qq(ring, order)
     if not isinstance(ring, RatFuncRing):
-        total = QSeries.zero(ring, order)
-        for bits in range(2 ** n - 1):
-            sub = tuple(u for i, u in enumerate(units) if bits >> i & 1)
+        # (A, its unit product) for every sub-tuple A of units, in index order
+        subsets = [((), ring.one())]
+        for u in units:
+            subsets += [(sub + (u,), ring.mul(p, u)) for sub, p in subsets]
+        sums = [QSeries.zero(ring, order)] * 2  # by the parity of |B-A|
+        for sub, unit in subsets[:-1]:
             k = n - len(sub)
-            th = theta_at(k, _unit_prod(ring, sub), ring, order)
-            if th.is_zero:
-                continue
-            term = th * f_bo(sub, ring, order)
-            total = total + (term if k % 2 else -term)
-        inv = inv_theta_at(_unit_prod(ring, units), ring, order)
-        return (total * inv).truncated(order)
+            num = theta_num_at(k, unit, ring, order)
+            if not num.is_zero:
+                sums[k % 2] = sums[k % 2] + num * f_bo(sub, ring, order)
+        inv = _theta_inverse(theta_num_at(0, subsets[-1][1], ring, order))
+        return ((sums[1] - sums[0]) * inv).truncated(order)
     zero = QSeries.zero(ring, order)
     total = zero
     one = ring.one()

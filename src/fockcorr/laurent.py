@@ -205,8 +205,6 @@ class LaurentPoly:
                 t.pop(e, None)
         return LaurentPoly(self.vars, t, _clean=False)
 
-    __radd__ = __add__
-
     def __neg__(self):
         return LaurentPoly(self.vars, {e: -c for e, c in self.terms.items()}, _clean=False)
 
@@ -214,9 +212,6 @@ class LaurentPoly:
         if isinstance(other, (int, Fraction)):
             other = LaurentPoly.const(self.vars, other)
         return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -318,18 +313,6 @@ class LaurentPoly:
 
     def map_coeffs(self, f):
         return LaurentPoly(self.vars, {e: f(c) for e, c in self.terms.items()})
-
-    def scale_exp_weighted(self, weights):
-        """Apply the derivation sending a monomial m to (sum w_i e_i) * m.
-
-        With weights 1/2 on an s-variable this is t d/dt for t = s**2.
-        """
-        out = {}
-        for e, c in self.terms.items():
-            w = sum(wi * ei for wi, ei in zip(weights, e))
-            if w:
-                out[e] = _fr(c * w)
-        return LaurentPoly(self.vars, out, _clean=False)
 
     def subst(self, target_vars, images):
         """Substitute ``images[v]``, a one-term LaurentPoly c_v * x**e_v in
@@ -686,9 +669,6 @@ class RationalFunction:
     def is_zero(self):
         return self.num.is_zero
 
-    def is_laurent(self):
-        return self.den.is_const()
-
     def as_laurent(self):
         """Exact Laurent form; raises InexactDivisionError when not polynomial."""
         return exact_div(self.num, self.den)
@@ -723,9 +703,6 @@ class RationalFunction:
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         other = self._coerce(other)

@@ -521,11 +521,9 @@ class QSeries:
         return QSeries(self.ring, {e: c for e, c in self.terms.items() if e < trunc},
                        trunc, _clean=False)
 
-    def map_coeffs(self, f):
-        return self.map_to(self.ring, f)
-
     def map_to(self, target_ring, f):
-        """Like map_coeffs but lands in a different coefficient ring."""
+        """The series over ``target_ring`` whose coefficients are ``f`` of
+        this one's."""
         out = {}
         for e, c in self.terms.items():
             v = f(c)

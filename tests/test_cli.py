@@ -642,6 +642,32 @@ def test_state_budget_that_is_no_positive_integer_is_a_usage_error(budget, capsy
             in capsys.readouterr().err)
 
 
+# a negative fraction as its own word is the option's value, named in full
+# or by an abbreviation, so the option's own check rejects it
+@pytest.mark.parametrize("argv, message", [
+    (["corr", "--algebra", "d", "--level", "1", "--n", "1", "--order", "-1/2"],
+     "argument --order: order must be positive: '-1/2'"),
+    (["corr", "--algebra", "d", "--level", "1", "--n", "1", "--ord", "-1/2"],
+     "argument --order: order must be positive: '-1/2'"),
+    (["verify", "howe-D", "--order", "-1/2"],
+     "argument --order: order must be positive: '-1/2'"),
+    (["corr", "--algebra", "d", "--level", "-1/2", "--n", "1", "--order", "2"],
+     "error: level must be a positive (half-)integer: -1/2"),
+    (["qdim", "--algebra", "d", "--lev", "-1/2", "--order", "2"],
+     "error: level must be a positive (half-)integer: -1/2"),
+    (ORACLE_NS2 + ["--max-states", "-1/2"],
+     "argument --max-states: state budget must be an integer >= 1: '-1/2'"),
+    (ORACLE_NS2 + ["--max", "-1/2"],
+     "argument --max-states: state budget must be an integer >= 1: '-1/2'"),
+])
+def test_rational_value_starting_with_minus_meets_its_own_check(argv, message, capsys):
+    assert _exit_code(argv) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert message in out.err
+    assert "expected one argument" not in out.err
+
+
 @pytest.mark.parametrize("argv", [
     CORR_EVAL2 + ["--s", "2/0,3"],
     ["verify", "howe-D", "--l", "1", "--n", "1", "--order", "3", "--s", "2/0"],

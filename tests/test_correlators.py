@@ -2,6 +2,7 @@ import itertools
 import math
 from collections import Counter
 from fractions import Fraction as F
+from functools import lru_cache
 
 import pytest
 from hypothesis import assume, given, settings
@@ -17,8 +18,8 @@ from fockcorr.correlators import (CorrelatorRequest, a_npoint, correlator,
                                   inv_theta_at, make_ring, make_units, npoint,
                                   qdim, qq_series,
                                   refined_form1, refined_form2, refined_g,
-                                  refined_level1, theta, theta_at, theta_k,
-                                  weyl_correlator)
+                                  refined_level1, theta_at, theta_k,
+                                  theta_num_at, weyl_correlator)
 from fockcorr.errors import LabelError, PoleError
 from fockcorr.laurent import LaurentPoly, RationalFunction
 from fockcorr.qseries import (LaurentRing, QSeries, RatFuncRing, RationalRing,
@@ -34,14 +35,14 @@ def lp(terms):
 
 class TestTheta:
     def test_leading_terms(self):
-        th = theta(2)
+        th = theta_k(0, 2)
         sm = lp({(1,): 1, (-1,): -1})
         assert th.coeff(0) == sm
         assert th.coeff(1) == -(sm * sm * sm)
 
     def test_antisymmetry(self):
-        th = theta(8)
-        flipped = th.map_coeffs(lambda c: c.subst(SV, {"s": LaurentPoly.var(SV, "s", -1)}))
+        th = theta_k(0, 8)
+        flipped = th.map_to(th.ring, lambda c: c.subst(SV, {"s": LaurentPoly.var(SV, "s", -1)}))
         assert flipped.first_mismatch(-th) is None
 
     def test_first_derivative_constant_term(self):
@@ -87,11 +88,27 @@ class TestFbo:
 
 # A plain reference for f_bo: every permutation's determinant expanded along
 # its first row afresh, and every unit power recomputed per term, with
-# no cache of any kind.  Over RatFuncRing the package shares unit powers
-# but must do the same arithmetic in the same order, so even
-# exact-mode outputs (whose denominators are not reduced) agree byte for
-# byte.  Over the other rings it runs the subset recursion, whose values
-# must agree term by term.
+# no cache but that of the theta series.  Theta is built in its product
+# form, which the package does not use.  Over RatFuncRing the package
+# shares unit powers but must do the same arithmetic in the same order, so
+# even exact-mode outputs (whose denominators are not reduced) agree byte
+# for byte.  Over the other rings it runs the subset recursion on the
+# numerators of the Jacobi triple product, whose values must agree term by
+# term.
+
+@lru_cache(maxsize=None)
+def _ref_theta_k(k, order):
+    """(t d/dt)^k of (s - 1/s) (q;q)^-2 (qs^2;q) (qs^-2;q), t = s^2,
+    applied term by term: s^m picks up a factor m/2."""
+    ring = LaurentRing(SV)
+    qq = pochhammer(ring, 1, 1, 1, order)
+    th = (QSeries.monomial(ring, 0, lp({(1,): 1, (-1,): -1}), order)
+          * qq.inverse() ** 2
+          * pochhammer(ring, ring.var("s", 2), 1, 1, order)
+          * pochhammer(ring, ring.var("s", -2), 1, 1, order))
+    return th.map_to(ring, lambda c: lp({e: c_e * F(e[0], 2) ** k
+                                         for e, c_e in c.terms.items()}))
+
 
 def _ref_theta_at(k, unit, ring, order):
     def subst(coeff):
@@ -99,7 +116,7 @@ def _ref_theta_at(k, unit, ring, order):
         for (m,), c in coeff.terms.items():
             acc = ring.add(acc, ring.mul(ring.from_fraction(c), unit_pow(ring, unit, m)))
         return acc
-    return theta_k(k, order).map_to(ring, subst)
+    return _ref_theta_k(k, order).map_to(ring, subst)
 
 
 def _ref_det(rows, ring, order):
@@ -192,8 +209,6 @@ class TestSharedMinors:
         # of the 4 units, 3^4 in all; the permutation sum made about 350
         ring, order = RationalRing(), 6
         inv_qq(ring, order)
-        for k in range(5):
-            theta_k(k, order)
         f_bo.cache_clear()
         calls = Counter()
         mul = QSeries.__mul__
@@ -215,15 +230,42 @@ class TestSharedMinors:
         st.fractions(min_value=-50, max_value=50, max_denominator=1000),
         st.builds(F, st.integers(min_value=-10**30, max_value=10**30),
                   st.integers(min_value=1, max_value=10**20))).filter(bool),
-        st.integers(min_value=0, max_value=4))
+        st.integers(min_value=0, max_value=4),
+        st.sampled_from((1, F(5, 2), 3, 6)))
     @settings(max_examples=60, deadline=None)
-    def test_eval_theta_at_matches_reference(self, s, k):
+    def test_eval_theta_at_matches_reference(self, s, k, order):
         # s negative, non-integral and large: the integer evaluator must
-        # give the per-term values exactly
+        # give the per-term values exactly, and N_k (q;q)^-3 (the Jacobi
+        # triple product) must equal the reference's product form
         ring = RationalRing()
-        got, ref = theta_at(k, s, ring, 3), _ref_theta_at(k, s, ring, 3)
-        assert got.terms == ref.terms
-        assert got.trunc == ref.trunc
+        ref = _ref_theta_at(k, s, ring, order)
+        inv_qq3 = pochhammer(ring, 1, 1, 1, order).inverse() ** 3
+        from_num = theta_num_at(k, s, ring, order) * inv_qq3
+        for got in (theta_at(k, s, ring, order), from_num):
+            assert got.terms == ref.terms
+            assert got.trunc == ref.trunc
+
+    def test_eval_f_bo_builds_no_laurent_theta(self, monkeypatch):
+        # eval mode runs on N_k evaluated term by term: it neither builds
+        # the symbolic Theta^(k) nor multiplies Laurent polynomials
+        for cached in vars(correlators).values():
+            if hasattr(cached, "cache_clear"):
+                cached.cache_clear()
+        calls = Counter()
+        theta_k_, mul = correlators.theta_k, LaurentPoly.__mul__
+
+        def counting_theta_k(*args):
+            calls["theta_k"] += 1
+            return theta_k_(*args)
+
+        def counting_mul(self, other):
+            calls["mul"] += 1
+            return mul(self, other)
+
+        monkeypatch.setattr(correlators, "theta_k", counting_theta_k)
+        monkeypatch.setattr(LaurentPoly, "__mul__", counting_mul)
+        f_bo((F(2), F(3), F(5), F(7)), RationalRing(), 6)
+        assert calls == Counter()
 
     def test_eval_f_bo_scales_and_converts_each_series_once(self, monkeypatch):
         counts = Counter()
@@ -243,8 +285,8 @@ class TestSharedMinors:
         f_bo.__wrapped__((F(2), F(3), F(5), F(7)), RationalRing(), 6)
         # the subset recursion scales nothing (the permutation sum scaled its
         # 17 entries theta^(k)/k!); about 70 integer forms from cold theta
-        # caches, 15 from warm ones (146 if both factors of each of the 73
-        # products were converted)
+        # numerator caches, 15 from warm ones (146 if both factors of each of
+        # the 73 products were converted)
         assert counts["scale"] == 0
         assert counts["ints"] < 100
 
@@ -297,6 +339,34 @@ def _ref_graded_trace_F(sector, units, ring, order, zvar=None, zscale=1, kernel=
 def _exact_units(n, *extra):
     ring = RatFuncRing(tuple(f"s{i + 1}" for i in range(n)) + extra)
     return ring, tuple(ring.var(f"s{i + 1}") for i in range(n))
+
+
+# Labels of the n = 3 eval symmetry test, by (algebra, level, lambda).
+SYMMETRY_LABELS = [("d", F(1, 2), ()), ("d", 1, (0,)), ("c", 1, (1,)),
+                   ("c", 2, (0, 0)), ("b", F(3, 2), (0,)), ("d", F(3, 2), (1,)),
+                   ("d", 2, (1, 0))]
+
+
+@pytest.mark.parametrize("algebra, level, lam", SYMMETRY_LABELS)
+@pytest.mark.parametrize("svals", [(F(2), F(3), F(5)), (F(-3, 2), F(7), F(2, 5))])
+def test_eval_three_point_symmetries(algebra, level, lam, svals):
+    # no closed form is derived from these: each correlator is symmetric in
+    # the t_i, and inverting t_1 multiplies it by (-1)^ceil(level)
+    label = ModuleLabel(algebra, level, lam, spin=algebra == "b", folded=True)
+
+    def corr(s):
+        return correlator(CorrelatorRequest(label, 3, 6, "eval", s))
+
+    base = corr(svals)
+    assert not base.is_zero
+    for i, j in itertools.combinations(range(3), 2):
+        swapped = list(svals)
+        swapped[i], swapped[j] = svals[j], svals[i]
+        got = corr(tuple(swapped))
+        assert got.terms == base.terms and got.trunc == base.trunc
+    got = corr((1 / svals[0],) + svals[1:])
+    sign = (-1) ** math.ceil(F(level))
+    assert (got * sign).terms == base.terms and got.trunc == base.trunc
 
 
 class TestEpsPairs:

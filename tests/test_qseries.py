@@ -582,7 +582,7 @@ def test_eval_f_bo_materializes_few_term_dicts(monkeypatch):
     monkeypatch.setattr(QSeries, "terms", property(counting_terms))
     f_bo.cache_clear()  # the sub-tuples' values come from f_bo's cache
     f_bo.__wrapped__((F(2), F(3), F(5), F(7)), R, 6)
-    # about 360 series are made from cold theta caches (about 160 from warm
+    # about 260 series are made from cold theta caches (about 180 from warm
     # ones) and none builds its Fraction dict; the bound allows one series
     # in fifty
     assert counts["created"] > 150

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations, product
-from math import factorial
+from math import factorial, prod
 
 from .characters import det_laurent
 from .combinat import ModuleLabel
@@ -105,13 +105,6 @@ def make_units(ring, n, mode, svals=()):
         if s in (0, 1, -1):
             raise PoleError(f"s = {s} sits on a pole (t in {{0, 1}})")
     return tuple(ring.from_fraction(s) for s in svals[:n])
-
-
-def _unit_prod(ring, units):
-    out = ring.one()
-    for u in units:
-        out = ring.mul(out, u)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +236,7 @@ def f_bo(units, ring, order):
         # (A, its unit product) for every sub-tuple A of units, in index order
         subsets = [((), ring.one())]
         for u in units:
-            subsets += [(sub + (u,), ring.mul(p, u)) for sub, p in subsets]
+            subsets += [(sub + (u,), p * u) for sub, p in subsets]
         sums = [QSeries.zero(ring, order)] * 2  # by the parity of |B-A|
         for sub, unit in subsets[:-1]:
             k = n - len(sub)
@@ -259,7 +252,7 @@ def f_bo(units, ring, order):
         # partial products u_m = s_{sigma(1)} ... s_{sigma(m)}
         partial = [one]
         for m in range(n):
-            partial.append(ring.mul(partial[-1], units[sigma[m]]))
+            partial.append(partial[-1] * units[sigma[m]])
         rows = []
         for i in range(1, n + 1):
             row = []
@@ -299,7 +292,7 @@ def _eps_data(units, ring):
         sign = 1
         for e in eps:
             sign *= e
-        out.append((sign, us, _unit_prod(ring, us)))
+        out.append((sign, us, prod(us, start=ring.one())))
     return out
 
 
@@ -307,7 +300,7 @@ def _pair_weight(ring, uprod, k2, n):
     """x^k + x^-k for x = uprod^2 and k = k2/2: the weight of an eps pair
     (just x^k = 1 at n = 0)."""
     w = unit_pow(ring, uprod, k2)
-    return ring.add(w, unit_pow(ring, uprod, -k2)) if n else w
+    return w + unit_pow(ring, uprod, -k2) if n else w
 
 
 @lru_cache(maxsize=None)
@@ -358,7 +351,7 @@ def graded_trace_F(sector, units, ring, order, zvar=None, zscale=1):
     for sign, us, uprod in _eps_data(units, ring):
         ws = [_pair_weight(ring, uprod, int(2 * k), len(units)) for k in ks]
         if zpows is not None:
-            ws = [ring.mul(w, z) for w, z in zip(ws, zpows)]
+            ws = [w * z for w, z in zip(ws, zpows)]
         lattice = QSeries.from_terms(ring, [(k * k / 2, w) for k, w in zip(ks, ws)], order)
         term = f_bo(us, ring, order) * lattice
         total = total + (term if sign > 0 else -term)
@@ -380,7 +373,7 @@ def a_npoint(lam, l, units, ring, order):
         for j in range(i + 1, l):
             e = lam[i] - lam[j] + (j - i)
             out = out * (QSeries.one(ring, order) - QSeries.monomial(ring, e, ring.one(), order))
-    tprod = unit_pow(ring, _unit_prod(ring, units), 2 * sum(lam))
+    tprod = unit_pow(ring, prod(units, start=ring.one()), 2 * sum(lam))
     norm2 = sum(m * m for m in lam)
     return out.scale(tprod).shift(Fraction(norm2, 2)).truncated(order)
 
@@ -398,8 +391,8 @@ def weyl_correlator(weight, wtype, l, units, ring, order):
     for sign, qexp, kvec in weyl_sum(weight, wtype, l):
         if qexp >= order:
             continue
-        term = QSeries.one(ring, order)
-        for k in kvec:
+        term = eps_inner_sum(units, ring, order, kvec[0])
+        for k in kvec[1:]:
             term = term * eps_inner_sum(units, ring, order, k)
         term = term.shift(qexp)
         total = total + (term if sign > 0 else -term)
@@ -497,7 +490,7 @@ def refined_g(order):
     terms = []
     n = 1
     while 2 * n - 1 < order:
-        coeff = ring.add(ring.var("s", -(2 * n - 1)), ring.neg(ring.var("s", 2 * n - 1)))
+        coeff = ring.var("s", -(2 * n - 1)) - ring.var("s", 2 * n - 1)
         j = 0
         while (2 * n - 1) * (j + 1) < order:
             terms.append(((2 * n - 1) * (j + 1), coeff))
@@ -539,16 +532,14 @@ def _tddt_log_pochhammer(ring, c, x2, qshift, step, order):
         if e == 0:
             mono = LaurentPoly.var(ring.vars, "s", x2, c)
             rf = RationalFunction(mono, LaurentPoly.const(ring.vars, 1) - mono)
-            terms.append((0, ring.mul(ring.from_fraction(-x), rf)))
+            terms.append((0, ring.from_fraction(-x) * rf))
         else:
             m = 1
             while e * m < order:
                 w = ring.from_fraction(-x * c ** m)
-                terms.append((e * m, ring.mul(w, ring.var("s", x2 * m))))
+                terms.append((e * m, w * ring.var("s", x2 * m)))
                 m += 1
         r += 1
-        if e == 0 and Fraction(step) <= 0:
-            break
     return QSeries.from_terms(ring, terms, order)
 
 
@@ -566,7 +557,7 @@ def refined_form1(sign, order):
         while (r + 1) * (2 * j + 1) < order:
             e = Fraction((r + 1) * (2 * j + 1))
             terms.append((e, ring.var("s", -(2 * j + 1))))
-            terms.append((e, ring.neg(ring.var("s", 2 * j + 1))))
+            terms.append((e, -ring.var("s", 2 * j + 1)))
             j += 1
         r += 1
     s = LaurentPoly.var(("s",), "s")
@@ -640,8 +631,8 @@ def corollary_d_lhs(order):
     order = Fraction(order)
     ring = RatFuncRing(("s",))
     t, tinv = ring.var("s", 2), ring.var("s", -2)
-    num = (pochhammer(ring, ring.neg(t), Fraction(1, 2), 1, order)
-           * pochhammer(ring, ring.neg(tinv), Fraction(1, 2), 1, order)
+    num = (pochhammer(ring, -t, Fraction(1, 2), 1, order)
+           * pochhammer(ring, -tinv, Fraction(1, 2), 1, order)
            * qq_series(ring, order) ** 2)
     den = (pochhammer(ring, t, 1, 1, order)
            * pochhammer(ring, tinv, 1, 1, order)
@@ -662,12 +653,12 @@ def corollary_d_rhs(order):
         while Fraction(r + 1, 2) + (r + 1) * j < order:
             e = Fraction(r + 1, 2) + (r + 1) * j
             c = ring.from_fraction(sgn)
-            terms.append((e, ring.mul(c, ring.var("s", 2 * j + 1))))
-            terms.append((e, ring.neg(ring.mul(c, ring.var("s", -(2 * j + 1))))))
+            terms.append((e, c * ring.var("s", 2 * j + 1)))
+            terms.append((e, -(c * ring.var("s", -(2 * j + 1)))))
             j += 1
         r += 1
     total = QSeries.from_terms(ring, terms, order)
-    factor = ring.add(ring.var("s"), ring.neg(ring.var("s", -1)))
+    factor = ring.var("s") - ring.var("s", -1)
     return (QSeries.one(ring, order) + total.scale(factor)).truncated(order)
 
 
@@ -676,8 +667,8 @@ def corollary_b_lhs(order):
     order = Fraction(order)
     ring = RatFuncRing(("s",))
     t, tinv = ring.var("s", 2), ring.var("s", -2)
-    num = (pochhammer(ring, ring.neg(t), 1, 1, order)
-           * pochhammer(ring, ring.neg(tinv), 0, 1, order)
+    num = (pochhammer(ring, -t, 1, 1, order)
+           * pochhammer(ring, -tinv, 0, 1, order)
            * qq_series(ring, order) ** 2)
     den = (pochhammer(ring, t, 1, 1, order)
            * pochhammer(ring, tinv, 0, 1, order)
@@ -698,8 +689,8 @@ def corollary_b_rhs(order):
         while (r + 1) * j < order:
             e = Fraction((r + 1) * j)
             c = ring.from_fraction(sgn)
-            terms.append((e, ring.mul(c, ring.var("s", 2 * j))))
-            terms.append((e, ring.neg(ring.mul(c, ring.var("s", -2 * j)))))
+            terms.append((e, c * ring.var("s", 2 * j)))
+            terms.append((e, -(c * ring.var("s", -2 * j))))
             j += 1
         r += 1
     s2 = LaurentPoly.var(("s",), "s", 2)

@@ -5,10 +5,10 @@ an exact sum over basis states below an energy cutoff.  Every state is
 enumerated, per fermion flavor (strict mode subsets), and the flavors are
 merged with energy pruning.  A state is keyed by its signature: its energy
 and its occupation count per weight class, a weight class being one
-distinct nonzero tuple of per-op mode weights (found with ``ring.eq``, so
-no ring element is hashed).  Each signature carries its charges as an
-integer polynomial {charge: multiplicity}.  One merge does all the
-combining, adding count tuples and multiplying charge polynomials: it
+distinct nonzero tuple of per-op mode weights (found by ``==`` on each
+pair of entries, so no ring element is hashed).  Each signature carries its
+charges as an integer polynomial {charge: multiplicity}.  One merge does all
+the combining, adding count tuples and multiplying charge polynomials: it
 joins the two flavors of a pair (charges add), and after each pair's
 charge filter it folds the pairs together (per-pair charge tuples
 concatenate).  The neutral fermion joins as one more merge.  So merges do
@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add
+from operator import add, eq
 
 from .errors import PoleError, ResourceLimitError
 from .laurent import LaurentPoly
@@ -114,26 +114,25 @@ def op_mode_weight(kind, flavor, k, ring, unit):
         if flavor == "plus":
             return unit_pow(ring, unit, two_k)
         if flavor == "minus":
-            return ring.neg(unit_pow(ring, unit, -two_k))
+            return -unit_pow(ring, unit, -two_k)
         raise ValueError("A(t) does not act on the neutral fermion")
     # D, C, B all weight occupied modes by t^k - t^{-k}
-    return ring.add(unit_pow(ring, unit, two_k),
-                    ring.neg(unit_pow(ring, unit, -two_k)))
+    return unit_pow(ring, unit, two_k) - unit_pow(ring, unit, -two_k)
 
 
 def op_central(kind, level, ring, unit):
     """The central constant: level-scaled 1/(t^{1/2}-t^{-1/2}) or (t+1)/(t-1)."""
     if kind in ("A", "D", "C"):
-        den = ring.add(unit, ring.neg(ring.inv(unit)))
+        den = unit - ring.inv(unit)
         if ring.is_zero(den):
             raise PoleError("operator argument t = 1")
         scale = level if kind == "A" else 2 * level
-        return ring.mul(ring.from_fraction(scale), ring.inv(den))
-    num = ring.add(unit_pow(ring, unit, 2), ring.one())
-    den = ring.add(unit_pow(ring, unit, 2), ring.neg(ring.one()))
+        return ring.from_fraction(scale) * ring.inv(den)
+    num = unit_pow(ring, unit, 2) + ring.one()
+    den = unit_pow(ring, unit, 2) - ring.one()
     if ring.is_zero(den):
         raise PoleError("operator argument t = 1")
-    return ring.mul(ring.from_fraction(level), ring.mul(num, ring.inv(den)))
+    return ring.from_fraction(level) * (num * ring.inv(den))
 
 
 def _check_ops(spec: SectorSpec, ops):
@@ -171,7 +170,7 @@ def _flavor_signature_states(spec, flavor, ops, ring, max_states, counter):
                     break
                 continue
             rec(j + 1, e2,
-                [ring.add(v, w) for v, w in zip(vals, weights[j])],
+                list(map(add, vals, weights[j])),
                 chosen + [modes[j]])
 
     rec(0, 0, [ring.zero() for _ in ops], [])
@@ -259,7 +258,7 @@ def trace(spec: SectorSpec, ops, ring, *, zvars=None, zscale=1,
             if all(map(ring.is_zero, w)):
                 continue
             j = next((j for j, seen in enumerate(classes)
-                      if all(map(ring.eq, w, seen))), len(classes))
+                      if all(map(eq, w, seen))), len(classes))
             if j == len(classes):
                 classes.append(w)
             class_of[flavor, k] = j
@@ -348,9 +347,8 @@ def trace(spec: SectorSpec, ops, ring, *, zvars=None, zscale=1,
             ev = central
             for w, n in zip(classes, counts):
                 if n:
-                    ev = ring.add(ev, w[i] if n == 1 else
-                                  ring.mul(ring.from_fraction(n), w[i]))
-            val = ring.mul(val, ev)
+                    ev = ev + (w[i] if n == 1 else ring.from_fraction(n) * w[i])
+            val = val * ev
         terms.append((from16(e16) + spec.energy_shift, val))
     return QSeries.from_terms(ring, terms, spec.cutoff + spec.energy_shift)
 
@@ -361,11 +359,11 @@ def eigenvalue(op: OpSpec, state: FockState, spec: SectorSpec, ring):
     total = op_central(op.kind, spec.level, ring, op.unit)
     for p in range(spec.pairs):
         for k in state.psi_plus[p]:
-            total = ring.add(total, op_mode_weight(op.kind, "plus", k, ring, op.unit))
+            total = total + op_mode_weight(op.kind, "plus", k, ring, op.unit)
         for k in state.psi_minus[p]:
-            total = ring.add(total, op_mode_weight(op.kind, "minus", k, ring, op.unit))
+            total = total + op_mode_weight(op.kind, "minus", k, ring, op.unit)
     for k in state.neutral:
-        total = ring.add(total, op_mode_weight(op.kind, "neutral", k, ring, op.unit))
+        total = total + op_mode_weight(op.kind, "neutral", k, ring, op.unit)
     return total
 
 
@@ -404,7 +402,7 @@ def tau_refined_trace(ops, cutoff, ring, max_states=None):
     def weight(v1, v2):
         val = ring.one()
         for i in range(len(ops)):
-            val = ring.mul(val, ring.add(centrals[i], ring.add(v1[i], v2[i])))
+            val = val * (centrals[i] + (v1[i] + v2[i]))
         return val
 
     plain = {}
@@ -417,13 +415,13 @@ def tau_refined_trace(ops, cutoff, ring, max_states=None):
             if e >= cutoff16:
                 continue
             w = weight(vm, vp)
-            plain[e] = ring.add(plain.get(e, ring.zero()), w)
+            plain[e] = plain.get(e, ring.zero()) + w
             if chosen_m == chosen_p:
                 # tau fixes the underlying monomial up to the reordering sign
                 word = [("plus", k) for k in chosen_m] + [("minus", k) for k in chosen_p]
                 sgn = reorder_sign(word)
-                w2 = w if sgn > 0 else ring.neg(w)
-                twisted[e] = ring.add(twisted.get(e, ring.zero()), w2)
+                w2 = w if sgn > 0 else -w
+                twisted[e] = twisted.get(e, ring.zero()) + w2
 
     tr = QSeries(ring, plain, cutoff16, _clean=True)
     trtau = QSeries(ring, twisted, cutoff16, _clean=True)

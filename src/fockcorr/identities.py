@@ -76,7 +76,7 @@ def check_jacobi_half(order=12):
 def check_weyl_denom_d(l=4):
     for rank in range(1, l + 1):
         vars_ = torus_vars("O2l", rank)
-        half_det = denominator_det("O2l", rank).map_coeffs(lambda c: Fraction(c, 2))
+        half_det = denominator_det("O2l", rank) * Fraction(1, 2)
         wd = weyl_denominator_poly("D", rank, vars_)
         if half_det != wd:
             return Report("weyl-denom-D", {"l": rank}, Fraction(0), False,
@@ -135,17 +135,16 @@ def _gt_term(ring, hooks):
     (-1)^(number of hooks)."""
     inner = ring.zero()
     for e in hooks:
-        inner = ring.add(inner, ring.add(ring.var("s", e), ring.neg(ring.var("s", -e))))
+        inner = inner + (ring.var("s", e) - ring.var("s", -e))
     sgn = -2 if len(hooks) % 2 else 2
-    return ring.mul(ring.from_fraction(sgn), inner)
+    return ring.from_fraction(sgn) * inner
 
 
 def check_gt_osp(order=12):
     """:G:(t) closed form against the exhaustive symmetric-partition sum
     (both the hook-coordinate and the OSP reformulation)."""
     ring = RatFuncRing(("s",))
-    central = ring.mul(ring.from_fraction(2),
-                       ring.inv(ring.add(ring.var("s"), ring.neg(ring.var("s", -1)))))
+    central = ring.from_fraction(2) * ring.inv(ring.var("s") - ring.var("s", -1))
     closed = corr.refined_g(order) - corr.qq_odd(ring, order).scale(central)
     terms = []
     for lam in partitions_up_to(int(order) - 1):
@@ -198,7 +197,7 @@ def check_shift_sym(order=6, kmax=2):
     checks = 0
     for k in range(-kmax, kmax + 1):
         trk = trace(spec, [OpSpec("D", u)], ring, charge=k)
-        w = ring.add(ring.var("s", 2 * k), ring.var("s", -2 * k))
+        w = ring.var("s", 2 * k) + ring.var("s", -2 * k)
         ref = (tr0.scale(w) * Fraction(1, 2)).shift(Fraction(k * k, 2)).truncated(order)
         mm = trk.first_mismatch(ref, order)
         if mm is not None:
@@ -375,8 +374,8 @@ def check_rec_d_half(n=2, order=8, mode="exact", svals=(2, 3, 5)):
         return _oracle_route(rep, "D", units, ring, order)
     u = units[0]
     t, tinv = corr.unit_pow(ring, u, 2), corr.unit_pow(ring, u, -2)
-    prod = (pochhammer(ring, ring.neg(t), Fraction(1, 2), 1, order)
-            * pochhammer(ring, ring.neg(tinv), Fraction(1, 2), 1, order)
+    prod = (pochhammer(ring, -t, Fraction(1, 2), 1, order)
+            * pochhammer(ring, -tinv, Fraction(1, 2), 1, order)
             * corr.em_half(ring, order).inverse()
             * corr.inv_theta_at(u, ring, order))
     return _compare("rec-d-half", {"n": 1, "mode": mode, "form": "product"},
@@ -396,8 +395,8 @@ def check_rec_b_half(n=2, order=8, mode="exact", svals=(2, 3, 5)):
         return _oracle_route(rep, "B", units, ring, order)
     u = units[0]
     t, tinv = corr.unit_pow(ring, u, 2), corr.unit_pow(ring, u, -2)
-    num = (pochhammer(ring, ring.neg(t), 1, 1, order)
-           * pochhammer(ring, ring.neg(tinv), 0, 1, order)
+    num = (pochhammer(ring, -t, 1, 1, order)
+           * pochhammer(ring, -tinv, 0, 1, order)
            * corr.qq_series(ring, order) ** 2)
     den = (pochhammer(ring, t, 1, 1, order)
            * pochhammer(ring, tinv, 0, 1, order)

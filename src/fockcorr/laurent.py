@@ -167,16 +167,6 @@ class LaurentPoly:
     def is_zero(self):
         return not self.terms
 
-    def is_const(self):
-        return all(all(x == 0 for x in e) for e in self.terms)
-
-    def const_value(self):
-        if self.is_zero:
-            return 0
-        if not self.is_const():
-            raise ValueError("not a constant")
-        return next(iter(self.terms.values()))
-
     def is_monomial(self):
         return len(self.terms) == 1
 
@@ -310,9 +300,6 @@ class LaurentPoly:
             raise ValueError("zero polynomial has no leading term")
         e = max(self.terms)
         return e, self.terms[e]
-
-    def map_coeffs(self, f):
-        return LaurentPoly(self.vars, {e: f(c) for e, c in self.terms.items()})
 
     def subst(self, target_vars, images):
         """Substitute ``images[v]``, a one-term LaurentPoly c_v * x**e_v in
@@ -647,8 +634,8 @@ class RationalFunction:
         # rational content: den lex-leading coefficient becomes +1
         _, lead = den.lex_lead()
         if lead != 1:
-            den = den.map_coeffs(lambda c: _div(c, lead))
-            num = num.map_coeffs(lambda c: _div(c, lead))
+            den = den * _div(1, lead)
+            num = num * _div(1, lead)
         return num, den
 
     # -- constructors ---------------------------------------------------
@@ -778,7 +765,7 @@ class RationalFunction:
         return self.num.eval_at(point) / d
 
     def __repr__(self):
-        if self.den.is_const() and self.den.const_value() == 1:
+        if self.den == 1:
             return repr(self.num)
         return f"({self.num!r})/({self.den!r})"
 

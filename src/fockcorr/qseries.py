@@ -5,10 +5,13 @@ sixteenths; the public API accepts and returns Fractions.  A series with
 truncation T is known exactly for all exponents < T and unknown at >= T
 (Laurent-style big-O, so negative exponents are representable).
 
-The three coefficient rings (rational, Laurent, rational-function) share
-one base class for the element operators and the ring identity.  A series
-given term by term is built with ``QSeries.from_terms``, which sums
-(exponent, coefficient) pairs into one dict in the order given.
+The three coefficient rings (rational, Laurent, rational-function) build,
+convert, invert and serialize coefficients.  The coefficients (``Fraction``,
+``LaurentPoly``, ``RationalFunction``) do their own arithmetic with
+Python's operators, with the operands kept in the order of the formula:
+the bytes of an unreduced ``RationalFunction`` product follow its operand
+order.  A series given term by term is built with ``QSeries.from_terms``,
+which sums (exponent, coefficient) pairs into one dict in the order given.
 
 A rational (evaluation-mode) series works on its integer form: a list of
 (exponent, integer numerator) pairs over one positive common denominator,
@@ -53,8 +56,12 @@ def from16(n: int) -> Fraction:
 # ---------------------------------------------------------------------------
 
 class _Ring:
-    """What the three coefficient rings share: the element operators and an
-    identity of (mode, variables).  ``repr`` is part of the disk-cache keys.
+    """What the three coefficient rings share: construction (``zero``,
+    ``one``, ``from_fraction``, ``var``), the zero test (``Fraction`` has no
+    ``is_zero``), serialization and an identity of (mode, variables); each
+    ring adds ``inv``, which raises ``NonUnitError`` off the units.  Sums,
+    negations, products and comparisons of coefficients are the elements'
+    own operators.  ``repr`` is part of the disk-cache keys.
 
     The Laurent-based rings own their conversions, ``from_laurent`` and
     ``to_laurent``; their constants and variables, the evaluator and
@@ -78,18 +85,6 @@ class _Ring:
 
     def is_zero(self, c):
         return c.is_zero
-
-    def eq(self, a, b):
-        return a == b
-
-    def add(self, a, b):
-        return a + b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a * b
 
     def coeff_json(self, c):
         return c.to_json()
@@ -298,7 +293,7 @@ class QSeries:
             if (t is not None and e >= t) or ring.is_zero(c):
                 continue
             if e in terms:
-                c = ring.add(terms[e], c)
+                c = terms[e] + c
                 if ring.is_zero(c):
                     del terms[e]
                     continue
@@ -367,7 +362,7 @@ class QSeries:
         terms = dict(self.terms)
         for e, c in other.terms.items():
             if e in terms:
-                v = ring.add(terms[e], c)
+                v = terms[e] + c
                 if ring.is_zero(v):
                     del terms[e]
                 else:
@@ -378,23 +373,18 @@ class QSeries:
             terms = {e: c for e, c in terms.items() if e < trunc}
         return QSeries(ring, terms, trunc, _clean=False)
 
-    __radd__ = __add__
-
     def __neg__(self):
         ring = self.ring
         if ring.mode == "rational":
             nums, den = self._integer_form()
             return QSeries._from_ints(ring, [(e, -n) for e, n in nums], den, self.trunc)
-        return QSeries(ring, {e: ring.neg(c) for e, c in self.terms.items()},
+        return QSeries(ring, {e: -c for e, c in self.terms.items()},
                        self.trunc, _clean=False)
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
             other = QSeries.monomial(self.ring, 0, self.ring.from_fraction(other))
         return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def scale(self, coeff):
         """Multiply by a ring coefficient."""
@@ -408,7 +398,7 @@ class QSeries:
                                       den * coeff.denominator, self.trunc)
         out = {}
         for e, c in self.terms.items():
-            v = ring.mul(c, coeff)
+            v = c * coeff
             if not ring.is_zero(v):
                 out[e] = v
         return QSeries(ring, out, self.trunc, _clean=False)
@@ -444,9 +434,9 @@ class QSeries:
                 e = e1 + e2
                 if trunc is not None and e >= trunc:
                     continue
-                v = ring.mul(c1, c2)
+                v = c1 * c2
                 if e in out:
-                    v = ring.add(out[e], v)
+                    v = out[e] + v
                 if ring.is_zero(v):
                     out.pop(e, None)
                 else:
@@ -493,9 +483,11 @@ class QSeries:
             return QSeries(ring, {-v: c0inv}, out_trunc, _clean=False)
         if rel_trunc is None:
             raise NonUnitError("cannot invert an untruncated non-monomial series")
+        # only multiples of the offsets' gcd can carry a nonzero term
         offsets = sorted(e for e in rel if e > 0)
+        step = math.gcd(*offsets)
         b = {0: c0inv}
-        for e in range(1, rel_trunc):
+        for e in range(step, rel_trunc, step):
             acc = None
             for d in offsets:
                 if d > e:
@@ -503,11 +495,11 @@ class QSeries:
                 be = b.get(e - d)
                 if be is None:
                     continue
-                term = ring.mul(rel[d], be)
-                acc = term if acc is None else ring.add(acc, term)
+                term = rel[d] * be
+                acc = term if acc is None else acc + term
             if acc is None or ring.is_zero(acc):
                 continue
-            b[e] = ring.neg(ring.mul(c0inv, acc))
+            b[e] = -(c0inv * acc)
         out = {e - v: c for e, c in b.items() if not ring.is_zero(c)}
         return QSeries(ring, out, out_trunc, _clean=False)
 
@@ -556,7 +548,7 @@ class QSeries:
                 break
             a = self.terms.get(e, ring.zero())
             b = other.terms.get(e, ring.zero())
-            if not ring.eq(a, b):
+            if a != b:
                 return (from16(e), a, b)
         return None
 
@@ -667,8 +659,9 @@ def _rational_inverse(nums, den, v, rel_trunc):
 
     With the series q^v (n_0 + sum_d n_d q^d) / D, the inverse is
     q^-v D sum_e y_e q^e, where y_0 = 1/n_0 and
-    y_e = -(1/n_0) sum_d n_d y_(e-d), the generic recurrence.  A path to e
-    has at most e // g steps for the smallest offset g, so
+    y_e = -(1/n_0) sum_d n_d y_(e-d), the generic recurrence, run only over
+    the multiples e of the gcd of the offsets d (no other y_e is nonzero).
+    A path to e has at most e // g steps for the smallest offset g, so
     y_e = Y_e / n_0^(e // g + 1) with an integer Y_e; the Y_e are summed in
     plain ints.  Over the common denominator n_0^(P + 1), for the largest
     P = e // g of a nonzero term, the term at e has numerator
@@ -680,9 +673,10 @@ def _rational_inverse(nums, den, v, rel_trunc):
     if not offsets:
         return [(-v, den if n0 > 0 else -den)], abs(n0)
     g = offsets[0]
+    step = math.gcd(*offsets)
     n0pow = [1, n0]  # n0pow[i] = n0**i, for i up to e // g + 1
     ys = {0: 1}
-    for e in range(1, rel_trunc):
+    for e in range(step, rel_trunc, step):
         p = e // g
         if p + 1 == len(n0pow):
             n0pow.append(n0pow[-1] * n0)
@@ -721,7 +715,7 @@ def pochhammer(ring, prefix, qshift, step, order) -> QSeries:
         raise ValueError("pochhammer requires qshift >= 0")
     if isinstance(prefix, (int, Fraction)):
         prefix = ring.from_fraction(prefix)
-    if qshift == 0 and ring.eq(prefix, ring.one()):
+    if qshift == 0 and prefix == ring.one():
         raise ValueError("(1;q)_infinity vanishes: prefix 1 with qshift 0")
     out = QSeries.one(ring, order)
     r = 0
@@ -777,8 +771,8 @@ def unit_pow(ring, unit, k: int):
     base = unit
     while k:
         if k & 1:
-            out = base if out is None else ring.mul(out, base)
+            out = base if out is None else out * base
         k >>= 1
         if k:
-            base = ring.mul(base, base)
+            base = base * base
     return out

@@ -114,7 +114,7 @@ def _ref_theta_at(k, unit, ring, order):
     def subst(coeff):
         acc = ring.zero()
         for (m,), c in coeff.terms.items():
-            acc = ring.add(acc, ring.mul(ring.from_fraction(c), unit_pow(ring, unit, m)))
+            acc = acc + ring.from_fraction(c) * unit_pow(ring, unit, m)
         return acc
     return _ref_theta_k(k, order).map_to(ring, subst)
 
@@ -141,7 +141,7 @@ def _ref_f_bo(units, ring, order):
     for sigma in itertools.permutations(range(n)):
         partial = [ring.one()]
         for m in range(n):
-            partial.append(ring.mul(partial[-1], units[sigma[m]]))
+            partial.append(partial[-1] * units[sigma[m]])
         rows = []
         for i in range(1, n + 1):
             row = []
@@ -302,7 +302,7 @@ class TestSharedMinors:
     def test_exact_theta_at_bytes_match_reference(self):
         ring = RatFuncRing(("s1", "s2"))
         s1, s2 = ring.var("s1"), ring.var("s2")
-        for unit in (s1, ring.inv(s1), ring.mul(s1, s2)):
+        for unit in (s1, ring.inv(s1), s1 * s2):
             for k in range(3):
                 assert (theta_at(k, unit, ring, 4).dumps()
                         == _ref_theta_at(k, unit, ring, 4).dumps())
@@ -319,7 +319,7 @@ def _ref_eps_inner_sum(units, ring, order, k, kernel=f_bo):
         us = tuple(u if e > 0 else ring.inv(u) for u, e in zip(units, eps))
         x = ring.one()
         for u in us:
-            x = ring.mul(x, u)
+            x = x * u
         term = kernel(us, ring, order).scale(unit_pow(ring, x, int(2 * k)))
         total = total + (term if math.prod(eps) > 0 else -term)
     return total
@@ -459,7 +459,7 @@ class TestBCDOnePoint:
         self.u = self.ring.var("s1")
 
     def tp(self, k):
-        return self.ring.add(self.ring.var("s1", 2 * k), self.ring.var("s1", -2 * k))
+        return self.ring.var("s1", 2 * k) + self.ring.var("s1", -2 * k)
 
     def test_d_level1(self):
         lab = ModuleLabel("d", 1, (0,), folded=True)
@@ -544,8 +544,8 @@ class TestHalfLevelBases:
         u = ring.var("s1")
         t, tinv = ring.var("s1", 2), ring.var("s1", -2)
         got = half_level_base("D", (u,), ring, 8)
-        prod = (pochhammer(ring, ring.neg(t), F(1, 2), 1, 8)
-                * pochhammer(ring, ring.neg(tinv), F(1, 2), 1, 8)
+        prod = (pochhammer(ring, -t, F(1, 2), 1, 8)
+                * pochhammer(ring, -tinv, F(1, 2), 1, 8)
                 * em_half(ring, 8).inverse()
                 * inv_theta_at(u, ring, 8))
         assert got.first_mismatch(prod) is None
@@ -561,8 +561,8 @@ class TestHalfLevelBases:
         u = ring.var("s1")
         t, tinv = ring.var("s1", 2), ring.var("s1", -2)
         got = half_level_base("B", (u,), ring, 6)
-        num = (pochhammer(ring, ring.neg(t), 1, 1, 6)
-               * pochhammer(ring, ring.neg(tinv), 0, 1, 6)
+        num = (pochhammer(ring, -t, 1, 1, 6)
+               * pochhammer(ring, -tinv, 0, 1, 6)
                * qq_series(ring, 6) ** 2)
         den = (pochhammer(ring, t, 1, 1, 6)
                * pochhammer(ring, tinv, 0, 1, 6)
@@ -599,7 +599,7 @@ class TestClosedSumForms:
         ring = RatFuncRing(("s",))
         u = ring.var("s")
         base = half_level_base("D", (u,), ring, 8)
-        inv_sm = ring.inv(ring.add(ring.var("s"), ring.neg(ring.var("s", -1))))
+        inv_sm = ring.inv(ring.var("s") - ring.var("s", -1))
         sum_form = em_half(ring, 8) * corollary_d_rhs(8).scale(inv_sm)
         assert base.first_mismatch(sum_form) is None
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from fockcorr.errors import ModeMismatchError, NonUnitError
 from fockcorr.laurent import LaurentPoly, RationalFunction
 from fockcorr.qseries import (LaurentRing, QSeries, RatFuncRing, RationalRing,
-                              lattice_sum, lift_coeff, pochhammer, to16)
+                              _Ring, lattice_sum, lift_coeff, pochhammer, to16)
 
 R = RationalRing()
 LS = LaurentRing(("s",))
@@ -297,11 +297,11 @@ def generic_inverse(a):
             be = b.get(e - d)
             if be is None:
                 continue
-            term = ring.mul(rel[d], be)
-            acc = term if acc is None else ring.add(acc, term)
+            term = rel[d] * be
+            acc = term if acc is None else acc + term
         if acc is None or ring.is_zero(acc):
             continue
-        b[e] = ring.neg(ring.mul(c0inv, acc))
+        b[e] = -(c0inv * acc)
     out = {e - v: c for e, c in b.items() if not ring.is_zero(c)}
     return QSeries(ring, out, rel_trunc - v, _clean=False)
 
@@ -328,12 +328,44 @@ def test_rational_inverse_fixed_cases():
     for terms, trunc in [({-3: 7, 13: F(-2, 3), 45: 5}, 200),   # gaps, v < 0
                          ({5: F(3, 4), 37: 1}, 101),             # v > 0, one offset
                          ({0: 2, 1: F(1, 2), 16: -3}, 64),       # offsets 1 and 16
-                         ({8: F(-5), 24: F(5)}, 40)]:            # all Fractions
+                         ({8: F(-5), 24: F(5)}, 40),             # all Fractions
+                         ({0: 5, 6: F(2, 7), 9: -4}, 50),        # gcd 3 < smallest offset
+                         ({-8: F(3, 2), 0: 7, 24: F(-1, 3)}, 61)]:  # gcd 8
         a = QSeries(R, terms, trunc)
         assert a.inverse().dumps() == generic_inverse(a).dumps()
     a = QSeries(R, {0: 3, 16: 1}, 48)  # a reused integer form gives the same bytes
     assert (a * a).dumps() == (a * QSeries(R, dict(a.terms), 48)).dumps()
     assert a.inverse().dumps() == generic_inverse(a).dumps()
+
+
+def test_generic_inverse_steps_by_the_offsets_gcd():
+    # offsets 6 and 9 sixteenths (gcd 3), then 8 and 12 (gcd 4), and
+    # truncations that are not multiples of the gcd
+    s = LS.var("s")
+    a = QSeries(LS, {0: s * F(3), 6: s + 1, 9: -(s ** -1)}, 40)
+    assert a.inverse().dumps() == generic_inverse(a).dumps()
+    rf = RatFuncRing(("s",))
+    t = rf.var("s")
+    b = QSeries(rf, {-3: t - rf.inv(t), 5: t * t, 9: rf.inv(t + rf.one())}, 35)
+    assert b.inverse().dumps() == generic_inverse(b).dumps()
+
+
+# The coefficient-ring interface, by the class that defines each name.  A
+# ring builds, converts, inverts and serializes coefficients; sums,
+# negations, products and comparisons are the coefficients' own operators.
+# A new exact ring defines what ``LaurentRing`` defines and inherits the rest.
+RING_INTERFACE = {
+    _Ring: {"zero", "one", "from_fraction", "var", "is_zero", "coeff_json", "evaluator"},
+    RationalRing: {"mode", "zero", "one", "from_fraction", "is_zero", "inv",
+                   "coeff_json", "evaluator", "from_laurent", "coeff_from_json"},
+    LaurentRing: {"mode", "from_laurent", "to_laurent", "inv", "coeff_from_json"},
+    RatFuncRing: {"mode", "from_laurent", "to_laurent", "inv", "coeff_from_json"},
+}
+
+
+@pytest.mark.parametrize("cls", list(RING_INTERFACE), ids=lambda c: c.__name__)
+def test_coefficient_ring_interface(cls):
+    assert {n for n in vars(cls) if not n.startswith("_")} == RING_INTERFACE[cls]
 
 
 @given(st.integers(min_value=2, max_value=25))

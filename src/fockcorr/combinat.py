@@ -153,8 +153,7 @@ def odd_strict_partitions(total):
             for rest in rec(remaining - first, first - 2):
                 yield (first,) + rest
 
-    seen = rec(total, total)
-    return list(seen)
+    return list(rec(total, total))
 
 
 ALGEBRAS = ("a", "b", "c", "d")
@@ -273,15 +272,11 @@ def enumerate_labels(algebra, level, bound):
     cap = 0
     while (Fraction(cap + 1) + (Fraction(1, 2) if spin else 0)) ** 2 / 2 < bound:
         cap += 1
-    seen = set()
     for size in range(0, l * cap + 1):
         for p in partitions(size, max_part=cap):
             if len(p) > l:
                 continue
             lam = tuple(p) + (0,) * (l - len(p))
-            if lam in seen:
-                continue
-            seen.add(lam)
             lab = ModuleLabel(algebra, level, lam, spin=spin, folded=True)
             if lab.norm2() / 2 < bound:
                 out.append(lab)

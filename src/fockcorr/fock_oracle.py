@@ -12,7 +12,8 @@ the combining, adding count tuples and multiplying charge polynomials: it
 joins the two flavors of a pair (charges add), and after each pair's
 charge filter it folds the pairs together (per-pair charge tuples
 concatenate).  The neutral fermion joins as one more merge.  So merges do
-integer work only, and the ring is touched once per final signature.
+integer work only, and the ring is touched once per final signature.  The
+tau-refined trace evaluates its tau-fixed states by the same signatures.
 
 Conventions (NS = modes in 1/2+Z, R = modes in Z):
   * NS charged pair: psi^{+-} creators at k in 1/2+Z_+, charge +-1 each.
@@ -145,36 +146,65 @@ def _check_ops(spec: SectorSpec, ops):
             raise ValueError("A(t) does not act on the neutral fermion")
 
 
-def _flavor_signature_states(spec, flavor, ops, ring, max_states, counter):
-    """All mode subsets of one flavor: list of (energy16, charge, opvals, modes)."""
+def _flavor_signature_states(spec, flavor, max_states, counter):
+    """All mode subsets of one flavor: list of (energy16, charge, modes)."""
     modes = _flavor_modes(spec, flavor)
     cutoff16 = to16(spec.cutoff)
-    weights = [
-        tuple(op_mode_weight(op.kind, flavor, k, ring, op.unit) for op in ops)
-        for k in modes
-    ]
     energies = [to16(k) if k != 0 else 0 for k in modes]
     chg = 1 if flavor == "plus" else (-1 if flavor == "minus" else 0)
     out = []
 
-    def rec(i, e, vals, chosen):
+    def rec(i, e, chosen):
         counter[0] += 1
         if max_states is not None and counter[0] > max_states:
             raise ResourceLimitError(
                 f"state budget {max_states} exceeded during enumeration")
-        out.append((e, chg * len(chosen), tuple(vals), tuple(chosen)))
+        out.append((e, chg * len(chosen), tuple(chosen)))
         for j in range(i, len(modes)):
             e2 = e + energies[j]
             if e2 >= cutoff16:
                 if energies[j] > 0:
                     break
                 continue
-            rec(j + 1, e2,
-                list(map(add, vals, weights[j])),
-                chosen + [modes[j]])
+            rec(j + 1, e2, chosen + [modes[j]])
 
-    rec(0, 0, [ring.zero() for _ in ops], [])
+    rec(0, 0, [])
     return out
+
+
+def _weight_classes(spec, ops, ring):
+    """The distinct nonzero weight tuples W_j of ``ops`` on the sector's
+    creator modes, and the class j of each (flavor, mode) whose weights are
+    not all zero; classes are told apart by ``==`` on each pair of entries."""
+    classes = []
+    class_of = {}  # (flavor, mode) -> j
+    for flavor in ("plus", "minus") * bool(spec.pairs) + ("neutral",) * spec.neutral:
+        for k in _flavor_modes(spec, flavor):
+            w = tuple(op_mode_weight(op.kind, flavor, k, ring, op.unit) for op in ops)
+            if all(map(ring.is_zero, w)):
+                continue
+            j = next((j for j, seen in enumerate(classes)
+                      if all(map(eq, w, seen))), len(classes))
+            if j == len(classes):
+                classes.append(w)
+            class_of[flavor, k] = j
+    return classes, class_of
+
+
+def _signature_series(values, classes, centrals, spec, ring):
+    """The sum over ``values``, pairs ((energy16, counts), val), of val *
+    q^energy times the eigenvalue of each op i on that signature:
+    central_i + sum_j counts_j * W_j[i]."""
+    terms = []
+    for (e16, counts), val in values:
+        for i, central in enumerate(centrals):
+            ev = central
+            for w, n in zip(classes, counts):
+                if n:
+                    ev = ev + (w[i] if n == 1 else ring.from_fraction(n) * w[i])
+            val = val * ev
+        terms.append((from16(e16) + spec.energy_shift, val))
+    return QSeries.from_terms(ring, terms, spec.cutoff + spec.energy_shift)
 
 
 def enumerate_states(spec: SectorSpec, max_states=None):
@@ -188,7 +218,7 @@ def enumerate_states(spec: SectorSpec, max_states=None):
         groups.append(("neutral", None))
     cutoff16 = to16(spec.cutoff)
     lists = [
-        _flavor_signature_states(spec, flavor, (), None, max_states, counter)
+        _flavor_signature_states(spec, flavor, max_states, counter)
         for flavor, _ in groups
     ]
 
@@ -206,7 +236,7 @@ def enumerate_states(spec: SectorSpec, max_states=None):
             )
             return
         flavor, _ = groups[g]
-        for e1, _, _, chosen in lists[g]:
+        for e1, _, chosen in lists[g]:
             if e + e1 >= cutoff16:
                 continue
             if flavor == "plus":
@@ -249,19 +279,7 @@ def trace(spec: SectorSpec, ops, ring, *, zvars=None, zscale=1,
         raise ValueError("one z-variable entry per pair required")
     cutoff16 = to16(spec.cutoff)
     counter = [0]
-
-    classes = []   # distinct nonzero weight tuples W_j
-    class_of = {}  # (flavor, mode) -> j
-    for flavor in ("plus", "minus") * bool(spec.pairs) + ("neutral",) * spec.neutral:
-        for k in _flavor_modes(spec, flavor):
-            w = tuple(op_mode_weight(op.kind, flavor, k, ring, op.unit) for op in ops)
-            if all(map(ring.is_zero, w)):
-                continue
-            j = next((j for j, seen in enumerate(classes)
-                      if all(map(eq, w, seen))), len(classes))
-            if j == len(classes):
-                classes.append(w)
-            class_of[flavor, k] = j
+    classes, class_of = _weight_classes(spec, ops, ring)
 
     # (energy16, counts) -> {charge: multiplicity}; under a merge counts and
     # charges add, so per-pair charge tuples concatenate
@@ -290,8 +308,7 @@ def trace(spec: SectorSpec, ops, ring, *, zvars=None, zscale=1,
 
     def flavor_dict(flavor):
         d = {}
-        for e, c, _, chosen in _flavor_signature_states(
-                spec, flavor, (), None, max_states, counter):
+        for e, c, chosen in _flavor_signature_states(spec, flavor, max_states, counter):
             counts = [0] * len(classes)
             for k in chosen:
                 if (flavor, k) in class_of:
@@ -340,17 +357,8 @@ def trace(spec: SectorSpec, ops, ring, *, zvars=None, zscale=1,
             monomials[exps] = monomials.get(exps, 0) + m
         return ring.from_laurent(LaurentPoly(ring.vars, monomials, _clean=False))
 
-    terms = []
-    for (e16, counts), poly in folded.items():
-        val = charge_element(poly)
-        for i, central in enumerate(centrals):
-            ev = central
-            for w, n in zip(classes, counts):
-                if n:
-                    ev = ev + (w[i] if n == 1 else ring.from_fraction(n) * w[i])
-            val = val * ev
-        terms.append((from16(e16) + spec.energy_shift, val))
-    return QSeries.from_terms(ring, terms, spec.cutoff + spec.energy_shift)
+    return _signature_series(((sig, charge_element(poly)) for sig, poly in folded.items()),
+                             classes, centrals, spec, ring)
 
 
 def eigenvalue(op: OpSpec, state: FockState, spec: SectorSpec, ring):
@@ -383,47 +391,33 @@ def reorder_sign(ops_list):
     return -1 if inversions % 2 else 1
 
 
-def tau_refined_trace(ops, cutoff, ring, max_states=None):
+def tau_refined_trace(ops, cutoff, ring):
     """(tr over the tau=+1 part, tr over the tau=-1 part) of the charge-zero
     sector of one NS pair, with the diagonal insertions ``ops``.
 
     tau swaps psi^+_n <-> psi^-_n; on a basis monomial it yields +- another
     basis monomial, the sign coming from the mechanical fermionic reordering.
+    So tr tau sums over the states occupying one mode set S in both flavors,
+    each signed by ``reorder_sign``; those states are keyed by their
+    signature (2 * energy of S, counts) and evaluated as ``trace`` does.
     """
     ops = tuple(ops)
     spec = SectorSpec(1, 0, NS, cutoff)
-    _check_ops(spec, ops)
-    cutoff16 = to16(Fraction(cutoff))
-    counter = [0]
-    minus_states = _flavor_signature_states(spec, "minus", ops, ring, max_states, counter)
-    plus_states = _flavor_signature_states(spec, "plus", ops, ring, max_states, counter)
+    tr = trace(spec, ops, ring, charge=0)
+    cutoff16 = to16(spec.cutoff)
+    classes, class_of = _weight_classes(spec, ops, ring)
+    twisted = {}  # (energy16, counts) -> sum of reordering signs
+    for e, _, chosen in _flavor_signature_states(spec, "minus", None, [0]):
+        if 2 * e >= cutoff16:
+            continue
+        word = [("plus", k) for k in chosen] + [("minus", k) for k in chosen]
+        counts = [0] * len(classes)
+        for creator in word:
+            if creator in class_of:
+                counts[class_of[creator]] += 1
+        key = (2 * e, tuple(counts))
+        twisted[key] = twisted.get(key, 0) + reorder_sign(word)
     centrals = [op_central(op.kind, spec.level, ring, op.unit) for op in ops]
-
-    def weight(v1, v2):
-        val = ring.one()
-        for i in range(len(ops)):
-            val = val * (centrals[i] + (v1[i] + v2[i]))
-        return val
-
-    plain = {}
-    twisted = {}
-    for em, _, vm, chosen_m in minus_states:
-        for ep, _, vp, chosen_p in plus_states:
-            if len(chosen_m) != len(chosen_p):
-                continue  # charge-zero sector only
-            e = em + ep
-            if e >= cutoff16:
-                continue
-            w = weight(vm, vp)
-            plain[e] = plain.get(e, ring.zero()) + w
-            if chosen_m == chosen_p:
-                # tau fixes the underlying monomial up to the reordering sign
-                word = [("plus", k) for k in chosen_m] + [("minus", k) for k in chosen_p]
-                sgn = reorder_sign(word)
-                w2 = w if sgn > 0 else -w
-                twisted[e] = twisted.get(e, ring.zero()) + w2
-
-    tr = QSeries(ring, plain, cutoff16, _clean=True)
-    trtau = QSeries(ring, twisted, cutoff16, _clean=True)
-    half = Fraction(1, 2)
-    return (tr + trtau) * half, (tr - trtau) * half
+    trtau = _signature_series(((sig, ring.from_fraction(m)) for sig, m in twisted.items()),
+                              classes, centrals, spec, ring)
+    return (tr + trtau) * Fraction(1, 2), (tr - trtau) * Fraction(1, 2)

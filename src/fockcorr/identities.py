@@ -1,8 +1,10 @@
 """Verification registry: every named identity, each computed by two
 independent routes and compared coefficient-exactly.
 
-Each runner returns a Report; `run(identity_id, **params)` dispatches by id
-and `REGISTRY` lists ids with their default parameters.
+Each runner hands its (case params, lhs, rhs) triples to `_compare`, which
+builds the Report (the Weyl denominator checks compare polynomials and build
+their own).  `run(identity_id, **params)` dispatches by id and `REGISTRY`
+lists ids with their default parameters.
 """
 
 from __future__ import annotations
@@ -41,13 +43,20 @@ class Report:
         return msg
 
 
-def _compare(identity, params, order, lhs, rhs, checks=1):
-    mm = lhs.first_mismatch(rhs, order)
-    if mm is None:
-        return Report(identity, params, Fraction(order), True, checks=checks)
-    e, a, b = mm
-    return Report(identity, params, Fraction(order), False,
-                  f"first mismatch at q^{e}: {a!r} != {b!r}", checks)
+def _compare(identity, params, order, cases):
+    """Compare each (case params, lhs, rhs) of ``cases``, read lazily, below
+    q^order.  The first pair that differs fails the report with its case
+    params; when all agree the report carries ``params``, one check a pair."""
+    order = Fraction(order)
+    checks = 0
+    for case, lhs, rhs in cases:
+        checks += 1
+        mm = lhs.first_mismatch(rhs, order)
+        if mm is not None:
+            e, a, b = mm
+            return Report(identity, case, order, False,
+                          f"first mismatch at q^{e}: {a!r} != {b!r}", checks)
+    return Report(identity, params, order, True, checks=checks)
 
 
 # ---------------------------------------------------------------------------
@@ -60,7 +69,7 @@ def check_jacobi_z(order=12):
     rhs = (pochhammer(ring, 1, 1, 1, order)
            * pochhammer(ring, ring.var("s", 2, -1), Fraction(1, 2), 1, order)
            * pochhammer(ring, ring.var("s", -2, -1), Fraction(1, 2), 1, order))
-    return _compare("jacobi-z", {}, order, lhs, rhs)
+    return _compare("jacobi-z", {}, order, [({}, lhs, rhs)])
 
 
 def check_jacobi_half(order=12):
@@ -70,7 +79,7 @@ def check_jacobi_half(order=12):
            * pochhammer(ring, ring.var("s", 2, -1), 1, 1, order)
            * pochhammer(ring, ring.var("s", -2, -1), 0, 1, order))
     rhs = rhs.shift(Fraction(1, 8)).scale(ring.var("s"))
-    return _compare("jacobi-half", {}, order, lhs, rhs)
+    return _compare("jacobi-half", {}, order, [({}, lhs, rhs)])
 
 
 def check_weyl_denom_d(l=4):
@@ -104,22 +113,20 @@ def check_weyl_lemma(wtype=None, l=None, order=15, count=20, seed=0):
     rng = random.Random(seed)
     types = (wtype,) if wtype else ("B", "C", "D")
     ranks = (l,) if l is not None else (1, 2, 3, 4)
-    checks = 0
-    for wt in types:
-        for rank in ranks:
-            for _ in range(count):
-                lam = tuple(sorted((rng.randrange(0, 6) for _ in range(rank)),
-                                   reverse=True))
-                lam = tuple(Fraction(x) for x in lam)
-                a = weyl_qpoly(lam, wt, rank, order)
-                b = weyl_sum_product_form(lam, wt, rank, order)
-                if a.first_mismatch(b) is not None:
-                    return Report("weyl-lemma",
-                                  {"type": wt, "l": rank, "lam": lam},
-                                  Fraction(order), False, "sum != product form")
-                checks += 1
+
+    def cases():
+        for wt in types:
+            for rank in ranks:
+                for _ in range(count):
+                    lam = tuple(sorted((rng.randrange(0, 6) for _ in range(rank)),
+                                       reverse=True))
+                    lam = tuple(Fraction(x) for x in lam)
+                    yield ({"type": wt, "l": rank, "lam": lam},
+                           weyl_qpoly(lam, wt, rank, order),
+                           weyl_sum_product_form(lam, wt, rank, order))
+
     params = {"type": wtype or "BCD", "l": "1..4" if l is None else l, "count": count}
-    return Report("weyl-lemma", params, Fraction(order), True, checks=checks)
+    return _compare("weyl-lemma", params, order, cases())
 
 
 def check_osp_gf(order=20):
@@ -127,7 +134,7 @@ def check_osp_gf(order=20):
     osp = odd_strict_partitions(int(order) - 1)
     lhs = QSeries.from_terms(ring, [(sum(mu), ring.var("z", len(mu))) for mu in osp], order)
     rhs = pochhammer(ring, ring.var("z", 1, -1), 1, 2, order)
-    return _compare("osp-gf", {}, order, lhs, rhs)
+    return _compare("osp-gf", {}, order, [({}, lhs, rhs)])
 
 
 def _gt_term(ring, hooks):
@@ -156,25 +163,22 @@ def check_gt_osp(order=12):
     by_partitions = QSeries.from_terms(ring, terms, order)
     osp = odd_strict_partitions(int(order) - 1)
     by_osp = QSeries.from_terms(ring, [(sum(mu), _gt_term(ring, mu)) for mu in osp], order)
-    rep = _compare("gt-osp", {}, order, by_partitions, closed)
-    if not rep.ok:
-        return rep
-    return _compare("gt-osp", {}, order, by_osp, closed, checks=2)
+    return _compare("gt-osp", {}, order,
+                    [({"form": "partitions"}, by_partitions, closed),
+                     ({"form": "osp"}, by_osp, closed)])
 
 
 def check_cor_d(order=12):
-    return _compare("cor-d", {"mode": "exact"}, order,
-                    corr.corollary_d_lhs(order), corr.corollary_d_rhs(order))
+    lhs, rhs = corr.corollary_d_lhs(order), corr.corollary_d_rhs(order)
+    return _compare("cor-d", {"mode": "exact"}, order, [({"mode": "exact"}, lhs, rhs)])
 
 
 def check_cor_b(order=12):
     lhs = corr.corollary_b_lhs(order)
-    rep = _compare("cor-b", {"mode": "exact"}, order, lhs,
-                   corr.corollary_b_rhs(order))
-    if not rep.ok:
-        return rep
-    return _compare("cor-b", {"mode": "exact", "form": "log-derivative"},
-                    order, lhs, corr.corollary_b_rhs_log(order), checks=2)
+    forms = (({"mode": "exact"}, corr.corollary_b_rhs),
+             ({"mode": "exact", "form": "log-derivative"}, corr.corollary_b_rhs_log))
+    return _compare("cor-b", forms[-1][0], order,
+                    ((case, lhs, rhs(order)) for case, rhs in forms))
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +190,7 @@ def check_f0_trace(order=8):
     u = ring.var("s")
     tr = trace(SectorSpec(1, 0, NS, order), [OpSpec("D", u)], ring, charge=0)
     rhs = corr.f_bo((u,), ring, order) * Fraction(2)
-    return _compare("f0-trace", {}, order, tr, rhs)
+    return _compare("f0-trace", {}, order, [({}, tr, rhs)])
 
 
 def check_shift_sym(order=6, kmax=2):
@@ -194,17 +198,11 @@ def check_shift_sym(order=6, kmax=2):
     u = ring.var("s")
     spec = SectorSpec(1, 0, NS, order)
     tr0 = trace(spec, [OpSpec("D", u)], ring, charge=0)
-    checks = 0
-    for k in range(-kmax, kmax + 1):
-        trk = trace(spec, [OpSpec("D", u)], ring, charge=k)
-        w = ring.var("s", 2 * k) + ring.var("s", -2 * k)
-        ref = (tr0.scale(w) * Fraction(1, 2)).shift(Fraction(k * k, 2)).truncated(order)
-        mm = trk.first_mismatch(ref, order)
-        if mm is not None:
-            return Report("shift-sym", {"k": k}, Fraction(order), False,
-                          f"first mismatch at q^{mm[0]}")
-        checks += 1
-    return Report("shift-sym", {"kmax": kmax}, Fraction(order), True, checks=checks)
+    return _compare("shift-sym", {"kmax": kmax}, order, (
+        ({"k": k}, trace(spec, [OpSpec("D", u)], ring, charge=k),
+         (tr0.scale(ring.var("s", 2 * k) + ring.var("s", -2 * k)) * Fraction(1, 2))
+         .shift(Fraction(k * k, 2)).truncated(order))
+        for k in range(-kmax, kmax + 1)))
 
 
 def check_ad_trace(order=5):
@@ -213,41 +211,35 @@ def check_ad_trace(order=5):
     spec = SectorSpec(1, 0, NS, order)
     lhs = trace(spec, [OpSpec("D", u)], ring)
     rhs = trace(spec, [OpSpec("A", u)], ring) - trace(spec, [OpSpec("A", ring.inv(u))], ring)
-    return _compare("AD-trace", {}, order, lhs, rhs)
+    return _compare("AD-trace", {}, order, [({}, lhs, rhs)])
 
 
 def check_oracle_a1(order=8, mmax=2):
     ring = RatFuncRing(("s",))
     u = ring.var("s")
     spec = SectorSpec(1, 0, NS, order)
-    checks = 0
-    for m in range(-mmax, mmax + 1):
-        tr = trace(spec, [OpSpec("A", u)], ring, charge=m)
-        ref = corr.a_npoint((m,), 1, (u,), ring, order)
-        mm = tr.first_mismatch(ref, order)
-        if mm is not None:
-            return Report("oracle-a1", {"m": m}, Fraction(order), False,
-                          f"first mismatch at q^{mm[0]}")
-        checks += 1
-    return Report("oracle-a1", {"mmax": mmax}, Fraction(order), True, checks=checks)
+    return _compare("oracle-a1", {"mmax": mmax}, order, (
+        ({"m": m}, trace(spec, [OpSpec("A", u)], ring, charge=m),
+         corr.a_npoint((m,), 1, (u,), ring, order))
+        for m in range(-mmax, mmax + 1)))
 
 
-def check_graded_a(n=2, order=5, svals=(2, 3), mode="eval"):
-    ring = corr.make_ring(n, mode, ("z",))
+def _graded_check(sector, n, order, svals, mode):
+    """The oracle's z-graded one-pair trace against the closed graded trace F:
+    D ops in NS (``sector`` "A"), or B ops in R graded by a square root."""
+    kind, fock, fsector, zvar, zscale = (
+        ("D", NS, "NS", "z", 1) if sector == "A" else ("B", RAMOND, "R", "w", 2))
+    ring = corr.make_ring(n, mode, (zvar,))
     units = corr.make_units(ring, n, mode, svals)
-    ops = [OpSpec("D", u) for u in units]
-    lhs = trace(SectorSpec(1, 0, NS, order), ops, ring, zvars=("z",))
-    rhs = corr.graded_trace_F("NS", units, ring, order, zvar="z")
-    return _compare("graded-A", {"n": n, "mode": mode}, order, lhs, rhs)
+    ops = [OpSpec(kind, u) for u in units]
+    lhs = trace(SectorSpec(1, 0, fock, order), ops, ring, zvars=(zvar,), zscale=zscale)
+    rhs = corr.graded_trace_F(fsector, units, ring, order, zvar=zvar, zscale=zscale)
+    params = {"n": n, "mode": mode}
+    return _compare(f"graded-{sector}", params, order, [(params, lhs, rhs)])
 
 
-def check_graded_b(n=1, order=6, svals=(2,), mode="exact"):
-    ring = corr.make_ring(n, mode, ("w",))
-    units = corr.make_units(ring, n, mode, svals)
-    ops = [OpSpec("B", u) for u in units]
-    lhs = trace(SectorSpec(1, 0, RAMOND, order), ops, ring, zvars=("w",), zscale=2)
-    rhs = corr.graded_trace_F("R", units, ring, order, zvar="w", zscale=2)
-    return _compare("graded-B", {"n": n, "mode": mode}, order, lhs, rhs)
+check_graded_a = partial(_graded_check, "A", n=2, order=5, svals=(2, 3), mode="eval")
+check_graded_b = partial(_graded_check, "B", n=1, order=6, svals=(2,), mode="exact")
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +316,7 @@ def howe_check(identity, l=1, n=1, order=6, svals=(2, 3), mode="eval"):
         if factor != 1:
             series = series * Fraction(factor)
         rhs = rhs + series
-    return _compare(identity, params, order, lhs, rhs)
+    return _compare(identity, params, order, [(params, lhs, rhs)])
 
 
 # ---------------------------------------------------------------------------
@@ -342,85 +334,66 @@ def _subset_sum(sector, n, units, ring, order):
     return total
 
 
-def _oracle_route(rep, sector, units, ring, order):
-    """After the subset recursion passed (``rep``), compare the base with
-    the neutral-fermion oracle: the NS trace of D ops, or half the R trace
-    of B ops.  Above n = 1 the recursion holds by construction of the base,
-    so this is the route that tests it."""
-    kind, spec = ("D", NS) if sector == "D" else ("B", RAMOND)
-    oracle = trace(SectorSpec(0, 1, spec, order),
-                   [OpSpec(kind, u) for u in units], ring)
-    if sector == "B":
-        oracle = oracle * Fraction(1, 2)
-    base = corr.half_level_base(sector, units, ring, order)
-    out = _compare(rep.identity, rep.params, order, base, oracle, checks=2)
-    if not out.ok:
-        out.detail = f"oracle route: {out.detail}"
-    return out
-
-
-def check_rec_d_half(n=2, order=8, mode="exact", svals=(2, 3, 5)):
-    """F(1,q;t) == sum over subsets I of base(t_I) base(t_I^c); the n = 1
-    base also equals the Jacobi-product closed form, any other base the
-    oracle's neutral-fermion trace."""
-    ring = corr.make_ring(n, mode)
-    units = corr.make_units(ring, n, mode, svals)
-    lhs = corr.graded_trace_F("NS", units, ring, order)
-    rhs = _subset_sum("D", n, units, ring, order)
-    rep = _compare("rec-d-half", {"n": n, "mode": mode}, order, lhs, rhs)
-    if not rep.ok:
-        return rep
-    if n != 1:
-        return _oracle_route(rep, "D", units, ring, order)
-    u = units[0]
+def _half_product(sector, u, ring, order):
+    """The one-point base as a Jacobi product."""
     t, tinv = corr.unit_pow(ring, u, 2), corr.unit_pow(ring, u, -2)
-    prod = (pochhammer(ring, -t, Fraction(1, 2), 1, order)
-            * pochhammer(ring, -tinv, Fraction(1, 2), 1, order)
-            * corr.em_half(ring, order).inverse()
-            * corr.inv_theta_at(u, ring, order))
-    return _compare("rec-d-half", {"n": 1, "mode": mode, "form": "product"},
-                    order, corr.half_level_base("D", units, ring, order), prod,
-                    checks=2)
-
-
-def check_rec_b_half(n=2, order=8, mode="exact", svals=(2, 3, 5)):
-    ring = corr.make_ring(n, mode)
-    units = corr.make_units(ring, n, mode, svals)
-    lhs = corr.graded_trace_F("R", units, ring, order)
-    rhs = _subset_sum("B", n, units, ring, order) * Fraction(2)
-    rep = _compare("rec-b-half", {"n": n, "mode": mode}, order, lhs, rhs)
-    if not rep.ok:
-        return rep
-    if n != 1:
-        return _oracle_route(rep, "B", units, ring, order)
-    u = units[0]
-    t, tinv = corr.unit_pow(ring, u, 2), corr.unit_pow(ring, u, -2)
+    if sector == "D":
+        return (pochhammer(ring, -t, Fraction(1, 2), 1, order)
+                * pochhammer(ring, -tinv, Fraction(1, 2), 1, order)
+                * corr.em_half(ring, order).inverse()
+                * corr.inv_theta_at(u, ring, order))
     num = (pochhammer(ring, -t, 1, 1, order)
            * pochhammer(ring, -tinv, 0, 1, order)
            * corr.qq_series(ring, order) ** 2)
     den = (pochhammer(ring, t, 1, 1, order)
            * pochhammer(ring, tinv, 0, 1, order)
            * corr.em_one(ring, order) * Fraction(2))
-    prod = (num * den.inverse()).shift(Fraction(1, 16))
-    return _compare("rec-b-half", {"n": 1, "mode": mode, "form": "product"},
-                    order, corr.half_level_base("B", units, ring, order), prod,
-                    checks=2)
+    return (num * den.inverse()).shift(Fraction(1, 16))
+
+
+def _rec_half_check(sector, n=2, order=8, mode="exact", svals=(2, 3, 5)):
+    """F(1,q;t) == sum over subsets I of base(t_I) base(t_I^c), twice that
+    in the R sector (``sector`` "B").  The n = 1 base also equals its
+    Jacobi-product closed form; any other base is compared with the
+    neutral-fermion oracle, the NS trace of D ops or half the R trace of
+    B ops.  Above n = 1 the recursion holds by construction of the base, so
+    the oracle route is the one that tests it."""
+    ring = corr.make_ring(n, mode)
+    units = corr.make_units(ring, n, mode, svals)
+    params = {"n": n, "mode": mode}
+    product = {**params, "form": "product"}
+    fsector, fock = ("NS", NS) if sector == "D" else ("R", RAMOND)
+
+    def cases():
+        lhs = corr.graded_trace_F(fsector, units, ring, order)
+        rhs = _subset_sum(sector, n, units, ring, order)
+        yield params, lhs, rhs if sector == "D" else rhs * Fraction(2)
+        base = corr.half_level_base(sector, units, ring, order)
+        if n == 1:
+            yield product, base, _half_product(sector, units[0], ring, order)
+        else:
+            oracle = trace(SectorSpec(0, 1, fock, order),
+                           [OpSpec(sector, u) for u in units], ring)
+            yield ({**params, "route": "oracle"}, base,
+                   oracle if sector == "D" else oracle * Fraction(1, 2))
+
+    return _compare(f"rec-{sector.lower()}-half", product if n == 1 else params,
+                    order, cases())
+
+
+check_rec_d_half = partial(_rec_half_check, "D")
+check_rec_b_half = partial(_rec_half_check, "B")
 
 
 def check_refined_d(order=10):
     ring = RatFuncRing(("s",))
     u = ring.var("s")
     tp, tm = tau_refined_trace([OpSpec("D", u)], order, ring)
-    for sign, tr in ((1, tp), (-1, tm)):
-        for name, form in (("recursive", corr.refined_level1(sign, order)),
-                           ("sum", corr.refined_form1(sign, order)),
-                           ("log", corr.refined_form2(sign, order))):
-            mm = tr.first_mismatch(form, order)
-            if mm is not None:
-                return Report("refined-d", {"sign": sign, "form": name},
-                              Fraction(order), False,
-                              f"first mismatch at q^{mm[0]}")
-    return Report("refined-d", {}, Fraction(order), True, checks=6)
+    forms = (("recursive", corr.refined_level1), ("sum", corr.refined_form1),
+             ("log", corr.refined_form2))
+    return _compare("refined-d", {}, order, (
+        ({"sign": sign, "form": name}, tr, form(sign, order))
+        for sign, tr in ((1, tp), (-1, tm)) for name, form in forms))
 
 
 # ---------------------------------------------------------------------------
@@ -443,7 +416,8 @@ def check_qdim_consistency(order=10):
     n = 0 duality at levels 1, 3/2, 2, 5/2 and 3: sum over labels of
     dim V_lambda * qdim == oracle dim_q of the Fock space."""
     order = Fraction(order)
-    for label in _qdim_grid(order):
+    grid = _qdim_grid(order)
+    for label in grid:
         corr.qdim(label, order)  # raises InternalCheckError on mismatch
     ring = RationalRing()
     setups = [
@@ -459,24 +433,23 @@ def check_qdim_consistency(order=10):
         ("b", Fraction(5, 2), "B2l1", RAMOND, 2, 1),
         ("d", Fraction(3), "O2l", NS, 3, 0),
     ]
-    checks = len(_qdim_grid(order))
-    for algebra, level, family, sector, pairs, neutral in setups:
-        l = int(level)
-        fock = trace(SectorSpec(pairs, neutral, sector, order), [], ring)
-        dual = QSeries.zero(ring, order)
-        ones = {v: Fraction(1) for v in torus_vars(family, l)}
-        for label in enumerate_labels(algebra, level, order):
-            dim = character(family, label).eval_at(ones)
-            dual = dual + corr.qdim(label, order).truncated(order).scale(dim)
-        if algebra == "b" and level.denominator == 2:
-            dual = dual * Fraction(2)  # duality multiplicity
-        mm = fock.first_mismatch(dual, order)
-        if mm is not None:
-            return Report("qdim-consistency",
-                          {"algebra": algebra, "level": level},
-                          order, False, f"first mismatch at q^{mm[0]}")
-        checks += 1
-    return Report("qdim-consistency", {}, order, True, checks=checks)
+
+    def cases():
+        for algebra, level, family, sector, pairs, neutral in setups:
+            l = int(level)
+            fock = trace(SectorSpec(pairs, neutral, sector, order), [], ring)
+            dual = QSeries.zero(ring, order)
+            ones = {v: Fraction(1) for v in torus_vars(family, l)}
+            for label in enumerate_labels(algebra, level, order):
+                dim = character(family, label).eval_at(ones)
+                dual = dual + corr.qdim(label, order).truncated(order).scale(dim)
+            if algebra == "b" and level.denominator == 2:
+                dual = dual * Fraction(2)  # duality multiplicity
+            yield {"algebra": algebra, "level": level}, fock, dual
+
+    report = _compare("qdim-consistency", {}, order, cases())
+    report.checks += len(grid)
+    return report
 
 
 # ---------------------------------------------------------------------------

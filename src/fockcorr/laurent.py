@@ -750,10 +750,10 @@ class RationalFunction:
         return (self.num * other.den) == (other.num * self.den)
 
     def __hash__(self):
-        # canonical form is not unique across gcd-misses, so hash by a
-        # gcd-independent invariant only (value at nothing: degree data
-        # would still clash); use the cheap canonical pair and accept that
-        # equal-but-unreduced pairs are rare for our constructions
+        # the hash follows the stored (num, den), so equal functions stored
+        # as different pairs may hash apart; every exact-mode cache key (the
+        # units, their inverses and their products) is a monomial over 1,
+        # whose stored form is unique
         if self._hash is None:
             self._hash = hash((self.num, self.den))
         return self._hash

@@ -164,20 +164,17 @@ def weyl_sum_product_form(lam, wtype, l, order):
     return out.shift(shift)
 
 
-def weyl_denominator_poly(wtype, l, variables=None):
-    """sum_sigma (-1)^l(sigma) z^{sigma(rho)} as a Laurent polynomial.
+def weyl_denominator_poly(wtype, l, variables):
+    """sum_sigma (-1)^l(sigma) z^{sigma(rho)} as a Laurent polynomial in
+    ``variables``, one per coordinate.
 
-    Type D uses integer z-exponents; type B has half-integer rho, so the
-    result lives in square-root variables w_j with z_j = w_j^2.
+    Type D uses integer z-exponents; type B has half-integer rho, so there
+    the variables are square roots w_j with z_j = w_j^2.
     """
     r = rho(wtype, l)
     if wtype == "D":
-        if variables is None:
-            variables = tuple(f"z{j + 1}" for j in range(l))
         scale = 1
     elif wtype == "B":
-        if variables is None:
-            variables = tuple(f"w{j + 1}" for j in range(l))
         scale = 2
     else:
         raise ValueError("denominator helper covers types B and D")

@@ -3,21 +3,27 @@ and alternate evaluation points.  The default grid lives in the acceptance
 module; these push the machinery into corners the grid does not reach.
 """
 
+import inspect
 import itertools
 import math
+import random
 from fractions import Fraction as F
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from fockcorr import cli, identities
 from fockcorr import correlators as corr
 from fockcorr.combinat import enumerate_labels
 from fockcorr.correlators import npoint
-from fockcorr.identities import (_HOWE_SETUP, _qdim_grid, check_graded_a,
-                                 check_graded_b, check_qdim_consistency,
-                                 check_rec_b_half, check_rec_d_half,
-                                 check_weyl_lemma, howe_check)
-from fockcorr.qseries import RationalRing
+from fockcorr.identities import (REGISTRY, Report, _HOWE_SETUP, _qdim_grid,
+                                 check_cor_b, check_graded_a, check_graded_b,
+                                 check_gt_osp, check_oracle_a1,
+                                 check_qdim_consistency, check_rec_b_half,
+                                 check_rec_d_half, check_refined_d,
+                                 check_shift_sym, check_weyl_lemma, howe_check)
+from fockcorr.qseries import QSeries, RationalRing
 
 
 def test_howe_d_rank3():
@@ -155,3 +161,83 @@ def test_howe_duality_at_random_points(identity, l, n, order, svals):
     assume(_off_poles(svals))
     rep = howe_check(identity, l=l, n=n, order=order, svals=svals, mode="eval")
     assert rep.ok, rep.line()
+
+
+# ---------------------------------------------------------------------------
+# the registry's contract
+# ---------------------------------------------------------------------------
+
+VERIFY_FLAGS = ["--order", "3", "--l", "1", "--n", "1", "--type", "C",
+                "--s", "2", "--mode", "eval", "--seed", "0", "--count", "1",
+                "--kmax", "1", "--mmax", "1"]
+
+
+@pytest.mark.parametrize("identity", sorted(REGISTRY))
+def test_every_runner_parameter_is_a_verify_option(identity, monkeypatch, capsys):
+    # with every verify flag given, the CLI passes each parameter the runner
+    # takes; the runner-specific partials hide their sector argument
+    seen = {}
+
+    def record(identity_id, **kwargs):
+        seen.update(kwargs)
+        return Report(identity_id, {}, F(0), True)
+
+    monkeypatch.setattr(identities, "run", record)
+    assert cli.main(["verify", identity, *VERIFY_FLAGS]) == 0
+    params = set(inspect.signature(REGISTRY[identity][0]).parameters)
+    assert "sector" not in params
+    assert set(seen) == params
+
+
+@pytest.mark.parametrize("check, kwargs, checks", [
+    (check_shift_sym, dict(order=3), 5),
+    (check_oracle_a1, dict(order=3), 5),
+    (check_refined_d, dict(order=3), 6),
+    (check_gt_osp, dict(order=4), 2),
+    (check_cor_b, dict(order=4), 2),
+    (check_rec_d_half, dict(n=1, order=3, mode="eval"), 2),
+    (check_rec_d_half, dict(n=2, order=3, mode="eval"), 2),
+    (check_rec_b_half, dict(n=1, order=3, mode="eval"), 2),
+    (check_rec_b_half, dict(n=2, order=3, mode="eval"), 2),
+])
+def test_a_pass_counts_one_check_per_compared_pair(check, kwargs, checks):
+    rep = check(**kwargs)
+    assert rep.ok, rep.line()
+    assert rep.checks == checks
+
+
+def _plus_term(fn, rings):
+    """``fn`` with q^(3/16) added to each series it returns: no identity
+    here has a term at that exponent, so both sides are zero there."""
+    def patched(*args, **kwargs):
+        series = fn(*args, **kwargs)
+        rings.append(series.ring)
+        return series + QSeries.monomial(series.ring, F(3, 16))
+    return patched
+
+
+@pytest.mark.parametrize("module, name, run, case, checks, coeff", [
+    (corr, "a_npoint", lambda: check_oracle_a1(order=3, mmax=1), {"m": -1}, 1, 1),
+    (corr, "refined_form2", lambda: check_refined_d(order=3),
+     {"sign": 1, "form": "log"}, 3, 1),
+    (identities, "weyl_sum_product_form",
+     lambda: check_weyl_lemma(wtype="C", l=1, order=4, count=1),
+     {"type": "C", "l": 1, "lam": (F(random.Random(0).randrange(0, 6)),)}, 1, 1),
+    # the rec-b-half oracle route compares with half the R trace
+    (identities, "trace",
+     lambda: check_rec_b_half(n=2, order=4, mode="eval", svals=(2, 3)),
+     {"n": 2, "mode": "eval", "route": "oracle"}, 2, F(1, 2)),
+])
+def test_a_failing_route_reports_its_case_and_first_mismatch(
+        monkeypatch, module, name, run, case, checks, coeff):
+    # one route of the identity gains a term: the report names the failing
+    # case and both coefficients at the first exponent where they differ
+    rings = []
+    monkeypatch.setattr(module, name, _plus_term(getattr(module, name), rings))
+    rep = run()
+    assert not rep.ok
+    assert rep.params == case
+    ring = rings[-1]
+    assert rep.detail == (f"first mismatch at q^3/16: {ring.zero()!r} "
+                          f"!= {ring.from_fraction(coeff)!r}")
+    assert rep.checks == checks

@@ -1,6 +1,8 @@
 import hashlib
 from fractions import Fraction as F
+from functools import reduce
 from itertools import product
+from operator import add
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +15,8 @@ from fockcorr.errors import ResourceLimitError
 from fockcorr.fock_oracle import (RAMOND, FockState, OpSpec, SectorSpec,
                                   _check_ops, _flavor_signature_states,
                                   enumerate_states, eigenvalue, op_central,
-                                  reorder_sign, tau_refined_trace, trace)
+                                  op_mode_weight, reorder_sign,
+                                  tau_refined_trace, trace)
 from fockcorr.laurent import LaurentPoly, RationalFunction
 from fockcorr.qseries import (LaurentRing, QSeries, RatFuncRing, RationalRing,
                               lattice_sum, to16)
@@ -262,9 +265,14 @@ def reference_trace(spec, ops, ring, *, zvars=None, zscale=1, charge=None,
         return out
 
     def flavor_dict(flavor):
+        # each op's value on a state: its chosen modes' weights added to
+        # zero in mode order
         d = {}
-        for e, c, vals, _ in _flavor_signature_states(
-                spec, flavor, ops, ring, max_states, counter):
+        for e, c, chosen in _flavor_signature_states(
+                spec, flavor, max_states, counter):
+            vals = tuple(reduce(add, (op_mode_weight(op.kind, flavor, k, ring, op.unit)
+                                      for k in chosen), ring.zero())
+                         for op in ops)
             key = (e, c, vals)
             d[key] = d.get(key, 0) + 1
         return d

@@ -20,13 +20,13 @@ def main(argv):
     u = (ring.var("s1"),)
 
     print(f"== one-point functions to order q^{order} (t = s1^2) ==")
-    for label in (ModuleLabel("d", 1, (0,), folded=True),
+    for label in (ModuleLabel("d", 1, (0,)),
                   ModuleLabel("d", 1, (1,)),
                   ModuleLabel("c", 1, (0,)),
                   ModuleLabel("c", 1, (1,)),
-                  ModuleLabel("b", 1, (0,), spin=True)):
+                  ModuleLabel("b", 1, (0,))):
         print(f"\n-- {label.algebra} level {label.level} lambda={label.lam}"
-              + (" (spin)" if label.spin else ""))
+              + (" (spin)" if label.algebra == "b" else ""))
         print(render_text(npoint(label, u, ring, order)))
 
     print(f"\n== level-1/2 bases ==")

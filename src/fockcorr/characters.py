@@ -126,13 +126,14 @@ def character(family, label: ModuleLabel) -> LaurentPoly:
     """The classical-group character attached to a module label.
 
     The det twist does not change the value on the diagonal torus used here,
-    so folded labels share the plain character.
+    so a label and its det partner share one character.  Pin2l takes the
+    algebra b (spin) labels; O2l, SO2l and Sp2l take the others.
     """
     if family not in FAMILIES:
         raise LabelError(f"unknown family {family!r}")
-    if family in ("O2l", "SO2l", "Sp2l") and label.spin:
+    if family in ("O2l", "SO2l", "Sp2l") and label.algebra == "b":
         raise LabelError(f"{family} takes non-spin labels")
-    if family == "Pin2l" and not label.spin:
+    if family == "Pin2l" and label.algebra != "b":
         raise LabelError("Pin2l takes spin labels")
     lam_last_zero = (not label.lam) or label.lam[-1] == 0
     return _character_cached(family, label.weight(), label.rank(), lam_last_zero)

@@ -96,9 +96,7 @@ def _build_label(args):
     l = int(args.level)
     if len(lam) < l and all(m >= 0 for m in lam):
         lam = lam + (0,) * (l - len(lam))   # pad partitions to declared length
-    spin = args.spin or args.algebra == "b"
-    return ModuleLabel(args.algebra, args.level, lam, det=args.det, spin=spin,
-                       folded=not args.det)
+    return ModuleLabel(args.algebra, args.level, lam, det=args.det)
 
 
 def _cached_series(key, ring, compute):
@@ -124,7 +122,7 @@ def cmd_corr(args):
     req = CorrelatorRequest(label=label, npoints=args.n, order=args.order,
                             mode=args.mode, eval_points=args.svals)
     key = diskcache.key("corr", label.algebra, label.level, label.lam, label.det,
-                        label.spin, req.npoints, req.order, req.mode, req.eval_points)
+                        req.npoints, req.order, req.mode, req.eval_points)
     _emit(_cached_series(key, req.ring, lambda: correlator(req)), args.json)
     return 0
 
@@ -245,7 +243,6 @@ def build_parser():
         p.add_argument("--lambda", dest="lam", default="",
                        help="comma-separated weakly decreasing parts")
         p.add_argument("--det", action="store_true")
-        p.add_argument("--spin", action="store_true")
         p.add_argument("--order", type=_order, required=True)
         p.add_argument("--json", action="store_true")
 

@@ -1,12 +1,13 @@
 """Partitions, label sets, Frobenius coordinates, and highest-weight maps.
 
 Trailing zeros of a partition are significant: a label living in P^l carries
-its declared length l, which the weight maps and the folding rules depend on.
+its declared length l, which the weight maps and the det-partner rules
+depend on.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
 
@@ -163,17 +164,16 @@ ALGEBRAS = ("a", "b", "c", "d")
 class ModuleLabel:
     """An element of Sigma(A)/Sigma(B)/Sigma(C)/Sigma(D)/Sigma(Pin).
 
-    lam holds the integer vector (m_1 >= ... >= m_l); for spin labels the
-    actual highest weight is lam + (1/2,...,1/2).  det marks the
-    determinant-twisted partner where the label set admits one.
+    lam holds the integer vector (m_1 >= ... >= m_l).  Algebra b labels are
+    the Sigma(Pin) labels, so their highest weight is lam + (1/2,...,1/2).
+    det marks the determinant-twisted partner where the label set admits
+    one; a plain label with a partner stands for both when summed over.
     """
 
     algebra: str
     level: Fraction
     lam: tuple
     det: bool = False
-    spin: bool = False
-    folded: bool = field(default=False, compare=True)
 
     def __post_init__(self):
         if self.algebra not in ALGEBRAS:
@@ -189,70 +189,39 @@ class ModuleLabel:
         if len(self.lam) != l:
             raise LabelError(f"label {self.lam} must have exactly {l} entries")
         if self.algebra == "a":
-            if half or self.det or self.spin:
+            if half or self.det:
                 raise LabelError("type A labels are integer-level, untwisted")
             return
         if any(m < 0 for m in self.lam):
             raise LabelError(f"negative part in {self.algebra}-label: {self.lam}")
         if self.algebra == "b":
-            if not self.spin:
-                raise LabelError("b_infinity labels carry the spin flag (Sigma(Pin))")
             if self.det:
                 raise LabelError("Sigma(Pin) has no det twist")
-        else:
-            if self.spin:
-                raise LabelError(f"spin flag is only for b_infinity labels")
-            if self.algebra == "c":
-                if half:
-                    raise LabelError("c_infinity has integer levels only")
-                if self.det:
-                    raise LabelError("Sigma(C) has no det twist")
-            else:  # d
-                if self.det and not half and self.lam and self.lam[-1] != 0:
-                    raise LabelError(
-                        "Sigma(D) label with lam_l > 0 has no det partner")
-        if self.det and self.folded:
-            raise LabelError("a folded label absorbs its det partner")
+        elif self.algebra == "c":
+            if half:
+                raise LabelError("c_infinity has integer levels only")
+            if self.det:
+                raise LabelError("Sigma(C) has no det twist")
+        elif self.det and not half and self.lam and self.lam[-1] != 0:
+            raise LabelError("Sigma(D) label with lam_l > 0 has no det partner")
 
     def rank(self):
         """Number of label entries l (level rounded down)."""
         return int(self.level)
 
     def weight(self):
-        """Highest-weight vector as Fractions (adds the spin 1/2 shift)."""
-        shift = Fraction(1, 2) if self.spin else Fraction(0)
+        """Highest-weight vector as Fractions (b labels add the 1/2 shift)."""
+        shift = Fraction(1, 2) if self.algebra == "b" else Fraction(0)
         return tuple(Fraction(m) + shift for m in self.lam)
 
     def norm2(self):
         w = self.weight()
         return sum(x * x for x in w)
 
-    def to_json(self):
-        return {
-            "algebra": self.algebra,
-            "level": str(self.level),
-            "lambda": list(self.lam),
-            "det": self.det,
-            "spin": self.spin,
-            "folded": self.folded,
-        }
-
-    @classmethod
-    def from_json(cls, data):
-        return cls(data["algebra"], Fraction(data["level"]),
-                   tuple(data["lambda"]), det=data.get("det", False),
-                   spin=data.get("spin", False),
-                   folded=data.get("folded", False))
-
-
-def fold(label: ModuleLabel) -> ModuleLabel:
-    """The folded variant representing lam together with its det partner."""
-    return ModuleLabel(label.algebra, label.level, label.lam,
-                       det=False, spin=label.spin, folded=True)
-
 
 def enumerate_labels(algebra, level, bound):
-    """All folded labels whose correlator can contribute below q^bound.
+    """All plain (untwisted) labels whose correlator can contribute below
+    q^bound; each stands for itself and its det partner, if it has one.
 
     Soundness: every Weyl-sum term of a correlator has leading exponent
     >= ||weight||^2 / 2, so labels with ||weight||^2 / 2 >= bound are
@@ -261,23 +230,18 @@ def enumerate_labels(algebra, level, bound):
     level = Fraction(level)
     bound = Fraction(bound)
     l = int(level)
-    spin = algebra == "b"
+    shift = Fraction(1, 2) if algebra == "b" else Fraction(0)
     out = []
-    if l == 0:
-        lab = ModuleLabel(algebra, level, (), spin=spin, folded=True)
-        if lab.norm2() / 2 < bound:
-            out.append(lab)
-        return out
-    # largest possible first part: (m + spin_shift)^2/2 < bound
+    # largest possible first part: (m + shift)^2/2 < bound
     cap = 0
-    while (Fraction(cap + 1) + (Fraction(1, 2) if spin else 0)) ** 2 / 2 < bound:
+    while (cap + 1 + shift) ** 2 / 2 < bound:
         cap += 1
     for size in range(0, l * cap + 1):
         for p in partitions(size, max_part=cap):
             if len(p) > l:
                 continue
             lam = tuple(p) + (0,) * (l - len(p))
-            lab = ModuleLabel(algebra, level, lam, spin=spin, folded=True)
+            lab = ModuleLabel(algebra, level, lam)
             if lab.norm2() / 2 < bound:
                 out.append(lab)
     out.sort(key=lambda L: (L.norm2(), L.lam))

@@ -333,7 +333,7 @@ def graded_trace_F(sector, units, ring, order, zvar=None, zscale=1):
     z^k enters as zvar^(zscale*k), so half-integral k needs zscale = 2 (the
     variable is then the square root w of z).  zvar=None sets z = 1.
 
-    The k-sum is folded into the eps sum: pairing eps with -eps as in
+    The k-sum is merged into the eps sum: pairing eps with -eps as in
     ``eps_inner_sum``, each vector with eps_1 = +1 contributes one product
     [eps] F_bo(q;t^eps) * sum_k (x^k + x^-k) z^k q^{k^2/2}.
     """
@@ -453,12 +453,8 @@ def npoint(label: ModuleLabel, units, ring, order):
         return a_npoint(label.lam, l, units, ring, order)
     weight = label.weight()
     if label.algebra == "c":
-        if half:
-            raise LabelError("c_infinity has integer levels only")
         return weyl_correlator(weight, "C", l, units, ring, order)
     if label.algebra in ("d", "b"):
-        if label.algebra == "b" and not label.spin:
-            raise LabelError("b_infinity labels carry the spin flag")
         if not half:
             return weyl_correlator(weight, "D", l, units, ring, order)
         pre = half_level_base(label.algebra.upper(), units, ring, order)

@@ -319,11 +319,13 @@ def trace(spec: SectorSpec, ops, ring, *, zvars=None, zscale=1,
 
     rshift = Fraction(1, 2) if spec.sector == RAMOND else Fraction(0)
     graded = [zvars is not None and zvars[p] is not None for p in range(spec.pairs)]
+    # every pair has the same states; only the charge filter differs
+    pair_states = merge(flavor_dict("plus"), flavor_dict("minus")) if spec.pairs else {}
     parts = []  # per pair, then the neutral fermion
     for p in range(spec.pairs):
         want = None if charge is None or charge[p] is None else Fraction(charge[p])
         keyed = {}
-        for sig, poly in merge(flavor_dict("plus"), flavor_dict("minus")).items():
+        for sig, poly in pair_states.items():
             for c, m in poly.items():
                 if want is None or c + rshift == want:
                     kept = keyed.setdefault(sig, {})
@@ -335,13 +337,13 @@ def trace(spec: SectorSpec, ops, ring, *, zvars=None, zscale=1,
                       for sig, poly in flavor_dict("neutral").items()})
 
     centrals = [op_central(op.kind, spec.level, ring, op.unit) for op in ops]
-    folded = {(0, (0,) * len(classes)): {(): 1}}
+    joined = {(0, (0,) * len(classes)): {(): 1}}
     for states in parts:
-        folded = merge(folded, states)
+        joined = merge(joined, states)
 
     zindex = [ring.vars.index(zvars[p]) for p in range(spec.pairs) if graded[p]]
     zshift = zscale * rshift  # z-exponent of raw charge c: zscale * c + zshift
-    if zindex and folded and zshift.denominator != 1:
+    if zindex and joined and zshift.denominator != 1:
         raise ValueError("z-exponent not integral; use zscale=2 for the R sector")
 
     def charge_element(poly):
@@ -357,7 +359,7 @@ def trace(spec: SectorSpec, ops, ring, *, zvars=None, zscale=1,
             monomials[exps] = monomials.get(exps, 0) + m
         return ring.from_laurent(LaurentPoly(ring.vars, monomials, _clean=False))
 
-    return _signature_series(((sig, charge_element(poly)) for sig, poly in folded.items()),
+    return _signature_series(((sig, charge_element(poly)) for sig, poly in joined.items()),
                              classes, centrals, spec, ring)
 
 

@@ -15,8 +15,8 @@ from fractions import Fraction
 from functools import partial
 
 from . import correlators as corr
-from .combinat import (Partition, enumerate_labels,
-                       odd_strict_partitions, partitions_up_to)
+from .combinat import (Partition, enumerate_labels, odd_strict_partitions,
+                       partitions_up_to, sym_to_osp)
 from .characters import character, denominator_det, numerator_det, torus_vars
 from .errors import FockcorrError
 from .fock_oracle import NS, RAMOND, OpSpec, SectorSpec, tau_refined_trace, trace
@@ -157,9 +157,7 @@ def check_gt_osp(order=12):
     for lam in partitions_up_to(int(order) - 1):
         part = Partition(lam)
         if part.is_symmetric():
-            # 2(lam_i - i) + 1, rows i counted from 1
-            hooks = [2 * part.parts[i] - 2 * i - 1 for i in range(part.rank())]
-            terms.append((part.size, _gt_term(ring, hooks)))
+            terms.append((part.size, _gt_term(ring, sym_to_osp(part))))
     by_partitions = QSeries.from_terms(ring, terms, order)
     osp = odd_strict_partitions(int(order) - 1)
     by_osp = QSeries.from_terms(ring, [(sum(mu), _gt_term(ring, mu)) for mu in osp], order)

@@ -577,8 +577,8 @@ class QSeries:
             ],
         }
 
-    def dumps(self, indent=None):
-        return json.dumps(self.to_json(), indent=indent, sort_keys=False)
+    def dumps(self):
+        return json.dumps(self.to_json())
 
     @classmethod
     def from_json(cls, data):

@@ -144,7 +144,7 @@ def weyl_sum(lam, wtype, l):
     return out
 
 
-def weyl_qpoly(lam, wtype, l, order=None):
+def weyl_qpoly(lam, wtype, l, order):
     """sum_sigma (-1)^l(sigma) q^{||lam+rho-sigma(rho)||^2/2} as a rational QSeries."""
     return QSeries.from_terms(
         RationalRing(),

@@ -25,7 +25,7 @@ def test_sp2_characters():
 def test_o2_characters():
     assert character("O2l", ModuleLabel("d", 1, (3,))) == \
         lp(("z1",), {(3,): 1, (-3,): 1})
-    assert character("O2l", ModuleLabel("d", 1, (0,), folded=True)) == \
+    assert character("O2l", ModuleLabel("d", 1, (0,))) == \
         lp(("z1",), {(0,): 1})
 
 
@@ -35,23 +35,23 @@ def test_o3_character():
 
 
 def test_pin2_character():
-    ch = character("Pin2l", ModuleLabel("b", 1, (1,), spin=True))
+    ch = character("Pin2l", ModuleLabel("b", 1, (1,)))
     assert ch == lp(("w1",), {(3,): 1, (-3,): 1})  # z^{3/2} + z^{-3/2}
 
 
 def test_dominant_coefficients():
-    assert dominant_coefficient("O2l", ModuleLabel("d", 2, (1, 0), folded=True)) == 2
+    assert dominant_coefficient("O2l", ModuleLabel("d", 2, (1, 0))) == 2
     assert dominant_coefficient("O2l", ModuleLabel("d", 2, (2, 1))) == 1
     assert dominant_coefficient("B2l1", ModuleLabel("d", F(5, 2), (2, 1))) == 1
-    assert dominant_coefficient("B2l1", ModuleLabel("d", F(5, 2), (0, 0), folded=True)) == 1
-    assert dominant_coefficient("Pin2l", ModuleLabel("b", 2, (1, 0), spin=True)) == 1
+    assert dominant_coefficient("B2l1", ModuleLabel("d", F(5, 2), (0, 0))) == 1
+    assert dominant_coefficient("Pin2l", ModuleLabel("b", 2, (1, 0))) == 1
 
 
 def test_spin_label_guards():
     with pytest.raises(LabelError):
-        character("Pin2l", ModuleLabel("d", 2, (1, 0), folded=True))
+        character("Pin2l", ModuleLabel("d", 2, (1, 0)))
     with pytest.raises(LabelError):
-        character("Sp2l", ModuleLabel("b", 1, (1,), spin=True))
+        character("Sp2l", ModuleLabel("b", 1, (1,)))
 
 
 def _signed_images(ch, l):
@@ -68,11 +68,11 @@ def _signed_images(ch, l):
 
 @pytest.mark.parametrize("family,label", [
     ("O2l", ModuleLabel("d", 2, (2, 1))),
-    ("O2l", ModuleLabel("d", 3, (2, 1, 0), folded=True)),
+    ("O2l", ModuleLabel("d", 3, (2, 1, 0))),
     ("Sp2l", ModuleLabel("c", 2, (2, 1))),
     ("Sp2l", ModuleLabel("c", 3, (1, 1, 0))),
     ("B2l1", ModuleLabel("d", F(5, 2), (2, 0))),
-    ("Pin2l", ModuleLabel("b", 2, (2, 1), spin=True)),
+    ("Pin2l", ModuleLabel("b", 2, (2, 1))),
 ])
 def test_weyl_group_invariance(family, label):
     ch = character(family, label)
@@ -96,7 +96,7 @@ def test_o2l_restriction_sum():
 
 def test_pin_factor_two_identity():
     # ch^pin equals literally 2 |z^{lam_i+l-i}+z^{-(lam_i+l-i)}| / |den|
-    lab = ModuleLabel("b", 2, (2, 0), spin=True)
+    lab = ModuleLabel("b", 2, (2, 0))
     ch = character("Pin2l", lab)
     num = numerator_det("Pin2l", lab.weight(), 2)
     den = denominator_det("Pin2l", 2)
@@ -130,9 +130,9 @@ def _dimension_by_limit(family, label):
 @pytest.mark.parametrize("family,label,dim", [
     ("Sp2l", ModuleLabel("c", 1, (1,)), 2),
     ("Sp2l", ModuleLabel("c", 2, (1, 0)), 4),
-    ("O2l", ModuleLabel("d", 2, (1, 0), folded=True), 4),
+    ("O2l", ModuleLabel("d", 2, (1, 0)), 4),
     ("B2l1", ModuleLabel("d", F(3, 2), (1,)), 3),
-    ("Pin2l", ModuleLabel("b", 1, (2,), spin=True), 2),
+    ("Pin2l", ModuleLabel("b", 1, (2,)), 2),
 ])
 def test_dimensions(family, label, dim):
     assert _dimension_by_limit(family, label) == dim

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -710,3 +711,41 @@ def test_unit_product_on_a_pole_exits_3(extra, capsys):
     assert out.out == ""
     assert out.err == ("pole-guard violation: theta argument t = 1 "
                        "(vanishing leading term)\n")
+
+
+# every option of the command line, by subcommand ("fockcorr" for the options
+# before it): adding or removing a flag is a change of this contract
+OPTION_STRINGS = {
+    "fockcorr": {"--cache-dir"},
+    "corr": {"--algebra", "--level", "--lambda", "--det", "--order", "--json",
+             "--n", "--mode", "--s"},
+    "qdim": {"--algebra", "--level", "--lambda", "--det", "--order", "--json"},
+    "oracle": {"--pairs", "--neutral", "--sector", "--ops", "--charge",
+               "--order", "--graded", "--max-states", "--json"},
+    "verify": {"--order", "--l", "--n", "--type", "--s", "--mode", "--seed",
+               "--count", "--kmax", "--mmax"},
+    "list-identities": set(),
+}
+
+
+def test_each_subcommand_has_exactly_its_pinned_options():
+    from fockcorr import cli
+
+    def options(parser):
+        return {s for action in parser._actions for s in action.option_strings
+                if s not in ("-h", "--help")}
+
+    parser = cli.build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    got = {name: options(p) for name, p in sub.choices.items()}
+    assert {"fockcorr": options(parser), **got} == OPTION_STRINGS
+
+
+def test_spin_is_no_option(capsys):
+    # b labels are spin labels by their algebra; there is no flag for it
+    argv = ["corr", "--algebra", "b", "--level", "1", "--lambda", "0",
+            "--n", "1", "--order", "2"]
+    assert _exit_code(argv) == 0
+    capsys.readouterr()
+    assert _exit_code(argv + ["--spin"]) == 2
+    assert "unrecognized arguments: --spin" in capsys.readouterr().err

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 import pytest
 
 from fockcorr.combinat import (FrobeniusCoords, ModuleLabel, Partition,
-                               enumerate_labels, fold, frobenius,
+                               enumerate_labels, frobenius,
                                from_frobenius, fundamental_weight_label,
                                odd_strict_partitions, osp_to_sym,
                                partitions_up_to, sym_to_osp)
@@ -59,15 +59,24 @@ def test_sym_osp_bijection_to_20():
 def test_enumerate_labels_examples():
     labs = enumerate_labels("d", 1, 2)
     assert [l.lam for l in labs] == [(0,), (1,)]
-    assert all(l.folded for l in labs)
     labs = enumerate_labels("c", 1, F(1, 2))
     assert [l.lam for l in labs] == [(0,)]
     labs = enumerate_labels("b", 1, 2)
     assert [l.lam for l in labs] == [(0,), (1,)]
     assert [l.weight() for l in labs] == [(F(1, 2),), (F(3, 2),)]
+    # the half-level first iteration gives the empty label for b and d alike
+    for algebra in ("b", "d"):
+        assert [l.lam for l in enumerate_labels(algebra, F(1, 2), 1)] == [()]
     # soundness: norms of enumerated labels stay below the bound
     for lab in enumerate_labels("b", 2, 5):
         assert lab.norm2() / 2 < 5
+
+
+def test_b_labels_are_spin_labels():
+    # Sigma(Pin): the 1/2 shift follows from the algebra alone
+    assert ModuleLabel("b", 1, (0,)).weight() == (F(1, 2),)
+    assert ModuleLabel("b", F(3, 2), (2,)).weight() == (F(5, 2),)
+    assert ModuleLabel("d", 1, (0,)).weight() == (F(0),)
 
 
 def test_label_validation():
@@ -76,14 +85,13 @@ def test_label_validation():
     with pytest.raises(LabelError):
         ModuleLabel("c", F(3, 2), (1,))          # c has integer levels only
     with pytest.raises(LabelError):
-        ModuleLabel("b", 1, (1,))                # missing spin flag
+        ModuleLabel("b", 1, (1,), det=True)      # Sigma(Pin) has no det twist
     with pytest.raises(LabelError):
         ModuleLabel("a", 1, (1,), det=True)
     with pytest.raises(LabelError):
         ModuleLabel("d", 2, (2, 1, 0))           # wrong length
     lab = ModuleLabel("a", 2, (1, -3))           # Sigma(A) admits negatives
     assert lab.lam == (1, -3)
-    assert fold(ModuleLabel("d", 2, (1, 0))).folded
 
 
 def test_fundamental_weight_maps():
@@ -99,25 +107,18 @@ def test_fundamental_weight_maps():
     assert fundamental_weight_label(ModuleLabel("c", 3, (0, 0, 0))) == {0: 3}
     assert fundamental_weight_label(ModuleLabel("c", 2, (1, 1))) == {1: 2}
     # b-type level l: (2l-2j) Lambda_0 + sum Lambda_{m_k}
-    assert fundamental_weight_label(ModuleLabel("b", 2, (3, 2), spin=True)) \
+    assert fundamental_weight_label(ModuleLabel("b", 2, (3, 2))) \
         == {3: 1, 2: 1}
-    assert fundamental_weight_label(ModuleLabel("b", 1, (0,), spin=True)) == {0: 2}
+    assert fundamental_weight_label(ModuleLabel("b", 1, (0,))) == {0: 2}
     # b-type level l+1/2
     assert fundamental_weight_label(
-        ModuleLabel("b", F(3, 2), (2,), spin=True)) == {0: 1, 2: 1}
+        ModuleLabel("b", F(3, 2), (2,))) == {0: 1, 2: 1}
     # d-type level l+1/2 (Sigma(B))
     assert fundamental_weight_label(ModuleLabel("d", F(5, 2), (2, 1))) \
         == {0: 2, 1: 1, 2: 1}
     # convention: no part equal to 1 forces i = j
     assert fundamental_weight_label(ModuleLabel("d", 2, (2, 0))) == {0: 2, 1: 0, 2: 1} \
         or fundamental_weight_label(ModuleLabel("d", 2, (2, 0))) == {0: 2, 2: 1}
-
-
-def test_label_json_mirror():
-    for lab in (ModuleLabel("b", F(3, 2), (2,), spin=True),
-                ModuleLabel("d", 2, (1, 0), det=True),
-                ModuleLabel("a", 2, (1, -3))):
-        assert ModuleLabel.from_json(lab.to_json()) == lab
 
 
 def test_enumerate_labels_soundness():
@@ -127,7 +128,7 @@ def test_enumerate_labels_soundness():
     from fockcorr.qseries import RationalRing
     ring = RationalRing()
     bound = F(2)
-    for algebra, level, spin in (("d", 1, False), ("c", 1, False), ("b", 1, True)):
+    for algebra, level in (("d", 1), ("c", 1), ("b", 1)):
         kept = {lab.lam for lab in enumerate_labels(algebra, level, bound)}
         omitted = [lab for lab in enumerate_labels(algebra, level, 8)
                    if lab.lam not in kept][:3]

@@ -352,7 +352,7 @@ SYMMETRY_LABELS = [("d", F(1, 2), ()), ("d", 1, (0,)), ("c", 1, (1,)),
 def test_eval_three_point_symmetries(algebra, level, lam, svals):
     # no closed form is derived from these: each correlator is symmetric in
     # the t_i, and inverting t_1 multiplies it by (-1)^ceil(level)
-    label = ModuleLabel(algebra, level, lam, spin=algebra == "b", folded=True)
+    label = ModuleLabel(algebra, level, lam)
 
     def corr(s):
         return correlator(CorrelatorRequest(label, 3, 6, "eval", s))
@@ -462,7 +462,7 @@ class TestBCDOnePoint:
         return self.ring.var("s1", 2 * k) + self.ring.var("s1", -2 * k)
 
     def test_d_level1(self):
-        lab = ModuleLabel("d", 1, (0,), folded=True)
+        lab = ModuleLabel("d", 1, (0,))
         d0 = npoint(lab, (self.u,), self.ring, 8)
         assert d0.first_mismatch(f_bo((self.u,), self.ring, 8) * F(2)) is None
         lab = ModuleLabel("d", 1, (2,))
@@ -486,7 +486,7 @@ class TestBCDOnePoint:
         assert c0.coeff(0) == expect
 
     def test_b_level1(self):
-        lab = ModuleLabel("b", 1, (0,), spin=True)
+        lab = ModuleLabel("b", 1, (0,))
         b0 = npoint(lab, (self.u,), self.ring, 8)
         ref = f_bo((self.u,), self.ring, 8).scale(self.tp(F(1, 2))).shift(F(1, 8)).truncated(8)
         assert b0.first_mismatch(ref) is None
@@ -495,24 +495,22 @@ class TestBCDOnePoint:
         # the integer-level b formula coincides with the d formula in lambda
         w = (F(3, 2), F(1, 2))
         direct = weyl_correlator(w, "D", 2, (self.u,), self.ring, 6)
-        via_label = npoint(ModuleLabel("b", 2, (1, 0), spin=True), (self.u,), self.ring, 6)
+        via_label = npoint(ModuleLabel("b", 2, (1, 0)), (self.u,), self.ring, 6)
         assert via_label.first_mismatch(direct) is None
 
     def test_half_level_dispatch(self):
-        lab = ModuleLabel("d", F(1, 2), (), folded=True)
+        lab = ModuleLabel("d", F(1, 2), ())
         assert npoint(lab, (self.u,), self.ring, 6).first_mismatch(
             half_level_base("D", (self.u,), self.ring, 6)) is None
-        lab = ModuleLabel("b", F(1, 2), (), spin=True)
+        lab = ModuleLabel("b", F(1, 2), ())
         assert npoint(lab, (self.u,), self.ring, 6).first_mismatch(
             half_level_base("B", (self.u,), self.ring, 6)) is None
 
     def test_t_permutation_symmetry(self):
         ring = RationalRing()
-        for algebra, level, lam, spin in (("d", 2, (1, 0), False),
-                                          ("c", 2, (1, 1), False),
-                                          ("b", 2, (1, 0), True)):
-            lab = ModuleLabel(algebra, level, lam, spin=spin,
-                              folded=not spin and lam[-1] == 0)
+        for algebra, level, lam in (("d", 2, (1, 0)), ("c", 2, (1, 1)),
+                                    ("b", 2, (1, 0))):
+            lab = ModuleLabel(algebra, level, lam)
             a = npoint(lab, (F(2), F(3)), ring, 4)
             b = npoint(lab, (F(3), F(2)), ring, 4)
             assert a.first_mismatch(b) is None
@@ -522,8 +520,8 @@ class TestBCDOnePoint:
         # function flips by (-1)^n under inverting all arguments
         ring = RationalRing()
         cases = ((ModuleLabel("d", 1, (1,)), 1), (ModuleLabel("c", 1, (0,)), 1),
-                 (ModuleLabel("b", 1, (0,), spin=True), 1),
-                 (ModuleLabel("d", 1, (0,), folded=True), 2))
+                 (ModuleLabel("b", 1, (0,)), 1),
+                 (ModuleLabel("d", 1, (0,)), 2))
         for lab, n in cases:
             svals = (F(2), F(3))[:n]
             inv = tuple(1 / s for s in svals)
@@ -672,7 +670,7 @@ class TestRefined:
 
 class TestQdim:
     def test_d_level1_trivial(self):
-        qd = qdim(ModuleLabel("d", 1, (0,), folded=True), 10)
+        qd = qdim(ModuleLabel("d", 1, (0,)), 10)
         assert qd.first_mismatch(inv_qq(RationalRing(), 10)) is None
 
     def test_c_level1_product(self):
@@ -686,13 +684,13 @@ class TestQdim:
             assert qd.first_mismatch(ref) is None
 
     def test_b_half_level_zero(self):
-        qd = qdim(ModuleLabel("b", F(1, 2), (), spin=True), 10)
+        qd = qdim(ModuleLabel("b", F(1, 2), ()), 10)
         ref = em_one(RationalRing(), 10).shift(F(1, 16))
         assert qd.first_mismatch(ref) is None
 
     def test_d_half_prefactor_positive_exponent(self):
         # the (-q^{1/2};q) prefactor (not the printed -q^{-1/2} variant)
-        qd = qdim(ModuleLabel("d", F(1, 2), (), folded=True), 6)
+        qd = qdim(ModuleLabel("d", F(1, 2), ()), 6)
         assert qd.first_mismatch(em_half(RationalRing(), 6)) is None
         assert min(qd.terms) == 0
 
@@ -709,13 +707,13 @@ class TestCorollaries:
 
 class TestRequests:
     def test_eval_pole_guard_on_s(self):
-        req = CorrelatorRequest(ModuleLabel("d", 1, (0,), folded=True),
+        req = CorrelatorRequest(ModuleLabel("d", 1, (0,)),
                                 npoints=1, order=3, mode="eval", eval_points=(1,))
         with pytest.raises(PoleError):
             correlator(req)  # the guard sits in make_units
 
     def test_eval_pole_guard_on_products(self):
-        req = CorrelatorRequest(ModuleLabel("d", 1, (0,), folded=True),
+        req = CorrelatorRequest(ModuleLabel("d", 1, (0,)),
                                 npoints=2, order=3, mode="eval",
                                 eval_points=(2, F(1, 2)))
         with pytest.raises(PoleError):
@@ -750,8 +748,7 @@ def _off_poles(svals):
 def test_exact_mode_specialized_at_s_equals_eval_mode(
         algebra, level, part, det, n, order, svals):
     try:
-        label = ModuleLabel(algebra, level, (part,), det=det,
-                            spin=algebra == "b", folded=not det)
+        label = ModuleLabel(algebra, level, (part,), det=det)
     except LabelError:
         assume(False)
     svals = tuple(svals[:n])

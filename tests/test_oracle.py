@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from fockcorr.correlators import (em_half, em_one, f_bo, graded_trace_F,
                                   half_level_base, inv_qq, qq_odd,
                                   refined_level1)
+from fockcorr import fock_oracle
 from fockcorr.errors import ResourceLimitError
 from fockcorr.fock_oracle import (RAMOND, FockState, OpSpec, SectorSpec,
                                   _check_ops, _flavor_signature_states,
@@ -413,12 +414,29 @@ class TestCountKeyedTrace:
         assert_matches_reference(SectorSpec(2, 0, "ns", 3), ops[:1], ring,
                                  zvars=("z1", "z1"))
 
+    def test_pairs_share_one_enumeration(self, monkeypatch):
+        # every pair has the same plus and minus states, so a 3-pair trace
+        # enumerates each flavor once and max_states counts each state once
+        # (21 per flavor at order 7)
+        calls = []
+        real = fock_oracle._flavor_signature_states
+
+        def counted(spec, flavor, max_states, counter):
+            calls.append(flavor)
+            return real(spec, flavor, max_states, counter)
+
+        monkeypatch.setattr(fock_oracle, "_flavor_signature_states", counted)
+        spec, rational = SectorSpec(3, 0, "ns", 7), RationalRing()
+        got = trace(spec, [], rational, max_states=42)
+        assert calls == ["plus", "minus"]
+        assert got.dumps() == reference_trace(spec, [], rational).dumps()
+
     @pytest.mark.parametrize("fn", [trace, reference_trace])
     def test_error_texts(self, fn):
         rational = RationalRing()
         with pytest.raises(ResourceLimitError,
-                           match="^state budget 60 exceeded during enumeration$"):
-            fn(SectorSpec(2, 0, "ns", 8), [], rational, max_states=60)
+                           match="^state budget 50 exceeded during enumeration$"):
+            fn(SectorSpec(2, 0, "ns", 8), [], rational, max_states=50)
         ring = LaurentRing(("z1", "z2"))
         with pytest.raises(ResourceLimitError,
                            match="^state budget 100 exceeded during merge$"):

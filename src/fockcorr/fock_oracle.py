@@ -12,8 +12,12 @@ the combining, adding count tuples and multiplying charge polynomials: it
 joins the two flavors of a pair (charges add), and after each pair's
 charge filter it folds the pairs together (per-pair charge tuples
 concatenate).  The neutral fermion joins as one more merge.  So merges do
-integer work only, and the ring is touched once per final signature.  The
-tau-refined trace evaluates its tau-fixed states by the same signatures.
+integer work only.  When every op argument is a rational number, the
+weights and centrals are Fractions over one common denominator per op, and
+each final signature's eigenvalue product is evaluated and summed in plain
+ints, with one Fraction per output term; symbolic arguments touch the ring
+once per final signature.  The tau-refined trace evaluates its tau-fixed
+states by the same signatures, on the same weight classes and centrals.
 
 Conventions (NS = modes in 1/2+Z, R = modes in Z):
   * NS charged pair: psi^{+-} creators at k in 1/2+Z_+, charge +-1 each.
@@ -29,11 +33,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, eq
+from math import lcm
+from operator import add, eq, mul
 
 from .errors import PoleError, ResourceLimitError
 from .laurent import LaurentPoly
-from .qseries import QSeries, from16, to16, unit_pow
+from .qseries import QSeries, RationalRing, from16, to16, unit_pow
 
 NS, RAMOND = "ns", "r"
 
@@ -172,39 +177,113 @@ def _flavor_signature_states(spec, flavor, max_states, counter):
     return out
 
 
-def _weight_classes(spec, ops, ring):
-    """The distinct nonzero weight tuples W_j of ``ops`` on the sector's
-    creator modes, and the class j of each (flavor, mode) whose weights are
-    not all zero; classes are told apart by ``==`` on each pair of entries."""
-    classes = []
-    class_of = {}  # (flavor, mode) -> j
-    for flavor in ("plus", "minus") * bool(spec.pairs) + ("neutral",) * spec.neutral:
-        for k in _flavor_modes(spec, flavor):
-            w = tuple(op_mode_weight(op.kind, flavor, k, ring, op.unit) for op in ops)
-            if all(map(ring.is_zero, w)):
-                continue
-            j = next((j for j, seen in enumerate(classes)
-                      if all(map(eq, w, seen))), len(classes))
-            if j == len(classes):
-                classes.append(w)
-            class_of[flavor, k] = j
-    return classes, class_of
+def _rational_arg(unit):
+    """``unit`` as a Fraction when it is a rational number (a
+    ``RationalRing`` value or a constant ``LaurentPoly``), else None."""
+    if isinstance(unit, (int, Fraction)):
+        return Fraction(unit)
+    if isinstance(unit, LaurentPoly):
+        zero = (0,) * len(unit.vars)
+        if unit.terms.keys() == {zero}:
+            return Fraction(unit.terms[zero])
+    return None
 
 
-def _signature_series(values, classes, centrals, spec, ring):
-    """The sum over ``values``, pairs ((energy16, counts), val), of val *
-    q^energy times the eigenvalue of each op i on that signature:
-    central_i + sum_j counts_j * W_j[i]."""
-    terms = []
-    for (e16, counts), val in values:
-        for i, central in enumerate(centrals):
-            ev = central
-            for w, n in zip(classes, counts):
-                if n:
-                    ev = ev + (w[i] if n == 1 else ring.from_fraction(n) * w[i])
-            val = val * ev
-        terms.append((from16(e16) + spec.energy_shift, val))
-    return QSeries.from_terms(ring, terms, spec.cutoff + spec.energy_shift)
+class _OpTable:
+    """The weight classes and central constants of ``ops`` on a sector, and
+    the evaluation of signatures.
+
+    ``classes`` holds the distinct nonzero weight tuples W_j, and
+    ``class_of`` the class j of each (flavor, mode) whose weights are not
+    all zero; classes are told apart by ``==`` on each pair of entries.
+    When every op argument is a rational number, the weights and centrals
+    are Fractions and ``series`` works in plain ints; otherwise they are
+    elements of ``ring`` and so is its work.
+    """
+
+    def __init__(self, spec, ops, ring):
+        args = [_rational_arg(op.unit) for op in ops]
+        self.rational = None not in args
+        wring = ring
+        if self.rational:
+            ops, wring = [OpSpec(op.kind, a) for op, a in zip(ops, args)], RationalRing()
+        self.spec, self.ring = spec, ring
+        self.classes = []
+        self.class_of = {}  # (flavor, mode) -> j
+        for flavor in ("plus", "minus") * bool(spec.pairs) + ("neutral",) * spec.neutral:
+            for k in _flavor_modes(spec, flavor):
+                w = tuple(op_mode_weight(op.kind, flavor, k, wring, op.unit) for op in ops)
+                if all(map(wring.is_zero, w)):
+                    continue
+                j = next((j for j, seen in enumerate(self.classes)
+                          if all(map(eq, w, seen))), len(self.classes))
+                if j == len(self.classes):
+                    self.classes.append(w)
+                self.class_of[flavor, k] = j
+        self.centrals = [op_central(op.kind, spec.level, wring, op.unit) for op in ops]
+
+    def counts(self, creators):
+        """The occupation count per weight class of the (flavor, mode)
+        ``creators``."""
+        counts = [0] * len(self.classes)
+        for creator in creators:
+            j = self.class_of.get(creator)
+            if j is not None:
+                counts[j] += 1
+        return tuple(counts)
+
+    def series(self, signatures):
+        """The sum over ``signatures``, pairs ((energy16, counts), {z-exponent
+        vector: multiplicity}), of the z-polynomial times q^energy times the
+        eigenvalue of each op i on that signature:
+        central_i + sum_j counts_j * W_j[i].
+
+        Over rational arguments, op i's central and weights go over one
+        common denominator d_i, the product of the integer eigenvalue
+        numerators is summed per (energy, z-monomial) in ints, and each
+        output term is one Fraction over prod_i d_i."""
+        spec = self.spec
+        terms = (self._integer_terms if self.rational else self._ring_terms)(signatures)
+        return QSeries.from_terms(self.ring, ((from16(e16) + spec.energy_shift, c)
+                                              for e16, c in terms),
+                                  spec.cutoff + spec.energy_shift)
+
+    def _ring_terms(self, signatures):
+        ring = self.ring
+        for (e16, counts), monomials in signatures:
+            val = ring.from_laurent(LaurentPoly(ring.vars, monomials, _clean=False))
+            for i, central in enumerate(self.centrals):
+                ev = central
+                for w, n in zip(self.classes, counts):
+                    if n:
+                        ev = ev + (w[i] if n == 1 else ring.from_fraction(n) * w[i])
+                val = val * ev
+            yield e16, val
+
+    def _integer_terms(self, signatures):
+        ring = self.ring
+        scaled = []  # per op: (d_i * central_i, [d_i * W_j[i]])
+        den = 1
+        for i, central in enumerate(self.centrals):
+            values = [central] + [w[i] for w in self.classes]
+            d = lcm(*[v.denominator for v in values])
+            nums = [v.numerator * (d // v.denominator) for v in values]
+            scaled.append((nums[0], nums[1:]))
+            den *= d
+        acc = {}  # energy16 -> {z-exponent vector: numerator}
+        for (e16, counts), monomials in signatures:
+            ev = 1
+            for central, weights in scaled:
+                ev *= central + sum(map(mul, counts, weights))
+            poly = acc.setdefault(e16, {})
+            for z, m in monomials.items():
+                poly[z] = poly.get(z, 0) + m * ev
+        for e16, poly in acc.items():
+            if ring.mode == "rational":
+                yield e16, Fraction(poly[()], den)
+            else:
+                yield e16, ring.from_laurent(LaurentPoly(
+                    ring.vars, {z: Fraction(v, den) for z, v in poly.items() if v}))
 
 
 def enumerate_states(spec: SectorSpec, max_states=None):
@@ -263,11 +342,13 @@ def trace(spec: SectorSpec, ops, ring, *, zvars=None, zscale=1,
                 charge) entries of any one merge.
 
     The merges see only signatures (energy, occupation count per weight
-    class) and integer charge polynomials; see the module docstring.  The
-    ring is used once per final signature: op i has the eigenvalue
-    central_i + sum_j count_j * W_j[i] there, W_j being the weights of
-    class j, and the product of the eigenvalues multiplies the charge
-    polynomial, read as sum m * z^{zscale * charge}.
+    class) and integer charge polynomials; see the module docstring.  Op i
+    has the eigenvalue central_i + sum_j count_j * W_j[i] on a signature,
+    W_j being the weights of class j, and the product of the eigenvalues
+    multiplies the charge polynomial, read as sum m * z^{zscale * charge}.
+    With rational op arguments the products are evaluated and summed in
+    ints, over one common denominator per op; with symbolic ones the ring
+    is used once per final signature.
     """
     ops = tuple(ops)
     _check_ops(spec, ops)
@@ -277,9 +358,14 @@ def trace(spec: SectorSpec, ops, ring, *, zvars=None, zscale=1,
         raise ValueError("one charge filter entry per pair required")
     if zvars is not None and len(zvars) != spec.pairs:
         raise ValueError("one z-variable entry per pair required")
+    return _trace(spec, _OpTable(spec, ops, ring), zvars, zscale, charge, max_states)
+
+
+def _trace(spec, table, zvars, zscale, charge, max_states):
+    """``trace`` on the weight classes of ``table``, arguments checked."""
+    ring = table.ring
     cutoff16 = to16(spec.cutoff)
     counter = [0]
-    classes, class_of = _weight_classes(spec, ops, ring)
 
     # (energy16, counts) -> {charge: multiplicity}; under a merge counts and
     # charges add, so per-pair charge tuples concatenate
@@ -309,11 +395,7 @@ def trace(spec: SectorSpec, ops, ring, *, zvars=None, zscale=1,
     def flavor_dict(flavor):
         d = {}
         for e, c, chosen in _flavor_signature_states(spec, flavor, max_states, counter):
-            counts = [0] * len(classes)
-            for k in chosen:
-                if (flavor, k) in class_of:
-                    counts[class_of[flavor, k]] += 1
-            poly = d.setdefault((e, tuple(counts)), {})
+            poly = d.setdefault((e, table.counts((flavor, k) for k in chosen)), {})
             poly[c] = poly.get(c, 0) + 1
         return d
 
@@ -323,11 +405,12 @@ def trace(spec: SectorSpec, ops, ring, *, zvars=None, zscale=1,
     pair_states = merge(flavor_dict("plus"), flavor_dict("minus")) if spec.pairs else {}
     parts = []  # per pair, then the neutral fermion
     for p in range(spec.pairs):
-        want = None if charge is None or charge[p] is None else Fraction(charge[p])
+        # the raw charge c of a state is its e_pp eigenvalue minus rshift
+        want = None if charge is None or charge[p] is None else Fraction(charge[p]) - rshift
         keyed = {}
         for sig, poly in pair_states.items():
             for c, m in poly.items():
-                if want is None or c + rshift == want:
+                if want is None or c == want:
                     kept = keyed.setdefault(sig, {})
                     key = (c,) if graded[p] else ()
                     kept[key] = kept.get(key, 0) + m
@@ -336,8 +419,7 @@ def trace(spec: SectorSpec, ops, ring, *, zvars=None, zscale=1,
         parts.append({sig: {(): sum(poly.values())}
                       for sig, poly in flavor_dict("neutral").items()})
 
-    centrals = [op_central(op.kind, spec.level, ring, op.unit) for op in ops]
-    joined = {(0, (0,) * len(classes)): {(): 1}}
+    joined = {(0, (0,) * len(table.classes)): {(): 1}}
     for states in parts:
         joined = merge(joined, states)
 
@@ -345,22 +427,20 @@ def trace(spec: SectorSpec, ops, ring, *, zvars=None, zscale=1,
     zshift = zscale * rshift  # z-exponent of raw charge c: zscale * c + zshift
     if zindex and joined and zshift.denominator != 1:
         raise ValueError("z-exponent not integral; use zscale=2 for the R sector")
+    zshift = int(zshift)
 
-    def charge_element(poly):
-        """sum m * prod_p z_p^{zscale * c_p + zshift} as one ring element."""
-        if not zindex:
-            return ring.from_fraction(poly[()])
-        monomials = {}
+    def monomials(poly):
+        """{z-exponent vector: m} of sum m * prod_p z_p^{zscale * c_p + zshift}."""
+        out = {}
         for cs, m in poly.items():
             exps = [0] * len(ring.vars)
             for idx, c in zip(zindex, cs):
-                exps[idx] += zscale * c + int(zshift)
+                exps[idx] += zscale * c + zshift
             exps = tuple(exps)
-            monomials[exps] = monomials.get(exps, 0) + m
-        return ring.from_laurent(LaurentPoly(ring.vars, monomials, _clean=False))
+            out[exps] = out.get(exps, 0) + m
+        return out
 
-    return _signature_series(((sig, charge_element(poly)) for sig, poly in joined.items()),
-                             classes, centrals, spec, ring)
+    return table.series((sig, monomials(poly)) for sig, poly in joined.items())
 
 
 def eigenvalue(op: OpSpec, state: FockState, spec: SectorSpec, ring):
@@ -403,23 +483,19 @@ def tau_refined_trace(ops, cutoff, ring):
     each signed by ``reorder_sign``; those states are keyed by their
     signature (2 * energy of S, counts) and evaluated as ``trace`` does.
     """
-    ops = tuple(ops)
     spec = SectorSpec(1, 0, NS, cutoff)
-    tr = trace(spec, ops, ring, charge=0)
+    ops = tuple(ops)
+    _check_ops(spec, ops)
+    table = _OpTable(spec, ops, ring)
+    tr = _trace(spec, table, None, 1, (0,), None)
     cutoff16 = to16(spec.cutoff)
-    classes, class_of = _weight_classes(spec, ops, ring)
     twisted = {}  # (energy16, counts) -> sum of reordering signs
     for e, _, chosen in _flavor_signature_states(spec, "minus", None, [0]):
         if 2 * e >= cutoff16:
             continue
         word = [("plus", k) for k in chosen] + [("minus", k) for k in chosen]
-        counts = [0] * len(classes)
-        for creator in word:
-            if creator in class_of:
-                counts[class_of[creator]] += 1
-        key = (2 * e, tuple(counts))
+        key = (2 * e, table.counts(word))
         twisted[key] = twisted.get(key, 0) + reorder_sign(word)
-    centrals = [op_central(op.kind, spec.level, ring, op.unit) for op in ops]
-    trtau = _signature_series(((sig, ring.from_fraction(m)) for sig, m in twisted.items()),
-                              classes, centrals, spec, ring)
+    zero = (0,) * len(ring.vars)
+    trtau = table.series((sig, {zero: m}) for sig, m in twisted.items() if m)
     return (tr + trtau) * Fraction(1, 2), (tr - trtau) * Fraction(1, 2)

@@ -29,7 +29,11 @@ The other products and divisions run on packed keys: the terms' exponent
 vectors map once to plain ints over an exponent box (``_strides``), the
 inner loops add and compare those ints, and each output term is unpacked
 once.  Int order is lex order, so long division keeps its order of steps,
-and the product keeps the term order of a loop over exponent tuples.
+and the product keeps the term order of a loop over exponent tuples.  The
+general product also runs on integer coefficients, the pattern of the
+rational q-series product: each operand is scaled to integer numerators
+over the lcm of its denominators, and each output term is divided once by
+the product of the two lcms (operands with only int coefficients skip both).
 ``terms`` stays keyed by tuples.  A ``LaurentPoly`` keeps its box once
 computed, since its terms never change.
 
@@ -42,6 +46,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from math import lcm
 from operator import add, gt, mul, sub
 
 from .errors import InexactDivisionError, PoleError
@@ -58,8 +63,8 @@ def _fr(x):
 
 def _div(a, b):
     """Exact coefficient quotient in normal form (int / int is a float)."""
-    if type(a) is int and type(b) is int and not a % b:
-        return a // b
+    if type(a) is int and type(b) is int:
+        return Fraction(a, b) if a % b else a // b
     return _fr(Fraction(a) / b)
 
 
@@ -90,6 +95,15 @@ def _strides(spans):
 def _pack(terms, strides):
     """[(key, coeff)] of a term dict."""
     return [(sum(map(mul, e, strides)), c) for e, c in terms.items()]
+
+
+def _numerators(pairs):
+    """([(key, integer numerator)], lcm of the denominators) of packed
+    ``pairs``; integral pairs come back as they are, over 1."""
+    den = lcm(*[c.denominator for _, c in pairs if type(c) is not int])
+    if den == 1:
+        return pairs, 1
+    return [(k, c.numerator * (den // c.denominator)) for k, c in pairs], den
 
 
 def _unpack(keys, strides, lo):
@@ -215,16 +229,19 @@ class LaurentPoly:
             return self._times_term(*next(iter(other.terms.items())))
         if len(self.terms) == 1:
             return other._times_term(*next(iter(self.terms.items())))
-        # the general product adds int keys over the product's box; a zero
-        # sum deletes its key, so the term order does not depend on packing
+        # the general product adds int keys over the product's box, and
+        # integer numerators over each operand's lcm denominator; a zero sum
+        # deletes its key, so the term order depends on neither, and each
+        # output term is divided once by the product of the two lcms
         alo, ahi = self._exp_box()
         blo, bhi = other._exp_box()
         lo = tuple(map(add, alo, blo))
         strides = _strides(map(sub, map(add, ahi, bhi), lo))
-        b = _pack(other.terms, strides)
+        a, da = _numerators(_pack(self.terms, strides))
+        b, db = _numerators(_pack(other.terms, strides))
         out = {}
         get = out.get
-        for ka, ca in _pack(self.terms, strides):
+        for ka, ca in a:
             for kb, cb in b:
                 k = ka + kb
                 v = get(k, 0) + ca * cb
@@ -232,8 +249,12 @@ class LaurentPoly:
                     out[k] = v
                 else:
                     del out[k]
-        return LaurentPoly(self.vars, dict(zip(_unpack(out, strides, lo),
-                                               map(_fr, out.values()))),
+        den = da * db
+        if den == 1:
+            coeffs = map(_fr, out.values())
+        else:
+            coeffs = [_div(v, den) for v in out.values()]
+        return LaurentPoly(self.vars, dict(zip(_unpack(out, strides, lo), coeffs)),
                            _clean=False)
 
     __rmul__ = __mul__

@@ -52,6 +52,14 @@ _IDENTITY_FOR = {
     ("b", 1): "howe-Pin", ("b", 2): "howe-Bhalf",
 }
 
+# higher levels at n = 1: l = 3 and 4 of the integral-level identities, and
+# level 3 + 1/2 of the half-integral ones
+WIDE_GRID = [
+    ("howe-D", 3, 6), ("howe-C", 3, 6), ("howe-Pin", 3, 6),
+    ("howe-D", 4, 6), ("howe-C", 4, 6), ("howe-Pin", 4, 6),
+    ("howe-Dhalf", 3, 5), ("howe-Bhalf", 3, 5),
+]
+
 
 def test_criterion_2_oracle_theorem_grid():
     t0 = time.monotonic()
@@ -64,6 +72,11 @@ def test_criterion_2_oracle_theorem_grid():
             runs += 1
             if not rep.ok:
                 failures.append((algebra, level, n, rep.detail))
+    for identity, l, order in WIDE_GRID:
+        rep = howe_check(identity, l=l, n=1, order=order, svals=(2,))
+        runs += 1
+        if not rep.ok:
+            failures.append((identity, l, 1, rep.detail))
     # the grid's lambda window ||lambda||^2/2 <= 2 is covered by the sums
     from fockcorr.combinat import enumerate_labels
     for algebra, level in GRID:

@@ -469,6 +469,38 @@ def test_packed_kernels_match_the_tuple_loops(data):
     assert exact_div(prod, b) == a
 
 
+# operands of the general product whose Fraction coefficients have unlike
+# denominators, within each operand and between the two
+INTEGER_NUMERATOR_CASES = [
+    # 1/2 and 1/3 over lcm 6 (not 3), 3/5 and 5/7 over 35
+    ({(0,): F(1, 2), (1,): F(1, 3)}, {(0,): F(3, 5), (-1,): F(5, 7), (2,): 2}),
+    # 3/2 (1 + s) * 2/3 (1 - s) = 1 - s^2: ints, and the s term cancels
+    ({(0,): F(3, 2), (1,): F(3, 2)}, {(0,): F(2, 3), (1,): F(-2, 3)}),
+    # s^1 gets 1/3, then -1/3 (deleted), then 1/7 (inserted again, last)
+    ({(0,): F(1, 2), (1,): F(1, 3), (2,): F(1, 5)},
+     {(1,): F(2, 3), (0,): -1, (-1,): F(5, 7)}),
+    # two variables, integral coefficients against unlike denominators
+    ({(1, 0): F(1, 4), (0, 1): F(1, 6), (-1, -1): 3},
+     {(0, 0): 4, (1, -1): F(6, 5), (0, 2): F(-2, 9)}),
+    # (x/2 + y/3)(x/2 - y/3) = x^2/4 - y^2/9: the cross terms cancel to zero
+    ({(1, 0): F(1, 2), (0, 1): F(1, 3)}, {(1, 0): F(1, 2), (0, 1): F(-1, 3)}),
+    # (2x + 3y)(x/2 - y/3) = x^2 + 5xy/6 - y^2: one operand is all ints
+    ({(1, 0): 2, (0, 1): 3}, {(1, 0): F(1, 2), (0, 1): F(-1, 3)}),
+]
+
+
+@pytest.mark.parametrize("at, bt", INTEGER_NUMERATOR_CASES)
+def test_integer_numerator_product_keeps_terms_order_and_form(at, bt):
+    # the product runs on integer numerators over each operand's lcm
+    # denominator and divides once per output term; its terms, their order
+    # and their int/Fraction form are those of the plain coefficient loop
+    vars_ = ZV[:len(next(iter(at)))]
+    a = LaurentPoly(vars_, at, _clean=False)
+    b = LaurentPoly(vars_, bt, _clean=False)
+    for x, y in ((a, b), (b, a)):
+        assert ordered_terms(x * y) == ordered_terms(reference_mul(x, y))
+
+
 def test_quotient_term_outside_the_box_raises_at_once(monkeypatch):
     from fockcorr import laurent
     x, y = (LaurentPoly.var(ZV, v) for v in ZV)

@@ -470,7 +470,8 @@ class TestCountKeyedTrace:
 
     def test_ring_work_is_per_signature(self, monkeypatch):
         # about 25,000 coefficient adds and products when every basis state
-        # did ring work; about 450 once the ring sees only the final signatures
+        # did ring work; about 760 on a symbolic argument, once the ring sees
+        # only the final signatures
         calls = []
         for name in ("__add__", "__mul__"):
             def counting(a, b, op=getattr(LaurentPoly, name)):
@@ -478,11 +479,118 @@ class TestCountKeyedTrace:
                 return op(a, b)
             monkeypatch.setattr(LaurentPoly, name, counting)
 
-        ring = LaurentRing(ZV)
-        out = trace(SectorSpec(3, 0, "ns", 7),
-                    [OpSpec("D", ring.from_fraction(F(5, 2)))], ring, zvars=ZV)
+        ring = RatFuncRing(("s",) + ZV)
+        out = trace(SectorSpec(3, 0, "ns", 7), [OpSpec("D", ring.var("s"))], ring,
+                    zvars=ZV)
         assert not out.is_zero
         assert len(calls) < 1000
+
+    def test_rational_arguments_make_no_laurent_products(self, monkeypatch):
+        # with rational op arguments each signature is evaluated in plain
+        # ints, so the trace multiplies no Laurent polynomials; a symbolic
+        # argument still takes the ring path
+        calls = []
+        for name in ("__mul__", "__rmul__"):
+            def counting(a, b, op=getattr(LaurentPoly, name)):
+                calls.append(name)
+                return op(a, b)
+            monkeypatch.setattr(LaurentPoly, name, counting)
+
+        spec = SectorSpec(3, 0, "ns", 7)
+        laurent = LaurentRing(ZV)
+        out = trace(spec, [OpSpec("D", laurent.from_fraction(F(5, 2)))], laurent,
+                    zvars=ZV)
+        assert not out.is_zero
+        assert calls == []
+        symbolic = RatFuncRing(("s",) + ZV)
+        trace(spec, [OpSpec("D", symbolic.var("s"))], symbolic, zvars=ZV)
+        assert calls
+
+
+# ---------------------------------------------------------------------------
+# rational arguments (integer evaluation) against symbolic ones (ring path)
+# ---------------------------------------------------------------------------
+
+SYMBOLIC = RatFuncRing(("s",) + ZV)
+
+
+@st.composite
+def rational_and_symbolic_calls(draw):
+    """(spec, [(kind, power of s)], rational ring, trace kwargs, point)."""
+    sector = draw(st.sampled_from(("ns", "r")))
+    pairs = draw(st.integers(0, 2))
+    neutral = draw(st.integers(0, 1))
+    spec = SectorSpec(pairs, neutral, sector,
+                      draw(st.sampled_from((F(3, 2), F(5, 2), F(3), F(4)))))
+    if sector == "r":
+        kinds = ("B",)
+    else:
+        kinds = ("D", "C") if neutral else ("A", "D", "C")
+    ops = [(draw(st.sampled_from(kinds)), draw(st.sampled_from((1, -1, 2))))
+           for _ in range(draw(st.integers(1, 2)))]
+    shift = F(1, 2) if sector == "r" else F(0)
+    charge = None
+    if draw(st.booleans()):
+        charge = tuple(draw(st.one_of(st.none(), st.integers(-2, 2).map(
+            lambda c: c + shift))) for _ in range(pairs))
+    zvars = None
+    if pairs and draw(st.booleans()):
+        zvars = tuple(draw(st.sampled_from((None, "z1", "z2", "z3")))
+                      for _ in range(pairs))
+    if zvars is None and draw(st.booleans()):
+        rational = RationalRing()
+    else:
+        rational = LaurentRing(ZV)
+    kwargs = dict(zvars=zvars, zscale=draw(st.sampled_from((1, 2))), charge=charge,
+                  max_states=draw(st.sampled_from((None, None, 8, 20, 40, 80))))
+    s = draw(st.sampled_from((F(2), F(-3), F(3, 2), F(-5, 2), F(5, 3), F(-2, 7))))
+    point = {"s": s}
+    point.update((z, draw(st.sampled_from((F(3), F(-2), F(2, 5))))) for z in ZV)
+    return spec, ops, rational, kwargs, point
+
+
+def specialized(series, point):
+    """{exponent: Fraction} of a series with every variable set by ``point``."""
+    out = {}
+    for e, c in series.terms.items():
+        v = c if isinstance(c, F) else c.eval_at(point)
+        if v:
+            out[e] = v
+    return out
+
+
+@given(call=rational_and_symbolic_calls())
+@settings(max_examples=100, deadline=None)
+def test_rational_arguments_match_the_specialized_symbolic_trace(call):
+    # integer evaluation at rational s equals the ring path at symbolic s,
+    # specialized there (and at rational z); errors keep their texts
+    spec, ops, rational, kwargs, point = call
+    s = point["s"]
+    symbolic_ops = [OpSpec(kind, SYMBOLIC.var("s", k)) for kind, k in ops]
+    rational_ops = [OpSpec(kind, rational.from_fraction(s ** k)) for kind, k in ops]
+    try:
+        want = trace(spec, symbolic_ops, SYMBOLIC, **kwargs)
+    except (ResourceLimitError, ValueError) as exc:
+        with pytest.raises(type(exc)) as got:
+            trace(spec, rational_ops, rational, **kwargs)
+        assert str(got.value) == str(exc)
+        return
+    got = trace(spec, rational_ops, rational, **kwargs)
+    assert got.ring == rational and got.trunc == want.trunc
+    assert specialized(got, point) == specialized(want, point)
+
+
+@pytest.mark.parametrize("s", [F(2), F(-5, 3)])
+def test_tau_refined_rational_arguments_match_symbolic(s):
+    kinds = (("D", 1), ("C", 2), ("A", -1))
+    symbolic = tau_refined_trace([OpSpec(kind, SYMBOLIC.var("s", k)) for kind, k in kinds],
+                                 4, SYMBOLIC)
+    point = {"s": s, **{z: F(1) for z in ZV}}
+    for rational in (RationalRing(), LaurentRing(ZV)):
+        got = tau_refined_trace([OpSpec(kind, rational.from_fraction(s ** k))
+                                 for kind, k in kinds], 4, rational)
+        for g, w in zip(got, symbolic):
+            assert specialized(g, point) == specialized(w, point)
 
 
 # sha256 of the outputs below, recorded before the trace rework; the

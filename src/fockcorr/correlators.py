@@ -46,7 +46,7 @@ from math import factorial, prod
 from .characters import det_laurent
 from .combinat import ModuleLabel
 from .errors import InternalCheckError, LabelError, NonUnitError, PoleError
-from .laurent import LaurentPoly, RationalFunction
+from .laurent import LaurentPoly
 from .qseries import (LaurentRing, QSeries, RatFuncRing, RationalRing,
                       lattice_points, pochhammer, unit_pow)
 from .weyl import weyl_qpoly, weyl_sum, weyl_sum_product_form
@@ -388,9 +388,7 @@ def weyl_correlator(weight, wtype, l, units, ring, order):
     if l == 0:
         return QSeries.one(ring, order)
     total = QSeries.zero(ring, order)
-    for sign, qexp, kvec in weyl_sum(weight, wtype, l):
-        if qexp >= order:
-            continue
+    for sign, qexp, kvec in weyl_sum(weight, wtype, l, order):
         term = eps_inner_sum(units, ring, order, kvec[0])
         for k in kvec[1:]:
             term = term * eps_inner_sum(units, ring, order, k)
@@ -494,8 +492,7 @@ def refined_g(order):
         n += 1
     body = QSeries.from_terms(ring, terms, order)
     colon_g = (qq2 * body) * Fraction(2)
-    s = LaurentPoly.var(("s",), "s")
-    central = RationalFunction(LaurentPoly.const(("s",), 2), s - s ** -1)
+    central = ring.from_fraction(2) * ring.inv(ring.var("s") - ring.var("s", -1))
     return (colon_g + qq2.scale(central)).truncated(order)
 
 
@@ -526,9 +523,8 @@ def _tddt_log_pochhammer(ring, c, x2, qshift, step, order):
         if e >= order and e > 0:
             break
         if e == 0:
-            mono = LaurentPoly.var(ring.vars, "s", x2, c)
-            rf = RationalFunction(mono, LaurentPoly.const(ring.vars, 1) - mono)
-            terms.append((0, ring.from_fraction(-x) * rf))
+            mono = ring.var("s", x2, c)
+            terms.append((0, ring.from_fraction(-x) * (mono * ring.inv(ring.one() - mono))))
         else:
             m = 1
             while e * m < order:
@@ -556,8 +552,7 @@ def refined_form1(sign, order):
             terms.append((e, -ring.var("s", 2 * j + 1)))
             j += 1
         r += 1
-    s = LaurentPoly.var(("s",), "s")
-    terms.append((0, RationalFunction(LaurentPoly.const(("s",), 1), s - s ** -1)))
+    terms.append((0, ring.inv(ring.var("s") - ring.var("s", -1))))
     bracket = QSeries.from_terms(ring, terms, order)
     corr = qq_odd(ring, order) * bracket
     return (base + corr) if sign > 0 else (base - corr)
@@ -622,17 +617,26 @@ def qdim(label: ModuleLabel, order) -> QSeries:
 # the two corollary q-identities
 # ---------------------------------------------------------------------------
 
-def corollary_d_lhs(order):
-    """(-q^{1/2}t;q)(-q^{1/2}t^{-1};q)(q;q)^2 / ((qt;q)(qt^{-1};q)(-q^{1/2};q)^2)."""
+def corollary_lhs(sector, unit, ring, order):
+    """The Pochhammer side of a corollary q-identity at t = unit^2 over ``ring``:
+    (-q^{1/2}t;q)(-q^{1/2}t^{-1};q)(q;q)^2 / ((qt;q)(qt^{-1};q)(-q^{1/2};q)^2)
+    for sector 'D', (-qt;q)(-t^{-1};q)(q;q)^2 / ((qt;q)(t^{-1};q)(-q;q)^2)
+    for 'B'."""
     order = Fraction(order)
-    ring = RatFuncRing(("s",))
-    t, tinv = ring.var("s", 2), ring.var("s", -2)
-    num = (pochhammer(ring, -t, Fraction(1, 2), 1, order)
-           * pochhammer(ring, -tinv, Fraction(1, 2), 1, order)
+    # the q-shifts of (-t;q), (-t^-1;q) and (t^-1;q), and (-q^a;q)
+    if sector == "D":
+        a, b, c, em = Fraction(1, 2), Fraction(1, 2), 1, em_half
+    elif sector == "B":
+        a, b, c, em = 1, 0, 0, em_one
+    else:
+        raise ValueError("sector must be 'D' or 'B'")
+    t, tinv = unit_pow(ring, unit, 2), unit_pow(ring, unit, -2)
+    num = (pochhammer(ring, -t, a, 1, order)
+           * pochhammer(ring, -tinv, b, 1, order)
            * qq_series(ring, order) ** 2)
     den = (pochhammer(ring, t, 1, 1, order)
-           * pochhammer(ring, tinv, 1, 1, order)
-           * em_half(ring, order) ** 2)
+           * pochhammer(ring, tinv, c, 1, order)
+           * em(ring, order) ** 2)
     return (num * den.inverse()).truncated(order)
 
 
@@ -658,20 +662,6 @@ def corollary_d_rhs(order):
     return (QSeries.one(ring, order) + total.scale(factor)).truncated(order)
 
 
-def corollary_b_lhs(order):
-    """(-qt;q)(-t^{-1};q)(q;q)^2 / ((qt;q)(t^{-1};q)(-q;q)^2)."""
-    order = Fraction(order)
-    ring = RatFuncRing(("s",))
-    t, tinv = ring.var("s", 2), ring.var("s", -2)
-    num = (pochhammer(ring, -t, 1, 1, order)
-           * pochhammer(ring, -tinv, 0, 1, order)
-           * qq_series(ring, order) ** 2)
-    den = (pochhammer(ring, t, 1, 1, order)
-           * pochhammer(ring, tinv, 0, 1, order)
-           * em_one(ring, order) ** 2)
-    return (num * den.inverse()).truncated(order)
-
-
 def corollary_b_rhs(order):
     """(t+1)/(t-1) + 2 sum_r (-1)^r [ q^{r+1}t/(1-q^{r+1}t)
     - q^{r+1}t^{-1}/(1-q^{r+1}t^{-1}) ]."""
@@ -689,9 +679,8 @@ def corollary_b_rhs(order):
             terms.append((e, -(c * ring.var("s", -2 * j))))
             j += 1
         r += 1
-    s2 = LaurentPoly.var(("s",), "s", 2)
-    one = LaurentPoly.const(("s",), 1)
-    terms.append((0, RationalFunction(s2 + one, s2 - one)))
+    t = ring.var("s", 2)
+    terms.append((0, (t + ring.one()) * ring.inv(t - ring.one())))
     return QSeries.from_terms(ring, terms, order)
 
 

@@ -33,11 +33,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from operator import add, eq, mul
 
 from .errors import PoleError, ResourceLimitError
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, _numerators
 from .qseries import QSeries, RationalRing, from16, to16, unit_pow
 
 NS, RAMOND = "ns", "r"
@@ -265,10 +264,8 @@ class _OpTable:
         scaled = []  # per op: (d_i * central_i, [d_i * W_j[i]])
         den = 1
         for i, central in enumerate(self.centrals):
-            values = [central] + [w[i] for w in self.classes]
-            d = lcm(*[v.denominator for v in values])
-            nums = [v.numerator * (d // v.denominator) for v in values]
-            scaled.append((nums[0], nums[1:]))
+            pairs, d = _numerators(list(enumerate([central] + [w[i] for w in self.classes])))
+            scaled.append((pairs[0][1], [n for _, n in pairs[1:]]))
             den *= d
         acc = {}  # energy16 -> {z-exponent vector: numerator}
         for (e16, counts), monomials in signatures:

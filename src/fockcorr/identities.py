@@ -167,12 +167,15 @@ def check_gt_osp(order=12):
 
 
 def check_cor_d(order=12):
-    lhs, rhs = corr.corollary_d_lhs(order), corr.corollary_d_rhs(order)
+    ring = RatFuncRing(("s",))
+    lhs = corr.corollary_lhs("D", ring.var("s"), ring, order)
+    rhs = corr.corollary_d_rhs(order)
     return _compare("cor-d", {"mode": "exact"}, order, [({"mode": "exact"}, lhs, rhs)])
 
 
 def check_cor_b(order=12):
-    lhs = corr.corollary_b_lhs(order)
+    ring = RatFuncRing(("s",))
+    lhs = corr.corollary_lhs("B", ring.var("s"), ring, order)
     forms = (({"mode": "exact"}, corr.corollary_b_rhs),
              ({"mode": "exact", "form": "log-derivative"}, corr.corollary_b_rhs_log))
     return _compare("cor-b", forms[-1][0], order,
@@ -333,20 +336,12 @@ def _subset_sum(sector, n, units, ring, order):
 
 
 def _half_product(sector, u, ring, order):
-    """The one-point base as a Jacobi product."""
-    t, tinv = corr.unit_pow(ring, u, 2), corr.unit_pow(ring, u, -2)
+    """The one-point base as the corollary's Pochhammer side times
+    (-q^{1/2};q)/(t^{1/2}-t^{-1/2}) (sector "D") or q^{1/16}(-q;q)/2 ("B")."""
+    lhs = corr.corollary_lhs(sector, u, ring, order)
     if sector == "D":
-        return (pochhammer(ring, -t, Fraction(1, 2), 1, order)
-                * pochhammer(ring, -tinv, Fraction(1, 2), 1, order)
-                * corr.em_half(ring, order).inverse()
-                * corr.inv_theta_at(u, ring, order))
-    num = (pochhammer(ring, -t, 1, 1, order)
-           * pochhammer(ring, -tinv, 0, 1, order)
-           * corr.qq_series(ring, order) ** 2)
-    den = (pochhammer(ring, t, 1, 1, order)
-           * pochhammer(ring, tinv, 0, 1, order)
-           * corr.em_one(ring, order) * Fraction(2))
-    return (num * den.inverse()).shift(Fraction(1, 16))
+        return (lhs * corr.em_half(ring, order)).scale(ring.inv(u - ring.inv(u)))
+    return (lhs * corr.em_one(ring, order) * Fraction(1, 2)).shift(Fraction(1, 16))
 
 
 def _rec_half_check(sector, n=2, order=8, mode="exact", svals=(2, 3, 5)):

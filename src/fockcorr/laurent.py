@@ -98,11 +98,13 @@ def _pack(terms, strides):
 
 
 def _numerators(pairs):
-    """([(key, integer numerator)], lcm of the denominators) of packed
-    ``pairs``; integral pairs come back as they are, over 1."""
-    den = lcm(*[c.denominator for _, c in pairs if type(c) is not int])
-    if den == 1:
+    """([(key, integer numerator)], lcm of the denominators) of (key, int or
+    Fraction) ``pairs``, a list or a dict's items; all-int ``pairs`` come back
+    as they are, over 1, and any Fraction, integral too, becomes an int."""
+    dens = [c.denominator for _, c in pairs if type(c) is not int]
+    if not dens:
         return pairs, 1
+    den = lcm(*dens)
     return [(k, c.numerator * (den // c.denominator)) for k, c in pairs], den
 
 

@@ -22,7 +22,8 @@ of reduced ``Fraction`` coefficients (``terms``) is built only when it is
 read, for output or comparison, and kept (series never change after
 construction).  A series built from coefficients makes its integer form on
 first use.  ``RationalRing.evaluator`` likewise evaluates a Laurent
-polynomial at a rational point as one integer sum.  Every other ring uses
+polynomial at a rational point as one integer sum.  Both scale by
+``laurent._numerators``, the package's one integer-numerator kernel.  Every other ring uses
 the generic coefficient loops, in the same order as ever, and substitutes
 through ``LaurentPoly.subst`` (see ``_Ring``).
 """
@@ -34,7 +35,7 @@ import math
 from fractions import Fraction
 
 from .errors import ModeMismatchError, NonUnitError
-from .laurent import LaurentPoly, RationalFunction
+from .laurent import LaurentPoly, RationalFunction, _numerators
 
 SIXTEENTH = 16
 
@@ -151,10 +152,10 @@ class RationalRing(_Ring):
             while len(apow) <= max(hi - lo, -lo, hi):
                 apow.append(apow[-1] * a)
                 bpow.append(bpow[-1] * b)
-            den = math.lcm(*[c.denominator for c in terms.values()])
+            nums, den = _numerators(terms.items())
             num = 0
-            for (m,), c in terms.items():
-                num += c.numerator * (den // c.denominator) * apow[m - lo] * bpow[hi - m]
+            for (m,), n in nums:
+                num += n * apow[m - lo] * bpow[hi - m]
             num *= apow[max(lo, 0)] * bpow[max(-hi, 0)]
             den *= apow[max(-lo, 0)] * bpow[max(hi, 0)]
             return Fraction(num, den)
@@ -528,7 +529,7 @@ class QSeries:
         series; each coefficient is numerator / denominator.  Made once per
         series, which never changes after construction."""
         if self._ints is None:
-            self._ints = _integer_numerators(self.terms)
+            self._ints = _numerators(list(self.terms.items()))
         return self._ints
 
     # -- comparison --------------------------------------------------------------
@@ -604,15 +605,6 @@ class QSeries:
     @classmethod
     def loads(cls, text):
         return cls.from_json(json.loads(text))
-
-
-def _integer_numerators(terms):
-    """([(exponent, numerator)], common denominator) of a rational term
-    dict: each coefficient c equals numerator / den."""
-    # a list, not a generator: on CPython 3.11 each generator unpacked into
-    # the call waits for the cycle collector, which raised peak memory
-    den = math.lcm(*[c.denominator for c in terms.values()])
-    return [(e, c.numerator * (den // c.denominator)) for e, c in terms.items()], den
 
 
 def _rational_sum(a, b, trunc):

@@ -129,18 +129,31 @@ def _check_dominant(wtype, lam):
     return lam
 
 
-def weyl_sum(lam, wtype, l):
-    """One record (sign, qexp, kvec) per group element, kvec = lam+rho-sigma(rho)."""
+@lru_cache(maxsize=None)
+def _rho_orbit(wtype, l):
+    """(sign, 2 sigma(rho)) for every group element sigma, in ints."""
+    r2 = tuple(int(2 * x) for x in rho(wtype, l))
+    return tuple((sign_char(wtype, elem), apply(elem, r2)) for elem in elements(wtype, l))
+
+
+def weyl_sum(lam, wtype, l, order):
+    """The records (sign, qexp, kvec), kvec = lam+rho-sigma(rho), of the group
+    elements sigma with qexp = ||kvec||^2/2 < order; lam is half-integral.
+    The exponents are compared in ints, as 8 qexp = ||2 kvec||^2."""
     lam = _check_dominant(wtype, lam)
     if len(lam) != l:
         raise ValueError("weight length must equal the rank")
-    r = rho(wtype, l)
+    top = [2 * (a + r) for a, r in zip(lam, rho(wtype, l))]
+    if any(x.denominator != 1 for x in top):
+        raise ValueError(f"weight {lam} is not half-integral")
+    top = [int(x) for x in top]
+    bound = 8 * Fraction(order)
     out = []
-    for elem in elements(wtype, l):
-        sr = apply(elem, r)
-        kvec = tuple(lam[i] + r[i] - sr[i] for i in range(l))
-        qexp = sum(x * x for x in kvec) / 2
-        out.append((sign_char(wtype, elem), qexp, kvec))
+    for sign, sr2 in _rho_orbit(wtype, l):
+        k2 = [a - b for a, b in zip(top, sr2)]
+        norm = sum(x * x for x in k2)
+        if norm < bound:
+            out.append((sign, Fraction(norm, 8), tuple(Fraction(x, 2) for x in k2)))
     return out
 
 
@@ -148,7 +161,8 @@ def weyl_qpoly(lam, wtype, l, order):
     """sum_sigma (-1)^l(sigma) q^{||lam+rho-sigma(rho)||^2/2} as a rational QSeries."""
     return QSeries.from_terms(
         RationalRing(),
-        [(qexp, Fraction(sign)) for sign, qexp, _ in weyl_sum(lam, wtype, l)], order)
+        [(qexp, Fraction(sign)) for sign, qexp, _ in weyl_sum(lam, wtype, l, order)],
+        order)
 
 
 def weyl_sum_product_form(lam, wtype, l, order):
@@ -171,16 +185,10 @@ def weyl_denominator_poly(wtype, l, variables):
     Type D uses integer z-exponents; type B has half-integer rho, so there
     the variables are square roots w_j with z_j = w_j^2.
     """
-    r = rho(wtype, l)
-    if wtype == "D":
-        scale = 1
-    elif wtype == "B":
-        scale = 2
-    else:
+    if wtype not in ("B", "D"):
         raise ValueError("denominator helper covers types B and D")
-    total = LaurentPoly.zero(variables)
-    for elem in elements(wtype, l):
-        sr = apply(elem, r)
-        exps = tuple(int(scale * x) for x in sr)
-        total = total + LaurentPoly.monomial(variables, exps, sign_char(wtype, elem))
-    return total
+    terms = {}
+    for sign, sr2 in _rho_orbit(wtype, l):
+        exps = tuple(x // 2 for x in sr2) if wtype == "D" else sr2
+        terms[exps] = terms.get(exps, 0) + sign
+    return LaurentPoly(variables, terms)

@@ -8,12 +8,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fockcorr import correlators, qseries
+from fockcorr import correlators
 from fockcorr.combinat import ModuleLabel
 from fockcorr.correlators import (CorrelatorRequest, a_npoint, correlator,
-                                  corollary_b_lhs, corollary_b_rhs,
-                                  corollary_b_rhs_log, corollary_d_lhs,
-                                  corollary_d_rhs, em_half, em_one,
+                                  corollary_b_rhs, corollary_b_rhs_log,
+                                  corollary_d_rhs, corollary_lhs, em_half, em_one,
                                   eps_inner_sum, f_bo, graded_trace_F, half_level_base, inv_qq,
                                   inv_theta_at, make_ring, make_units, npoint,
                                   qdim, qq_series,
@@ -269,18 +268,18 @@ class TestSharedMinors:
 
     def test_eval_f_bo_scales_and_converts_each_series_once(self, monkeypatch):
         counts = Counter()
-        scale, ints = QSeries.scale, qseries._integer_numerators
+        scale, ints = QSeries.scale, QSeries._integer_form
 
         def counting_scale(series, c):
             counts["scale"] += 1
             return scale(series, c)
 
-        def counting_ints(terms):
-            counts["ints"] += 1
-            return ints(terms)
+        def counting_ints(series):
+            counts["ints"] += series._ints is None  # a conversion
+            return ints(series)
 
         monkeypatch.setattr(QSeries, "scale", counting_scale)
-        monkeypatch.setattr(qseries, "_integer_numerators", counting_ints)
+        monkeypatch.setattr(QSeries, "_integer_form", counting_ints)
         f_bo.cache_clear()  # the sub-tuples' values come from f_bo's cache
         f_bo.__wrapped__((F(2), F(3), F(5), F(7)), RationalRing(), 6)
         # the subset recursion scales nothing (the permutation sum scaled its
@@ -696,13 +695,26 @@ class TestQdim:
 
 
 class TestCorollaries:
+    RING = RatFuncRing(SV)
+
     def test_d_identity(self):
-        assert corollary_d_lhs(8).first_mismatch(corollary_d_rhs(8)) is None
+        lhs = corollary_lhs("D", self.RING.var("s"), self.RING, 8)
+        assert lhs.first_mismatch(corollary_d_rhs(8)) is None
 
     def test_b_identity_and_log_form(self):
-        lhs = corollary_b_lhs(8)
+        lhs = corollary_lhs("B", self.RING.var("s"), self.RING, 8)
         assert lhs.first_mismatch(corollary_b_rhs(8)) is None
         assert lhs.first_mismatch(corollary_b_rhs_log(8)) is None
+
+    @pytest.mark.parametrize("sector", ["D", "B"])
+    @pytest.mark.parametrize("s", [F(2), F(3, 2), F(-5, 3)])
+    def test_rational_ring_product_is_the_exact_one_at_s(self, sector, s):
+        # the eval-mode rec-half route builds the product over RationalRing
+        evald = corollary_lhs(sector, s, RationalRing(), 8)
+        exact = corollary_lhs(sector, self.RING.var("s"), self.RING, 8)
+        special = {e: c.eval_at({"s": s}) for e, c in exact.terms.items()}
+        assert {e: c for e, c in special.items() if c} == evald.terms
+        assert exact.trunc == evald.trunc
 
 
 class TestRequests:

@@ -6,6 +6,8 @@ own body: as a name, an attribute, an import or a string constant (the
 last covers ``getattr`` and monkeypatching by name).  A name that occurs
 anywhere counts for every definition of that name, so the check can miss
 dead code but does not flag live code.
+
+A few names are also kept inside the modules that own them (``CONFINED``).
 """
 
 import ast
@@ -53,3 +55,25 @@ def unreferenced():
 
 def test_every_public_definition_is_referenced():
     assert unreferenced() == []
+
+
+# the modules of the package that may name each of these: the exact
+# rational-function coefficient stays inside its rings, and theta (1/Theta
+# included) inside the correlator builders
+CONFINED = {
+    "RationalFunction": {"laurent.py", "qseries.py"},
+    "theta_at": {"correlators.py"},
+    "inv_theta_at": {"correlators.py"},
+    "theta_k": {"correlators.py"},
+}
+
+
+def test_exact_forms_stay_in_their_modules():
+    stray = {}
+    for path, tree in parsed(["src/fockcorr"]):
+        named = references(tree)
+        named.update(node.name for node in ast.walk(tree) if isinstance(node, DEFS))
+        for name, allowed in CONFINED.items():
+            if named[name] and path.name not in allowed:
+                stray.setdefault(name, []).append(path.name)
+    assert stray == {}

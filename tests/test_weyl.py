@@ -30,16 +30,22 @@ def test_sign_char_equals_length_parity(wtype, l):
 
 
 def test_weyl_sum_examples():
-    assert weyl_sum((F(3),), "D", 1) == [(1, F(9, 2), (F(3),))]
-    recs = sorted(weyl_sum((F(2),), "B", 1))
+    assert weyl_sum((F(3),), "D", 1, 10) == [(1, F(9, 2), (F(3),))]
+    recs = sorted(weyl_sum((F(2),), "B", 1, 10))
     assert recs == sorted([(1, F(2), (F(2),)), (-1, F(9, 2), (F(3),))])
-    recs = sorted(weyl_sum((F(1),), "C", 1))
+    recs = sorted(weyl_sum((F(1),), "C", 1, 10))
     assert recs == sorted([(1, F(1, 2), (F(1),)), (-1, F(9, 2), (F(3),))])
+
+
+def test_weyl_sum_drops_records_at_the_order():
+    # the B record at q^{9/2} sits at the order and is dropped
+    assert weyl_sum((F(2),), "B", 1, F(9, 2)) == [(1, F(2), (F(2),))]
+    assert len(weyl_sum((F(2),), "B", 1, F(19, 4))) == 2
 
 
 def test_weyl_sum_rejects_non_dominant():
     with pytest.raises(ValueError):
-        weyl_sum((F(1), F(2)), "B", 2)
+        weyl_sum((F(1), F(2)), "B", 2, 10)
 
 
 def test_product_form_examples():

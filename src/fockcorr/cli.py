@@ -296,9 +296,11 @@ def build_parser():
 
 
 # options whose value may start with '-': a comma list led by a negative
-# number or by '-' for a skipped oracle pair, or a rational that is read
-# here and rejected by its own check (a negative fraction such as -1/2)
-LIST_OPTIONS = frozenset({"--s", "--charge", "--order", "--level", "--max-states"})
+# number (a type A label part, an s-value, a charge) or by '-' for a
+# skipped oracle pair, or a rational that is read here and rejected by its
+# own check (a negative fraction such as -1/2)
+LIST_OPTIONS = frozenset({"--s", "--charge", "--lambda", "--order", "--level",
+                          "--max-states"})
 
 
 def _list_option_words(parser):

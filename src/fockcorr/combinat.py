@@ -135,12 +135,10 @@ def partitions(n, max_part=None):
             yield (first,) + rest
 
 
-def partitions_up_to(total, max_parts=None):
-    """All partitions of size <= total (optionally with at most max_parts parts)."""
+def partitions_up_to(total):
+    """All partitions of size <= total."""
     for n in range(total + 1):
-        for p in partitions(n):
-            if max_parts is None or len(p) <= max_parts:
-                yield p
+        yield from partitions(n)
 
 
 def odd_strict_partitions(total):

@@ -39,9 +39,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import permutations, product
-from math import factorial, prod
+from math import ceil, factorial, prod
 
 from .characters import det_laurent
 from .combinat import ModuleLabel
@@ -473,27 +473,38 @@ def correlator(req: CorrelatorRequest) -> QSeries:
 # refined level-1 type D functions
 # ---------------------------------------------------------------------------
 
-def refined_g(order):
-    """G(t) = :G:(t) + (q;q^2) * 2/(t^{1/2}-t^{-1/2}) over RatFunc(s).
+def _geometric(ring, order, terms):
+    """sum c q^a / (1 - w q^b) over the (c, a, w, b) of ``terms``, expanded as
+    sum_j c w^j q^(a + b j) below q^order; a term with b = 0 is the exact
+    c / (1 - w) at q^a."""
+    pairs = []
+    for c, a, w, b in terms:
+        if b == 0:
+            pairs.append((a, c * ring.inv(ring.one() - w)))
+            continue
+        while a < order:
+            pairs.append((a, c))
+            a, c = a + b, c * w
+    return QSeries.from_terms(ring, pairs, order)
 
-    :G:(t) = 2 (q;q^2) sum_{n>=1} q^{2n-1} (t^{-n+1/2} - t^{n-1/2})/(1-q^{2n-1}).
-    """
+
+def colon_g(order):
+    """:G:(t) = 2 (q;q^2) sum_{n>=1} q^{2n-1} (t^{-n+1/2} - t^{n-1/2})/(1-q^{2n-1})
+    over RatFunc(s)."""
     order = Fraction(order)
     ring = RatFuncRing(("s",))
-    qq2 = qq_odd(ring, order)
-    terms = []
-    n = 1
-    while 2 * n - 1 < order:
-        coeff = ring.var("s", -(2 * n - 1)) - ring.var("s", 2 * n - 1)
-        j = 0
-        while (2 * n - 1) * (j + 1) < order:
-            terms.append(((2 * n - 1) * (j + 1), coeff))
-            j += 1
-        n += 1
-    body = QSeries.from_terms(ring, terms, order)
-    colon_g = (qq2 * body) * Fraction(2)
-    central = ring.from_fraction(2) * ring.inv(ring.var("s") - ring.var("s", -1))
-    return (colon_g + qq2.scale(central)).truncated(order)
+    s = partial(ring.var, "s")
+    terms = [(s(-m, 2) - s(m, 2), m, ring.one(), m)
+             for m in range(1, ceil(order), 2)]   # m = 2n - 1
+    return (qq_odd(ring, order) * _geometric(ring, order, terms)).truncated(order)
+
+
+def refined_g(order):
+    """G(t) = :G:(t) + (q;q^2) * 2/(t^{1/2}-t^{-1/2}) over RatFunc(s)."""
+    order = Fraction(order)
+    ring = RatFuncRing(("s",))
+    central = _geometric(ring, order, [(ring.var("s", -1, 2), 0, ring.var("s", -2), 0)])
+    return (colon_g(order) + qq_odd(ring, order) * central).truncated(order)
 
 
 def refined_level1(sign, order):
@@ -509,52 +520,29 @@ def refined_level1(sign, order):
 
 
 def _tddt_log_pochhammer(ring, c, x2, qshift, step, order):
-    """t d/dt ln prod_{r>=0} (1 - c t^{x} q^{qshift + r step}) with x = x2/2.
-
-    Expands -x sum_{m>=1} (c t^x)^m q^{em} per factor; the e = 0 factor
-    contributes the exact rational function -x c t^x / (1 - c t^x).
-    """
-    order = Fraction(order)
-    x = Fraction(x2, 2)
-    terms = []
-    r = 0
-    while True:
-        e = Fraction(qshift) + r * Fraction(step)
-        if e >= order and e > 0:
-            break
-        if e == 0:
-            mono = ring.var("s", x2, c)
-            terms.append((0, ring.from_fraction(-x) * (mono * ring.inv(ring.one() - mono))))
-        else:
-            m = 1
-            while e * m < order:
-                w = ring.from_fraction(-x * c ** m)
-                terms.append((e * m, w * ring.var("s", x2 * m)))
-                m += 1
-        r += 1
-    return QSeries.from_terms(ring, terms, order)
+    """t d/dt ln prod_{r>=0} (1 - c t^{x} q^{qshift + r step}) with x = x2/2:
+    the factor at q^e gives -x c t^x q^e / (1 - c t^x q^e), exact at e = 0."""
+    mono = ring.var("s", x2, c)
+    coeff = ring.from_fraction(Fraction(-x2, 2)) * mono
+    terms, e = [], Fraction(qshift)
+    while e < order:
+        terms.append((coeff, e, mono, e))
+        e += step
+    return _geometric(ring, order, terms)
 
 
 def refined_form1(sign, order):
-    """First displayed closed form of the refined trace."""
+    """First displayed closed form of the refined trace: F_bo(q;t) +/- (q;q^2)
+    [1/(t^{1/2}-t^{-1/2}) + sum_{r>=0} (q^{r+1} t^{-1/2}/(1 - q^{2r+2} t^{-1})
+    - q^{r+1} t^{1/2}/(1 - q^{2r+2} t))]."""
     order = Fraction(order)
     ring = RatFuncRing(("s",))
-    units = (ring.var("s"),)
-    base = f_bo(units, ring, order)
-    terms = []
-    r = 0
-    while Fraction(r + 1) < order:
-        # q^{r+1} t^{-1/2} / (1 - q^{2r+2} t^{-1}) - q^{r+1} t^{1/2} / (1 - q^{2r+2} t)
-        j = 0
-        while (r + 1) * (2 * j + 1) < order:
-            e = Fraction((r + 1) * (2 * j + 1))
-            terms.append((e, ring.var("s", -(2 * j + 1))))
-            terms.append((e, -ring.var("s", 2 * j + 1)))
-            j += 1
-        r += 1
-    terms.append((0, ring.inv(ring.var("s") - ring.var("s", -1))))
-    bracket = QSeries.from_terms(ring, terms, order)
-    corr = qq_odd(ring, order) * bracket
+    s = partial(ring.var, "s")
+    base = f_bo((s(),), ring, order)
+    terms = [(s(-1), 0, s(-2), 0)]
+    for m in range(1, ceil(order)):   # m = r + 1
+        terms += [(s(-1), m, s(-2), 2 * m), (s(1, -1), m, s(2), 2 * m)]
+    corr = qq_odd(ring, order) * _geometric(ring, order, terms)
     return (base + corr) if sign > 0 else (base - corr)
 
 
@@ -645,21 +633,14 @@ def corollary_d_rhs(order):
     - (q^{r+1}t^{-1})^{1/2}/(1-q^{r+1}t^{-1}) ]."""
     order = Fraction(order)
     ring = RatFuncRing(("s",))
+    s = partial(ring.var, "s")
+    factor = s() - s(-1)
     terms = []
-    r = 0
-    while Fraction(r + 1, 2) < order:
-        sgn = -1 if r % 2 else 1
-        j = 0
-        while Fraction(r + 1, 2) + (r + 1) * j < order:
-            e = Fraction(r + 1, 2) + (r + 1) * j
-            c = ring.from_fraction(sgn)
-            terms.append((e, c * ring.var("s", 2 * j + 1)))
-            terms.append((e, -(c * ring.var("s", -(2 * j + 1)))))
-            j += 1
-        r += 1
-    total = QSeries.from_terms(ring, terms, order)
-    factor = ring.var("s") - ring.var("s", -1)
-    return (QSeries.one(ring, order) + total.scale(factor)).truncated(order)
+    for m in range(1, ceil(2 * order)):   # m = r + 1
+        sgn = 1 if m % 2 else -1
+        terms += [(factor * s(1, sgn), Fraction(m, 2), s(2), m),
+                  (factor * s(-1, -sgn), Fraction(m, 2), s(-2), m)]
+    return QSeries.one(ring, order) + _geometric(ring, order, terms)
 
 
 def corollary_b_rhs(order):
@@ -667,21 +648,12 @@ def corollary_b_rhs(order):
     - q^{r+1}t^{-1}/(1-q^{r+1}t^{-1}) ]."""
     order = Fraction(order)
     ring = RatFuncRing(("s",))
-    terms = []
-    r = 0
-    while Fraction(r + 1) < order:
-        sgn = 2 if r % 2 == 0 else -2
-        j = 1
-        while (r + 1) * j < order:
-            e = Fraction((r + 1) * j)
-            c = ring.from_fraction(sgn)
-            terms.append((e, c * ring.var("s", 2 * j)))
-            terms.append((e, -(c * ring.var("s", -2 * j))))
-            j += 1
-        r += 1
-    t = ring.var("s", 2)
-    terms.append((0, (t + ring.one()) * ring.inv(t - ring.one())))
-    return QSeries.from_terms(ring, terms, order)
+    s = partial(ring.var, "s")
+    terms = [(ring.one() + s(-2), 0, s(-2), 0)]
+    for m in range(1, ceil(order)):   # m = r + 1
+        sgn = 2 if m % 2 else -2
+        terms += [(s(2, sgn), m, s(2), m), (s(-2, -sgn), m, s(-2), m)]
+    return _geometric(ring, order, terms)
 
 
 def corollary_b_rhs_log(order):

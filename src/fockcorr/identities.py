@@ -13,6 +13,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
+from math import ceil
 
 from . import correlators as corr
 from .combinat import (Partition, enumerate_labels, odd_strict_partitions,
@@ -131,7 +132,7 @@ def check_weyl_lemma(wtype=None, l=None, order=15, count=20, seed=0):
 
 def check_osp_gf(order=20):
     ring = LaurentRing(("z",))
-    osp = odd_strict_partitions(int(order) - 1)
+    osp = odd_strict_partitions(ceil(order) - 1)
     lhs = QSeries.from_terms(ring, [(sum(mu), ring.var("z", len(mu))) for mu in osp], order)
     rhs = pochhammer(ring, ring.var("z", 1, -1), 1, 2, order)
     return _compare("osp-gf", {}, order, [({}, lhs, rhs)])
@@ -151,15 +152,14 @@ def check_gt_osp(order=12):
     """:G:(t) closed form against the exhaustive symmetric-partition sum
     (both the hook-coordinate and the OSP reformulation)."""
     ring = RatFuncRing(("s",))
-    central = ring.from_fraction(2) * ring.inv(ring.var("s") - ring.var("s", -1))
-    closed = corr.refined_g(order) - corr.qq_odd(ring, order).scale(central)
+    closed = corr.colon_g(order)
     terms = []
-    for lam in partitions_up_to(int(order) - 1):
+    for lam in partitions_up_to(ceil(order) - 1):
         part = Partition(lam)
         if part.is_symmetric():
             terms.append((part.size, _gt_term(ring, sym_to_osp(part))))
     by_partitions = QSeries.from_terms(ring, terms, order)
-    osp = odd_strict_partitions(int(order) - 1)
+    osp = odd_strict_partitions(ceil(order) - 1)
     by_osp = QSeries.from_terms(ring, [(sum(mu), _gt_term(ring, mu)) for mu in osp], order)
     return _compare("gt-osp", {}, order,
                     [({"form": "partitions"}, by_partitions, closed),

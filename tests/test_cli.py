@@ -563,6 +563,9 @@ CORR_EVAL2 = ["corr", "--algebra", "d", "--level", "1", "--n", "2",
      "--charge", "-1/2"),
     (CORR_EVAL2, "--s", "-2,3"),
     (["verify", "graded-A", "--n", "2", "--mode", "eval"], "--s", "-2,3"),
+    # type A label parts may be negative
+    (["corr", "--algebra", "a", "--level", "2", "--n", "1", "--order", "3",
+      "--mode", "eval", "--s", "2"], "--lambda", "-1,-2"),
 ])
 def test_list_value_starting_with_minus(head, option, value, capsys):
     from fockcorr import cli

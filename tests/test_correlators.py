@@ -641,6 +641,31 @@ class TestGradedTraces:
                 assert RationalFunction(znum, c.den) == ref
 
 
+class TestGeometric:
+    RING = RatFuncRing(SV)
+
+    @pytest.mark.parametrize("order, count", [(F(9, 2), 2), (F(19, 4), 3)])
+    def test_positive_step_expands_below_a_fractional_order(self, order, count):
+        # 3 s q^(1/2) / (1 - s^2 q^2) = sum_j 3 s^(2j+1) q^(1/2 + 2j); the
+        # q^(9/2) term is at the order 9/2, so it is dropped there
+        ring = self.RING
+        got = correlators._geometric(
+            ring, order, [(ring.var("s", 1, 3), F(1, 2), ring.var("s", 2), 2)])
+        want = QSeries.from_terms(
+            ring, [(F(1, 2) + 2 * j, ring.var("s", 2 * j + 1, 3)) for j in range(count)],
+            order)
+        assert got.first_mismatch(want) is None
+        assert len(got.terms) == count and got.trunc == want.trunc
+
+    def test_zero_step_is_the_exact_quotient(self):
+        # (1 + t^-1) / (1 - t^-1) = (t + 1)/(t - 1), one exact q^0 coefficient
+        ring = self.RING
+        got = correlators._geometric(
+            ring, F(5, 2), [(ring.one() + ring.var("s", -2), 0, ring.var("s", -2), 0)])
+        s = LaurentPoly.var(SV, "s")
+        assert got.terms == {0: RationalFunction(s ** 2 + 1, s ** 2 - 1)}
+
+
 class TestRefined:
     def test_g_constant_term(self):
         g = refined_g(6)

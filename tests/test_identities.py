@@ -189,6 +189,17 @@ def test_every_runner_parameter_is_a_verify_option(identity, monkeypatch, capsys
     assert set(seen) == params
 
 
+@pytest.mark.parametrize("order", [F(3, 2), F(7, 2)])
+@pytest.mark.parametrize("identity", sorted(
+    key for key, (fn, _) in REGISTRY.items()
+    if "order" in inspect.signature(fn).parameters))
+def test_every_identity_holds_at_a_fractional_order(identity, order):
+    # partition sums and geometric expansions reach every size below the
+    # order, int(order) included
+    rep = identities.run(identity, order=order)
+    assert rep.ok, rep.line()
+
+
 @pytest.mark.parametrize("check, kwargs, checks", [
     (check_shift_sym, dict(order=3), 5),
     (check_oracle_a1, dict(order=3), 5),

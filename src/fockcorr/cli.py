@@ -193,26 +193,27 @@ def cmd_oracle(args):
 
 
 def cmd_verify(args):
+    """Run the named identity, or all of them; each gets the overrides
+    that its signature accepts."""
     if args.identity == "all":
-        reports = identities.run_all()
+        keys = list(identities.REGISTRY)
+    elif args.identity in identities.REGISTRY:
+        keys = [args.identity]
     else:
-        if args.identity not in identities.REGISTRY:
-            print(f"unknown identity {args.identity!r}; "
-                  f"see list-identities", file=sys.stderr)
-            return 2
-        fn, _ = identities.REGISTRY[args.identity]
-        accepted = set(inspect.signature(fn).parameters)
-        overrides = {
-            "order": args.order, "l": args.l, "n": args.n, "wtype": args.type,
-            "svals": args.svals or None, "mode": args.oracle_mode,
-            "seed": args.seed, "count": args.count, "kmax": args.kmax,
-            "mmax": args.mmax,
-        }
-        kwargs = {k: v for k, v in overrides.items()
-                  if v is not None and k in accepted}
-        reports = [identities.run(args.identity, **kwargs)]
+        print(f"unknown identity {args.identity!r}; "
+              f"see list-identities", file=sys.stderr)
+        return 2
+    overrides = {
+        "order": args.order, "l": args.l, "n": args.n, "wtype": args.type,
+        "svals": args.svals or None, "mode": args.oracle_mode,
+        "seed": args.seed, "count": args.count, "kmax": args.kmax,
+        "mmax": args.mmax,
+    }
     ok = True
-    for rep in reports:
+    for key in keys:
+        accepted = inspect.signature(identities.REGISTRY[key][0]).parameters
+        rep = identities.run(key, **{k: v for k, v in overrides.items()
+                                     if v is not None and k in accepted})
         print(rep.line())
         ok = ok and rep.ok
     return 0 if ok else 1

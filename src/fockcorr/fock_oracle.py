@@ -129,13 +129,13 @@ def op_central(kind, level, ring, unit):
     """The central constant: level-scaled 1/(t^{1/2}-t^{-1/2}) or (t+1)/(t-1)."""
     if kind in ("A", "D", "C"):
         den = unit - ring.inv(unit)
-        if ring.is_zero(den):
+        if not den:
             raise PoleError("operator argument t = 1")
         scale = level if kind == "A" else 2 * level
         return ring.from_fraction(scale) * ring.inv(den)
     num = unit_pow(ring, unit, 2) + ring.one()
     den = unit_pow(ring, unit, 2) - ring.one()
-    if ring.is_zero(den):
+    if not den:
         raise PoleError("operator argument t = 1")
     return ring.from_fraction(level) * (num * ring.inv(den))
 
@@ -212,7 +212,7 @@ class _OpTable:
         for flavor in ("plus", "minus") * bool(spec.pairs) + ("neutral",) * spec.neutral:
             for k in _flavor_modes(spec, flavor):
                 w = tuple(op_mode_weight(op.kind, flavor, k, wring, op.unit) for op in ops)
-                if all(map(wring.is_zero, w)):
+                if not any(w):
                     continue
                 j = next((j for j, seen in enumerate(self.classes)
                           if all(map(eq, w, seen))), len(self.classes))

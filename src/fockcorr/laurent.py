@@ -183,6 +183,9 @@ class LaurentPoly:
     def is_zero(self):
         return not self.terms
 
+    def __bool__(self):
+        return bool(self.terms)
+
     def is_monomial(self):
         return len(self.terms) == 1
 
@@ -678,6 +681,9 @@ class RationalFunction:
     @property
     def is_zero(self):
         return self.num.is_zero
+
+    def __bool__(self):
+        return bool(self.num.terms)
 
     def as_laurent(self):
         """Exact Laurent form; raises InexactDivisionError when not polynomial."""

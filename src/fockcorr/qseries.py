@@ -13,19 +13,21 @@ the bytes of an unreduced ``RationalFunction`` product follow its operand
 order.  A series given term by term is built with ``QSeries.from_terms``,
 which sums (exponent, coefficient) pairs into one dict in the order given.
 
-A rational (evaluation-mode) series works on its integer form: a list of
-(exponent, integer numerator) pairs over one positive common denominator,
-divided by their gcd, so the numbers are as small as those of the reduced
-coefficients.  Sums, negation, scalings, shifts, truncations, products
-and inverses take integer forms to an integer form in plain ints; the dict
-of reduced ``Fraction`` coefficients (``terms``) is built only when it is
-read, for output or comparison, and kept (series never change after
-construction).  A series built from coefficients makes its integer form on
-first use.  ``RationalRing.evaluator`` likewise evaluates a Laurent
-polynomial at a rational point as one integer sum.  Both scale by
-``laurent._numerators``, the package's one integer-numerator kernel.  Every other ring uses
-the generic coefficient loops, in the same order as ever, and substitutes
-through ``LaurentPoly.subst`` (see ``_Ring``).
+Every series is stored one way: numerators by exponent over one positive
+int common denominator.  Over the rational ring the numerators are ints
+that share no factor with the denominator, so they are as small as those
+of the reduced coefficients; over the other rings they are the
+coefficients themselves, over 1.  Sums, negation, scalings, shifts,
+products and truncations are one loop for every ring, with the operands in
+the order of the formula; only ``inverse`` keeps two recurrences, since
+the integer one needs int numerators.  The dict of coefficients
+(``terms``) is a read-only view, built once for a rational series made
+from numerators.  A rational series built from coefficients takes its
+numerators from ``laurent._numerators``, the package's one
+integer-numerator kernel, and so does ``RationalRing.evaluator``, which
+evaluates a Laurent polynomial at a rational point as one integer sum;
+every other ring substitutes through ``LaurentPoly.subst`` (see
+``_Ring``).
 """
 
 from __future__ import annotations
@@ -58,11 +60,11 @@ def from16(n: int) -> Fraction:
 
 class _Ring:
     """What the three coefficient rings share: construction (``zero``,
-    ``one``, ``from_fraction``, ``var``), the zero test (``Fraction`` has no
-    ``is_zero``), serialization and an identity of (mode, variables); each
-    ring adds ``inv``, which raises ``NonUnitError`` off the units.  Sums,
-    negations, products and comparisons of coefficients are the elements'
-    own operators.  ``repr`` is part of the disk-cache keys.
+    ``one``, ``from_fraction``, ``var``), serialization and an identity of
+    (mode, variables); each ring adds ``inv``, which raises
+    ``NonUnitError`` off the units.  Sums, negations, products, comparisons
+    and the zero test (truth value) of coefficients are the elements' own
+    operators.  ``repr`` is part of the disk-cache keys.
 
     The Laurent-based rings own their conversions, ``from_laurent`` and
     ``to_laurent``; their constants and variables, the evaluator and
@@ -83,9 +85,6 @@ class _Ring:
 
     def var(self, name, power=1, c=1):
         return self.from_laurent(LaurentPoly.var(self.vars, name, power, c))
-
-    def is_zero(self, c):
-        return c.is_zero
 
     def coeff_json(self, c):
         return c.to_json()
@@ -123,9 +122,6 @@ class RationalRing(_Ring):
 
     def from_fraction(self, c):
         return Fraction(c)
-
-    def is_zero(self, c):
-        return c == 0
 
     def inv(self, a):
         if a == 0:
@@ -230,37 +226,44 @@ def lift_coeff(target_ring, coeff):
 # ---------------------------------------------------------------------------
 
 class QSeries:
-    """Sparse truncated series: {exponent-in-16ths: coeff} + truncation."""
+    """Sparse truncated series: numerators {exponent in sixteenths: numerator}
+    over one positive int denominator ``den``, and a truncation.
 
-    __slots__ = ("ring", "_terms", "trunc", "_ints")
+    Over ``RationalRing`` the numerators are ints that share no factor with
+    ``den``; over the other rings they are the coefficients and ``den`` is
+    1.  A series never changes after construction."""
+
+    __slots__ = ("ring", "nums", "den", "trunc", "_terms")
 
     def __init__(self, ring, terms, trunc, _clean=True):
-        self.ring = ring
-        self._ints = None  # integer form of a rational series, made on first use
-        self.trunc = trunc  # int sixteenths, or None for "known to all orders"
+        """The series of the coefficient dict ``terms``."""
         if _clean:
-            clean = {}
-            for e, c in terms.items():
-                if trunc is not None and e >= trunc:
-                    continue
-                if not ring.is_zero(c):
-                    clean[int(e)] = c
-            terms = clean
+            terms = {int(e): c for e, c in terms.items()
+                     if (trunc is None or e < trunc) and c}
+        self.ring = ring
+        self.trunc = trunc  # int sixteenths, or None for "known to all orders"
         self._terms = terms
+        if ring.mode == "rational":
+            nums, self.den = _numerators(list(terms.items()))
+            self.nums = dict(nums)
+        else:
+            self.nums, self.den = terms, 1
 
     @classmethod
-    def _from_ints(cls, ring, nums, den, trunc):
-        """The rational series of integer form ``(nums, den)``: nonzero
-        numerators by exponent over ``den`` > 0, divided here by their gcd."""
-        g = 1 if den == 1 else math.gcd(den, *[n for _, n in nums])
-        if g != 1:
-            nums = [(e, n // g) for e, n in nums]
-            den //= g
+    def _from_nums(cls, ring, nums, den, trunc):
+        """The series of numerators ``nums`` (nonzero) over ``den`` > 0,
+        divided here by their gcd."""
+        if den != 1:
+            g = math.gcd(den, *nums.values())
+            if g != 1:
+                nums = {e: n // g for e, n in nums.items()}
+                den //= g
         self = cls.__new__(cls)
         self.ring = ring
+        self.nums = nums
+        self.den = den
         self.trunc = trunc
-        self._terms = None  # built from the integer form when read
-        self._ints = (nums, den)
+        self._terms = None if ring.mode == "rational" else nums
         return self
 
     # -- constructors ------------------------------------------------------
@@ -278,7 +281,7 @@ class QSeries:
             coeff = ring.one()
         e = to16(qexp)
         t = None if trunc is None else to16(trunc)
-        if ring.is_zero(coeff) or (t is not None and e >= t):
+        if not coeff or (t is not None and e >= t):
             return cls(ring, {}, t, _clean=False)
         return cls(ring, {e: coeff}, t, _clean=False)
 
@@ -291,11 +294,11 @@ class QSeries:
         terms = {}
         for qexp, c in pairs:
             e = to16(qexp)
-            if (t is not None and e >= t) or ring.is_zero(c):
+            if (t is not None and e >= t) or not c:
                 continue
             if e in terms:
                 c = terms[e] + c
-                if ring.is_zero(c):
+                if not c:
                     del terms[e]
                     continue
             terms[e] = c
@@ -306,24 +309,17 @@ class QSeries:
     def terms(self):
         """{exponent in sixteenths: coefficient}, nonzero coefficients only."""
         if self._terms is None:
-            nums, den = self._ints
-            self._terms = {e: Fraction(n, den) for e, n in nums}
+            den = self.den
+            self._terms = {e: Fraction(n, den) for e, n in self.nums.items()}
         return self._terms
 
     @property
     def is_zero(self):
-        if self._terms is None:
-            return not self._ints[0]
-        return not self._terms
+        return not self.nums
 
     def order16(self):
         """Lowest stored exponent; falls back to trunc for the zero series."""
-        if self._terms is None:
-            nums = self._ints[0]
-            return min(nums)[0] if nums else self.trunc
-        if self._terms:
-            return min(self._terms)
-        return self.trunc
+        return min(self.nums) if self.nums else self.trunc
 
     def coeff(self, qexp):
         e = to16(qexp)
@@ -353,34 +349,36 @@ class QSeries:
         return min(a, b)
 
     def __add__(self, other):
+        """Both numerator dicts brought to the lcm of the denominators and
+        added, the running sum first; a zero operand returns the other, when
+        that keeps its truncation."""
         if isinstance(other, (int, Fraction)):
             other = QSeries.monomial(self.ring, 0, self.ring.from_fraction(other))
         self._check(other)
         trunc = self._min_trunc(self.trunc, other.trunc)
-        ring = self.ring
-        if ring.mode == "rational":
-            return _rational_sum(self, other, trunc)
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            if e in terms:
-                v = terms[e] + c
-                if ring.is_zero(v):
-                    del terms[e]
-                else:
-                    terms[e] = v
-            else:
-                terms[e] = c
+        if not self.nums and trunc == other.trunc:
+            return other
+        if not other.nums and trunc == self.trunc:
+            return self
+        den = math.lcm(self.den, other.den)
+        fa, fb = den // self.den, den // other.den
+        nums = dict(self.nums) if fa == 1 else {e: n * fa for e, n in self.nums.items()}
+        for e, n in other.nums.items():
+            if fb != 1:
+                n = n * fb
+            if e in nums:
+                n = nums[e] + n
+                if not n:
+                    del nums[e]
+                    continue
+            nums[e] = n
         if trunc is not None:
-            terms = {e: c for e, c in terms.items() if e < trunc}
-        return QSeries(ring, terms, trunc, _clean=False)
+            nums = {e: n for e, n in nums.items() if e < trunc}
+        return QSeries._from_nums(self.ring, nums, den, trunc)
 
     def __neg__(self):
-        ring = self.ring
-        if ring.mode == "rational":
-            nums, den = self._integer_form()
-            return QSeries._from_ints(ring, [(e, -n) for e, n in nums], den, self.trunc)
-        return QSeries(ring, {e: -c for e, c in self.terms.items()},
-                       self.trunc, _clean=False)
+        return QSeries._from_nums(self.ring, {e: -n for e, n in self.nums.items()},
+                                  self.den, self.trunc)
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -388,21 +386,18 @@ class QSeries:
         return self + (-other)
 
     def scale(self, coeff):
-        """Multiply by a ring coefficient."""
-        ring = self.ring
-        if ring.is_zero(coeff):
-            return QSeries(ring, {}, self.trunc, _clean=False)
-        if ring.mode == "rational":
-            nums, den = self._integer_form()
-            p = coeff.numerator
-            return QSeries._from_ints(ring, [(e, n * p) for e, n in nums],
-                                      den * coeff.denominator, self.trunc)
-        out = {}
-        for e, c in self.terms.items():
-            v = c * coeff
-            if not ring.is_zero(v):
-                out[e] = v
-        return QSeries(ring, out, self.trunc, _clean=False)
+        """Multiply by a ring coefficient: each numerator times the
+        coefficient's numerator, over the product of the denominators."""
+        if not coeff:
+            return QSeries(self.ring, {}, self.trunc, _clean=False)
+        unit = QSeries.monomial(self.ring, 0, coeff)
+        p = unit.nums[0]
+        nums = {}
+        for e, n in self.nums.items():
+            v = n * p
+            if v:
+                nums[e] = v
+        return QSeries._from_nums(self.ring, nums, self.den * unit.den, self.trunc)
 
     def shift(self, qexp):
         """Multiply by q**qexp."""
@@ -410,39 +405,34 @@ class QSeries:
         if d == 0:
             return self
         trunc = None if self.trunc is None else self.trunc + d
-        if self.ring.mode == "rational":
-            nums, den = self._integer_form()
-            return QSeries._from_ints(self.ring, [(e + d, n) for e, n in nums], den, trunc)
-        return QSeries(self.ring, {e + d: c for e, c in self.terms.items()},
-                       trunc, _clean=False)
+        return QSeries._from_nums(self.ring, {e + d: n for e, n in self.nums.items()},
+                                  self.den, trunc)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(self.ring.from_fraction(other))
         self._check(other)
-        ring = self.ring
         # trunc(a*b) = min(trunc_a + ord_b, trunc_b + ord_a)
         candidates = []
         for t, o in ((self.trunc, other.order16()), (other.trunc, self.order16())):
             if t is not None and o is not None:
                 candidates.append(t + o)
         trunc = min(candidates) if candidates else None
-        if ring.mode == "rational":
-            return QSeries._from_ints(ring, *_rational_product(self, other, trunc), trunc)
-        out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
+        # a partial sum that reaches zero loses its key before the next term
+        nums = {}
+        for e1, n1 in self.nums.items():
+            for e2, n2 in other.nums.items():
                 e = e1 + e2
                 if trunc is not None and e >= trunc:
                     continue
-                v = c1 * c2
-                if e in out:
-                    v = out[e] + v
-                if ring.is_zero(v):
-                    out.pop(e, None)
+                v = n1 * n2
+                if e in nums:
+                    v = nums[e] + v
+                if v:
+                    nums[e] = v
                 else:
-                    out[e] = v
-        return QSeries(ring, out, trunc, _clean=False)
+                    nums.pop(e, None)
+        return QSeries._from_nums(self.ring, nums, self.den * other.den, trunc)
 
     __rmul__ = __mul__
 
@@ -473,11 +463,10 @@ class QSeries:
         rel_trunc = None if self.trunc is None else self.trunc - v
         out_trunc = None if rel_trunc is None else rel_trunc - v
         if ring.mode == "rational":
-            nums, den = self._integer_form()
-            if len(nums) > 1 and rel_trunc is None:
+            if len(self.nums) > 1 and rel_trunc is None:
                 raise NonUnitError("cannot invert an untruncated non-monomial series")
-            return QSeries._from_ints(ring, *_rational_inverse(nums, den, v, rel_trunc),
-                                      out_trunc)
+            return QSeries._from_nums(
+                ring, *_rational_inverse(self.nums, self.den, v, rel_trunc), out_trunc)
         c0inv = ring.inv(self.terms[v])  # raises NonUnitError if not a unit
         rel = {e - v: c for e, c in self.terms.items()}
         if len(rel) == 1:
@@ -498,21 +487,17 @@ class QSeries:
                     continue
                 term = rel[d] * be
                 acc = term if acc is None else acc + term
-            if acc is None or ring.is_zero(acc):
+            if not acc:
                 continue
             b[e] = -(c0inv * acc)
-        out = {e - v: c for e, c in b.items() if not ring.is_zero(c)}
+        out = {e - v: c for e, c in b.items() if c}
         return QSeries(ring, out, out_trunc, _clean=False)
 
     def truncated(self, order):
         t = to16(order)
         trunc = t if self.trunc is None else min(t, self.trunc)
-        if self.ring.mode == "rational":
-            nums, den = self._integer_form()
-            return QSeries._from_ints(self.ring, [(e, n) for e, n in nums if e < trunc],
-                                      den, trunc)
-        return QSeries(self.ring, {e: c for e, c in self.terms.items() if e < trunc},
-                       trunc, _clean=False)
+        return QSeries._from_nums(self.ring, {e: n for e, n in self.nums.items() if e < trunc},
+                                  self.den, trunc)
 
     def map_to(self, target_ring, f):
         """The series over ``target_ring`` whose coefficients are ``f`` of
@@ -520,17 +505,9 @@ class QSeries:
         out = {}
         for e, c in self.terms.items():
             v = f(c)
-            if not target_ring.is_zero(v):
+            if v:
                 out[e] = v
         return QSeries(target_ring, out, self.trunc, _clean=False)
-
-    def _integer_form(self):
-        """(list of (exponent, numerator), common denominator) of a rational
-        series; each coefficient is numerator / denominator.  Made once per
-        series, which never changes after construction."""
-        if self._ints is None:
-            self._ints = _numerators(list(self.terms.items()))
-        return self._ints
 
     # -- comparison --------------------------------------------------------------
     def first_mismatch(self, other, order=None):
@@ -607,47 +584,11 @@ class QSeries:
         return cls.from_json(json.loads(text))
 
 
-def _rational_sum(a, b, trunc):
-    """The sum of two rational series below ``trunc``: both integer forms
-    brought to the lcm of their denominators and added in plain ints; a
-    zero operand returns the other, when that keeps its truncation."""
-    na, da = a._integer_form()
-    nb, db = b._integer_form()
-    if not na and trunc == b.trunc:
-        return b
-    if not nb and trunc == a.trunc:
-        return a
-    den = math.lcm(da, db)
-    fa, fb = den // da, den // db
-    acc = dict(na) if fa == 1 else {e: n * fa for e, n in na}
-    for e, n in nb:
-        acc[e] = acc.get(e, 0) + n * fb
-    nums = [(e, n) for e, n in acc.items() if n and (trunc is None or e < trunc)]
-    return QSeries._from_ints(a.ring, nums, den, trunc)
-
-
-def _rational_product(a, b, trunc):
-    """Integer form of the product of two rational series below ``trunc``.
-
-    The same sum of coefficient products as the generic loop, accumulated
-    over integer numerators over the product of the two denominators.
-    """
-    na, da = a._integer_form()
-    nb, db = b._integer_form()
-    acc = {}
-    for e1, n1 in na:
-        for e2, n2 in nb:
-            e = e1 + e2
-            if trunc is not None and e >= trunc:
-                continue
-            acc[e] = acc.get(e, 0) + n1 * n2
-    return [(e, v) for e, v in acc.items() if v], da * db
-
-
 def _rational_inverse(nums, den, v, rel_trunc):
-    """Integer form of the inverse of the rational series of integer form
-    ``(nums, den)`` and lowest exponent ``v``, known below ``v + rel_trunc``
-    (``None`` for a one-term series, known to all orders).
+    """(numerators, denominator) of the inverse of the rational series of
+    int numerators ``nums`` over ``den`` and lowest exponent ``v``, known
+    below ``v + rel_trunc`` (``None`` for a one-term series, known to all
+    orders).
 
     With the series q^v (n_0 + sum_d n_d q^d) / D, the inverse is
     q^-v D sum_e y_e q^e, where y_0 = 1/n_0 and
@@ -659,11 +600,11 @@ def _rational_inverse(nums, den, v, rel_trunc):
     P = e // g of a nonzero term, the term at e has numerator
     D Y_e n_0^(P - e // g); the signs are flipped when n_0^(P + 1) < 0.
     """
-    rel = {e - v: n for e, n in nums}
+    rel = {e - v: n for e, n in nums.items()}
     n0 = rel.pop(0)
     offsets = sorted(rel)
     if not offsets:
-        return [(-v, den if n0 > 0 else -den)], abs(n0)
+        return {-v: den if n0 > 0 else -den}, abs(n0)
     g = offsets[0]
     step = math.gcd(*offsets)
     n0pow = [1, n0]  # n0pow[i] = n0**i, for i up to e // g + 1
@@ -684,7 +625,7 @@ def _rational_inverse(nums, den, v, rel_trunc):
     top = max(ys) // g
     out_den = n0pow[top + 1]
     scale = den if out_den > 0 else -den
-    return ([(e - v, scale * y * n0pow[top - e // g]) for e, y in ys.items()],
+    return ({e - v: scale * y * n0pow[top - e // g] for e, y in ys.items()},
             abs(out_den))
 
 

@@ -401,6 +401,19 @@ def test_every_registry_entry_binds_the_verify_overrides(monkeypatch, capsys):
     capsys.readouterr()
 
 
+def test_verify_all_applies_the_order_to_every_identity_that_takes_one(capsys):
+    import inspect
+
+    from fockcorr import cli, identities
+    assert cli.main(["verify", "all", "--order", "3/2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == len(identities.REGISTRY)
+    for (key, (fn, _)), line in zip(identities.REGISTRY.items(), lines):
+        assert line.startswith(f"[pass] {key} ("), line
+        if "order" in inspect.signature(fn).parameters:
+            assert line.endswith("order<3/2"), line
+
+
 def test_half_level_howe_default_order_and_override(capsys):
     from fockcorr import cli
     for key in ("howe-Dhalf", "howe-Bhalf"):

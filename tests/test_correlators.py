@@ -268,26 +268,27 @@ class TestSharedMinors:
 
     def test_eval_f_bo_scales_and_converts_each_series_once(self, monkeypatch):
         counts = Counter()
-        scale, ints = QSeries.scale, QSeries._integer_form
+        scale, init = QSeries.scale, QSeries.__init__
 
         def counting_scale(series, c):
             counts["scale"] += 1
             return scale(series, c)
 
-        def counting_ints(series):
-            counts["ints"] += series._ints is None  # a conversion
-            return ints(series)
+        def counting_init(series, ring, terms, *args, **kwargs):
+            counts["conversions"] += ring.mode == "rational"  # to numerators
+            init(series, ring, terms, *args, **kwargs)
 
         monkeypatch.setattr(QSeries, "scale", counting_scale)
-        monkeypatch.setattr(QSeries, "_integer_form", counting_ints)
+        monkeypatch.setattr(QSeries, "__init__", counting_init)
         f_bo.cache_clear()  # the sub-tuples' values come from f_bo's cache
         f_bo.__wrapped__((F(2), F(3), F(5), F(7)), RationalRing(), 6)
         # the subset recursion scales nothing (the permutation sum scaled its
-        # 17 entries theta^(k)/k!); about 70 integer forms from cold theta
-        # numerator caches, 15 from warm ones (146 if both factors of each of
-        # the 73 products were converted)
+        # 17 entries theta^(k)/k!); a rational series converts its
+        # coefficients to numerators once, when it is built from them: about
+        # 80 from cold theta numerator caches, 15 from warm ones (146 if both
+        # factors of each of the 73 products were converted)
         assert counts["scale"] == 0
-        assert counts["ints"] < 100
+        assert counts["conversions"] < 100
 
     @pytest.mark.parametrize("unit", [F(3, 2), F(-5), F(1, 7), "z1"])
     def test_laurent_theta_at_matches_reference(self, unit):

@@ -146,6 +146,28 @@ def test_rf_equivalence_relation(ea, eb, ec):
 
 @given(rand_poly, rand_poly)
 @settings(max_examples=40, deadline=None)
+def test_truth_value_is_false_exactly_at_zero(ea, eb):
+    # as a Fraction's; the truth value leaves == and hash as they were
+    a, b = mk2(ea), mk2(eb)
+    zero = a - a
+    assert not zero and not LaurentPoly.zero(ZV)
+    assert zero == LaurentPoly.zero(ZV) and zero == 0
+    assert hash(zero) == hash(LaurentPoly.zero(ZV))
+    assert bool(a) == (a != 0) == bool(a.terms)
+    assert a == LaurentPoly(ZV, dict(a.terms))
+    assert hash(a) == hash((a.vars, frozenset(a.terms.items())))
+    if not b:
+        return
+    f, g = RationalFunction(a, b), RationalFunction(zero, b)
+    assert bool(f) == (f != 0) == bool(a)
+    assert not g and g == 0 and g == RationalFunction(zero, b * b)
+    for h in (f, g):
+        assert hash(h) == hash((h.num, h.den))
+        assert h == RationalFunction(h.num, h.den)
+
+
+@given(rand_poly, rand_poly)
+@settings(max_examples=40, deadline=None)
 def test_rf_agrees_with_evaluation(ea, eb):
     a, b = mk2(ea), mk2(eb)
     if b.is_zero:

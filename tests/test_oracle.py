@@ -301,7 +301,7 @@ def reference_trace(spec, ops, ring, *, zvars=None, zscale=1, charge=None,
             val = val * zcoeff
         for i in range(nops):
             val = val * (centrals[i] + opvals[i])
-        if ring.is_zero(val):
+        if not val:
             return
         e = e16 + shift16
         if e in total_terms:

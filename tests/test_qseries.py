@@ -3,7 +3,7 @@ import math
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fockcorr.errors import ModeMismatchError, NonUnitError
@@ -299,10 +299,10 @@ def generic_inverse(a):
                 continue
             term = rel[d] * be
             acc = term if acc is None else acc + term
-        if acc is None or ring.is_zero(acc):
+        if not acc:
             continue
         b[e] = -(c0inv * acc)
-    out = {e - v: c for e, c in b.items() if not ring.is_zero(c)}
+    out = {e - v: c for e, c in b.items() if c}
     return QSeries(ring, out, rel_trunc - v, _clean=False)
 
 
@@ -355,8 +355,8 @@ def test_generic_inverse_steps_by_the_offsets_gcd():
 # negations, products and comparisons are the coefficients' own operators.
 # A new exact ring defines what ``LaurentRing`` defines and inherits the rest.
 RING_INTERFACE = {
-    _Ring: {"zero", "one", "from_fraction", "var", "is_zero", "coeff_json", "evaluator"},
-    RationalRing: {"mode", "zero", "one", "from_fraction", "is_zero", "inv",
+    _Ring: {"zero", "one", "from_fraction", "var", "coeff_json", "evaluator"},
+    RationalRing: {"mode", "zero", "one", "from_fraction", "inv",
                    "coeff_json", "evaluator", "from_laurent", "coeff_from_json"},
     LaurentRing: {"mode", "from_laurent", "to_laurent", "inv", "coeff_from_json"},
     RatFuncRing: {"mode", "from_laurent", "to_laurent", "inv", "coeff_from_json"},
@@ -440,12 +440,11 @@ def test_rings_hash_as_they_compare():
     assert repr(RatFuncRing(("s1", "s2"))) == "RatFuncRing(('s1', 's2'))"
 
 
-# Reference rational-series operations on Fraction term dicts, one Fraction
-# operation per term, as the rational ring ran them before its series kept
-# integer numerators over one denominator.
+# Reference series operations on coefficient dicts, one coefficient
+# operation per term; the zero test is ``== 0``, not the truth value.
 
-def ref_series(terms, trunc):
-    return QSeries(R, terms, trunc, _clean=False)
+def ref_series(ring, terms, trunc):
+    return QSeries(ring, terms, trunc, _clean=False)
 
 
 def ref_add(a, b):
@@ -462,60 +461,68 @@ def ref_add(a, b):
             terms[e] = c
     if trunc is not None:
         terms = {e: c for e, c in terms.items() if e < trunc}
-    return ref_series(terms, trunc)
+    return ref_series(a.ring, terms, trunc)
 
 
 def ref_neg(a):
-    return ref_series({e: -c for e, c in a.terms.items()}, a.trunc)
+    return ref_series(a.ring, {e: -c for e, c in a.terms.items()}, a.trunc)
 
 
 def ref_scale(a, coeff):
     if coeff == 0:
-        return ref_series({}, a.trunc)
+        return ref_series(a.ring, {}, a.trunc)
     out = {}
     for e, c in a.terms.items():
         v = c * coeff
         if v != 0:
             out[e] = v
-    return ref_series(out, a.trunc)
+    return ref_series(a.ring, out, a.trunc)
 
 
 def ref_shift(a, d):
-    return ref_series({e + d: c for e, c in a.terms.items()},
+    return ref_series(a.ring, {e + d: c for e, c in a.terms.items()},
                       None if a.trunc is None else a.trunc + d)
 
 
 def ref_truncated(a, t):
     trunc = t if a.trunc is None else min(t, a.trunc)
-    return ref_series({e: c for e, c in a.terms.items() if e < trunc}, trunc)
+    return ref_series(a.ring, {e: c for e, c in a.terms.items() if e < trunc}, trunc)
 
 
 def ref_product(a, b):
-    """Integer numerators summed per exponent, then one Fraction each."""
+    """Coefficient products summed per exponent."""
     def order16(x):
         return min(x.terms) if x.terms else x.trunc
 
     cands = [t + o for t, o in ((a.trunc, order16(b)), (b.trunc, order16(a)))
              if t is not None and o is not None]
     trunc = min(cands) if cands else None
-    da = math.lcm(*[F(c).denominator for c in a.terms.values()])
-    db = math.lcm(*[F(c).denominator for c in b.terms.values()])
     acc = {}
     for e1, c1 in a.terms.items():
         for e2, c2 in b.terms.items():
             e = e1 + e2
             if trunc is not None and e >= trunc:
                 continue
-            n1, n2 = F(c1) * da, F(c2) * db
-            acc[e] = acc.get(e, 0) + int(n1) * int(n2)
-    return ref_series({e: F(v, da * db) for e, v in acc.items() if v}, trunc)
+            acc[e] = acc[e] + c1 * c2 if e in acc else c1 * c2
+    return ref_series(a.ring, {e: c for e, c in acc.items() if c != 0}, trunc)
 
 
 chain_coeffs = st.one_of(st.integers(min_value=-5, max_value=5),
                          st.fractions(min_value=-3, max_value=3, max_denominator=9))
-chain_terms = st.dictionaries(st.integers(min_value=-8, max_value=24), chain_coeffs,
-                              max_size=6)
+# Laurent polynomials in s, the zero polynomial among them, and monomials
+# +-s^k that often cancel in sums of products
+chain_polys = st.one_of(
+    st.tuples(st.sampled_from([1, -1]), st.integers(min_value=-1, max_value=1)).map(
+        lambda ck: LS.var("s", ck[1], ck[0])),
+    st.dictionaries(st.integers(min_value=-2, max_value=2), chain_coeffs, max_size=3).map(
+        lambda d: LaurentPoly(LS.vars, {(k,): c for k, c in d.items()})))
+CHAIN_COEFFS = {R: chain_coeffs, LS: chain_polys}
 chain_truncs = st.one_of(st.none(), st.integers(min_value=-4, max_value=40))
+
+
+def chain_terms(ring):
+    return st.dictionaries(st.integers(min_value=-8, max_value=24), CHAIN_COEFFS[ring],
+                           max_size=6)
 
 
 @st.composite
@@ -524,7 +531,7 @@ def operand(draw, current):
     current series itself, or its terms on a subset of exponents."""
     kind = draw(st.sampled_from(["fresh", "self", "part"]))
     if kind == "fresh" or current.is_zero:
-        return draw(chain_terms), draw(chain_truncs)
+        return draw(chain_terms(current.ring)), draw(chain_truncs)
     if kind == "self":
         return dict(current.terms), current.trunc
     keep = draw(st.sets(st.sampled_from(sorted(current.terms))))
@@ -532,16 +539,16 @@ def operand(draw, current):
 
 
 @st.composite
-def op_chains(draw):
-    start = (draw(chain_terms), draw(chain_truncs))
-    got = QSeries(R, *start)
-    ref = QSeries(R, *start)
+def op_chains(draw, ring=R):
+    start = (draw(chain_terms(ring)), draw(chain_truncs))
+    got = QSeries(ring, *start)
+    ref = QSeries(ring, *start)
     steps = []
     for _ in range(draw(st.integers(min_value=1, max_value=6))):
         op = draw(st.sampled_from(["+", "-", "neg", "scale", "shift", "trunc", "*"]))
         if op in ("+", "-", "*"):
             terms, trunc = draw(operand(got))
-            b_got, b_ref = QSeries(R, terms, trunc), QSeries(R, terms, trunc)
+            b_got, b_ref = QSeries(ring, terms, trunc), QSeries(ring, terms, trunc)
             if op == "+":
                 got, ref = got + b_got, ref_add(ref, b_ref)
             elif op == "-":
@@ -552,10 +559,13 @@ def op_chains(draw):
             got, ref = -got, ref_neg(ref)
         elif op == "scale":
             # a scale by 0, by an int, or by a Fraction whose denominator
-            # may cancel every numerator
+            # may cancel every numerator; over Laurent polynomials ``scale``
+            # takes a polynomial (maybe zero) and ``*`` the rational
             c = draw(st.one_of(st.just(0), chain_coeffs,
                                st.integers(1, 6).map(lambda k: F(k, 720))))
             if draw(st.booleans()):
+                if ring is LS:
+                    c = draw(chain_polys)
                 got, ref = got.scale(c), ref_scale(ref, c)
             else:
                 got, ref = got * c, ref_scale(ref, c)
@@ -569,9 +579,7 @@ def op_chains(draw):
     return steps
 
 
-@given(op_chains())
-@settings(max_examples=150, deadline=None)
-def test_integer_form_chains_match_fraction_reference(steps):
+def assert_chain_matches(steps):
     for got, ref in steps:
         assert got.trunc == ref.trunc
         assert got.is_zero == ref.is_zero
@@ -581,36 +589,62 @@ def test_integer_form_chains_match_fraction_reference(steps):
         assert got.dumps() == ref.dumps()
 
 
+@given(op_chains())
+@settings(max_examples=150, deadline=None)
+def test_integer_form_chains_match_fraction_reference(steps):
+    assert_chain_matches(steps)
+
+
+def cancelling_product():
+    """(s + q)(s - q), whose q^1 products s*(-1) and 1*s cancel."""
+    a = QSeries(LS, {0: LS.var("s"), 16: LS.one()}, 48)
+    b = QSeries(LS, {0: LS.var("s"), 16: -LS.one()}, 48)
+    return [(a * b, ref_product(a, b))]
+
+
+@given(op_chains(LS))
+@example(cancelling_product())
+@settings(max_examples=100, deadline=None)
+def test_laurent_chains_match_dict_reference(steps):
+    # the numerator loops serve the Laurent ring too, with numerators the
+    # coefficients over 1
+    assert_chain_matches(steps)
+    for got, _ in steps:
+        assert got.den == 1 and got.nums is got.terms
+
+
 def test_integer_form_is_reduced():
     a = QSeries(R, {0: F(1, 6), 16: F(1, 3)}, 64)
     b = QSeries(R, {0: F(1, 6), 16: F(-2, 3)}, 64)
+    assert (a.nums, a.den) == ({0: 1, 16: 2}, 6)
     # (1/6 + q/3) - (1/6 - 2q/3) = q: the denominators cancel with the sum
-    assert (a - b)._integer_form() == ([(16, 1)], 1)
-    assert a.scale(F(6, 5))._integer_form() == ([(0, 1), (16, 2)], 5)
-    assert (a - a)._integer_form() == ([], 1)
+    assert ((a - b).nums, (a - b).den) == ({16: 1}, 1)
+    c = a.scale(F(6, 5))
+    assert (c.nums, c.den) == ({0: 1, 16: 2}, 5)
+    assert ((a - a).nums, (a - a).den) == ({}, 1)
     assert (a - a).is_zero and (a - a).order16() == 64
 
 
 def test_eval_f_bo_materializes_few_term_dicts(monkeypatch):
     from fockcorr.correlators import f_bo
     counts = {"created": 0, "materialized": 0}
-    init, from_ints = QSeries.__init__, QSeries._from_ints.__func__
+    init, from_nums = QSeries.__init__, QSeries._from_nums.__func__
     terms = QSeries.terms.fget
 
     def counting_init(self, *args, **kwargs):
         counts["created"] += 1
         init(self, *args, **kwargs)
 
-    def counting_from_ints(cls, *args):
+    def counting_from_nums(cls, *args):
         counts["created"] += 1
-        return from_ints(cls, *args)
+        return from_nums(cls, *args)
 
     def counting_terms(self):
         counts["materialized"] += self._terms is None
         return terms(self)
 
     monkeypatch.setattr(QSeries, "__init__", counting_init)
-    monkeypatch.setattr(QSeries, "_from_ints", classmethod(counting_from_ints))
+    monkeypatch.setattr(QSeries, "_from_nums", classmethod(counting_from_nums))
     monkeypatch.setattr(QSeries, "terms", property(counting_terms))
     f_bo.cache_clear()  # the sub-tuples' values come from f_bo's cache
     f_bo.__wrapped__((F(2), F(3), F(5), F(7)), R, 6)

@@ -53,40 +53,31 @@ def torus_vars(family, l):
     return tuple(f"z{j + 1}" for j in range(l))
 
 
-def _weight_rows(family, weights, l, variables, kind):
-    """Matrix entries z_j^{a_i} +/- z_j^{-a_i} for the given exponent list."""
-    rows = []
-    for i in range(l):
-        a = weights[i]
-        row = []
-        for j in range(l):
-            if family in ("B2l1", "Pin2l"):
-                e = int(2 * a)  # w_j = z_j^{1/2}
-            else:
-                e = int(a)
-            plus = LaurentPoly.var(variables, variables[j], e)
-            minus = LaurentPoly.var(variables, variables[j], -e)
-            row.append(plus + minus if kind == "+" else plus - minus)
-        rows.append(row)
-    return rows
-
-
-def _num_exponents(family, weight, l):
-    w = tuple(Fraction(x) for x in weight)
+def dominant_exponents(family, weight, l):
+    """The exponents of z^{weight + rho}, the dominant monomial of the
+    numerator determinant, as ints: of w_j = z_j^{1/2} for B2l1 and Pin2l.
+    At weight 0 they are rho's, the denominator determinant's."""
     if family in ("SO2l", "O2l", "Pin2l"):
-        return tuple(w[i] + l - i - 1 for i in range(l))
-    if family == "B2l1":
-        return tuple(w[i] + l - i - 1 + Fraction(1, 2) for i in range(l))
-    if family == "Sp2l":
-        return tuple(w[i] + l - i for i in range(l))
-    raise ValueError(f"unknown family {family!r}")
+        shift = -1
+    elif family == "B2l1":
+        shift = Fraction(-1, 2)
+    elif family == "Sp2l":
+        shift = 0
+    else:
+        raise ValueError(f"unknown family {family!r}")
+    scale = 2 if family in ("B2l1", "Pin2l") else 1
+    return tuple(int(scale * (Fraction(weight[i]) + l - i + shift)) for i in range(l))
 
 
-def _den_exponents(family, l):
-    return _num_exponents(family, (0,) * l, l)
+def _weight_rows(exponents, variables, kind):
+    """Matrix entries z_j^{a_i} +/- z_j^{-a_i} for the integer exponents a."""
+    sign = 1 if kind == "+" else -1
+    return [[LaurentPoly.var(variables, z, a) + LaurentPoly.var(variables, z, -a, sign)
+             for z in variables] for a in exponents]
 
 
-def _det_kind(family):
+def det_kind(family):
+    """The sign in the determinant entries z^a +/- z^-a of ``family``."""
     return "-" if family in ("B2l1", "Sp2l") else "+"
 
 
@@ -94,16 +85,16 @@ def _det_kind(family):
 def numerator_det(family, weight, l, kind=None):
     """Expanded numerator determinant |z_j^{w_i + rho_i} +/- z_j^{-(w_i + rho_i)}|."""
     variables = torus_vars(family, l)
-    kind = kind or _det_kind(family)
-    rows = _weight_rows(family, _num_exponents(family, weight, l), l, variables, kind)
+    kind = kind or det_kind(family)
+    rows = _weight_rows(dominant_exponents(family, weight, l), variables, kind)
     return det_laurent(rows, LaurentPoly.zero(variables))
 
 
 @lru_cache(maxsize=None)
 def denominator_det(family, l, kind=None):
     variables = torus_vars(family, l)
-    kind = kind or _det_kind(family)
-    rows = _weight_rows(family, _den_exponents(family, l), l, variables, kind)
+    kind = kind or det_kind(family)
+    rows = _weight_rows(dominant_exponents(family, (0,) * l, l), variables, kind)
     return det_laurent(rows, LaurentPoly.zero(variables))
 
 
@@ -143,12 +134,6 @@ def dominant_coefficient(family, label: ModuleLabel) -> int:
     """Coefficient of z^{lambda+rho} in the numerator determinant."""
     l = label.rank()
     w = label.weight()
-    num = numerator_det(family, w, l)
-    exps = _num_exponents(family, w, l)
-    if family in ("B2l1", "Pin2l"):
-        key = tuple(int(2 * a) for a in exps)
-    else:
-        key = tuple(int(a) for a in exps)
-    c = num.terms.get(key, Fraction(0))
+    c = numerator_det(family, w, l).terms.get(dominant_exponents(family, w, l), Fraction(0))
     assert c.denominator == 1
     return int(c)

@@ -12,12 +12,14 @@ the combining, adding count tuples and multiplying charge polynomials: it
 joins the two flavors of a pair (charges add), and after each pair's
 charge filter it folds the pairs together (per-pair charge tuples
 concatenate).  The neutral fermion joins as one more merge.  So merges do
-integer work only.  When every op argument is a rational number, the
-weights and centrals are Fractions over one common denominator per op, and
-each final signature's eigenvalue product is evaluated and summed in plain
-ints, with one Fraction per output term; symbolic arguments touch the ring
-once per final signature.  The tau-refined trace evaluates its tau-fixed
-states by the same signatures, on the same weight classes and centrals.
+integer work only.  ``charge_sectors`` splits the merged signatures of one
+pair by charge, so all its charge sectors come from one enumeration.  When
+every op argument is a rational number, the weights and centrals are
+Fractions over one common denominator per op, and each final signature's
+eigenvalue product is evaluated and summed in plain ints, with one Fraction
+per output term; symbolic arguments touch the ring once per final
+signature.  The tau-refined trace evaluates its tau-fixed states by the
+same signatures, on the same weight classes and centrals.
 
 Conventions (NS = modes in 1/2+Z, R = modes in Z):
   * NS charged pair: psi^{+-} creators at k in 1/2+Z_+, charge +-1 each.
@@ -67,6 +69,12 @@ class SectorSpec:
         if self.sector == NS:
             return Fraction(0)
         return Fraction(self.pairs, 8) + Fraction(self.neutral, 16)
+
+    @property
+    def charge_shift(self):
+        """A state's e_pp eigenvalue minus its raw charge (psi^+ count minus
+        psi^- count)."""
+        return Fraction(1, 2) if self.sector == RAMOND else Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -220,6 +228,13 @@ class _OpTable:
                     self.classes.append(w)
                 self.class_of[flavor, k] = j
         self.centrals = [op_central(op.kind, spec.level, wring, op.unit) for op in ops]
+        if self.rational:
+            self.scaled = []  # per op: (d_i * central_i, [d_i * W_j[i]])
+            self.den = 1  # prod_i d_i
+            for i, central in enumerate(self.centrals):
+                pairs, d = _numerators(list(enumerate([central] + [w[i] for w in self.classes])))
+                self.scaled.append((pairs[0][1], [n for _, n in pairs[1:]]))
+                self.den *= d
 
     def counts(self, creators):
         """The occupation count per weight class of the (flavor, mode)
@@ -260,13 +275,7 @@ class _OpTable:
             yield e16, val
 
     def _integer_terms(self, signatures):
-        ring = self.ring
-        scaled = []  # per op: (d_i * central_i, [d_i * W_j[i]])
-        den = 1
-        for i, central in enumerate(self.centrals):
-            pairs, d = _numerators(list(enumerate([central] + [w[i] for w in self.classes])))
-            scaled.append((pairs[0][1], [n for _, n in pairs[1:]]))
-            den *= d
+        ring, scaled, den = self.ring, self.scaled, self.den
         acc = {}  # energy16 -> {z-exponent vector: numerator}
         for (e16, counts), monomials in signatures:
             ev = 1
@@ -300,11 +309,8 @@ def enumerate_states(spec: SectorSpec, max_states=None):
 
     def rec(g, e, plus, minus, neut):
         if g == len(groups):
-            charges = tuple(
-                Fraction(len(plus[p]) - len(minus[p]))
-                + (Fraction(1, 2) if spec.sector == RAMOND else 0)
-                for p in range(spec.pairs)
-            )
+            charges = tuple(Fraction(len(plus[p]) - len(minus[p])) + spec.charge_shift
+                            for p in range(spec.pairs))
             yield FockState(
                 psi_plus=tuple(plus), psi_minus=tuple(minus),
                 neutral=neut, energy=Fraction(e, 16) + spec.energy_shift,
@@ -358,9 +364,54 @@ def trace(spec: SectorSpec, ops, ring, *, zvars=None, zscale=1,
     return _trace(spec, _OpTable(spec, ops, ring), zvars, zscale, charge, max_states)
 
 
+def charge_sectors(spec: SectorSpec, ops, ring):
+    """{e_pp charge k: T_k} for a one-pair ``spec``, T_k being the z-free
+    series ``trace(spec, ops, ring, charge=k)``, all from one enumeration
+    and merge; a charge with no state below the cutoff has no entry.  The
+    z-graded trace is sum_k T_k z^{zscale * k}."""
+    ops = tuple(ops)
+    _check_ops(spec, ops)
+    if spec.pairs != 1:
+        raise ValueError("charge sectors are taken over one pair")
+    table = _OpTable(spec, ops, ring)
+    zero = (0,) * len(ring.vars)
+    by_charge = {}  # raw charge -> signatures
+    for sig, poly in _signatures(spec, table, (True,), None, None).items():
+        for (c,), m in poly.items():
+            by_charge.setdefault(c, []).append((sig, {zero: m}))
+    return {c + spec.charge_shift: table.series(sigs)
+            for c, sigs in sorted(by_charge.items())}
+
+
 def _trace(spec, table, zvars, zscale, charge, max_states):
     """``trace`` on the weight classes of ``table``, arguments checked."""
     ring = table.ring
+    graded = [zvars is not None and zvars[p] is not None for p in range(spec.pairs)]
+    joined = _signatures(spec, table, graded, charge, max_states)
+    zindex = [ring.vars.index(zvars[p]) for p in range(spec.pairs) if graded[p]]
+    zshift = zscale * spec.charge_shift  # z-exponent of raw charge c: zscale * c + zshift
+    if zindex and joined and zshift.denominator != 1:
+        raise ValueError("z-exponent not integral; use zscale=2 for the R sector")
+    zshift = int(zshift)
+
+    def monomials(poly):
+        """{z-exponent vector: m} of sum m * prod_p z_p^{zscale * c_p + zshift}."""
+        out = {}
+        for cs, m in poly.items():
+            exps = [0] * len(ring.vars)
+            for idx, c in zip(zindex, cs):
+                exps[idx] += zscale * c + zshift
+            exps = tuple(exps)
+            out[exps] = out.get(exps, 0) + m
+        return out
+
+    return table.series((sig, monomials(poly)) for sig, poly in joined.items())
+
+
+def _signatures(spec, table, graded, charge, max_states):
+    """The states of ``spec`` below the cutoff, merged by signature:
+    {(energy16, counts): {raw charges of the ``graded`` pairs: multiplicity}},
+    each pair kept only at its ``charge`` filter entry (None keeps all)."""
     cutoff16 = to16(spec.cutoff)
     counter = [0]
 
@@ -396,14 +447,13 @@ def _trace(spec, table, zvars, zscale, charge, max_states):
             poly[c] = poly.get(c, 0) + 1
         return d
 
-    rshift = Fraction(1, 2) if spec.sector == RAMOND else Fraction(0)
-    graded = [zvars is not None and zvars[p] is not None for p in range(spec.pairs)]
     # every pair has the same states; only the charge filter differs
     pair_states = merge(flavor_dict("plus"), flavor_dict("minus")) if spec.pairs else {}
     parts = []  # per pair, then the neutral fermion
     for p in range(spec.pairs):
-        # the raw charge c of a state is its e_pp eigenvalue minus rshift
-        want = None if charge is None or charge[p] is None else Fraction(charge[p]) - rshift
+        # the raw charge c of a state is its e_pp eigenvalue minus the shift
+        want = (None if charge is None or charge[p] is None
+                else Fraction(charge[p]) - spec.charge_shift)
         keyed = {}
         for sig, poly in pair_states.items():
             for c, m in poly.items():
@@ -419,25 +469,7 @@ def _trace(spec, table, zvars, zscale, charge, max_states):
     joined = {(0, (0,) * len(table.classes)): {(): 1}}
     for states in parts:
         joined = merge(joined, states)
-
-    zindex = [ring.vars.index(zvars[p]) for p in range(spec.pairs) if graded[p]]
-    zshift = zscale * rshift  # z-exponent of raw charge c: zscale * c + zshift
-    if zindex and joined and zshift.denominator != 1:
-        raise ValueError("z-exponent not integral; use zscale=2 for the R sector")
-    zshift = int(zshift)
-
-    def monomials(poly):
-        """{z-exponent vector: m} of sum m * prod_p z_p^{zscale * c_p + zshift}."""
-        out = {}
-        for cs, m in poly.items():
-            exps = [0] * len(ring.vars)
-            for idx, c in zip(zindex, cs):
-                exps[idx] += zscale * c + zshift
-            exps = tuple(exps)
-            out[exps] = out.get(exps, 0) + m
-        return out
-
-    return table.series((sig, monomials(poly)) for sig, poly in joined.items())
+    return joined
 
 
 def eigenvalue(op: OpSpec, state: FockState, spec: SectorSpec, ring):

@@ -18,11 +18,13 @@ from math import ceil
 from . import correlators as corr
 from .combinat import (Partition, enumerate_labels, odd_strict_partitions,
                        partitions_up_to, sym_to_osp)
-from .characters import character, denominator_det, numerator_det, torus_vars
-from .errors import FockcorrError
-from .fock_oracle import NS, RAMOND, OpSpec, SectorSpec, tau_refined_trace, trace
+from .characters import (character, denominator_det, det_kind, det_laurent,
+                         dominant_exponents, torus_vars)
+from .errors import FockcorrError, InternalCheckError
+from .fock_oracle import (NS, RAMOND, OpSpec, SectorSpec, charge_sectors,
+                          tau_refined_trace, trace)
 from .qseries import (LaurentRing, QSeries, RatFuncRing, RationalRing,
-                      lattice_sum, lift_coeff, pochhammer)
+                      lattice_sum, pochhammer, to16)
 from .weyl import weyl_denominator_poly, weyl_qpoly, weyl_sum_product_form
 
 
@@ -197,11 +199,11 @@ def check_f0_trace(order=8):
 def check_shift_sym(order=6, kmax=2):
     ring = RatFuncRing(("s",))
     u = ring.var("s")
-    spec = SectorSpec(1, 0, NS, order)
-    tr0 = trace(spec, [OpSpec("D", u)], ring, charge=0)
+    sectors = charge_sectors(SectorSpec(1, 0, NS, order), [OpSpec("D", u)], ring)
+    zero = QSeries.zero(ring, order)
     return _compare("shift-sym", {"kmax": kmax}, order, (
-        ({"k": k}, trace(spec, [OpSpec("D", u)], ring, charge=k),
-         (tr0.scale(ring.var("s", 2 * k) + ring.var("s", -2 * k)) * Fraction(1, 2))
+        ({"k": k}, sectors.get(k, zero),
+         (sectors[0].scale(ring.var("s", 2 * k) + ring.var("s", -2 * k)) * Fraction(1, 2))
          .shift(Fraction(k * k, 2)).truncated(order))
         for k in range(-kmax, kmax + 1)))
 
@@ -218,10 +220,10 @@ def check_ad_trace(order=5):
 def check_oracle_a1(order=8, mmax=2):
     ring = RatFuncRing(("s",))
     u = ring.var("s")
-    spec = SectorSpec(1, 0, NS, order)
+    sectors = charge_sectors(SectorSpec(1, 0, NS, order), [OpSpec("A", u)], ring)
+    zero = QSeries.zero(ring, order)
     return _compare("oracle-a1", {"mmax": mmax}, order, (
-        ({"m": m}, trace(spec, [OpSpec("A", u)], ring, charge=m),
-         corr.a_npoint((m,), 1, (u,), ring, order))
+        ({"m": m}, sectors.get(m, zero), corr.a_npoint((m,), 1, (u,), ring, order))
         for m in range(-mmax, mmax + 1)))
 
 
@@ -244,80 +246,85 @@ check_graded_b = partial(_graded_check, "B", n=1, order=6, svals=(2,), mode="exa
 
 
 # ---------------------------------------------------------------------------
-# Howe-duality checks (denominator-cleared, oracle left side)
+# Howe-duality checks (one case per label, oracle left side)
 # ---------------------------------------------------------------------------
 
 _HOWE_SETUP = {
-    # id: (algebra, family, sector, op kind, zscale)
-    "howe-D": ("d", "O2l", NS, "D", 1),
-    "howe-C": ("c", "Sp2l", NS, "C", 1),
-    "howe-Pin": ("b", "Pin2l", RAMOND, "B", 2),
-    "howe-Dhalf": ("d", "B2l1", NS, "D", 2),
-    "howe-Bhalf": ("b", "B2l1", RAMOND, "B", 2),
+    # id: (algebra, family, sector, op kind, zscale, c), c being the label's
+    # duality multiplicity times the dominant coefficient of its numerator
+    # determinant, the same for every label
+    "howe-D": ("d", "O2l", NS, "D", 1, 2),
+    "howe-C": ("c", "Sp2l", NS, "C", 1, 1),
+    "howe-Pin": ("b", "Pin2l", RAMOND, "B", 2, 2),
+    "howe-Dhalf": ("d", "B2l1", NS, "D", 2, 1),
+    "howe-Bhalf": ("b", "B2l1", RAMOND, "B", 2, 1),
 }
 
 
-def _coeff_factor(identity, label):
-    if identity == "howe-D":
-        return 1 if (not label.lam or label.lam[-1] == 0) else 2
-    if identity == "howe-Pin":
-        return 2
-    return 1
-
-
 def howe_check(identity, l=1, n=1, order=6, svals=(2, 3), mode="eval"):
-    """Oracle graded-trace product * cleared denominator == sum over labels of
-    coeff * numerator determinant * closed-form correlator.
+    """Howe duality label by label: the coefficient of z^{lambda+rho} in the
+    oracle's graded-trace product times the Weyl denominator is c times the
+    closed-form correlator of lambda.
 
-    mode 'exact' keeps the t-arguments formal (Laurent-level equality); the
-    acceptance grid runs in evaluation mode.
+    Write the one-pair trace as tr(z) = sum_k T_k z^k, T_k its charge
+    sectors (``charge_sectors``, k in the integer exponents of z, or of
+    w = z^{1/2} when zscale = 2).  The coefficient of z^e in
+    prod_j tr(z_j) det[z_j^{rho_i} +/- z_j^{-rho_i}] is the l x l
+    determinant det[T_{e_j - rho_i} +/- T_{e_j + rho_i}], and at
+    e = lambda + rho (``characters.dominant_exponents``) no other label's
+    numerator determinant has that monomial, so the determinant is c times
+    the correlator.  The half levels multiply both sides by the neutral
+    fermion's trace, halved for howe-Bhalf.
+
+    Completeness: T_k = T_{-k}, so the product is Weyl-antisymmetric and
+    its strictly dominant terms fix the rest; and T_k starts at q^{k^2/2}
+    or later, so the z^e coefficient starts at min_w |e - w rho|^2 / 2 =
+    |lambda|^2 / 2 or later, and every strictly dominant term outside the
+    labels of ``enumerate_labels`` vanishes below the order.  Both facts
+    are asserted (``InternalCheckError``).
+
+    mode 'exact' keeps the t-arguments formal; the acceptance grid runs in
+    evaluation mode.
     """
-    algebra, family, sector, opkind, zscale = _HOWE_SETUP[identity]
+    algebra, family, sector, opkind, zscale, c = _HOWE_SETUP[identity]
     half = identity.endswith("half")
     level = Fraction(l) + (Fraction(1, 2) if half else 0)
     order = Fraction(order)
-    gvars = torus_vars(family, l)
     if mode == "exact":
         params = {"l": l, "n": n, "mode": mode}
     else:
         svals = tuple(Fraction(s) for s in svals)[:n]
         params = {"l": l, "n": n, "s": svals}
-    ring = corr.make_ring(n, mode, gvars)
+    ring = corr.make_ring(n, mode)
     units = corr.make_units(ring, n, mode, svals)
     ops = [OpSpec(opkind, u) for u in units]
-
-    lhs = QSeries.one(ring, order)
-    for i in range(l):
-        zcols = (gvars[i],)
-        tr = trace(SectorSpec(1, 0, sector, order), ops, ring,
-                   zvars=zcols, zscale=zscale)
-        lhs = lhs * tr
+    labels = enumerate_labels(algebra, level, order)
+    zero = QSeries.zero(ring, order)
+    sectors = charge_sectors(SectorSpec(1, 0, sector, order), ops, ring)
+    for k, tk in sectors.items():
+        if tk.order16() < to16(k * k / 2) or tk.first_mismatch(sectors.get(-k, zero)):
+            raise InternalCheckError(f"{identity}: charge sector {k} starts below "
+                                     f"q^(k^2/2) or differs from sector {-k}")
     if half:
         pre = trace(SectorSpec(0, 1, sector, order), ops, ring)
         if identity == "howe-Bhalf":
             pre = pre * Fraction(1, 2)
-        lhs = lhs * pre
-    if l:
-        lhs = lhs.scale(lift_coeff(ring, denominator_det(family, l)))
+    plus = det_kind(family) == "+"
+    rho = dominant_exponents(family, (0,) * l, l)
 
-    rhs = QSeries.zero(ring, order)
-    if mode == "exact":
-        scalar, scalar_units = ring, units
-    else:
-        scalar = corr.make_ring(n, mode)
-        scalar_units = corr.make_units(scalar, n, mode, svals)
-    for label in enumerate_labels(algebra, level, order):
-        series = corr.npoint(label, scalar_units, scalar, order)
-        if scalar is not ring:
-            series = series.map_to(ring, ring.from_fraction)
-        factor = _coeff_factor(identity, label)
-        if l:
-            num = lift_coeff(ring, numerator_det(family, label.weight(), l))
-            series = series.scale(num)
-        if factor != 1:
-            series = series * Fraction(factor)
-        rhs = rhs + series
-    return _compare(identity, params, order, [(params, lhs, rhs)])
+    def t(k):
+        return sectors.get(Fraction(k, zscale), zero)
+
+    def cases():
+        for label in labels:
+            e = dominant_exponents(family, label.weight(), l)
+            rows = [[t(ej - r) + t(ej + r) if plus else t(ej - r) - t(ej + r)
+                     for ej in e] for r in rho]
+            lhs = det_laurent(rows, zero) if l else QSeries.one(ring, order)
+            yield ({**params, "lam": label.lam}, lhs * pre if half else lhs,
+                   corr.npoint(label, units, ring, order) * c)
+
+    return _compare(identity, params, order, cases())
 
 
 # ---------------------------------------------------------------------------

@@ -67,9 +67,9 @@ class _Ring:
     operators.  ``repr`` is part of the disk-cache keys.
 
     The Laurent-based rings own their conversions, ``from_laurent`` and
-    ``to_laurent``; their constants and variables, the evaluator and
-    ``lift_coeff`` go through them, so a substitution is one
-    ``LaurentPoly.subst``, never a ring operation per term."""
+    ``to_laurent``; their constants and variables and the evaluator go
+    through them, so a substitution is one ``LaurentPoly.subst``, never a
+    ring operation per term."""
 
     def __init__(self, variables=()):
         self.vars = tuple(variables)
@@ -205,20 +205,6 @@ class RatFuncRing(_Ring):
 
     def coeff_from_json(self, data):
         return RationalFunction.from_json(self.vars, data)
-
-
-def lift_coeff(target_ring, coeff):
-    """Embed a rational (``from_fraction``) or a Laurent polynomial in some
-    of the ring's variables (``from_laurent`` of its ``subst``) into
-    ``target_ring``; anything else raises ``ModeMismatchError``."""
-    if isinstance(coeff, (int, Fraction)):
-        return target_ring.from_fraction(coeff)
-    if not isinstance(coeff, LaurentPoly):
-        raise ModeMismatchError(f"cannot embed a {type(coeff).__name__} coefficient")
-    if not set(coeff.vars) <= set(target_ring.vars):
-        raise ModeMismatchError(f"cannot embed vars {coeff.vars} into {target_ring.vars}")
-    images = {v: LaurentPoly.var(target_ring.vars, v) for v in coeff.vars}
-    return target_ring.from_laurent(coeff.subst(target_ring.vars, images))
 
 
 # ---------------------------------------------------------------------------

@@ -100,26 +100,6 @@ def positive_roots(wtype, l):
     return roots
 
 
-def length_by_inversions(wtype, elem, l):
-    """Number of positive roots sent to negative ones (the reduced-word length)."""
-    perm, signs = elem
-    count = 0
-    for alpha in positive_roots(wtype, l):
-        # image of the root under the linear map (w e_j = signs[pi^-1(j)] e_{pi^-1(j)})
-        img = [0] * l
-        for j, c in enumerate(alpha):
-            if c:
-                i = perm.index(j)
-                img[i] += signs[i] * c
-        # negative iff the first nonzero coordinate is negative
-        for x in img:
-            if x:
-                if x < 0:
-                    count += 1
-                break
-    return count
-
-
 def _check_dominant(wtype, lam):
     lam = tuple(Fraction(x) for x in lam)
     if any(lam[i] < lam[i + 1] for i in range(len(lam) - 1)):

@@ -1,19 +1,20 @@
-"""Per-label oracle checks: the cleared duality identity has exactly one
-dominant z-monomial per label numerator, so each closed-form correlator can
-be read off the oracle's graded-trace product by extracting the coefficient
-of z^{lambda+rho}.  This verifies every label individually rather than the
-summed identity.
+"""Per-label oracle checks against an independent reference: the full
+l-variable product of one-pair graded traces times the Weyl denominator,
+with each closed-form correlator read off as the coefficient of its
+dominant monomial z^{lambda+rho}.  The registry's ``howe_check`` reads the
+same coefficient as a determinant of charge sectors; at rank 2 the two
+must agree label by label.
 """
 
 from fractions import Fraction as F
 
+from fockcorr import identities
 from fockcorr.characters import (denominator_det, dominant_coefficient,
-                                 torus_vars, _num_exponents)
+                                 dominant_exponents, torus_vars)
 from fockcorr.combinat import enumerate_labels
 from fockcorr.correlators import npoint, qdim
 from fockcorr.fock_oracle import OpSpec, SectorSpec, trace
-from fockcorr.laurent import LaurentPoly
-from fockcorr.qseries import LaurentRing, QSeries, RationalRing, lift_coeff
+from fockcorr.qseries import LaurentRing, QSeries, RationalRing
 
 
 def _oracle_product(family, sector, opkind, l, svals, order, zscale):
@@ -26,12 +27,12 @@ def _oracle_product(family, sector, opkind, l, svals, order, zscale):
         tr = trace(SectorSpec(1, 0, sector, order), ops, ring,
                    zvars=(gvars[i],), zscale=zscale)
         lhs = lhs * tr
-    return ring, lhs.scale(lift_coeff(ring, denominator_det(family, l)))
+    return lhs.scale(denominator_det(family, l))
 
 
-def _extract(series, ring, exps):
-    """The scalar q-series multiplying the monomial z^exps."""
-    key = tuple(exps)
+def _extract(series, family, label):
+    """The scalar q-series multiplying the label's monomial z^{lambda+rho}."""
+    key = dominant_exponents(family, label.weight(), label.rank())
     out = {}
     for e, c in series.terms.items():
         v = c.terms.get(key)
@@ -40,55 +41,51 @@ def _extract(series, ring, exps):
     return QSeries(RationalRing(), out, series.trunc, _clean=False)
 
 
-def _dominant_key(family, label):
-    exps = _num_exponents(family, label.weight(), label.rank())
-    scale = 2 if family in ("B2l1", "Pin2l") else 1
-    return tuple(int(scale * a) for a in exps)
+def _registry_lhs(monkeypatch, identity, l, order, svals):
+    """{lambda: the determinant ``howe_check`` compares for that label}."""
+    monkeypatch.setattr(identities, "_compare",
+                        lambda identity, params, order, cases: list(cases))
+    cases = identities.howe_check(identity, l=l, n=len(svals), order=order, svals=svals)
+    return {case["lam"]: lhs for case, lhs, _ in cases}
 
 
-def test_per_label_extraction_type_d_rank2():
-    order = 6
-    svals = (2,)
-    ring, lhs = _oracle_product("O2l", "ns", "D", 2, svals, order, 1)
+def _check_rank2(monkeypatch, identity, algebra, family, sector, opkind, zscale,
+                 c, order):
+    lhs = _oracle_product(family, sector, opkind, 2, (2,), order, zscale)
+    registry = _registry_lhs(monkeypatch, identity, 2, order, (2,))
     scalar = RationalRing()
     units = (scalar.from_fraction(F(2)),)
-    for label in enumerate_labels("d", 2, order):
+    labels = enumerate_labels(algebra, 2, order)
+    assert sorted(registry) == sorted(label.lam for label in labels)
+    for label in labels:
+        got = _extract(lhs, family, label)
+        assert got.first_mismatch(registry[label.lam], order) is None, label
+        ref = npoint(label, units, scalar, order)
+        assert (got * F(1, c)).first_mismatch(ref, order) is None, label
+
+
+def test_per_label_extraction_type_d_rank2(monkeypatch):
+    for label in enumerate_labels("d", 2, 6):
         c_lam = 1 if label.lam[-1] == 0 else 2
-        dom = dominant_coefficient("O2l", label)
-        assert c_lam * dom == 2
-        got = _extract(lhs, ring, _dominant_key("O2l", label)) * F(1, 2)
-        ref = npoint(label, units, scalar, order)
-        assert got.first_mismatch(ref, order) is None, label
+        assert c_lam * dominant_coefficient("O2l", label) == 2
+    _check_rank2(monkeypatch, "howe-D", "d", "O2l", "ns", "D", 1, 2, 6)
 
 
-def test_per_label_extraction_type_c_rank2():
-    order = 6
-    ring, lhs = _oracle_product("Sp2l", "ns", "C", 2, (2,), order, 1)
-    scalar = RationalRing()
-    units = (scalar.from_fraction(F(2)),)
-    for label in enumerate_labels("c", 2, order):
+def test_per_label_extraction_type_c_rank2(monkeypatch):
+    for label in enumerate_labels("c", 2, 6):
         assert dominant_coefficient("Sp2l", label) == 1
-        got = _extract(lhs, ring, _dominant_key("Sp2l", label))
-        ref = npoint(label, units, scalar, order)
-        assert got.first_mismatch(ref, order) is None, label
+    _check_rank2(monkeypatch, "howe-C", "c", "Sp2l", "ns", "C", 1, 1, 6)
 
 
-def test_per_label_extraction_type_b_rank2():
-    order = 5
-    ring, lhs = _oracle_product("Pin2l", "r", "B", 2, (2,), order, 2)
-    scalar = RationalRing()
-    units = (scalar.from_fraction(F(2)),)
-    for label in enumerate_labels("b", 2, order):
-        got = _extract(lhs, ring, _dominant_key("Pin2l", label)) * F(1, 2)
-        ref = npoint(label, units, scalar, order)
-        assert got.first_mismatch(ref, order) is None, label
+def test_per_label_extraction_type_b_rank2(monkeypatch):
+    _check_rank2(monkeypatch, "howe-Pin", "b", "Pin2l", "r", "B", 2, 2, 5)
 
 
 def test_per_label_qdim_extraction_rank2():
     # n = 0: graded dimensions read off the pure q^{L0} traces
     order = 8
-    ring, lhs = _oracle_product("O2l", "ns", "D", 2, (), order, 1)
+    lhs = _oracle_product("O2l", "ns", "D", 2, (), order, 1)
     for label in enumerate_labels("d", 2, order):
-        got = _extract(lhs, ring, _dominant_key("O2l", label)) * F(1, 2)
+        got = _extract(lhs, "O2l", label) * F(1, 2)
         ref = qdim(label, order)
         assert got.first_mismatch(ref, order) is None, label

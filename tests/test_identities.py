@@ -17,6 +17,7 @@ from fockcorr import cli, identities
 from fockcorr import correlators as corr
 from fockcorr.combinat import enumerate_labels
 from fockcorr.correlators import npoint
+from fockcorr.errors import InternalCheckError
 from fockcorr.identities import (REGISTRY, Report, _HOWE_SETUP, _qdim_grid,
                                  check_cor_b, check_graded_a, check_graded_b,
                                  check_gt_osp, check_oracle_a1,
@@ -64,6 +65,54 @@ def test_howe_exact_mode_two_point():
     assert rep.ok, rep.line()
     rep = howe_check("howe-Pin", l=1, n=1, order=4, mode="exact")
     assert rep.ok, rep.line()
+
+
+@pytest.mark.parametrize("identity, l, lam", [
+    ("howe-D", 2, (1, 0)), ("howe-C", 2, (1, 1)), ("howe-Pin", 1, (1,)),
+    ("howe-Dhalf", 1, (1,)), ("howe-Bhalf", 1, (0,)),
+])
+def test_a_wrong_closed_form_fails_under_its_label(monkeypatch, identity, l, lam):
+    # one label's correlator scaled by 3/2: the report names that label
+    npoint_ = corr.npoint
+
+    def planted(label, *args):
+        series = npoint_(label, *args)
+        return series * F(3, 2) if label.lam == lam else series
+
+    monkeypatch.setattr(corr, "npoint", planted)
+    rep = howe_check(identity, l=l, n=1, order=6, svals=(2,))
+    assert not rep.ok
+    assert rep.params == {"l": l, "n": 1, "s": (F(2),), "lam": lam}
+    assert rep.detail.startswith("first mismatch at q^")
+
+
+@pytest.mark.parametrize("identity", ["howe-Dhalf", "howe-Bhalf"])
+def test_half_level_howe_at_rank_zero(identity, capsys):
+    # rank 0: the empty determinant is the one series, and the neutral
+    # fermion's trace alone is the level-1/2 correlator
+    assert cli.main(["verify", identity, "--l", "0"]) == 0
+    assert capsys.readouterr().out == (
+        f"[pass] {identity} (l=0 n=1 s=(Fraction(2, 1),)) order<5\n")
+
+
+@pytest.mark.parametrize("fault", ["early", "asymmetric"])
+def test_howe_asserts_where_the_charge_sectors_start(monkeypatch, fault):
+    # the completeness argument needs T_k = T_-k starting at q^(k^2/2)
+    sectors_ = identities.charge_sectors
+
+    def planted(spec, ops, ring):
+        sectors = sectors_(spec, ops, ring)
+        k = max(sectors)
+        if fault == "early":  # a term below q^(k^2/2) in both T_k and T_-k
+            early = QSeries.monomial(ring, k * k / 2 - F(1, 2))
+            sectors[k], sectors[-k] = sectors[k] + early, sectors[-k] + early
+        else:
+            sectors[k] = sectors[k] * F(2)
+        return sectors
+
+    monkeypatch.setattr(identities, "charge_sectors", planted)
+    with pytest.raises(InternalCheckError, match="charge sector"):
+        howe_check("howe-C", l=2, n=1, order=4, svals=(2,))
 
 
 def test_graded_traces_eval_n3():
@@ -210,6 +259,10 @@ def test_every_identity_holds_at_a_fractional_order(identity, order):
     (check_rec_d_half, dict(n=2, order=3, mode="eval"), 2),
     (check_rec_b_half, dict(n=1, order=3, mode="eval"), 2),
     (check_rec_b_half, dict(n=2, order=3, mode="eval"), 2),
+    # one check per label
+    (howe_check, dict(identity="howe-D", l=2, n=1, order=4, svals=(2,)), 5),
+    (howe_check, dict(identity="howe-C", l=3, n=1, order=4, svals=(2,)), 7),
+    (howe_check, dict(identity="howe-Bhalf", l=2, n=1, order=4, svals=(2,)), 4),
 ])
 def test_a_pass_counts_one_check_per_compared_pair(check, kwargs, checks):
     rep = check(**kwargs)

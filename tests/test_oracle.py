@@ -622,3 +622,59 @@ def test_tau_refined_trace_unchanged():
     for (ring, ops), digest in zip(calls, TAU_REFINED):
         tp, tm = tau_refined_trace(ops, 5, ring)
         assert hashlib.sha256((tp.dumps() + tm.dumps()).encode()).hexdigest() == digest
+
+
+# ---------------------------------------------------------------------------
+# the charge sectors of one pair
+# ---------------------------------------------------------------------------
+
+ZR = LaurentRing(("z",))
+SZ = RatFuncRing(("s", "z"))
+
+
+@pytest.mark.parametrize("sector, kind, ring, unit", [
+    ("ns", "D", ZR, ZR.from_fraction(F(2))),
+    ("ns", "A", ZR, ZR.from_fraction(F(-3, 2))),
+    ("r", "B", ZR, ZR.from_fraction(F(5, 3))),
+    ("ns", "C", SZ, SZ.var("s")),
+    ("r", "B", SZ, SZ.var("s")),
+], ids=["ns-D", "ns-A", "r-B", "ns-C-symbolic", "r-B-symbolic"])
+def test_charge_sectors_split_the_graded_trace(sector, kind, ring, unit):
+    # each sector is the charge-filtered trace, and the sectors, graded by
+    # w^(2k), sum to the z-graded trace
+    spec = SectorSpec(1, 0, sector, F(9, 2))
+    ops = [OpSpec(kind, unit)]
+    sectors = fock_oracle.charge_sectors(spec, ops, ring)
+    shift = F(1, 2) if sector == "r" else F(0)
+    # below energy 9/2: |k| <= 2 in NS, |k| <= 5/2 in R
+    assert list(sectors) == [k + shift for k in range(-2 - (sector == "r"), 3)]
+    for k in range(-4, 5):
+        want = trace(spec, ops, ring, charge=k + shift)
+        got = sectors.get(k + shift, QSeries.zero(ring, want.trunc / 16))
+        assert got.trunc == want.trunc
+        assert got.first_mismatch(want) is None, k
+    graded = trace(spec, ops, ring, zvars=("z",), zscale=2)
+    total = QSeries.zero(ring, graded.trunc / 16)
+    for k, series in sectors.items():
+        total = total + series.scale(ring.var("z", int(2 * k)))
+    assert total.first_mismatch(graded) is None
+
+
+def test_charge_sectors_enumerate_each_flavor_once(monkeypatch):
+    calls = []
+    enumerate_flavor = fock_oracle._flavor_signature_states
+
+    def counted(spec, flavor, *args):
+        calls.append(flavor)
+        return enumerate_flavor(spec, flavor, *args)
+
+    monkeypatch.setattr(fock_oracle, "_flavor_signature_states", counted)
+    sectors = fock_oracle.charge_sectors(SectorSpec(1, 0, "ns", 6),
+                                         [OpSpec("D", F(2))], RationalRing())
+    assert len(sectors) == 7 and sorted(calls) == ["minus", "plus"]
+
+
+@pytest.mark.parametrize("pairs", [0, 2])
+def test_charge_sectors_take_one_pair(pairs):
+    with pytest.raises(ValueError, match="one pair"):
+        fock_oracle.charge_sectors(SectorSpec(pairs, 0, "ns", 3), [], RationalRing())

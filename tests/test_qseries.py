@@ -7,9 +7,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fockcorr.errors import ModeMismatchError, NonUnitError
-from fockcorr.laurent import LaurentPoly, RationalFunction
+from fockcorr.laurent import LaurentPoly
 from fockcorr.qseries import (LaurentRing, QSeries, RatFuncRing, RationalRing,
-                              _Ring, lattice_sum, lift_coeff, pochhammer, to16)
+                              _Ring, lattice_sum, pochhammer, to16)
 
 R = RationalRing()
 LS = LaurentRing(("s",))
@@ -653,24 +653,3 @@ def test_eval_f_bo_materializes_few_term_dicts(monkeypatch):
     # in fifty
     assert counts["created"] > 150
     assert counts["materialized"] < counts["created"] // 50
-
-
-def test_lift_coeff_embeds_rationals_and_laurent_polys():
-    p = LaurentPoly(("z2", "z1"), {(1, -1): 3, (0, 0): F(1, 2)})
-    want = LaurentPoly(("s1", "z1", "z2"), {(0, -1, 1): 3, (0, 0, 0): F(1, 2)})
-    assert lift_coeff(LaurentRing(want.vars), p) == want
-    got = lift_coeff(RatFuncRing(want.vars), p)
-    assert isinstance(got, RationalFunction) and got.num == want and got.den == 1
-    assert lift_coeff(R, 3) == F(3)
-    assert lift_coeff(RatFuncRing(want.vars), F(2, 3)) == F(2, 3)
-
-
-@pytest.mark.parametrize("ring, coeff", [
-    (RatFuncRing(("z1",)), RationalFunction.from_laurent(LaurentPoly.var(("z1",), "z1"))),
-    (LaurentRing(("z1",)), LaurentPoly.var(("z2",), "z2")),
-    (R, LaurentPoly.const((), 2)),
-    (R, LaurentPoly.var(("z1",), "z1")),
-], ids=["rational-function", "foreign-variable", "rational-ring", "rational-ring-var"])
-def test_lift_coeff_rejects_what_does_not_embed(ring, coeff):
-    with pytest.raises(ModeMismatchError):
-        lift_coeff(ring, coeff)

@@ -5,9 +5,9 @@ import pytest
 
 from fockcorr.characters import denominator_det, torus_vars
 from fockcorr.qseries import QSeries, RationalRing
-from fockcorr.weyl import (apply, elements, length_by_inversions, rho,
-                           sign_char, weyl_denominator_poly, weyl_qpoly,
-                           weyl_sum, weyl_sum_product_form)
+from fockcorr.weyl import (apply, elements, positive_roots, rho, sign_char,
+                           weyl_denominator_poly, weyl_qpoly, weyl_sum,
+                           weyl_sum_product_form)
 
 
 def test_rho():
@@ -21,6 +21,26 @@ def test_group_orders():
     assert len(elements("C", 2)) == 8
     assert len(elements("D", 2)) == 4
     assert len(elements("D", 3)) == 24
+
+
+def length_by_inversions(wtype, elem, l):
+    """Number of positive roots sent to negative ones (the reduced-word length)."""
+    perm, signs = elem
+    count = 0
+    for alpha in positive_roots(wtype, l):
+        # image of the root under the linear map (w e_j = signs[pi^-1(j)] e_{pi^-1(j)})
+        img = [0] * l
+        for j, c in enumerate(alpha):
+            if c:
+                i = perm.index(j)
+                img[i] += signs[i] * c
+        # negative iff the first nonzero coordinate is negative
+        for x in img:
+            if x:
+                if x < 0:
+                    count += 1
+                break
+    return count
 
 
 @pytest.mark.parametrize("wtype,l", [("B", 2), ("C", 2), ("D", 2), ("D", 3)])

@@ -39,7 +39,7 @@ def det_laurent(rows, zero):
     total = zero
     for j in range(n):
         entry = rows[0][j]
-        if entry.is_zero:
+        if not entry:
             continue
         minor = [r[:j] + r[j + 1:] for r in rows[1:]]
         term = entry * det_laurent(minor, zero)

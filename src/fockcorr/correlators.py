@@ -18,9 +18,14 @@ canonical form, it runs the subset recursion, each subset's value from
 where the permutation sum expanded n! determinants.  The recursion is a
 ratio of thetas, so (q;q)^3 cancels and it runs on the numerators N_k,
 never on the dense Theta^(k).  The values are exact, so the bytes are the
-same.  In eval mode ``theta_num_at`` substitutes s through the ring's
-integer evaluator, and the series products and inverses run on integer
-numerators (see ``qseries``).
+same.  In eval mode ``theta_num_at`` evaluates N_k at s to int numerators
+over one denominator (``RationalRing.evaluate``), and the series products,
+inverses and sums run on integer numerators (see ``qseries``).
+
+Every signed sum of products here (the subset recursion of ``f_bo``, the
+eps sums, the Weyl sums and the half-level cross sums) is one call of
+``QSeries.sum_products``: over the canonical rings one integer pass over
+all products, over ``RatFuncRing`` the fold in the order of the formula.
 
 Over ``RatFuncRing`` it keeps the permutation sum of theta determinants,
 each built and expanded afresh, in a fixed order: exact rational functions
@@ -41,14 +46,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import permutations, product
-from math import ceil, factorial, prod
+from math import ceil, factorial, gcd, prod
 
 from .characters import det_laurent
 from .combinat import ModuleLabel
 from .errors import InternalCheckError, LabelError, NonUnitError, PoleError
 from .laurent import LaurentPoly
 from .qseries import (LaurentRing, QSeries, RatFuncRing, RationalRing,
-                      lattice_points, pochhammer, unit_pow)
+                      lattice_points, pochhammer, to16, unit_pow)
 from .weyl import weyl_qpoly, weyl_sum, weyl_sum_product_form
 
 
@@ -175,19 +180,19 @@ def theta_k(k, order):
 def theta_num_at(k, unit, ring, order):
     """N_k with argument t = unit^2, as a series over ``ring``; cached as
     ``theta_at`` is, whose place it takes in the subset recursion."""
-    return theta_num_k(k, order).map_to(ring, ring.evaluator(unit))
+    return ring.evaluate(theta_num_k(k, order), unit)
 
 
 @lru_cache(maxsize=None)
 def theta_at(k, unit, ring, order):
     """Theta^{(k)} with argument t = unit^2, as a series over ``ring``."""
-    return theta_k(k, order).map_to(ring, ring.evaluator(unit))
+    return ring.evaluate(theta_k(k, order), unit)
 
 
 def _theta_inverse(th):
     """1/th for a theta factor (or numerator) ``th``, whose q^0 term must be
     a unit: it vanishes at t = 1, a pole."""
-    if th.is_zero or th.order16() != 0:
+    if not th or th.order16() != 0:
         raise PoleError("theta argument t = 1 (vanishing leading term)")
     try:
         return th.inverse()
@@ -220,9 +225,10 @@ def f_bo(units, ring, order):
     F(B) = N_0(t_B)^-1 sum_{A < B} (-1)^(|B-A|-1) N_(|B-A|)(t_A) F(A).
     Each F(A) is a call of ``f_bo``, so its cache shares every subset's
     series between sign vectors, jobs and the subset traces of
-    ``half_level_base``; a call costs about 2^n products.  The coefficients
-    of these rings have one canonical form, so the values are those of the
-    permutation sum, to the byte.
+    ``half_level_base``.  The signed sum is one ``QSeries.sum_products``
+    over about 2^n products, and one product by the inverse of N_0(t_B)
+    follows.  The coefficients of these rings have one canonical form, so
+    the values are those of the permutation sum, to the byte.
 
     Exact rational functions are kept unreduced, so their bytes follow the
     order of operations; ``RatFuncRing`` keeps the permutation sum of theta
@@ -237,17 +243,18 @@ def f_bo(units, ring, order):
         subsets = [((), ring.one())]
         for u in units:
             subsets += [(sub + (u,), p * u) for sub, p in subsets]
-        sums = [QSeries.zero(ring, order)] * 2  # by the parity of |B-A|
+        terms = []  # + for odd |B-A|, - for even
         for sub, unit in subsets[:-1]:
             k = n - len(sub)
             num = theta_num_at(k, unit, ring, order)
-            if not num.is_zero:
-                sums[k % 2] = sums[k % 2] + num * f_bo(sub, ring, order)
+            if num:
+                terms.append((1 if k % 2 else -1, 0, num, f_bo(sub, ring, order)))
+        total = QSeries.sum_products(ring, terms, order)
         inv = _theta_inverse(theta_num_at(0, subsets[-1][1], ring, order))
-        return ((sums[1] - sums[0]) * inv).truncated(order)
+        return (total * inv).truncated(order)
     zero = QSeries.zero(ring, order)
-    total = zero
     one = ring.one()
+    terms = []
     for sigma in permutations(range(n)):
         # partial products u_m = s_{sigma(1)} ... s_{sigma(m)}
         partial = [one]
@@ -267,9 +274,10 @@ def f_bo(units, ring, order):
                 row.append(entry)
             rows.append(row)
         term = det_laurent(rows, zero)
-        for m in range(1, n + 1):
+        for m in range(1, n):
             term = term * inv_theta_at(partial[m], ring, order)
-        total = total + term
+        terms.append((1, 0, term, inv_theta_at(partial[n], ring, order)))
+    total = QSeries.sum_products(ring, terms, order)
     return (total * inv_qq(ring, order)).truncated(order)
 
 
@@ -296,11 +304,18 @@ def _eps_data(units, ring):
     return out
 
 
-def _pair_weight(ring, uprod, k2, n):
-    """x^k + x^-k for x = uprod^2 and k = k2/2: the weight of an eps pair
-    (just x^k = 1 at n = 0)."""
-    w = unit_pow(ring, uprod, k2)
-    return w + unit_pow(ring, uprod, -k2) if n else w
+def _pair_weights(ring, uprod, k2s, n):
+    """x^k + x^-k for x = uprod^2 and each k = k2/2 of ``k2s``: the weights
+    of an eps pair (just x^k = 1 at n = 0).  The powers of uprod are one
+    table over the multiples of the gcd g of the k2, each entry the last
+    one times uprod^g or uprod^-g."""
+    step = gcd(*k2s)
+    pows = {0: ring.one()}
+    if step:
+        pows[step], pows[-step] = unit_pow(ring, uprod, step), unit_pow(ring, uprod, -step)
+        for j in range(2 * step, max(map(abs, k2s)) + 1, step):
+            pows[j], pows[-j] = pows[j - step] * pows[step], pows[step - j] * pows[-step]
+    return [pows[k2] + pows[-k2] if n else pows[k2] for k2 in k2s]
 
 
 @lru_cache(maxsize=None)
@@ -314,12 +329,10 @@ def eps_inner_sum(units, ring, order, k):
     k2 = Fraction(k) * 2
     if k2.denominator != 1:
         raise ValueError("k must be integral or half-integral")
-    total = QSeries.zero(ring, Fraction(order))
-    for sign, us, uprod in _eps_data(units, ring):
-        w = _pair_weight(ring, uprod, int(k2), len(units))
-        term = f_bo(us, ring, order).scale(w)
-        total = total + (term if sign > 0 else -term)
-    return total
+    n = len(units)
+    return QSeries.sum_products(ring, [
+        (sign, 0, f_bo(us, ring, order), _pair_weights(ring, uprod, [int(k2)], n)[0])
+        for sign, us, uprod in _eps_data(units, ring)], order)
 
 
 # ---------------------------------------------------------------------------
@@ -347,15 +360,14 @@ def graded_trace_F(sector, units, ring, order, zvar=None, zscale=1):
         if any(z.denominator != 1 for z in zexps):
             raise ValueError("z-exponent not integral; use zscale=2 with w-variables")
         zpows = [ring.var(zvar, int(z)) for z in zexps]
-    total = QSeries.zero(ring, order)
+    qexps, k2s, terms = [k * k / 2 for k in ks], [int(2 * k) for k in ks], []
     for sign, us, uprod in _eps_data(units, ring):
-        ws = [_pair_weight(ring, uprod, int(2 * k), len(units)) for k in ks]
+        ws = _pair_weights(ring, uprod, k2s, len(units))
         if zpows is not None:
             ws = [w * z for w, z in zip(ws, zpows)]
-        lattice = QSeries.from_terms(ring, [(k * k / 2, w) for k, w in zip(ks, ws)], order)
-        term = f_bo(us, ring, order) * lattice
-        total = total + (term if sign > 0 else -term)
-    return total.truncated(order)
+        lattice = QSeries.from_terms(ring, list(zip(qexps, ws)), order)
+        terms.append((sign, 0, f_bo(us, ring, order), lattice))
+    return QSeries.sum_products(ring, terms, order)
 
 
 # ---------------------------------------------------------------------------
@@ -387,14 +399,14 @@ def weyl_correlator(weight, wtype, l, units, ring, order):
     order = Fraction(order)
     if l == 0:
         return QSeries.one(ring, order)
-    total = QSeries.zero(ring, order)
+    terms = []
     for sign, qexp, kvec in weyl_sum(weight, wtype, l, order):
-        term = eps_inner_sum(units, ring, order, kvec[0])
-        for k in kvec[1:]:
-            term = term * eps_inner_sum(units, ring, order, k)
-        term = term.shift(qexp)
-        total = total + (term if sign > 0 else -term)
-    return total.truncated(order)
+        inner = [eps_inner_sum(units, ring, order, k) for k in kvec]
+        x = inner[0]
+        for y in inner[1:-1]:
+            x = x * y
+        terms.append((sign, to16(qexp), x, inner[-1] if len(inner) > 1 else ring.one()))
+    return QSeries.sum_products(ring, terms, order)
 
 
 @lru_cache(maxsize=None)
@@ -433,12 +445,13 @@ def half_level_base(sector, units, ring, order):
     full = graded_trace_F(trace_sector, units, ring, order)
     if sector == "B":
         full = full * Fraction(1, 2)
-    cross = QSeries.zero(ring, order)
+    terms = []
     for bits in range(1, 2 ** n - 1):
         left = tuple(u for i, u in enumerate(units) if bits >> i & 1)
         right = tuple(u for i, u in enumerate(units) if not bits >> i & 1)
-        cross = cross + (half_level_base(sector, left, ring, order)
-                         * half_level_base(sector, right, ring, order))
+        terms.append((1, 0, half_level_base(sector, left, ring, order),
+                      half_level_base(sector, right, ring, order)))
+    cross = QSeries.sum_products(ring, terms, order)
     return (((full - cross) * norm) * Fraction(1, 2)).truncated(order)
 
 

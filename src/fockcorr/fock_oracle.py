@@ -38,7 +38,7 @@ from fractions import Fraction
 from operator import add, eq, mul
 
 from .errors import PoleError, ResourceLimitError
-from .laurent import LaurentPoly, _numerators
+from .laurent import LaurentPoly, _div, _numerators
 from .qseries import QSeries, RationalRing, from16, to16, unit_pow
 
 NS, RAMOND = "ns", "r"
@@ -254,12 +254,15 @@ class _OpTable:
 
         Over rational arguments, op i's central and weights go over one
         common denominator d_i, the product of the integer eigenvalue
-        numerators is summed per (energy, z-monomial) in ints, and each
-        output term is one Fraction over prod_i d_i."""
+        numerators is summed per (energy, z-monomial) in ints, and the
+        series takes them as they are, over prod_i d_i: as its numerators
+        over the rational ring, as the z-polynomials' coefficients (each
+        divided once) over the others."""
         spec = self.spec
-        terms = (self._integer_terms if self.rational else self._ring_terms)(signatures)
+        if self.rational:
+            return self._integer_series(signatures)
         return QSeries.from_terms(self.ring, ((from16(e16) + spec.energy_shift, c)
-                                              for e16, c in terms),
+                                              for e16, c in self._ring_terms(signatures)),
                                   spec.cutoff + spec.energy_shift)
 
     def _ring_terms(self, signatures):
@@ -274,7 +277,7 @@ class _OpTable:
                 val = val * ev
             yield e16, val
 
-    def _integer_terms(self, signatures):
+    def _integer_series(self, signatures):
         ring, scaled, den = self.ring, self.scaled, self.den
         acc = {}  # energy16 -> {z-exponent vector: numerator}
         for (e16, counts), monomials in signatures:
@@ -284,12 +287,15 @@ class _OpTable:
             poly = acc.setdefault(e16, {})
             for z, m in monomials.items():
                 poly[z] = poly.get(z, 0) + m * ev
-        for e16, poly in acc.items():
-            if ring.mode == "rational":
-                yield e16, Fraction(poly[()], den)
-            else:
-                yield e16, ring.from_laurent(LaurentPoly(
-                    ring.vars, {z: Fraction(v, den) for z, v in poly.items() if v}))
+        # every energy is below the cutoff, so below the shifted truncation
+        shift = to16(self.spec.energy_shift)
+        trunc = to16(self.spec.cutoff) + shift
+        if ring.mode == "rational":
+            return QSeries._from_nums(ring, {e16 + shift: poly[()] for e16, poly in acc.items()
+                                             if poly[()]}, den, trunc)
+        return QSeries(ring, {e16 + shift: ring.from_laurent(LaurentPoly(
+            ring.vars, {z: _div(v, den) for z, v in poly.items() if v}, _clean=False))
+            for e16, poly in acc.items()}, trunc)
 
 
 def enumerate_states(spec: SectorSpec, max_states=None):

@@ -179,10 +179,6 @@ class LaurentPoly:
         return cls.monomial(variables, exps, c)
 
     # -- predicates ----------------------------------------------------
-    @property
-    def is_zero(self):
-        return not self.terms
-
     def __bool__(self):
         return bool(self.terms)
 
@@ -371,7 +367,7 @@ class LaurentPoly:
         return sorted(self.terms.items())
 
     def __repr__(self):
-        if self.is_zero:
+        if not self.terms:
             return "0"
         bits = []
         for e, c in self.sorted_terms():
@@ -429,9 +425,9 @@ def exact_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
     division out before any long division step, and a trial quotient term
     outside the box raises ``InexactDivisionError`` at once.
     """
-    if den.is_zero:
+    if not den:
         raise ZeroDivisionError("division by the zero polynomial")
-    if num.is_zero:
+    if not num:
         return LaurentPoly.zero(num.vars)
     num._check(den)
     if len(den.terms) == 1:
@@ -608,7 +604,7 @@ class RationalFunction:
     __slots__ = ("num", "den", "_hash")
 
     def __init__(self, num: LaurentPoly, den: LaurentPoly):
-        if den.is_zero:
+        if not den:
             raise ZeroDivisionError("zero denominator")
         num._check(den)
         num, den = self._normalize(num, den)
@@ -625,7 +621,7 @@ class RationalFunction:
         term after its monomial content is moved out: against a constant
         it is always 1.
         """
-        if num.is_zero:
+        if not num:
             return num, LaurentPoly.const(den.vars, 1)
         if len(den.terms) == 1:
             (e, c), = den.terms.items()
@@ -677,10 +673,6 @@ class RationalFunction:
     @property
     def vars(self):
         return self.num.vars
-
-    @property
-    def is_zero(self):
-        return self.num.is_zero
 
     def __bool__(self):
         return bool(self.num.terms)
@@ -768,7 +760,7 @@ class RationalFunction:
         return out
 
     def inverse(self):
-        if self.is_zero:
+        if not self:
             raise ZeroDivisionError("inverse of zero")
         return RationalFunction(self.den, self.num)
 

@@ -20,14 +20,19 @@ of the reduced coefficients; over the other rings they are the
 coefficients themselves, over 1.  Sums, negation, scalings, shifts,
 products and truncations are one loop for every ring, with the operands in
 the order of the formula; only ``inverse`` keeps two recurrences, since
-the integer one needs int numerators.  The dict of coefficients
-(``terms``) is a read-only view, built once for a rational series made
-from numerators.  A rational series built from coefficients takes its
-numerators from ``laurent._numerators``, the package's one
-integer-numerator kernel, and so does ``RationalRing.evaluator``, which
-evaluates a Laurent polynomial at a rational point as one integer sum;
-every other ring substitutes through ``LaurentPoly.subst`` (see
-``_Ring``).
+the integer one needs int numerators.  A signed sum of products,
+sum sign q^shift x y, is one call of ``QSeries.sum_products``: over the
+canonical rings it adds every pair of numerators into one dict over one
+denominator and normalizes once, and over ``RatFuncRing`` it runs the
+fold of products and running sums in the order of the formula.  The dict
+of coefficients (``terms``) is a read-only view, built once for a rational
+series made from numerators.  A rational series built from coefficients
+takes its numerators from ``laurent._numerators``, the package's one
+integer-numerator kernel.  ``RationalRing.evaluate`` evaluates a series of
+Laurent polynomials at a rational point as one int numerator per
+coefficient over one common denominator, with no ``Fraction`` per
+coefficient; every other ring substitutes through ``LaurentPoly.subst``
+(see ``_Ring``).
 """
 
 from __future__ import annotations
@@ -67,9 +72,9 @@ class _Ring:
     operators.  ``repr`` is part of the disk-cache keys.
 
     The Laurent-based rings own their conversions, ``from_laurent`` and
-    ``to_laurent``; their constants and variables and the evaluator go
-    through them, so a substitution is one ``LaurentPoly.subst``, never a
-    ring operation per term."""
+    ``to_laurent``; their constants and variables and ``evaluate`` go
+    through them, so a substitution is one ``LaurentPoly.subst`` per
+    coefficient, never a ring operation per term."""
 
     def __init__(self, variables=()):
         self.vars = tuple(variables)
@@ -89,15 +94,16 @@ class _Ring:
     def coeff_json(self, c):
         return c.to_json()
 
-    def evaluator(self, unit):
-        """A function that evaluates a Laurent polynomial in one variable at
-        ``unit``: one ``LaurentPoly.subst`` of the unit's Laurent form,
-        taken back into the ring by ``from_laurent``."""
+    def evaluate(self, series, unit):
+        """``series``, whose coefficients are Laurent polynomials in one
+        variable, with ``unit`` for that variable, as a series over this
+        ring: one ``LaurentPoly.subst`` of the unit's Laurent form per
+        coefficient, taken back into the ring by ``from_laurent``."""
         image = self.to_laurent(unit)
 
         def at(coeff):
             return self.from_laurent(coeff.subst(self.vars, {coeff.vars[0]: image}))
-        return at
+        return series.map_to(self, at)
 
     def __eq__(self, other):
         return type(other) is type(self) and self.vars == other.vars
@@ -131,31 +137,29 @@ class RationalRing(_Ring):
     def coeff_json(self, c):
         return str(c)
 
-    def evaluator(self, unit):
-        """Like the base evaluator, as one integer sum per polynomial: at
-        s = a/b, sum c_m s^m over lo <= m <= hi is
-        sum (c_m D) a^(m-lo) b^(hi-m) / (D a^-lo b^hi) for the lcm D of the
-        denominators of the c_m, and one ``Fraction`` is built from it."""
+    def evaluate(self, series, unit):
+        """Like the base evaluation, as one integer numerator per
+        coefficient: at s = a/b, with |m| <= M for every power s^m and D the
+        lcm of the denominators of the coefficients c_m, the coefficient
+        sum c_m s^m is sum (c_m D) a^(M+m) b^(M-m) over D a^M b^M."""
         a, b = unit.numerator, unit.denominator
+        polys = series.nums
+        top = max((abs(m) for p in polys.values() for (m,) in p.terms), default=0)
         apow, bpow = [1], [1]
-
-        def at(coeff):
-            terms = coeff.terms
-            if not terms:
-                return Fraction(0)
-            lo = min(terms)[0]
-            hi = max(terms)[0]
-            while len(apow) <= max(hi - lo, -lo, hi):
-                apow.append(apow[-1] * a)
-                bpow.append(bpow[-1] * b)
-            nums, den = _numerators(terms.items())
-            num = 0
-            for (m,), n in nums:
-                num += n * apow[m - lo] * bpow[hi - m]
-            num *= apow[max(lo, 0)] * bpow[max(-hi, 0)]
-            den *= apow[max(-lo, 0)] * bpow[max(hi, 0)]
-            return Fraction(num, den)
-        return at
+        for _ in range(2 * top):
+            apow.append(apow[-1] * a)
+            bpow.append(bpow[-1] * b)
+        den = math.lcm(*(c.denominator for p in polys.values() for c in p.terms.values()))
+        nums = {}
+        for e, p in polys.items():
+            v = sum(c.numerator * (den // c.denominator) * apow[top + m] * bpow[top - m]
+                    for (m,), c in p.terms.items())
+            if v:
+                nums[e] = v
+        den *= apow[top] * bpow[top]
+        if den < 0:
+            den, nums = -den, {e: -v for e, v in nums.items()}
+        return QSeries._from_nums(self, nums, den, series.trunc)
 
     def from_laurent(self, p):
         raise ModeMismatchError("cannot lower a Laurent coefficient to rational mode")
@@ -199,7 +203,7 @@ class RatFuncRing(_Ring):
         return a.as_laurent()
 
     def inv(self, a):
-        if a.is_zero:
+        if not a:
             raise NonUnitError("zero is not invertible")
         return a.inverse()
 
@@ -299,9 +303,8 @@ class QSeries:
             self._terms = {e: Fraction(n, den) for e, n in self.nums.items()}
         return self._terms
 
-    @property
-    def is_zero(self):
-        return not self.nums
+    def __bool__(self):
+        return bool(self.nums)
 
     def order16(self):
         """Lowest stored exponent; falls back to trunc for the zero series."""
@@ -422,6 +425,58 @@ class QSeries:
 
     __rmul__ = __mul__
 
+    @classmethod
+    def sum_products(cls, ring, terms, trunc):
+        """The sum of sign * q**shift * x * y over the (sign, shift, x, y) of
+        ``terms``: sign is +-1, shift an int in sixteenths, x a series and y
+        a series or a ring coefficient.  The truncation is that of the fold
+        it replaces: a running sum from ``QSeries.zero(ring, trunc)`` of
+        each ``x * y`` (``x.scale(y)`` for a coefficient), shifted and
+        negated.
+
+        Over ``RatFuncRing`` the fold itself runs, in that order, since
+        unreduced rational functions follow the order of operations.  The
+        other rings' coefficients are canonical, so every pair of numerators
+        is added into one dict over the lcm of the terms' denominators and
+        the result is normalized once, with no series built per term."""
+        t0 = None if trunc is None else to16(trunc)
+        if ring.mode == "ratfunc":
+            total = cls(ring, {}, t0, _clean=False)
+            for sign, shift, x, y in terms:
+                term = (x * y if isinstance(y, QSeries) else x.scale(y)).shift(from16(shift))
+                total = total + (term if sign > 0 else -term)
+            return total
+        # (sign, shift, x, y's numerators, the product's denominator) per
+        # term; the sum's truncation (the least of the shifted products') and
+        # denominator (the lcm of the products')
+        factors, t, den = [], t0, 1
+        for sign, shift, x, y in terms:
+            if isinstance(y, QSeries):
+                ynums, yden, ytrunc, yord = y.nums, y.den, y.trunc, y.order16()
+            else:
+                unit = cls.monomial(ring, 0, y)
+                ynums, yden, ytrunc, yord = unit.nums, unit.den, None, 0
+            for tr, o in ((x.trunc, yord), (ytrunc, x.order16())):
+                if tr is not None and o is not None:
+                    t = tr + o + shift if t is None else min(t, tr + o + shift)
+            factors.append((sign, shift, x, ynums, x.den * yden))
+            den = math.lcm(den, x.den * yden)
+        nums = {}
+        for sign, shift, x, ynums, d in factors:
+            f = sign * (den // d)
+            ys = sorted((e + shift, n if f == 1 else n * f) for e, n in ynums.items())
+            for e1, n1 in x.nums.items():
+                below = math.inf if t is None else t - e1
+                for e2, n2 in ys:
+                    if e2 >= below:
+                        break
+                    e = e1 + e2
+                    v = n1 * n2
+                    if e in nums:
+                        v = nums[e] + v
+                    nums[e] = v
+        return cls._from_nums(ring, {e: n for e, n in nums.items() if n}, den, t)
+
     def __pow__(self, n):
         if not isinstance(n, int):
             raise TypeError("integer power required")
@@ -440,7 +495,7 @@ class QSeries:
 
     def inverse(self):
         """Multiplicative inverse; the lowest coefficient must be a unit."""
-        if self.is_zero:
+        if not self.nums:
             raise NonUnitError("cannot invert the zero series")
         ring = self.ring
         v = self.order16()
@@ -518,7 +573,7 @@ class QSeries:
 
     # -- display / io ---------------------------------------------------------------
     def __repr__(self):
-        if self.is_zero:
+        if not self.nums:
             body = "0"
         else:
             bits = []

@@ -482,7 +482,7 @@ class TestCountKeyedTrace:
         ring = RatFuncRing(("s",) + ZV)
         out = trace(SectorSpec(3, 0, "ns", 7), [OpSpec("D", ring.var("s"))], ring,
                     zvars=ZV)
-        assert not out.is_zero
+        assert out
         assert len(calls) < 1000
 
     def test_rational_arguments_make_no_laurent_products(self, monkeypatch):
@@ -500,7 +500,7 @@ class TestCountKeyedTrace:
         laurent = LaurentRing(ZV)
         out = trace(spec, [OpSpec("D", laurent.from_fraction(F(5, 2)))], laurent,
                     zvars=ZV)
-        assert not out.is_zero
+        assert out
         assert calls == []
         symbolic = RatFuncRing(("s",) + ZV)
         trace(spec, [OpSpec("D", symbolic.var("s"))], symbolic, zvars=ZV)

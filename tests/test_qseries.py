@@ -355,9 +355,9 @@ def test_generic_inverse_steps_by_the_offsets_gcd():
 # negations, products and comparisons are the coefficients' own operators.
 # A new exact ring defines what ``LaurentRing`` defines and inherits the rest.
 RING_INTERFACE = {
-    _Ring: {"zero", "one", "from_fraction", "var", "coeff_json", "evaluator"},
+    _Ring: {"zero", "one", "from_fraction", "var", "coeff_json", "evaluate"},
     RationalRing: {"mode", "zero", "one", "from_fraction", "inv",
-                   "coeff_json", "evaluator", "from_laurent", "coeff_from_json"},
+                   "coeff_json", "evaluate", "from_laurent", "coeff_from_json"},
     LaurentRing: {"mode", "from_laurent", "to_laurent", "inv", "coeff_from_json"},
     RatFuncRing: {"mode", "from_laurent", "to_laurent", "inv", "coeff_from_json"},
 }
@@ -366,6 +366,88 @@ RING_INTERFACE = {
 @pytest.mark.parametrize("cls", list(RING_INTERFACE), ids=lambda c: c.__name__)
 def test_coefficient_ring_interface(cls):
     assert {n for n in vars(cls) if not n.startswith("_")} == RING_INTERFACE[cls]
+
+
+def fold_products(ring, terms, trunc):
+    """The running total that ``QSeries.sum_products`` replaces."""
+    total = QSeries.zero(ring, trunc)
+    for sign, shift, x, y in terms:
+        term = (x * y if isinstance(y, QSeries) else x.scale(y)).shift(F(shift, 16))
+        total = total + (term if sign > 0 else -term)
+    return total
+
+
+RF = RatFuncRing(("s1", "s2"))
+
+
+def small_polys(variables):
+    exps = st.tuples(*[st.integers(-2, 2)] * len(variables))
+    return st.dictionaries(exps, st.integers(-3, 3), max_size=3).map(
+        lambda d: LaurentPoly(variables, d))
+
+
+# coefficients of each ring, zero among them; the rational functions are in
+# two variables, where no gcd runs, so their unreduced bytes follow the
+# fold's order of operations
+KERNEL_COEFFS = {
+    R: st.one_of(st.just(0), st.integers(-4, 4),
+                 st.fractions(min_value=-3, max_value=3, max_denominator=12)),
+    LS: small_polys(LS.vars),
+    RF: st.tuples(small_polys(RF.vars), small_polys(RF.vars).filter(bool)).map(
+        lambda nd: RF.from_laurent(nd[0]) * RF.inv(RF.from_laurent(nd[1]))),
+}
+
+
+@st.composite
+def product_terms(draw, ring):
+    """(sign, shift, x, y) terms and a truncation for ``sum_products``: both
+    signs, shifts in sixteenths, factors truncated apart or not at all, and
+    coefficients for y; the list may be empty."""
+    coeffs = KERNEL_COEFFS[ring]
+
+    def series():
+        terms = draw(st.dictionaries(st.integers(-8, 24), coeffs, max_size=4))
+        return QSeries(ring, terms, draw(st.one_of(st.none(), st.integers(-4, 40))))
+
+    out = []
+    for _ in range(draw(st.integers(0, 4))):
+        x = series()
+        y = series() if draw(st.booleans()) else draw(coeffs)
+        out.append((draw(st.sampled_from([1, -1])), draw(st.integers(-12, 12)), x, y))
+    return out, draw(st.one_of(st.none(), st.integers(0, 40).map(lambda t: F(t, 16))))
+
+
+@pytest.mark.parametrize("ring", [R, LS, RF], ids=lambda r: r.mode)
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_sum_products_equals_the_fold(ring, data):
+    terms, trunc = data.draw(product_terms(ring))
+    got, ref = QSeries.sum_products(ring, terms, trunc), fold_products(ring, terms, trunc)
+    if ring is RF:
+        assert got.to_json() == ref.to_json()
+    else:
+        assert (got.nums, got.den, got.trunc) == (ref.nums, ref.den, ref.trunc)
+
+
+def test_sum_products_keeps_the_fold_order_over_ratfunc():
+    # at q^1 the fold adds a to the product's b - b = 0 and stores 1/P; a
+    # pair-by-pair sum (a + b) - b would store Q/(PQ), unreduced
+    s1, s2, one = RF.var("s1"), RF.var("s2"), RF.one()
+    a, b = RF.inv(s1 + s2), RF.inv(one + s1 * s2)
+    assert ((a + b) - b).to_json() != (a + (b - b)).to_json()
+    terms = [(1, 0, QSeries(RF, {16: a}, None), one),
+             (1, 0, QSeries(RF, {0: b, 16: -b}, None), QSeries(RF, {0: one, 16: one}, None))]
+    got = QSeries.sum_products(RF, terms, 2)
+    assert got.dumps() == fold_products(RF, terms, 2).dumps()
+    assert got.coeff(1).to_json() == a.to_json()
+
+
+@pytest.mark.parametrize("ring", [R, LS, RF], ids=lambda r: r.mode)
+def test_sum_products_of_no_terms_is_zero(ring):
+    for trunc in (None, F(3, 2)):
+        got = QSeries.sum_products(ring, [], trunc)
+        assert not got and got.den == 1
+        assert got.trunc == fold_products(ring, [], trunc).trunc
 
 
 @given(st.integers(min_value=2, max_value=25))
@@ -530,7 +612,7 @@ def operand(draw, current):
     """A second operand: a fresh series, or (for forced cancellation) the
     current series itself, or its terms on a subset of exponents."""
     kind = draw(st.sampled_from(["fresh", "self", "part"]))
-    if kind == "fresh" or current.is_zero:
+    if kind == "fresh" or not current:
         return draw(chain_terms(current.ring)), draw(chain_truncs)
     if kind == "self":
         return dict(current.terms), current.trunc
@@ -582,7 +664,7 @@ def op_chains(draw, ring=R):
 def assert_chain_matches(steps):
     for got, ref in steps:
         assert got.trunc == ref.trunc
-        assert got.is_zero == ref.is_zero
+        assert (not got) == (not ref)
         assert got.order16() == (min(ref.terms) if ref.terms else ref.trunc)
         assert got.terms == ref.terms
         assert all(c != 0 for c in got.terms.values())
@@ -622,11 +704,11 @@ def test_integer_form_is_reduced():
     c = a.scale(F(6, 5))
     assert (c.nums, c.den) == ({0: 1, 16: 2}, 5)
     assert ((a - a).nums, (a - a).den) == ({}, 1)
-    assert (a - a).is_zero and (a - a).order16() == 64
+    assert not (a - a) and (a - a).order16() == 64
 
 
 def test_eval_f_bo_materializes_few_term_dicts(monkeypatch):
-    from fockcorr.correlators import f_bo
+    from fockcorr.correlators import f_bo, theta_num_at
     counts = {"created": 0, "materialized": 0}
     init, from_nums = QSeries.__init__, QSeries._from_nums.__func__
     terms = QSeries.terms.fget
@@ -647,9 +729,9 @@ def test_eval_f_bo_materializes_few_term_dicts(monkeypatch):
     monkeypatch.setattr(QSeries, "_from_nums", classmethod(counting_from_nums))
     monkeypatch.setattr(QSeries, "terms", property(counting_terms))
     f_bo.cache_clear()  # the sub-tuples' values come from f_bo's cache
+    theta_num_at.cache_clear()  # the evaluations at the units are counted too
     f_bo.__wrapped__((F(2), F(3), F(5), F(7)), R, 6)
-    # about 260 series are made from cold theta caches (about 180 from warm
-    # ones) and none builds its Fraction dict; the bound allows one series
-    # in fifty
-    assert counts["created"] > 150
+    # 140 series are made (each signed sum of products is one series) and
+    # none builds its Fraction dict; the bound allows one series in fifty
+    assert counts["created"] > 100
     assert counts["materialized"] < counts["created"] // 50

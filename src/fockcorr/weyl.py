@@ -1,18 +1,20 @@
 """Weyl groups of types B/C/D as signed permutations, rho vectors,
 the q-polynomials sum_sigma (-1)^l(sigma) q^{||lam+rho-sigma(rho)||^2/2},
 and the matching positive-root product form.
+
+No group is listed or cached: one depth-first walk of the signed
+permutations, ``_orbit``, gives the int vectors top - sigma(2 rho), with
+top = 2(lam+rho) and pruned at the order for the Weyl sums, and with top = 0
+in full for the Weyl denominator.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
-from itertools import permutations, product
+from math import ceil
 
 from .laurent import LaurentPoly
 from .qseries import QSeries, RationalRing
-
-TYPES = ("B", "C", "D")
 
 
 def rho(wtype, l):
@@ -24,56 +26,6 @@ def rho(wtype, l):
     if wtype == "C":
         return tuple(Fraction(l - i) for i in range(l))
     raise ValueError(f"unknown Weyl type {wtype!r}")
-
-
-@lru_cache(maxsize=None)
-def elements(wtype, l):
-    """All (perm, signs) pairs; perm maps positions, signs in {1,-1}^l.
-
-    The element acts by (w v)_i = signs[i] * v[perm[i]].  Type D keeps only
-    even numbers of sign flips.
-    """
-    if wtype not in TYPES:
-        raise ValueError(f"unknown Weyl type {wtype!r}")
-    out = []
-    for perm in permutations(range(l)):
-        for signs in product((1, -1), repeat=l):
-            if wtype == "D" and signs.count(-1) % 2:
-                continue
-            out.append((perm, signs))
-    return tuple(out)
-
-
-def apply(elem, vec):
-    perm, signs = elem
-    return tuple(signs[i] * vec[perm[i]] for i in range(len(vec)))
-
-
-def perm_sign(perm):
-    seen = [False] * len(perm)
-    sign = 1
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        j = i
-        clen = 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            clen += 1
-        if clen % 2 == 0:
-            sign = -sign
-    return sign
-
-
-def sign_char(wtype, elem):
-    """(-1)^{length}, computed as det of the signed permutation matrix."""
-    perm, signs = elem
-    s = perm_sign(perm)
-    if wtype in ("B", "C"):
-        for x in signs:
-            s *= x
-    return s
 
 
 def positive_roots(wtype, l):
@@ -109,11 +61,36 @@ def _check_dominant(wtype, lam):
     return lam
 
 
-@lru_cache(maxsize=None)
-def _rho_orbit(wtype, l):
-    """(sign, 2 sigma(rho)) for every group element sigma, in ints."""
-    r2 = tuple(int(2 * x) for x in rho(wtype, l))
-    return tuple((sign_char(wtype, elem), apply(elem, r2)) for elem in elements(wtype, l))
+def _orbit(wtype, l, top, bound=None):
+    """(sign, top - sigma(2 rho)) in ints for the group elements sigma, whose
+    signed permutations act by (sigma v)_i = signs[i] v[perm[i]]; the sign is
+    (-1)^l(sigma), the determinant.  Depth first over the positions, picking
+    (perm[i], signs[i]) with the inversion parity and the squared norm so far;
+    a branch ends once its norm reaches ``bound``, as every square is >= 0.
+    Type D has an even number of flips, so its last sign follows from the
+    others.  The records come in the order of (perm, signs), +1 before -1.
+    """
+    r2 = [int(2 * x) for x in rho(wtype, l)]
+    leaves = []
+
+    def walk(i, free, perm, flips, odd, sign, norm, vec):
+        if i == l:
+            leaves.append((perm, flips, sign, vec))
+            return
+        for pos, j in enumerate(free):
+            rest = free[:pos] + free[pos + 1:]
+            # j lands before the pos smaller indices still unused: pos inversions
+            psign = -sign if pos % 2 else sign
+            for flip in (odd,) if wtype == "D" and i == l - 1 else (0, 1):
+                x = top[i] + r2[j] if flip else top[i] - r2[j]
+                n = norm + x * x
+                if bound is None or n < bound:
+                    walk(i + 1, rest, perm + (j,), flips + (flip,), odd ^ flip,
+                         -psign if flip else psign, n, vec + (x,))
+
+    walk(0, tuple(range(l)), (), (), 0, 1, 0, ())
+    leaves.sort()
+    return [(sign, vec) for _, _, sign, vec in leaves]
 
 
 def weyl_sum(lam, wtype, l, order):
@@ -127,14 +104,8 @@ def weyl_sum(lam, wtype, l, order):
     if any(x.denominator != 1 for x in top):
         raise ValueError(f"weight {lam} is not half-integral")
     top = [int(x) for x in top]
-    bound = 8 * Fraction(order)
-    out = []
-    for sign, sr2 in _rho_orbit(wtype, l):
-        k2 = [a - b for a, b in zip(top, sr2)]
-        norm = sum(x * x for x in k2)
-        if norm < bound:
-            out.append((sign, Fraction(norm, 8), tuple(Fraction(x, 2) for x in k2)))
-    return out
+    return [(sign, Fraction(sum(x * x for x in k2), 8), tuple(Fraction(x, 2) for x in k2))
+            for sign, k2 in _orbit(wtype, l, top, ceil(8 * Fraction(order)))]
 
 
 def weyl_qpoly(lam, wtype, l, order):
@@ -168,7 +139,7 @@ def weyl_denominator_poly(wtype, l, variables):
     if wtype not in ("B", "D"):
         raise ValueError("denominator helper covers types B and D")
     terms = {}
-    for sign, sr2 in _rho_orbit(wtype, l):
-        exps = tuple(x // 2 for x in sr2) if wtype == "D" else sr2
+    for sign, k2 in _orbit(wtype, l, (0,) * l):
+        exps = tuple(-x // 2 for x in k2) if wtype == "D" else tuple(-x for x in k2)
         terms[exps] = terms.get(exps, 0) + sign
     return LaurentPoly(variables, terms)

@@ -52,14 +52,16 @@ _IDENTITY_FOR = {
     ("b", 1): "howe-Pin", ("b", 2): "howe-Bhalf",
 }
 
-# higher levels at n = 1: l = 3 to 5 of the integral-level identities, and
-# levels 3 + 1/2 and 4 + 1/2 of the half-integral ones
+# higher levels at n = 1: l = 3 to 6 of the integral-level identities, and
+# levels 3 + 1/2 to 5 + 1/2 of the half-integral ones
 WIDE_GRID = [
     ("howe-D", 3, 6), ("howe-C", 3, 6), ("howe-Pin", 3, 6),
     ("howe-D", 4, 6), ("howe-C", 4, 6), ("howe-Pin", 4, 6),
     ("howe-D", 5, 6), ("howe-C", 5, 6), ("howe-Pin", 5, 6),
+    ("howe-D", 6, 6), ("howe-C", 6, 6), ("howe-Pin", 6, 6),
     ("howe-Dhalf", 3, 5), ("howe-Bhalf", 3, 5),
     ("howe-Dhalf", 4, 5), ("howe-Bhalf", 4, 5),
+    ("howe-Dhalf", 5, 5), ("howe-Bhalf", 5, 5),
 ]
 
 

@@ -128,6 +128,19 @@ def test_exit_code_internal_check(monkeypatch, capsys):
     assert "verification failure" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    # qdim compares its Weyl-sum and product forms and fails (exit 1) if
+    # they differ; the full group has 2^8 8! = 10,321,920 elements
+    ["qdim", "--algebra", "c", "--level", "8", "--order", "12"],
+    ["corr", "--algebra", "d", "--level", "8", "--n", "1", "--mode", "eval",
+     "--s", "2", "--order", "12"],
+])
+def test_level_8_weyl_sums(argv, capsys):
+    from fockcorr import cli
+    assert cli.main(argv) == 0
+    assert "q^" in capsys.readouterr().out
+
+
 def test_verify_pass_and_list():
     proc = run_cli("verify", "weyl-lemma", "--type", "B", "--l", "2",
                    "--order", "10")

@@ -1,13 +1,15 @@
 import random
 from fractions import Fraction as F
+from itertools import combinations_with_replacement, permutations, product
+from operator import mul
 
 import pytest
 
 from fockcorr.characters import denominator_det, torus_vars
+from fockcorr.laurent import LaurentPoly
 from fockcorr.qseries import QSeries, RationalRing
-from fockcorr.weyl import (apply, elements, positive_roots, rho, sign_char,
-                           weyl_denominator_poly, weyl_qpoly, weyl_sum,
-                           weyl_sum_product_form)
+from fockcorr.weyl import (positive_roots, rho, weyl_denominator_poly, weyl_qpoly,
+                           weyl_sum, weyl_sum_product_form)
 
 
 def test_rho():
@@ -16,11 +18,41 @@ def test_rho():
     assert rho("C", 2) == (F(2), F(1))
 
 
-def test_group_orders():
-    assert len(elements("B", 3)) == 48
-    assert len(elements("C", 2)) == 8
-    assert len(elements("D", 2)) == 4
-    assert len(elements("D", 3)) == 24
+# the reference: the full group, enumerated element by element
+
+
+def elements(wtype, l):
+    """All (perm, signs) pairs in the order of (perm, signs), +1 before -1;
+    the element acts by (w v)_i = signs[i] * v[perm[i]], and type D keeps
+    only even numbers of sign flips."""
+    return [(perm, signs) for perm in permutations(range(l))
+            for signs in product((1, -1), repeat=l)
+            if wtype != "D" or signs.count(-1) % 2 == 0]
+
+
+def apply(elem, vec):
+    perm, signs = elem
+    return tuple(signs[i] * vec[perm[i]] for i in range(len(vec)))
+
+
+def sign_char(elem):
+    """det of the signed permutation matrix: the parity of perm, one factor
+    (-1)^(c-1) per cycle of length c, times the product of the signs."""
+    perm, signs = elem
+    sign = 1
+    seen = set()
+    for start in range(len(perm)):
+        if start in seen:
+            continue
+        sign = -sign
+        j = start
+        while j not in seen:
+            seen.add(j)
+            j = perm[j]
+            sign = -sign
+    for x in signs:
+        sign *= x
+    return sign
 
 
 def length_by_inversions(wtype, elem, l):
@@ -43,10 +75,56 @@ def length_by_inversions(wtype, elem, l):
     return count
 
 
+def test_group_orders():
+    assert len(elements("B", 3)) == 48
+    assert len(elements("C", 2)) == 8
+    assert len(elements("D", 2)) == 4
+    assert len(elements("D", 3)) == 24
+
+
 @pytest.mark.parametrize("wtype,l", [("B", 2), ("C", 2), ("D", 2), ("D", 3)])
 def test_sign_char_equals_length_parity(wtype, l):
     for elem in elements(wtype, l):
-        assert sign_char(wtype, elem) == (-1) ** length_by_inversions(wtype, elem, l)
+        assert sign_char(elem) == (-1) ** length_by_inversions(wtype, elem, l)
+
+
+def reference_orbit(wtype, l):
+    """(sign, 2 sigma(rho)) for every element sigma, in enumeration order."""
+    r2 = [int(2 * x) for x in rho(wtype, l)]
+    return [(sign_char(elem), apply(elem, r2)) for elem in elements(wtype, l)]
+
+
+@pytest.mark.parametrize("wtype", ["B", "C", "D"])
+@pytest.mark.parametrize("l", range(6))
+def test_weyl_sum_equals_the_full_enumeration(wtype, l):
+    # every label with parts <= 3, integral and shifted by 1/2; the records
+    # are those of the enumeration with 8 qexp < 8 order, in its order, which
+    # fixes the exact bytes of the sums folded over them
+    orbit = reference_orbit(wtype, l)
+    for half in (F(0), F(1, 2)):
+        for parts in combinations_with_replacement(range(3, -1, -1), l):
+            lam = tuple(F(x) + half for x in parts)
+            top = [int(2 * (a + r)) for a, r in zip(lam, rho(wtype, l))]
+            # ||top - v||^2, where ||v|| = ||2 rho|| (orbit[0] is the identity)
+            base = sum(x * x for x in top) + sum(x * x for x in orbit[0][1])
+            norms = [(base - 2 * sum(map(mul, top, sr2)), sign, sr2) for sign, sr2 in orbit]
+            for bound in (24, 52, 96):  # orders 3, 13/2 and 12
+                ref = [(sign, F(norm, 8), tuple(F(a - b, 2) for a, b in zip(top, sr2)))
+                       for norm, sign, sr2 in norms if norm < bound]
+                assert weyl_sum(lam, wtype, l, F(bound, 8)) == ref, (lam, bound)
+
+
+@pytest.mark.parametrize("wtype", ["B", "D"])
+@pytest.mark.parametrize("l", range(6))
+def test_denominator_poly_equals_the_full_enumeration(wtype, l):
+    vars_ = tuple(f"z{i}" for i in range(l))
+    terms = {}
+    for sign, sr2 in reference_orbit(wtype, l):
+        exps = tuple(x // 2 for x in sr2) if wtype == "D" else sr2
+        terms[exps] = terms.get(exps, 0) + sign
+    got = weyl_denominator_poly(wtype, l, vars_)
+    assert got == LaurentPoly(vars_, terms)
+    assert list(got.terms.items()) == list(terms.items())
 
 
 def test_weyl_sum_examples():

@@ -1,13 +1,14 @@
 """Determinant-ratio characters of the classical groups appearing in the
 Howe dualities, as exact Laurent polynomials.
 
-Families and their diagonal-torus variables:
+Each family has the Weyl type of its rho (``weyl.rho``) and the scale of
+its torus exponents (``FAMILIES``):
 
-  SO2l, O2l     z_1..z_l, integer exponents
-  Sp2l          z_1..z_l, integer exponents
-  B2l1          O(2l+1)/Spin(2l+1): half-integer exponents, variables w_j
-                with z_j = w_j^2
-  Pin2l         half-integer weights, same w_j convention
+  SO2l, O2l     type D; z_1..z_l, integer exponents
+  Sp2l          type C; z_1..z_l, integer exponents
+  B2l1          O(2l+1)/Spin(2l+1), type B: half-integer exponents, so the
+                variables are w_j with z_j = w_j^2 (scale 2)
+  Pin2l         type D with half-integer weights, same w_j convention
 
 Characters are cached per (family, weight, l); the duality checks reuse each
 one across every lambda-term.
@@ -21,8 +22,16 @@ from functools import lru_cache
 from .combinat import ModuleLabel
 from .errors import LabelError
 from .laurent import LaurentPoly, exact_div
+from .weyl import rho
 
-FAMILIES = ("SO2l", "O2l", "B2l1", "Sp2l", "Pin2l")
+# family: (Weyl type of its rho, 2 if its torus variables are the w_j, else 1)
+FAMILIES = {
+    "SO2l": ("D", 1),
+    "O2l": ("D", 1),
+    "B2l1": ("B", 2),
+    "Sp2l": ("C", 1),
+    "Pin2l": ("D", 2),
+}
 
 
 def det_laurent(rows, zero):
@@ -48,25 +57,16 @@ def det_laurent(rows, zero):
 
 
 def torus_vars(family, l):
-    if family in ("B2l1", "Pin2l"):
-        return tuple(f"w{j + 1}" for j in range(l))
-    return tuple(f"z{j + 1}" for j in range(l))
+    prefix = "w" if FAMILIES[family][1] == 2 else "z"
+    return tuple(f"{prefix}{j + 1}" for j in range(l))
 
 
 def dominant_exponents(family, weight, l):
     """The exponents of z^{weight + rho}, the dominant monomial of the
     numerator determinant, as ints: of w_j = z_j^{1/2} for B2l1 and Pin2l.
     At weight 0 they are rho's, the denominator determinant's."""
-    if family in ("SO2l", "O2l", "Pin2l"):
-        shift = -1
-    elif family == "B2l1":
-        shift = Fraction(-1, 2)
-    elif family == "Sp2l":
-        shift = 0
-    else:
-        raise ValueError(f"unknown family {family!r}")
-    scale = 2 if family in ("B2l1", "Pin2l") else 1
-    return tuple(int(scale * (Fraction(weight[i]) + l - i + shift)) for i in range(l))
+    wtype, scale = FAMILIES[family]
+    return tuple(int(scale * (Fraction(w) + r)) for w, r in zip(weight, rho(wtype, l)))
 
 
 def _weight_rows(exponents, variables, kind):
@@ -78,7 +78,7 @@ def _weight_rows(exponents, variables, kind):
 
 def det_kind(family):
     """The sign in the determinant entries z^a +/- z^-a of ``family``."""
-    return "-" if family in ("B2l1", "Sp2l") else "+"
+    return "+" if FAMILIES[family][0] == "D" else "-"
 
 
 @lru_cache(maxsize=None)
@@ -90,27 +90,18 @@ def numerator_det(family, weight, l, kind=None):
     return det_laurent(rows, LaurentPoly.zero(variables))
 
 
-@lru_cache(maxsize=None)
 def denominator_det(family, l, kind=None):
-    variables = torus_vars(family, l)
-    kind = kind or det_kind(family)
-    rows = _weight_rows(dominant_exponents(family, (0,) * l, l), variables, kind)
-    return det_laurent(rows, LaurentPoly.zero(variables))
+    return numerator_det(family, (0,) * l, l, kind)
 
 
 @lru_cache(maxsize=None)
 def _character_cached(family, weight, l, lam_last_zero):
     num = numerator_det(family, weight, l)
-    den = denominator_det(family, l)
-    if family == "O2l":
-        ch = exact_div(num, den)
-        return ch if lam_last_zero else ch * 2
     if family == "SO2l":
-        num2 = numerator_det(family, weight, l, kind="-")
-        return exact_div(num + num2, den)
-    if family == "Pin2l":
-        return exact_div(num, den) * 2
-    return exact_div(num, den)
+        num = num + numerator_det(family, weight, l, kind="-")
+    ch = exact_div(num, denominator_det(family, l))
+    # with no zero exponent the + ratio is half the O(2l) or Pin(2l) character
+    return ch * 2 if family == "Pin2l" or (family == "O2l" and not lam_last_zero) else ch
 
 
 def character(family, label: ModuleLabel) -> LaurentPoly:

@@ -180,14 +180,11 @@ def cmd_oracle(args):
         prefix = "w" if sector == RAMOND else "z"
         zvars = tuple(f"{prefix}{p + 1}" for p in range(args.pairs))
         ring = LaurentRing(zvars)
-        zscale = 2 if sector == RAMOND else 1
     else:
-        zvars = None
-        ring = RationalRing()
-        zscale = 1
+        zvars, ring = None, RationalRing()
     ops = _parse_ops(args.ops, ring)
-    series = trace(spec, ops, ring, zvars=zvars, zscale=zscale,
-                   charge=args.charge, max_states=args.max_states)
+    series = trace(spec, ops, ring, zvars=zvars, charge=args.charge,
+                   max_states=args.max_states)
     _emit(series, args.json)
     return 0
 
@@ -243,7 +240,9 @@ def build_parser():
                        help="positive integer or half-integer, e.g. 2 or 3/2")
         p.add_argument("--lambda", dest="lam", default="",
                        help="comma-separated weakly decreasing parts")
-        p.add_argument("--det", action="store_true")
+        p.add_argument("--det", action="store_true",
+                       help="only validates the label and keys the corr cache: a "
+                            "label and its det partner print the same function")
         p.add_argument("--order", type=_order, required=True)
         p.add_argument("--json", action="store_true")
 

@@ -165,7 +165,9 @@ class ModuleLabel:
     lam holds the integer vector (m_1 >= ... >= m_l).  Algebra b labels are
     the Sigma(Pin) labels, so their highest weight is lam + (1/2,...,1/2).
     det marks the determinant-twisted partner where the label set admits
-    one; a plain label with a partner stands for both when summed over.
+    one.  It is validated here and keys the corr cache, but ``npoint`` and
+    ``qdim`` do not read it: a label and its partner get the same Weyl-sum
+    function, the one a plain label stands for when summed over both.
     """
 
     algebra: str
@@ -206,6 +208,13 @@ class ModuleLabel:
     def rank(self):
         """Number of label entries l (level rounded down)."""
         return int(self.level)
+
+    def weyl_type(self):
+        """The Weyl type whose rho shifts the weight: C for algebra c, B at a
+        half-integer level, D otherwise (Sigma(D) and Sigma(Pin))."""
+        if self.algebra == "a":
+            raise LabelError("type A labels have no B/C/D Weyl type")
+        return "C" if self.algebra == "c" else "B" if self.level.denominator == 2 else "D"
 
     def weight(self):
         """Highest-weight vector as Fractions (b labels add the 1/2 shift)."""

@@ -339,12 +339,12 @@ def eps_inner_sum(units, ring, order, k):
 # graded traces F(z,q;t) and F_b(z,q;t) (closed formula route)
 # ---------------------------------------------------------------------------
 
-def graded_trace_F(sector, units, ring, order, zvar=None, zscale=1):
+def graded_trace_F(sector, units, ring, order, zvar=None):
     """F(z,q;t) = sum_k z^k q^{k^2/2} sum_eps [eps] (prod t^eps)^k F_bo(q;t^eps).
 
-    NS sums k over Z, R over 1/2 + Z.  ``zvar`` names the grading variable;
-    z^k enters as zvar^(zscale*k), so half-integral k needs zscale = 2 (the
-    variable is then the square root w of z).  zvar=None sets z = 1.
+    NS sums k over Z, R over 1/2 + Z.  ``zvar`` names the grading variable:
+    z itself in NS, and in R its square root w, z^k entering as w^(2k).
+    zvar=None sets z = 1.
 
     The k-sum is merged into the eps sum: pairing eps with -eps as in
     ``eps_inner_sum``, each vector with eps_1 = +1 contributes one product
@@ -354,13 +354,10 @@ def graded_trace_F(sector, units, ring, order, zvar=None, zscale=1):
     if sector not in ("NS", "R"):
         raise ValueError("sector must be 'NS' or 'R'")
     ks = lattice_points("int" if sector == "NS" else "half", order)
+    qexps, k2s, terms = [k * k / 2 for k in ks], [int(2 * k) for k in ks], []
     zpows = None
     if zvar is not None:
-        zexps = [Fraction(zscale) * k for k in ks]
-        if any(z.denominator != 1 for z in zexps):
-            raise ValueError("z-exponent not integral; use zscale=2 with w-variables")
-        zpows = [ring.var(zvar, int(z)) for z in zexps]
-    qexps, k2s, terms = [k * k / 2 for k in ks], [int(2 * k) for k in ks], []
+        zpows = [ring.var(zvar, k2 if sector == "R" else k2 // 2) for k2 in k2s]
     for sign, us, uprod in _eps_data(units, ring):
         ws = _pair_weights(ring, uprod, k2s, len(units))
         if zpows is not None:
@@ -410,17 +407,11 @@ def weyl_correlator(weight, wtype, l, units, ring, order):
 
 
 @lru_cache(maxsize=None)
-def _half_level_sector(sector, ring, order):
-    """(base(()), 1/base(()), trace sector) of a level-1/2 sector, built
-    once per (sector, ring, order) for all of ``half_level_base``'s subsets."""
+def _half_level_norm(sector, ring, order):
+    """1/base(()), inverted once for all of ``half_level_base``'s subsets."""
     if sector == "D":
-        empty = em_half(ring, order)
-        return empty, empty.inverse(), "NS"
-    if sector == "B":
-        return (em_one(ring, order - Fraction(1, 16)).shift(Fraction(1, 16)),
-                em_one(ring, order + Fraction(1, 16)).inverse().shift(Fraction(-1, 16)),
-                "R")
-    raise ValueError("sector must be 'D' or 'B'")
+        return em_half(ring, order).inverse()
+    return em_one(ring, order + Fraction(1, 16)).inverse().shift(Fraction(-1, 16))
 
 
 @lru_cache(maxsize=None)
@@ -439,10 +430,12 @@ def half_level_base(sector, units, ring, order):
     """
     order = Fraction(order)
     n = len(units)
-    empty, norm, trace_sector = _half_level_sector(sector, ring, order)
+    if sector not in ("D", "B"):
+        raise ValueError("sector must be 'D' or 'B'")
     if n == 0:
-        return empty
-    full = graded_trace_F(trace_sector, units, ring, order)
+        return (em_half(ring, order) if sector == "D"
+                else em_one(ring, order - Fraction(1, 16)).shift(Fraction(1, 16)))
+    full = graded_trace_F("NS" if sector == "D" else "R", units, ring, order)
     if sector == "B":
         full = full * Fraction(1, 2)
     terms = []
@@ -452,25 +445,22 @@ def half_level_base(sector, units, ring, order):
         terms.append((1, 0, half_level_base(sector, left, ring, order),
                       half_level_base(sector, right, ring, order)))
     cross = QSeries.sum_products(ring, terms, order)
+    norm = _half_level_norm(sector, ring, order)
     return (((full - cross) * norm) * Fraction(1, 2)).truncated(order)
 
 
 def npoint(label: ModuleLabel, units, ring, order):
-    """Dispatch an n-point correlation function by algebra and level."""
+    """The n-point function of a label: type A's closed form, or the Weyl
+    sum of the label's Weyl type, times the level-1/2 base at a half level."""
     order = Fraction(order)
     l = label.rank()
-    half = label.level.denominator == 2
     if label.algebra == "a":
         return a_npoint(label.lam, l, units, ring, order)
-    weight = label.weight()
-    if label.algebra == "c":
-        return weyl_correlator(weight, "C", l, units, ring, order)
-    if label.algebra in ("d", "b"):
-        if not half:
-            return weyl_correlator(weight, "D", l, units, ring, order)
-        pre = half_level_base(label.algebra.upper(), units, ring, order)
-        return (pre * weyl_correlator(weight, "B", l, units, ring, order)).truncated(order)
-    raise LabelError(f"unknown algebra {label.algebra!r}")
+    weight, wtype = label.weight(), label.weyl_type()
+    if label.level.denominator == 1:
+        return weyl_correlator(weight, wtype, l, units, ring, order)
+    pre = half_level_base(label.algebra.upper(), units, ring, order)
+    return (pre * weyl_correlator(weight, wtype, l, units, ring, order)).truncated(order)
 
 
 def correlator(req: CorrelatorRequest) -> QSeries:
@@ -588,30 +578,24 @@ def refined_form2(sign, order, literal=False):
 
 def qdim(label: ModuleLabel, order) -> QSeries:
     """Graded dimension, computed in both the Weyl-sum and the product form;
-    the two must agree exactly."""
+    the two must agree exactly.  A half level multiplies by the level-1/2
+    vacuum (``half_level_base`` at n = 0) below q^{order + 1/16}, as the R
+    one starts at q^{1/16}; the other factors cut the NS one at q^order."""
     order = Fraction(order)
     ring = RationalRing()
     l = label.rank()
-    half = label.level.denominator == 2
     if label.algebra == "a":
         raise LabelError("q-dimensions are provided for algebras b, c, d")
-    weight = label.weight()
-    wtype, pre, shift = "D", inv_qq(ring, order) ** l, Fraction(0)
-    if label.algebra == "c":
-        wtype = "C"
-    elif half:
-        wtype = "B"
-        if label.algebra == "d":
-            pre = em_half(ring, order) * pre
-        else:
-            pre, shift = em_one(ring, order) * pre, Fraction(1, 16)
+    weight, wtype = label.weight(), label.weyl_type()
+    pre = inv_qq(ring, order) ** l
+    if label.level.denominator == 2:
+        pre = half_level_base(label.algebra.upper(), (), ring, order + Fraction(1, 16)) * pre
     sum_form = weyl_qpoly(weight, wtype, l, order)
     prod_form = weyl_sum_product_form(weight, wtype, l, order)
     if sum_form.first_mismatch(prod_form) is not None:
         raise InternalCheckError(
             f"Weyl-sum and product q-dimension forms disagree for {label}")
-    out = (pre * sum_form).shift(shift)
-    return out.truncated(order + shift)
+    return pre * sum_form
 
 
 # ---------------------------------------------------------------------------

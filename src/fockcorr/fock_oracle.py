@@ -28,7 +28,8 @@ Conventions (NS = modes in 1/2+Z, R = modes in Z):
   * neutral NS: creators at k in 1/2+Z_+; neutral R: creators at k >= 1
     plus a zero-occupation bit.
   * energy = sum of creator mode indices, plus 1/8 per R pair and 1/16 per
-    R neutral fermion; zero modes are energy-free.
+    R neutral fermion; zero modes are energy-free; a graded trace weighs a
+    charge c by z^c in NS and by w^(2c), w = z^{1/2}, in R.
 """
 
 from __future__ import annotations
@@ -337,14 +338,14 @@ def enumerate_states(spec: SectorSpec, max_states=None):
     yield from rec(0, 0, [], [], ())
 
 
-def trace(spec: SectorSpec, ops, ring, *, zvars=None, zscale=1,
+def trace(spec: SectorSpec, ops, ring, *, zvars=None,
           charge=None, max_states=None) -> QSeries:
     """Exact graded trace  tr q^{L_0} prod_p z_p^{e_pp} prod_i X_i(t_i).
 
     ops: sequence of OpSpec (units live in ``ring``).
-    zvars: per-pair grading variable names (None entries skip grading);
-           with zscale = 2 the variable is the square root of z (needed for
-           the half-integral R-sector charges).
+    zvars: per-pair grading variable names (None entries skip grading):
+           z_p in NS, and in R its square root w_p, the charges there
+           being half-integral (z^{e_pp} = w^{2 e_pp}).
     charge: per-pair e_pp filter (Fraction or None per pair), or a single
             value when pairs == 1.
     max_states: budget on the states enumerated and on the (energy, counts,
@@ -354,7 +355,7 @@ def trace(spec: SectorSpec, ops, ring, *, zvars=None, zscale=1,
     class) and integer charge polynomials; see the module docstring.  Op i
     has the eigenvalue central_i + sum_j count_j * W_j[i] on a signature,
     W_j being the weights of class j, and the product of the eigenvalues
-    multiplies the charge polynomial, read as sum m * z^{zscale * charge}.
+    multiplies the charge polynomial, read as sum m * z^charge.
     With rational op arguments the products are evaluated and summed in
     ints, over one common denominator per op; with symbolic ones the ring
     is used once per final signature.
@@ -367,14 +368,14 @@ def trace(spec: SectorSpec, ops, ring, *, zvars=None, zscale=1,
         raise ValueError("one charge filter entry per pair required")
     if zvars is not None and len(zvars) != spec.pairs:
         raise ValueError("one z-variable entry per pair required")
-    return _trace(spec, _OpTable(spec, ops, ring), zvars, zscale, charge, max_states)
+    return _trace(spec, _OpTable(spec, ops, ring), zvars, charge, max_states)
 
 
 def charge_sectors(spec: SectorSpec, ops, ring):
     """{e_pp charge k: T_k} for a one-pair ``spec``, T_k being the z-free
     series ``trace(spec, ops, ring, charge=k)``, all from one enumeration
     and merge; a charge with no state below the cutoff has no entry.  The
-    z-graded trace is sum_k T_k z^{zscale * k}."""
+    z-graded trace is sum_k T_k z^k."""
     ops = tuple(ops)
     _check_ops(spec, ops)
     if spec.pairs != 1:
@@ -389,24 +390,22 @@ def charge_sectors(spec: SectorSpec, ops, ring):
             for c, sigs in sorted(by_charge.items())}
 
 
-def _trace(spec, table, zvars, zscale, charge, max_states):
+def _trace(spec, table, zvars, charge, max_states):
     """``trace`` on the weight classes of ``table``, arguments checked."""
     ring = table.ring
     graded = [zvars is not None and zvars[p] is not None for p in range(spec.pairs)]
     joined = _signatures(spec, table, graded, charge, max_states)
     zindex = [ring.vars.index(zvars[p]) for p in range(spec.pairs) if graded[p]]
-    zshift = zscale * spec.charge_shift  # z-exponent of raw charge c: zscale * c + zshift
-    if zindex and joined and zshift.denominator != 1:
-        raise ValueError("z-exponent not integral; use zscale=2 for the R sector")
-    zshift = int(zshift)
+    # the exponent of raw charge c: c in NS, 2 (c + 1/2) of w in R
+    scale, shift = (1, 0) if spec.sector == NS else (2, 1)
 
     def monomials(poly):
-        """{z-exponent vector: m} of sum m * prod_p z_p^{zscale * c_p + zshift}."""
+        """{exponent vector: m} of sum m * prod_p z_p^{scale * c_p + shift}."""
         out = {}
         for cs, m in poly.items():
             exps = [0] * len(ring.vars)
             for idx, c in zip(zindex, cs):
-                exps[idx] += zscale * c + zshift
+                exps[idx] += scale * c + shift
             exps = tuple(exps)
             out[exps] = out.get(exps, 0) + m
         return out
@@ -522,7 +521,7 @@ def tau_refined_trace(ops, cutoff, ring):
     ops = tuple(ops)
     _check_ops(spec, ops)
     table = _OpTable(spec, ops, ring)
-    tr = _trace(spec, table, None, 1, (0,), None)
+    tr = _trace(spec, table, None, (0,), None)
     cutoff16 = to16(spec.cutoff)
     twisted = {}  # (energy16, counts) -> sum of reordering signs
     for e, _, chosen in _flavor_signature_states(spec, "minus", None, [0]):

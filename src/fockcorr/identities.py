@@ -4,7 +4,9 @@ independent routes and compared coefficient-exactly.
 Each runner hands its (case params, lhs, rhs) triples to `_compare`, which
 builds the Report (the Weyl denominator checks compare polynomials and build
 their own).  `run(identity_id, **params)` dispatches by id and `REGISTRY`
-lists ids with their default parameters.
+lists ids with their default parameters.  The Howe checks and
+qdim-consistency read each label set's group family, Fock sector and
+multiplicity from one table, `DUALITY`.
 """
 
 from __future__ import annotations
@@ -18,8 +20,8 @@ from math import ceil
 from . import correlators as corr
 from .combinat import (Partition, enumerate_labels, odd_strict_partitions,
                        partitions_up_to, sym_to_osp)
-from .characters import (character, denominator_det, det_kind, det_laurent,
-                         dominant_exponents, torus_vars)
+from .characters import (FAMILIES, character, denominator_det, det_kind,
+                         det_laurent, dominant_exponents, torus_vars)
 from .errors import FockcorrError, InternalCheckError
 from .fock_oracle import (NS, RAMOND, OpSpec, SectorSpec, charge_sectors,
                           tau_refined_trace, trace)
@@ -230,13 +232,13 @@ def check_oracle_a1(order=8, mmax=2):
 def _graded_check(sector, n, order, svals, mode):
     """The oracle's z-graded one-pair trace against the closed graded trace F:
     D ops in NS (``sector`` "A"), or B ops in R graded by a square root."""
-    kind, fock, fsector, zvar, zscale = (
-        ("D", NS, "NS", "z", 1) if sector == "A" else ("B", RAMOND, "R", "w", 2))
+    kind, fock, fsector, zvar = (
+        ("D", NS, "NS", "z") if sector == "A" else ("B", RAMOND, "R", "w"))
     ring = corr.make_ring(n, mode, (zvar,))
     units = corr.make_units(ring, n, mode, svals)
     ops = [OpSpec(kind, u) for u in units]
-    lhs = trace(SectorSpec(1, 0, fock, order), ops, ring, zvars=(zvar,), zscale=zscale)
-    rhs = corr.graded_trace_F(fsector, units, ring, order, zvar=zvar, zscale=zscale)
+    lhs = trace(SectorSpec(1, 0, fock, order), ops, ring, zvars=(zvar,))
+    rhs = corr.graded_trace_F(fsector, units, ring, order, zvar=zvar)
     params = {"n": n, "mode": mode}
     return _compare(f"graded-{sector}", params, order, [(params, lhs, rhs)])
 
@@ -249,15 +251,25 @@ check_graded_b = partial(_graded_check, "B", n=1, order=6, svals=(2,), mode="exa
 # Howe-duality checks (one case per label, oracle left side)
 # ---------------------------------------------------------------------------
 
-_HOWE_SETUP = {
-    # id: (algebra, family, sector, op kind, zscale, c), c being the label's
-    # duality multiplicity times the dominant coefficient of its numerator
-    # determinant, the same for every label
-    "howe-D": ("d", "O2l", NS, "D", 1, 2),
-    "howe-C": ("c", "Sp2l", NS, "C", 1, 1),
-    "howe-Pin": ("b", "Pin2l", RAMOND, "B", 2, 2),
-    "howe-Dhalf": ("d", "B2l1", NS, "D", 2, 1),
-    "howe-Bhalf": ("b", "B2l1", RAMOND, "B", 2, 1),
+# (algebra, half level): (group family, Fock sector of the l charged pairs
+# and a half level's neutral fermion, c), c being a label's multiplicity times
+# the coefficient of z^{lambda+rho} in its character times the denominator,
+# the same for every label
+DUALITY = {
+    ("d", False): ("O2l", NS, 2),
+    ("c", False): ("Sp2l", NS, 1),
+    ("b", False): ("Pin2l", RAMOND, 2),
+    ("d", True): ("B2l1", NS, 1),
+    ("b", True): ("B2l1", RAMOND, 2),
+}
+
+# Howe id: its row of DUALITY
+HOWE_IDS = {
+    "howe-D": ("d", False),
+    "howe-C": ("c", False),
+    "howe-Pin": ("b", False),
+    "howe-Dhalf": ("d", True),
+    "howe-Bhalf": ("b", True),
 }
 
 
@@ -267,14 +279,15 @@ def howe_check(identity, l=1, n=1, order=6, svals=(2, 3), mode="eval"):
     closed-form correlator of lambda.
 
     Write the one-pair trace as tr(z) = sum_k T_k z^k, T_k its charge
-    sectors (``charge_sectors``, k in the integer exponents of z, or of
-    w = z^{1/2} when zscale = 2).  The coefficient of z^e in
+    sectors (``charge_sectors``); the family's torus variable is z, or
+    w = z^{1/2} where ``FAMILIES`` scales its exponents by 2, and then
+    T_k is the coefficient of w^{2k}.  The coefficient of z^e in
     prod_j tr(z_j) det[z_j^{rho_i} +/- z_j^{-rho_i}] is the l x l
     determinant det[T_{e_j - rho_i} +/- T_{e_j + rho_i}], and at
     e = lambda + rho (``characters.dominant_exponents``) no other label's
     numerator determinant has that monomial, so the determinant is c times
-    the correlator.  The half levels multiply both sides by the neutral
-    fermion's trace, halved for howe-Bhalf.
+    the correlator.  The half levels multiply the determinant by the
+    neutral fermion's trace.
 
     Completeness: T_k = T_{-k}, so the product is Weyl-antisymmetric and
     its strictly dominant terms fix the rest; and T_k starts at q^{k^2/2}
@@ -286,8 +299,9 @@ def howe_check(identity, l=1, n=1, order=6, svals=(2, 3), mode="eval"):
     mode 'exact' keeps the t-arguments formal; the acceptance grid runs in
     evaluation mode.
     """
-    algebra, family, sector, opkind, zscale, c = _HOWE_SETUP[identity]
-    half = identity.endswith("half")
+    algebra, half = HOWE_IDS[identity]
+    family, sector, c = DUALITY[algebra, half]
+    scale = FAMILIES[family][1]
     level = Fraction(l) + (Fraction(1, 2) if half else 0)
     order = Fraction(order)
     if mode == "exact":
@@ -297,7 +311,7 @@ def howe_check(identity, l=1, n=1, order=6, svals=(2, 3), mode="eval"):
         params = {"l": l, "n": n, "s": svals}
     ring = corr.make_ring(n, mode)
     units = corr.make_units(ring, n, mode, svals)
-    ops = [OpSpec(opkind, u) for u in units]
+    ops = [OpSpec(algebra.upper(), u) for u in units]
     labels = enumerate_labels(algebra, level, order)
     zero = QSeries.zero(ring, order)
     sectors = charge_sectors(SectorSpec(1, 0, sector, order), ops, ring)
@@ -307,19 +321,17 @@ def howe_check(identity, l=1, n=1, order=6, svals=(2, 3), mode="eval"):
                                      f"q^(k^2/2) or differs from sector {-k}")
     if half:
         pre = trace(SectorSpec(0, 1, sector, order), ops, ring)
-        if identity == "howe-Bhalf":
-            pre = pre * Fraction(1, 2)
     plus = det_kind(family) == "+"
-    rho = dominant_exponents(family, (0,) * l, l)
+    rho_exps = dominant_exponents(family, (0,) * l, l)
 
     def t(k):
-        return sectors.get(Fraction(k, zscale), zero)
+        return sectors.get(Fraction(k, scale), zero)
 
     def cases():
         for label in labels:
             e = dominant_exponents(family, label.weight(), l)
             rows = [[t(ej - r) + t(ej + r) if plus else t(ej - r) - t(ej + r)
-                     for ej in e] for r in rho]
+                     for ej in e] for r in rho_exps]
             lhs = det_laurent(rows, zero) if l else QSeries.one(ring, order)
             yield ({**params, "lam": label.lam}, lhs * pre if half else lhs,
                    corr.npoint(label, units, ring, order) * c)
@@ -401,12 +413,10 @@ def check_refined_d(order=10):
 # ---------------------------------------------------------------------------
 
 def _qdim_grid(order):
+    """The labels below q^3 of every DUALITY row at its two lowest levels."""
     grid = []
-    for algebra in ("d", "c", "b"):
-        for l in (1, 2):
-            grid.extend(enumerate_labels(algebra, l, min(Fraction(order), 3)))
-    for algebra in ("d", "b"):
-        for level in (Fraction(1, 2), Fraction(3, 2)):
+    for algebra, half in DUALITY:
+        for level in (Fraction(1, 2), Fraction(3, 2)) if half else (1, 2):
             grid.extend(enumerate_labels(algebra, level, min(Fraction(order), 3)))
     return grid
 
@@ -421,31 +431,33 @@ def check_qdim_consistency(order=10):
         corr.qdim(label, order)  # raises InternalCheckError on mismatch
     ring = RationalRing()
     setups = [
-        ("d", Fraction(1), "O2l", NS, 1, 0),
-        ("c", Fraction(1), "Sp2l", NS, 1, 0),
-        ("b", Fraction(1), "Pin2l", RAMOND, 1, 0),
-        ("d", Fraction(3, 2), "B2l1", NS, 1, 1),
-        ("b", Fraction(3, 2), "B2l1", RAMOND, 1, 1),
-        ("d", Fraction(2), "O2l", NS, 2, 0),
-        ("c", Fraction(2), "Sp2l", NS, 2, 0),
-        ("b", Fraction(2), "Pin2l", RAMOND, 2, 0),
-        ("d", Fraction(5, 2), "B2l1", NS, 2, 1),
-        ("b", Fraction(5, 2), "B2l1", RAMOND, 2, 1),
-        ("d", Fraction(3), "O2l", NS, 3, 0),
+        ("d", Fraction(1)),
+        ("c", Fraction(1)),
+        ("b", Fraction(1)),
+        ("d", Fraction(3, 2)),
+        ("b", Fraction(3, 2)),
+        ("d", Fraction(2)),
+        ("c", Fraction(2)),
+        ("b", Fraction(2)),
+        ("d", Fraction(5, 2)),
+        ("b", Fraction(5, 2)),
+        ("d", Fraction(3)),
     ]
 
     def cases():
-        for algebra, level, family, sector, pairs, neutral in setups:
-            l = int(level)
-            fock = trace(SectorSpec(pairs, neutral, sector, order), [], ring)
+        for algebra, level in setups:
+            l, half = int(level), level.denominator == 2
+            family, sector, c = DUALITY[algebra, half]
+            fock = trace(SectorSpec(l, int(half), sector, order), [], ring)
             dual = QSeries.zero(ring, order)
             ones = {v: Fraction(1) for v in torus_vars(family, l)}
             for label in enumerate_labels(algebra, level, order):
                 dim = character(family, label).eval_at(ones)
                 dual = dual + corr.qdim(label, order).truncated(order).scale(dim)
-            if algebra == "b" and level.denominator == 2:
-                dual = dual * Fraction(2)  # duality multiplicity
-            yield {"algebra": algebra, "level": level}, fock, dual
+            # c over the dominant coefficient of a character times the
+            # denominator, 2 in the + families, is the duality multiplicity
+            yield ({"algebra": algebra, "level": level}, fock,
+                   dual * Fraction(c, 2 if det_kind(family) == "+" else 1))
 
     report = _compare("qdim-consistency", {}, order, cases())
     report.checks += len(grid)

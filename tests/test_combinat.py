@@ -79,6 +79,20 @@ def test_b_labels_are_spin_labels():
     assert ModuleLabel("d", 1, (0,)).weight() == (F(0),)
 
 
+@pytest.mark.parametrize("level", [1, 2, 3, F(1, 2), F(3, 2), F(5, 2)])
+def test_weyl_type_of_every_algebra(level):
+    # C for algebra c, B at a half-integer level, D otherwise; type A has none
+    l = int(level)
+    half = F(level).denominator == 2
+    for algebra in ("b", "d"):
+        assert ModuleLabel(algebra, level, (0,) * l).weyl_type() == ("B" if half else "D")
+        assert ModuleLabel(algebra, level, (1,) * l).weyl_type() == ("B" if half else "D")
+    if not half:
+        assert ModuleLabel("c", level, (1,) + (0,) * (l - 1)).weyl_type() == "C"
+        with pytest.raises(LabelError, match="no B/C/D Weyl type"):
+            ModuleLabel("a", level, (0,) * (l - 1) + (-1,)).weyl_type()
+
+
 def test_label_validation():
     with pytest.raises(LabelError):
         ModuleLabel("d", 1, (1,), det=True)      # lam_l > 0 has no det partner

@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fockcorr import correlators
-from fockcorr.combinat import ModuleLabel
+from fockcorr.combinat import ModuleLabel, enumerate_labels
 from fockcorr.correlators import (CorrelatorRequest, a_npoint, correlator,
                                   corollary_b_rhs, corollary_b_rhs_log,
                                   corollary_d_rhs, corollary_lhs, em_half, em_one,
@@ -24,6 +24,7 @@ from fockcorr.laurent import LaurentPoly, RationalFunction
 from fockcorr.qseries import (LaurentRing, QSeries, RatFuncRing, RationalRing,
                               lattice_points, lattice_sum, pochhammer,
                               unit_pow)
+from fockcorr.weyl import weyl_qpoly
 
 SV = ("s",)
 
@@ -411,17 +412,14 @@ class TestEpsPairs:
         assert (graded_trace_F("NS", units, ring, 3, zvar="z").dumps()
                 == _ref_graded_trace_F("NS", units, ring, 3, zvar="z").dumps())
         ring, units = _exact_units(n, "w")
-        assert (graded_trace_F("R", units, ring, 3, zvar="w", zscale=2).dumps()
+        assert (graded_trace_F("R", units, ring, 3, zvar="w").dumps()
                 == _ref_graded_trace_F("R", units, ring, 3, zvar="w", zscale=2).dumps())
 
-    def test_zero_points_and_z_exponent_check(self):
+    def test_zero_points(self):
         ring = RationalRing()
         for k in (0, 2, F(-1, 2)):
             assert (eps_inner_sum((), ring, 4, k).dumps()
                     == _ref_eps_inner_sum((), ring, 4, k).dumps())
-        ring, units = _exact_units(1, "w")
-        with pytest.raises(ValueError, match="z-exponent"):
-            graded_trace_F("R", units, ring, 2, zvar="w")
 
     def test_second_label_over_the_same_units_reuses_the_inner_sums(self):
         ring, units = RationalRing(), (F(2), F(3))
@@ -589,7 +587,7 @@ class TestHalfLevelBases:
         ring, units = RationalRing(), (F(2), F(3), F(5))
         half_level_base(sector, units, ring, 6)
         half_level_base.cache_clear()
-        correlators._half_level_sector.cache_clear()
+        correlators._half_level_norm.cache_clear()
         calls = Counter()
         inverse = QSeries.inverse
 
@@ -600,6 +598,39 @@ class TestHalfLevelBases:
         monkeypatch.setattr(QSeries, "inverse", counting_inverse)
         half_level_base(sector, units, ring, 6)
         assert calls["inverse"] <= 1
+
+    @pytest.mark.parametrize("algebra", ["d", "b"])
+    def test_half_level_qdim_inverts_no_normalizer(self, algebra, monkeypatch):
+        # qdim's half-level factor is the level-1/2 vacuum (the base at
+        # n = 0), so cold its one series inverse is 1/(q;q)
+        for cached in (half_level_base, correlators._half_level_norm, inv_qq):
+            cached.cache_clear()
+        calls = Counter()
+        inverse = QSeries.inverse
+
+        def counting_inverse(series):
+            calls["inverse"] += 1
+            return inverse(series)
+
+        monkeypatch.setattr(QSeries, "inverse", counting_inverse)
+        qdim(ModuleLabel(algebra, F(5, 2), (1, 0)), 10)
+        assert calls["inverse"] == 1
+
+    @pytest.mark.parametrize("order", [F(1, 16), F(7, 16), F(1, 2), F(15, 16),
+                                       F(17, 16), F(5, 2), F(49, 16)])
+    def test_half_level_qdim_matches_the_explicit_prefactor(self, order):
+        # (-q^{1/2};q) in NS and q^{1/16}(-q;q) in R times (q;q)^-l times the
+        # B Weyl sum, known below q^order in NS and q^{order + 1/16} in R,
+        # byte for byte, at orders just above and below a power q^{m + 1/16}
+        ring = RationalRing()
+        for algebra, em, shift in (("d", em_half, 0), ("b", em_one, F(1, 16))):
+            for level in (F(1, 2), F(3, 2), F(5, 2)):
+                for label in enumerate_labels(algebra, level, max(order, 2)):
+                    l = label.rank()
+                    ref = (em(ring, order) * inv_qq(ring, order) ** l
+                           * weyl_qpoly(label.weight(), "B", l, order))
+                    want = ref.shift(shift).truncated(order + shift)
+                    assert qdim(label, order).dumps() == want.dumps(), label
 
 
 class TestClosedSumForms:

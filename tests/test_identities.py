@@ -18,7 +18,7 @@ from fockcorr import correlators as corr
 from fockcorr.combinat import enumerate_labels
 from fockcorr.correlators import npoint
 from fockcorr.errors import InternalCheckError
-from fockcorr.identities import (REGISTRY, Report, _HOWE_SETUP, _qdim_grid,
+from fockcorr.identities import (HOWE_IDS, REGISTRY, Report, _qdim_grid,
                                  check_cor_b, check_graded_a, check_graded_b,
                                  check_gt_osp, check_oracle_a1,
                                  check_qdim_consistency, check_rec_b_half,
@@ -196,7 +196,7 @@ def test_oracle_equals_graded_trace_at_random_points(check, n, order, svals):
     assert rep.ok, rep.line()
 
 
-@given(identity=st.sampled_from(sorted(_HOWE_SETUP)),
+@given(identity=st.sampled_from(sorted(HOWE_IDS)),
        l=st.integers(1, 3), n=st.integers(1, 2), order=st.integers(2, 5),
        svals=st.lists(st.fractions(min_value=-6, max_value=6, max_denominator=5)
                       .filter(lambda s: s not in (0, 1, -1)),

@@ -58,13 +58,17 @@ def test_every_public_definition_is_referenced():
 
 
 # the modules of the package that may name each of these: the exact
-# rational-function coefficient stays inside its rings, and theta (1/Theta
-# included) inside the correlator builders
+# rational-function coefficient stays inside its rings, theta (1/Theta
+# included) inside the correlator builders, rho inside the Weyl groups and
+# the characters that read it, and the Howe duality table (a label set's
+# group family, Fock sector and multiplicity) inside the identities
 CONFINED = {
     "RationalFunction": {"laurent.py", "qseries.py"},
     "theta_at": {"correlators.py"},
     "inv_theta_at": {"correlators.py"},
     "theta_k": {"correlators.py"},
+    "rho": {"weyl.py", "characters.py"},
+    "DUALITY": {"identities.py"},
 }
 
 

@@ -190,9 +190,8 @@ class TestTraces:
     def test_graded_r_one_point(self):
         ring = RatFuncRing(("s", "w"))
         u = ring.var("s")
-        tr = trace(SectorSpec(1, 0, "r", 6), [OpSpec("B", u)], ring,
-                   zvars=("w",), zscale=2)
-        ref = graded_trace_F("R", (u,), ring, 6, zvar="w", zscale=2)
+        tr = trace(SectorSpec(1, 0, "r", 6), [OpSpec("B", u)], ring, zvars=("w",))
+        ref = graded_trace_F("R", (u,), ring, 6, zvar="w")
         assert tr.first_mismatch(ref) is None
 
     def test_op_sector_mismatch(self):
@@ -234,10 +233,10 @@ class TestTauRefined:
 # the count-keyed trace against the value-keyed one it replaced
 # ---------------------------------------------------------------------------
 
-def reference_trace(spec, ops, ring, *, zvars=None, zscale=1, charge=None,
-                    max_states=None):
+def reference_trace(spec, ops, ring, *, zvars=None, charge=None, max_states=None):
     """The value-keyed trace the oracle used before its states were keyed by
-    occupation counts: every merge adds ring elements per basis state."""
+    occupation counts: every merge adds ring elements per basis state.  A
+    charge c grades as z^c in NS and as w^(2c) in R."""
     ops = tuple(ops)
     _check_ops(spec, ops)
     if charge is not None and not isinstance(charge, (tuple, list)):
@@ -309,6 +308,7 @@ def reference_trace(spec, ops, ring, *, zvars=None, zscale=1, charge=None,
         else:
             total_terms[e] = val
 
+    zscale = 2 if spec.sector == RAMOND else 1
     folded = {(0, (), tuple(ring.zero() for _ in range(nops))): 1}
     for states in per_pair:
         folded = merge(folded, states)
@@ -320,11 +320,7 @@ def reference_trace(spec, ops, ring, *, zvars=None, zscale=1, charge=None,
             for p, c in enumerate(zks):
                 if zvars[p] is None:
                     continue
-                zexp = F(zscale) * c
-                if zexp.denominator != 1:
-                    raise ValueError(
-                        "z-exponent not integral; use zscale=2 for the R sector")
-                zcoeff = zcoeff * ring.var(zvars[p], int(zexp))
+                zcoeff = zcoeff * ring.var(zvars[p], int(zscale * c))
         if neutral_states is None:
             emit(e1, zcoeff, v1, m1)
         else:
@@ -376,8 +372,7 @@ def oracle_calls(draw):
     if draw(st.booleans()):
         names = (None,) if mode == "rational" else (None, "z1", "z2", "z3")
         zvars = tuple(draw(st.sampled_from(names)) for _ in range(pairs))
-    zscale = draw(st.sampled_from((1, 2)))
-    return spec, ops, ring, dict(zvars=zvars, zscale=zscale, charge=charge)
+    return spec, ops, ring, dict(zvars=zvars, charge=charge)
 
 
 def assert_matches_reference(spec, ops, ring, **kwargs):
@@ -442,9 +437,6 @@ class TestCountKeyedTrace:
                            match="^state budget 100 exceeded during merge$"):
             fn(SectorSpec(2, 0, "ns", 6), [OpSpec("D", ring.from_fraction(2))],
                ring, zvars=("z1", "z2"), max_states=100)
-        with pytest.raises(ValueError, match="^z-exponent not integral; "
-                                             "use zscale=2 for the R sector$"):
-            fn(SectorSpec(1, 0, "r", 2), [], ring, zvars=("z1",))
 
     @pytest.mark.parametrize("spec, kind", [
         (SectorSpec(2, 1, "ns", F(5, 2)), "D"),
@@ -464,7 +456,7 @@ class TestCountKeyedTrace:
                 coeff = coeff * ring.var(name, int(zscale * c))
             terms.append((state.energy, coeff))
         ref = QSeries.from_terms(ring, terms, spec.cutoff + spec.energy_shift)
-        got = trace(spec, [op], ring, zvars=zvars, zscale=zscale)
+        got = trace(spec, [op], ring, zvars=zvars)
         assert got.trunc == ref.trunc
         assert got.first_mismatch(ref) is None
 
@@ -541,7 +533,7 @@ def rational_and_symbolic_calls(draw):
         rational = RationalRing()
     else:
         rational = LaurentRing(ZV)
-    kwargs = dict(zvars=zvars, zscale=draw(st.sampled_from((1, 2))), charge=charge,
+    kwargs = dict(zvars=zvars, charge=charge,
                   max_states=draw(st.sampled_from((None, None, 8, 20, 40, 80))))
     s = draw(st.sampled_from((F(2), F(-3), F(3, 2), F(-5, 2), F(5, 3), F(-2, 7))))
     point = {"s": s}
@@ -641,7 +633,7 @@ SZ = RatFuncRing(("s", "z"))
 ], ids=["ns-D", "ns-A", "r-B", "ns-C-symbolic", "r-B-symbolic"])
 def test_charge_sectors_split_the_graded_trace(sector, kind, ring, unit):
     # each sector is the charge-filtered trace, and the sectors, graded by
-    # w^(2k), sum to the z-graded trace
+    # z^k in NS and w^(2k) in R, sum to the graded trace
     spec = SectorSpec(1, 0, sector, F(9, 2))
     ops = [OpSpec(kind, unit)]
     sectors = fock_oracle.charge_sectors(spec, ops, ring)
@@ -653,10 +645,10 @@ def test_charge_sectors_split_the_graded_trace(sector, kind, ring, unit):
         got = sectors.get(k + shift, QSeries.zero(ring, want.trunc / 16))
         assert got.trunc == want.trunc
         assert got.first_mismatch(want) is None, k
-    graded = trace(spec, ops, ring, zvars=("z",), zscale=2)
+    graded = trace(spec, ops, ring, zvars=("z",))
     total = QSeries.zero(ring, graded.trunc / 16)
     for k, series in sectors.items():
-        total = total + series.scale(ring.var("z", int(2 * k)))
+        total = total + series.scale(ring.var("z", int(2 * k if sector == "r" else k)))
     assert total.first_mismatch(graded) is None
 
 

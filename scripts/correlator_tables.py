@@ -11,7 +11,7 @@ from fractions import Fraction
 from fockcorr.cli import render_text
 from fockcorr.combinat import ModuleLabel, enumerate_labels
 from fockcorr.correlators import half_level_base, npoint, qdim
-from fockcorr.qseries import RatFuncRing
+from fockcorr.qseries import NS, RAMOND, RatFuncRing
 
 
 def main(argv):
@@ -30,7 +30,7 @@ def main(argv):
         print(render_text(npoint(label, u, ring, order)))
 
     print(f"\n== level-1/2 bases ==")
-    for sector in ("D", "B"):
+    for sector in (NS, RAMOND):
         print(f"\n-- sector {sector}, n = 1")
         print(render_text(half_level_base(sector, u, ring, order)))
 

@@ -23,8 +23,8 @@ from .combinat import ModuleLabel
 from .correlators import CorrelatorRequest, correlator, qdim
 from .errors import (FockcorrError, InternalCheckError, LabelError,
                      ModeMismatchError, PoleError, ResourceLimitError)
-from .fock_oracle import RAMOND, OpSpec, SectorSpec, trace
-from .qseries import LaurentRing, QSeries, RationalRing, from16
+from .fock_oracle import OpSpec, SectorSpec, trace
+from .qseries import NS, RAMOND, LaurentRing, QSeries, RationalRing, from16
 
 
 def _fraction(text):
@@ -174,10 +174,9 @@ def _isqrt_exact(n):
 
 
 def cmd_oracle(args):
-    sector = args.sector.lower()
-    spec = SectorSpec(args.pairs, args.neutral, sector, args.order)
+    spec = SectorSpec(args.pairs, args.neutral, args.sector, args.order)
     if args.graded and args.pairs:
-        prefix = "w" if sector == RAMOND else "z"
+        prefix = "w" if args.sector == RAMOND else "z"
         zvars = tuple(f"{prefix}{p + 1}" for p in range(args.pairs))
         ring = LaurentRing(zvars)
     else:
@@ -261,7 +260,7 @@ def build_parser():
     p = sub.add_parser("oracle", help="brute-force Fock-space trace")
     p.add_argument("--pairs", type=int, required=True)
     p.add_argument("--neutral", type=int, choices=(0, 1), default=0)
-    p.add_argument("--sector", required=True, choices=("ns", "r"))
+    p.add_argument("--sector", required=True, choices=(NS, RAMOND))
     p.add_argument("--ops", default="none",
                    help='";"-separated ops, e.g. "D,s=2;D,t=9"')
     p.add_argument("--charge", type=_charge_list, default=None,

@@ -12,6 +12,7 @@ from fractions import Fraction
 from itertools import count
 
 from .errors import LabelError
+from .qseries import NS, RAMOND
 
 
 @dataclass(frozen=True)
@@ -156,6 +157,9 @@ def odd_strict_partitions(total):
 
 
 ALGEBRAS = ("a", "b", "c", "d")
+
+# the Fock sector of each algebra's fermions: R for b (Pin(2l), Spin(2l+1)), NS otherwise
+SECTOR = {"a": NS, "b": RAMOND, "c": NS, "d": NS}
 
 
 @dataclass(frozen=True)

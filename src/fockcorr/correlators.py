@@ -49,10 +49,10 @@ from itertools import permutations, product
 from math import ceil, factorial, gcd, prod
 
 from .characters import det_laurent
-from .combinat import ModuleLabel
+from .combinat import SECTOR, ModuleLabel
 from .errors import InternalCheckError, LabelError, NonUnitError, PoleError
 from .laurent import LaurentPoly
-from .qseries import (LaurentRing, QSeries, RatFuncRing, RationalRing,
+from .qseries import (NS, RAMOND, LaurentRing, QSeries, RatFuncRing, RationalRing,
                       lattice_points, pochhammer, to16, unit_pow)
 from .weyl import weyl_qpoly, weyl_sum, weyl_sum_product_form
 
@@ -137,6 +137,12 @@ def em_half(ring, order):
 def em_one(ring, order):
     """(-q;q)_infinity."""
     return pochhammer(ring, -1, 1, 1, order)
+
+
+# each sector's level-1/2 vacuum q^e (-q^a;q): its energy e, the first
+# positive mode a, and (-q^a;q)
+VACUUM = {NS: (Fraction(0), Fraction(1, 2), em_half),
+          RAMOND: (Fraction(1, 16), Fraction(1), em_one)}
 
 
 @lru_cache(maxsize=None)
@@ -342,7 +348,7 @@ def eps_inner_sum(units, ring, order, k):
 def graded_trace_F(sector, units, ring, order, zvar=None):
     """F(z,q;t) = sum_k z^k q^{k^2/2} sum_eps [eps] (prod t^eps)^k F_bo(q;t^eps).
 
-    NS sums k over Z, R over 1/2 + Z.  ``zvar`` names the grading variable:
+    NS sums k over Z, RAMOND over 1/2 + Z.  ``zvar`` names the grading variable:
     z itself in NS, and in R its square root w, z^k entering as w^(2k).
     zvar=None sets z = 1.
 
@@ -351,13 +357,11 @@ def graded_trace_F(sector, units, ring, order, zvar=None):
     [eps] F_bo(q;t^eps) * sum_k (x^k + x^-k) z^k q^{k^2/2}.
     """
     order = Fraction(order)
-    if sector not in ("NS", "R"):
-        raise ValueError("sector must be 'NS' or 'R'")
-    ks = lattice_points("int" if sector == "NS" else "half", order)
+    ks = lattice_points(sector, order)
     qexps, k2s, terms = [k * k / 2 for k in ks], [int(2 * k) for k in ks], []
     zpows = None
     if zvar is not None:
-        zpows = [ring.var(zvar, k2 if sector == "R" else k2 // 2) for k2 in k2s]
+        zpows = [ring.var(zvar, k2 if sector == RAMOND else k2 // 2) for k2 in k2s]
     for sign, us, uprod in _eps_data(units, ring):
         ws = _pair_weights(ring, uprod, k2s, len(units))
         if zpows is not None:
@@ -409,9 +413,8 @@ def weyl_correlator(weight, wtype, l, units, ring, order):
 @lru_cache(maxsize=None)
 def _half_level_norm(sector, ring, order):
     """1/base(()), inverted once for all of ``half_level_base``'s subsets."""
-    if sector == "D":
-        return em_half(ring, order).inverse()
-    return em_one(ring, order + Fraction(1, 16)).inverse().shift(Fraction(-1, 16))
+    e, _, em = VACUUM[sector]
+    return em(ring, order + e).inverse().shift(-e)
 
 
 @lru_cache(maxsize=None)
@@ -424,19 +427,16 @@ def half_level_base(sector, units, ring, order):
     with F the graded trace of the sector.  Each base(A) is a call of
     ``half_level_base``, so its cache shares every subset's series.
 
-    sector 'D': the NS neutral-fermion n-point function; its n = 0 value is
-    (-q^{1/2};q).  sector 'B': the R analogue with n = 0 value
-    q^{1/16} (-q;q); the recursion halves the full R graded trace.
+    NS gives type D's neutral-fermion n-point function, R type B's; n = 0
+    gives the sector's ``VACUUM``, and R halves the full graded trace.
     """
     order = Fraction(order)
     n = len(units)
-    if sector not in ("D", "B"):
-        raise ValueError("sector must be 'D' or 'B'")
     if n == 0:
-        return (em_half(ring, order) if sector == "D"
-                else em_one(ring, order - Fraction(1, 16)).shift(Fraction(1, 16)))
-    full = graded_trace_F("NS" if sector == "D" else "R", units, ring, order)
-    if sector == "B":
+        e, _, em = VACUUM[sector]
+        return em(ring, order - e).shift(e)
+    full = graded_trace_F(sector, units, ring, order)
+    if sector == RAMOND:
         full = full * Fraction(1, 2)
     terms = []
     for bits in range(1, 2 ** n - 1):
@@ -459,7 +459,7 @@ def npoint(label: ModuleLabel, units, ring, order):
     weight, wtype = label.weight(), label.weyl_type()
     if label.level.denominator == 1:
         return weyl_correlator(weight, wtype, l, units, ring, order)
-    pre = half_level_base(label.algebra.upper(), units, ring, order)
+    pre = half_level_base(SECTOR[label.algebra], units, ring, order)
     return (pre * weyl_correlator(weight, wtype, l, units, ring, order)).truncated(order)
 
 
@@ -512,13 +512,13 @@ def refined_g(order):
 
 def refined_level1(sign, order):
     """tr over the tau = +/-1 eigenspace: (D^1_(0)(q,t) +/- G(t))/2."""
+    if sign not in (1, -1):
+        raise ValueError("sign must be +1 or -1")
     order = Fraction(order)
     ring = RatFuncRing(("s",))
     units = (ring.var("s"),)
     d0 = weyl_correlator((Fraction(0),), "D", 1, units, ring, order)
     g = refined_g(order)
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
     return ((d0 + g) if sign > 0 else (d0 - g)) * Fraction(1, 2)
 
 
@@ -538,6 +538,8 @@ def refined_form1(sign, order):
     """First displayed closed form of the refined trace: F_bo(q;t) +/- (q;q^2)
     [1/(t^{1/2}-t^{-1/2}) + sum_{r>=0} (q^{r+1} t^{-1/2}/(1 - q^{2r+2} t^{-1})
     - q^{r+1} t^{1/2}/(1 - q^{2r+2} t))]."""
+    if sign not in (1, -1):
+        raise ValueError("sign must be +1 or -1")
     order = Fraction(order)
     ring = RatFuncRing(("s",))
     s = partial(ring.var, "s")
@@ -557,6 +559,8 @@ def refined_form2(sign, order, literal=False):
     printed orientation, the default inverts the ratio so that the identity
     with the first form holds.
     """
+    if sign not in (1, -1):
+        raise ValueError("sign must be +1 or -1")
     order = Fraction(order)
     ring = RatFuncRing(("s",))
     units = (ring.var("s"),)
@@ -589,7 +593,7 @@ def qdim(label: ModuleLabel, order) -> QSeries:
     weight, wtype = label.weight(), label.weyl_type()
     pre = inv_qq(ring, order) ** l
     if label.level.denominator == 2:
-        pre = half_level_base(label.algebra.upper(), (), ring, order + Fraction(1, 16)) * pre
+        pre = half_level_base(SECTOR[label.algebra], (), ring, order + Fraction(1, 16)) * pre
     sum_form = weyl_qpoly(weight, wtype, l, order)
     prod_form = weyl_sum_product_form(weight, wtype, l, order)
     if sum_form.first_mismatch(prod_form) is not None:
@@ -603,18 +607,13 @@ def qdim(label: ModuleLabel, order) -> QSeries:
 # ---------------------------------------------------------------------------
 
 def corollary_lhs(sector, unit, ring, order):
-    """The Pochhammer side of a corollary q-identity at t = unit^2 over ``ring``:
-    (-q^{1/2}t;q)(-q^{1/2}t^{-1};q)(q;q)^2 / ((qt;q)(qt^{-1};q)(-q^{1/2};q)^2)
-    for sector 'D', (-qt;q)(-t^{-1};q)(q;q)^2 / ((qt;q)(t^{-1};q)(-q;q)^2)
-    for 'B'."""
+    """The Pochhammer side of a corollary q-identity at t = unit^2 over ``ring``,
+    (-q^a t;q)(-q^{1-a} t^{-1};q)(q;q)^2 / ((qt;q)(q^{2-2a} t^{-1};q)(-q^a;q)^2)
+    with a the sector's first positive mode (``VACUUM``): type D's identity
+    in NS (a = 1/2), type B's in R (a = 1)."""
     order = Fraction(order)
-    # the q-shifts of (-t;q), (-t^-1;q) and (t^-1;q), and (-q^a;q)
-    if sector == "D":
-        a, b, c, em = Fraction(1, 2), Fraction(1, 2), 1, em_half
-    elif sector == "B":
-        a, b, c, em = 1, 0, 0, em_one
-    else:
-        raise ValueError("sector must be 'D' or 'B'")
+    _, a, em = VACUUM[sector]
+    b, c = 1 - a, 2 - 2 * a
     t, tinv = unit_pow(ring, unit, 2), unit_pow(ring, unit, -2)
     num = (pochhammer(ring, -t, a, 1, order)
            * pochhammer(ring, -tinv, b, 1, order)

@@ -40,9 +40,7 @@ from operator import add, eq, mul
 
 from .errors import PoleError, ResourceLimitError
 from .laurent import LaurentPoly, _div, _numerators
-from .qseries import QSeries, RationalRing, from16, to16, unit_pow
-
-NS, RAMOND = "ns", "r"
+from .qseries import NS, RAMOND, QSeries, RationalRing, from16, to16, unit_pow
 
 
 @dataclass(frozen=True)
@@ -55,7 +53,7 @@ class SectorSpec:
     def __post_init__(self):
         object.__setattr__(self, "cutoff", Fraction(self.cutoff))
         if self.sector not in (NS, RAMOND):
-            raise ValueError("sector must be 'ns' or 'r'")
+            raise ValueError(f"sector must be {NS!r} or {RAMOND!r}")
         if self.neutral not in (0, 1):
             raise ValueError("neutral must be 0 or 1")
         if self.pairs < 0:

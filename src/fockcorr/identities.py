@@ -5,8 +5,8 @@ Each runner hands its (case params, lhs, rhs) triples to `_compare`, which
 builds the Report (the Weyl denominator checks compare polynomials and build
 their own).  `run(identity_id, **params)` dispatches by id and `REGISTRY`
 lists ids with their default parameters.  The Howe checks and
-qdim-consistency read each label set's group family, Fock sector and
-multiplicity from one table, `DUALITY`.
+qdim-consistency read each label set's group family and multiplicity from
+one table, `DUALITY`, and its Fock sector from ``combinat.SECTOR``.
 """
 
 from __future__ import annotations
@@ -18,14 +18,14 @@ from functools import partial
 from math import ceil
 
 from . import correlators as corr
-from .combinat import (Partition, enumerate_labels, odd_strict_partitions,
+from .combinat import (SECTOR, Partition, enumerate_labels, odd_strict_partitions,
                        partitions_up_to, sym_to_osp)
 from .characters import (FAMILIES, character, denominator_det, det_kind,
                          det_laurent, dominant_exponents, torus_vars)
 from .errors import FockcorrError, InternalCheckError
-from .fock_oracle import (NS, RAMOND, OpSpec, SectorSpec, charge_sectors,
-                          tau_refined_trace, trace)
-from .qseries import (LaurentRing, QSeries, RatFuncRing, RationalRing,
+from .fock_oracle import (OpSpec, SectorSpec, charge_sectors, tau_refined_trace,
+                          trace)
+from .qseries import (NS, RAMOND, LaurentRing, QSeries, RatFuncRing, RationalRing,
                       lattice_sum, pochhammer, to16)
 from .weyl import weyl_denominator_poly, weyl_qpoly, weyl_sum_product_form
 
@@ -70,7 +70,7 @@ def _compare(identity, params, order, cases):
 
 def check_jacobi_z(order=12):
     ring = LaurentRing(("s",))
-    lhs = lattice_sum(ring, "int", ring.var("s"), order, half_unit=True)
+    lhs = lattice_sum(ring, NS, ring.var("s"), order)
     rhs = (pochhammer(ring, 1, 1, 1, order)
            * pochhammer(ring, ring.var("s", 2, -1), Fraction(1, 2), 1, order)
            * pochhammer(ring, ring.var("s", -2, -1), Fraction(1, 2), 1, order))
@@ -79,7 +79,7 @@ def check_jacobi_z(order=12):
 
 def check_jacobi_half(order=12):
     ring = LaurentRing(("s",))
-    lhs = lattice_sum(ring, "half", ring.var("s"), order, half_unit=True)
+    lhs = lattice_sum(ring, RAMOND, ring.var("s"), order)
     rhs = (pochhammer(ring, 1, 1, 1, order)
            * pochhammer(ring, ring.var("s", 2, -1), 1, 1, order)
            * pochhammer(ring, ring.var("s", -2, -1), 0, 1, order))
@@ -172,14 +172,14 @@ def check_gt_osp(order=12):
 
 def check_cor_d(order=12):
     ring = RatFuncRing(("s",))
-    lhs = corr.corollary_lhs("D", ring.var("s"), ring, order)
+    lhs = corr.corollary_lhs(NS, ring.var("s"), ring, order)
     rhs = corr.corollary_d_rhs(order)
     return _compare("cor-d", {"mode": "exact"}, order, [({"mode": "exact"}, lhs, rhs)])
 
 
 def check_cor_b(order=12):
     ring = RatFuncRing(("s",))
-    lhs = corr.corollary_lhs("B", ring.var("s"), ring, order)
+    lhs = corr.corollary_lhs(RAMOND, ring.var("s"), ring, order)
     forms = (({"mode": "exact"}, corr.corollary_b_rhs),
              ({"mode": "exact", "form": "log-derivative"}, corr.corollary_b_rhs_log))
     return _compare("cor-b", forms[-1][0], order,
@@ -229,38 +229,39 @@ def check_oracle_a1(order=8, mmax=2):
         for m in range(-mmax, mmax + 1)))
 
 
-def _graded_check(sector, n, order, svals, mode):
-    """The oracle's z-graded one-pair trace against the closed graded trace F:
-    D ops in NS (``sector`` "A"), or B ops in R graded by a square root."""
-    kind, fock, fsector, zvar = (
-        ("D", NS, "NS", "z") if sector == "A" else ("B", RAMOND, "R", "w"))
+def _graded_check(identity, kind, sector, zvar, n, order, svals, mode):
+    """The oracle's graded one-pair trace of ``kind`` ops in ``sector``
+    against the closed graded trace F, both graded by ``zvar``: z in NS,
+    its square root w in R."""
     ring = corr.make_ring(n, mode, (zvar,))
     units = corr.make_units(ring, n, mode, svals)
     ops = [OpSpec(kind, u) for u in units]
-    lhs = trace(SectorSpec(1, 0, fock, order), ops, ring, zvars=(zvar,))
-    rhs = corr.graded_trace_F(fsector, units, ring, order, zvar=zvar)
+    lhs = trace(SectorSpec(1, 0, sector, order), ops, ring, zvars=(zvar,))
+    rhs = corr.graded_trace_F(sector, units, ring, order, zvar=zvar)
     params = {"n": n, "mode": mode}
-    return _compare(f"graded-{sector}", params, order, [(params, lhs, rhs)])
+    return _compare(identity, params, order, [(params, lhs, rhs)])
 
 
-check_graded_a = partial(_graded_check, "A", n=2, order=5, svals=(2, 3), mode="eval")
-check_graded_b = partial(_graded_check, "B", n=1, order=6, svals=(2,), mode="exact")
+check_graded_a = partial(_graded_check, "graded-A", "D", NS, "z",
+                         n=2, order=5, svals=(2, 3), mode="eval")
+check_graded_b = partial(_graded_check, "graded-B", "B", RAMOND, "w",
+                         n=1, order=6, svals=(2,), mode="exact")
 
 
 # ---------------------------------------------------------------------------
 # Howe-duality checks (one case per label, oracle left side)
 # ---------------------------------------------------------------------------
 
-# (algebra, half level): (group family, Fock sector of the l charged pairs
-# and a half level's neutral fermion, c), c being a label's multiplicity times
-# the coefficient of z^{lambda+rho} in its character times the denominator,
-# the same for every label
+# (algebra, half level): (group family, c), c being a label's multiplicity
+# times the coefficient of z^{lambda+rho} in its character times the
+# denominator, the same for every label; the l charged pairs and a half
+# level's neutral fermion live in the algebra's SECTOR
 DUALITY = {
-    ("d", False): ("O2l", NS, 2),
-    ("c", False): ("Sp2l", NS, 1),
-    ("b", False): ("Pin2l", RAMOND, 2),
-    ("d", True): ("B2l1", NS, 1),
-    ("b", True): ("B2l1", RAMOND, 2),
+    ("d", False): ("O2l", 2),
+    ("c", False): ("Sp2l", 1),
+    ("b", False): ("Pin2l", 2),
+    ("d", True): ("B2l1", 1),
+    ("b", True): ("B2l1", 2),
 }
 
 # Howe id: its row of DUALITY
@@ -300,8 +301,8 @@ def howe_check(identity, l=1, n=1, order=6, svals=(2, 3), mode="eval"):
     evaluation mode.
     """
     algebra, half = HOWE_IDS[identity]
-    family, sector, c = DUALITY[algebra, half]
-    scale = FAMILIES[family][1]
+    family, c = DUALITY[algebra, half]
+    sector, scale = SECTOR[algebra], FAMILIES[family][1]
     level = Fraction(l) + (Fraction(1, 2) if half else 0)
     order = Fraction(order)
     if mode == "exact":
@@ -356,45 +357,45 @@ def _subset_sum(sector, n, units, ring, order):
 
 def _half_product(sector, u, ring, order):
     """The one-point base as the corollary's Pochhammer side times
-    (-q^{1/2};q)/(t^{1/2}-t^{-1/2}) (sector "D") or q^{1/16}(-q;q)/2 ("B")."""
+    (-q^{1/2};q)/(t^{1/2}-t^{-1/2}) in NS or q^{1/16}(-q;q)/2 in R."""
     lhs = corr.corollary_lhs(sector, u, ring, order)
-    if sector == "D":
+    if sector == NS:
         return (lhs * corr.em_half(ring, order)).scale(ring.inv(u - ring.inv(u)))
     return (lhs * corr.em_one(ring, order) * Fraction(1, 2)).shift(Fraction(1, 16))
 
 
-def _rec_half_check(sector, n=2, order=8, mode="exact", svals=(2, 3, 5)):
-    """F(1,q;t) == sum over subsets I of base(t_I) base(t_I^c), twice that
-    in the R sector (``sector`` "B").  The n = 1 base also equals its
-    Jacobi-product closed form; any other base is compared with the
-    neutral-fermion oracle, the NS trace of D ops or half the R trace of
-    B ops.  Above n = 1 the recursion holds by construction of the base, so
-    the oracle route is the one that tests it."""
+def _rec_half_check(algebra, n=2, order=8, mode="exact", svals=(2, 3, 5)):
+    """F(1,q;t) == sum over subsets I of base(t_I) base(t_I^c) in the
+    ``algebra``'s sector, twice that in R (algebra b).  The n = 1 base also
+    equals its Jacobi-product closed form; any other base is compared with
+    the neutral-fermion oracle, the NS trace of D ops or half the R trace
+    of B ops.  Above n = 1 the recursion holds by construction of the base,
+    so the oracle route is the one that tests it."""
+    sector = SECTOR[algebra]
     ring = corr.make_ring(n, mode)
     units = corr.make_units(ring, n, mode, svals)
     params = {"n": n, "mode": mode}
     product = {**params, "form": "product"}
-    fsector, fock = ("NS", NS) if sector == "D" else ("R", RAMOND)
 
     def cases():
-        lhs = corr.graded_trace_F(fsector, units, ring, order)
+        lhs = corr.graded_trace_F(sector, units, ring, order)
         rhs = _subset_sum(sector, n, units, ring, order)
-        yield params, lhs, rhs if sector == "D" else rhs * Fraction(2)
+        yield params, lhs, rhs if sector == NS else rhs * Fraction(2)
         base = corr.half_level_base(sector, units, ring, order)
         if n == 1:
             yield product, base, _half_product(sector, units[0], ring, order)
         else:
-            oracle = trace(SectorSpec(0, 1, fock, order),
-                           [OpSpec(sector, u) for u in units], ring)
+            oracle = trace(SectorSpec(0, 1, sector, order),
+                           [OpSpec(algebra.upper(), u) for u in units], ring)
             yield ({**params, "route": "oracle"}, base,
-                   oracle if sector == "D" else oracle * Fraction(1, 2))
+                   oracle if sector == NS else oracle * Fraction(1, 2))
 
-    return _compare(f"rec-{sector.lower()}-half", product if n == 1 else params,
+    return _compare(f"rec-{algebra}-half", product if n == 1 else params,
                     order, cases())
 
 
-check_rec_d_half = partial(_rec_half_check, "D")
-check_rec_b_half = partial(_rec_half_check, "B")
+check_rec_d_half = partial(_rec_half_check, "d")
+check_rec_b_half = partial(_rec_half_check, "b")
 
 
 def check_refined_d(order=10):
@@ -447,8 +448,8 @@ def check_qdim_consistency(order=10):
     def cases():
         for algebra, level in setups:
             l, half = int(level), level.denominator == 2
-            family, sector, c = DUALITY[algebra, half]
-            fock = trace(SectorSpec(l, int(half), sector, order), [], ring)
+            family, c = DUALITY[algebra, half]
+            fock = trace(SectorSpec(l, int(half), SECTOR[algebra], order), [], ring)
             dual = QSeries.zero(ring, order)
             ones = {v: Fraction(1) for v in torus_vars(family, l)}
             for label in enumerate_labels(algebra, level, order):

@@ -46,6 +46,10 @@ from .laurent import LaurentPoly, RationalFunction, _numerators
 
 SIXTEENTH = 16
 
+# the two Fock sectors: Neveu-Schwarz (fermion modes in 1/2 + Z, lattice
+# charges k in Z) and Ramond (modes in Z, charges in 1/2 + Z)
+NS, RAMOND = "ns", "r"
+
 
 def to16(x) -> int:
     """Exact conversion of a q-exponent to sixteenths; denominator must divide 16."""
@@ -703,30 +707,23 @@ def pochhammer(ring, prefix, qshift, step, order) -> QSeries:
     return out.truncated(order)
 
 
-def lattice_sum(ring, offsets, unit, order, *, half_unit=False) -> QSeries:
-    """sum over k in offsets of unit^k * q^(k^2/2), truncated below ``order``.
-
-    offsets: 'int' for Z, 'half' for 1/2 + Z.  With half_unit=True the
-    ``unit`` argument is the square root of the weight and weight(k) =
-    unit^(2k); this is required for half-integral offsets.
-    """
-    ks = lattice_points(offsets, order)
-    if offsets == "half" and not half_unit:
-        raise ValueError("half-integral offsets require half_unit=True")
+def lattice_sum(ring, sector, unit, order) -> QSeries:
+    """sum over the charges k of ``sector`` of unit^(2k) * q^(k^2/2),
+    truncated below ``order``: ``unit`` is the square root of the weight."""
     if isinstance(unit, (int, Fraction)):
         unit = ring.from_fraction(unit)
-    scale = 2 if half_unit else 1
     return QSeries.from_terms(
-        ring, [(k * k / 2, unit_pow(ring, unit, int(scale * k))) for k in ks], order)
+        ring, [(k * k / 2, unit_pow(ring, unit, int(2 * k)))
+               for k in lattice_points(sector, order)], order)
 
 
-def lattice_points(offsets, order):
-    """The k with k^2/2 < order, ascending: k in Z for offsets 'int', in
-    1/2 + Z for 'half'."""
-    if offsets not in ("int", "half"):
-        raise ValueError("offsets must be 'int' or 'half'")
+def lattice_points(sector, order):
+    """The charges k of ``sector`` with k^2/2 < order, ascending: k in Z in
+    NS, in 1/2 + Z in R."""
+    if sector not in (NS, RAMOND):
+        raise ValueError(f"sector must be {NS!r} or {RAMOND!r}")
     order = Fraction(order)
-    k = Fraction(0) if offsets == "int" else Fraction(1, 2)
+    k = Fraction(0) if sector == NS else Fraction(1, 2)
     ks = []
     while k * k / 2 < order:
         ks.extend((k, -k) if k else (k,))

@@ -21,8 +21,8 @@ from fockcorr.correlators import (CorrelatorRequest, a_npoint, correlator,
                                   theta_num_at, weyl_correlator)
 from fockcorr.errors import LabelError, PoleError
 from fockcorr.laurent import LaurentPoly, RationalFunction
-from fockcorr.qseries import (LaurentRing, QSeries, RatFuncRing, RationalRing,
-                              lattice_points, lattice_sum, pochhammer,
+from fockcorr.qseries import (NS, RAMOND, LaurentRing, QSeries, RatFuncRing, RationalRing,
+                              lattice_points, pochhammer,
                               unit_pow)
 from fockcorr.weyl import weyl_qpoly
 
@@ -200,8 +200,8 @@ class TestSharedMinors:
         ring = make_ring(len(svals), "eval", ("z",))
         units = make_units(ring, len(svals), "eval", svals)
         assert f_bo(units, ring, 3).dumps() == _ref_f_bo(units, ring, 3).dumps()
-        got = graded_trace_F("NS", units, ring, 3, zvar="z")
-        ref = _ref_graded_trace_F("NS", units, ring, 3, zvar="z", kernel=_ref_f_bo)
+        got = graded_trace_F(NS, units, ring, 3, zvar="z")
+        ref = _ref_graded_trace_F(NS, units, ring, 3, zvar="z", kernel=_ref_f_bo)
         assert got.dumps() == ref.dumps()
 
     def test_eval_f_bo_runs_at_most_3_to_the_n_products(self, monkeypatch):
@@ -343,7 +343,7 @@ def _ref_eps_inner_sum(units, ring, order, k, kernel=f_bo):
 def _ref_graded_trace_F(sector, units, ring, order, zvar=None, zscale=1, kernel=f_bo):
     order = F(order)
     total = QSeries.zero(ring, order)
-    for k in lattice_points("int" if sector == "NS" else "half", order):
+    for k in lattice_points(sector, order):
         term = _ref_eps_inner_sum(units, ring, order, k, kernel).shift(k * k / 2).truncated(order)
         if zvar is not None:
             term = term.scale(ring.var(zvar, int(zscale * k)))
@@ -409,11 +409,11 @@ class TestEpsPairs:
     @pytest.mark.parametrize("n", [1, 2])
     def test_exact_graded_trace_bytes_match_reference(self, n):
         ring, units = _exact_units(n, "z")
-        assert (graded_trace_F("NS", units, ring, 3, zvar="z").dumps()
-                == _ref_graded_trace_F("NS", units, ring, 3, zvar="z").dumps())
+        assert (graded_trace_F(NS, units, ring, 3, zvar="z").dumps()
+                == _ref_graded_trace_F(NS, units, ring, 3, zvar="z").dumps())
         ring, units = _exact_units(n, "w")
-        assert (graded_trace_F("R", units, ring, 3, zvar="w").dumps()
-                == _ref_graded_trace_F("R", units, ring, 3, zvar="w", zscale=2).dumps())
+        assert (graded_trace_F(RAMOND, units, ring, 3, zvar="w").dumps()
+                == _ref_graded_trace_F(RAMOND, units, ring, 3, zvar="w", zscale=2).dumps())
 
     def test_zero_points(self):
         ring = RationalRing()
@@ -513,10 +513,10 @@ class TestBCDOnePoint:
     def test_half_level_dispatch(self):
         lab = ModuleLabel("d", F(1, 2), ())
         assert npoint(lab, (self.u,), self.ring, 6).first_mismatch(
-            half_level_base("D", (self.u,), self.ring, 6)) is None
+            half_level_base(NS, (self.u,), self.ring, 6)) is None
         lab = ModuleLabel("b", F(1, 2), ())
         assert npoint(lab, (self.u,), self.ring, 6).first_mismatch(
-            half_level_base("B", (self.u,), self.ring, 6)) is None
+            half_level_base(RAMOND, (self.u,), self.ring, 6)) is None
 
     def test_t_permutation_symmetry(self):
         ring = RationalRing()
@@ -546,14 +546,14 @@ class TestBCDOnePoint:
 class TestHalfLevelBases:
     def test_d_empty(self):
         ring = RatFuncRing(("s1",))
-        assert half_level_base("D", (), ring, 8).first_mismatch(
+        assert half_level_base(NS, (), ring, 8).first_mismatch(
             em_half(ring, 8)) is None
 
     def test_d_one_point_product_form(self):
         ring = RatFuncRing(("s1",))
         u = ring.var("s1")
         t, tinv = ring.var("s1", 2), ring.var("s1", -2)
-        got = half_level_base("D", (u,), ring, 8)
+        got = half_level_base(NS, (u,), ring, 8)
         prod = (pochhammer(ring, -t, F(1, 2), 1, 8)
                 * pochhammer(ring, -tinv, F(1, 2), 1, 8)
                 * em_half(ring, 8).inverse()
@@ -562,7 +562,7 @@ class TestHalfLevelBases:
 
     def test_b_empty(self):
         ring = RatFuncRing(("s1",))
-        got = half_level_base("B", (), ring, 8)
+        got = half_level_base(RAMOND, (), ring, 8)
         ref = em_one(ring, 8 - F(1, 16)).shift(F(1, 16))
         assert got.first_mismatch(ref) is None
 
@@ -570,7 +570,7 @@ class TestHalfLevelBases:
         ring = RatFuncRing(("s1",))
         u = ring.var("s1")
         t, tinv = ring.var("s1", 2), ring.var("s1", -2)
-        got = half_level_base("B", (u,), ring, 6)
+        got = half_level_base(RAMOND, (u,), ring, 6)
         num = (pochhammer(ring, -t, 1, 1, 6)
                * pochhammer(ring, -tinv, 0, 1, 6)
                * qq_series(ring, 6) ** 2)
@@ -580,7 +580,7 @@ class TestHalfLevelBases:
         ref = (num * den.inverse()).shift(F(1, 16))
         assert got.first_mismatch(ref) is None
 
-    @pytest.mark.parametrize("sector", ["D", "B"])
+    @pytest.mark.parametrize("sector", [NS, RAMOND])
     def test_normalizer_is_inverted_once_per_sector(self, sector, monkeypatch):
         # with f_bo warm, the 7 subset calls of an n = 3 base share one
         # normalizer, built once per (sector, ring, order)
@@ -641,7 +641,7 @@ class TestClosedSumForms:
         # bracket equals rhs-of-cor-d divided by (t^{1/2}-t^{-1/2})
         ring = RatFuncRing(("s",))
         u = ring.var("s")
-        base = half_level_base("D", (u,), ring, 8)
+        base = half_level_base(NS, (u,), ring, 8)
         inv_sm = ring.inv(ring.var("s") - ring.var("s", -1))
         sum_form = em_half(ring, 8) * corollary_d_rhs(8).scale(inv_sm)
         assert base.first_mismatch(sum_form) is None
@@ -650,7 +650,7 @@ class TestClosedSumForms:
         # q^{1/16} (-q;q) [ (t+1)/(2(t-1)) + sum_r (-1)^r (...) ]
         ring = RatFuncRing(("s",))
         u = ring.var("s")
-        base = half_level_base("B", (u,), ring, 8)
+        base = half_level_base(RAMOND, (u,), ring, 8)
         sum_form = (em_one(ring, 8) * corollary_b_rhs(8)
                     * F(1, 2)).shift(F(1, 16))
         assert base.first_mismatch(sum_form, 8) is None
@@ -659,19 +659,22 @@ class TestClosedSumForms:
 class TestGradedTraces:
     def test_ns_vacuum_trace(self):
         ring = RatFuncRing(("z",))
-        gt = graded_trace_F("NS", (), ring, F(9, 2), zvar="z")
-        ref = lattice_sum(ring, "int", ring.var("z"), F(9, 2)) * inv_qq(ring, F(9, 2))
+        gt = graded_trace_F(NS, (), ring, F(9, 2), zvar="z")
+        # sum_k z^k q^{k^2/2}, the NS lattice graded by z itself
+        lattice = QSeries.from_terms(ring, [(k * k / 2, ring.var("z", int(k)))
+                                            for k in lattice_points(NS, F(9, 2))], F(9, 2))
+        ref = lattice * inv_qq(ring, F(9, 2))
         assert gt.first_mismatch(ref) is None
 
     def test_r_vacuum_lowest_term(self):
         ring = RationalRing()
-        gt = graded_trace_F("R", (), ring, 1)
+        gt = graded_trace_F(RAMOND, (), ring, 1)
         assert gt.coeff(F(1, 8)) == 2  # k = +-1/2 both contribute q^{1/8}
 
     def test_ns_z_zero_coefficient_is_2fbo(self):
         ring = RatFuncRing(("s1", "z"))
         u = ring.var("s1")
-        gt = graded_trace_F("NS", (u,), ring, 2, zvar="z")
+        gt = graded_trace_F(NS, (u,), ring, 2, zvar="z")
         two_fbo = f_bo((u,), ring, 2) * F(2)
         for e, c in gt.sorted_terms():
             zpart = {}
@@ -730,6 +733,17 @@ class TestRefined:
             assert base.first_mismatch(refined_form1(sign, 6)) is None
             assert base.first_mismatch(refined_form2(sign, 6)) is None
 
+    @pytest.mark.parametrize("form", [refined_level1, refined_form1, refined_form2])
+    @pytest.mark.parametrize("sign", [0, 2])
+    def test_bad_sign_raises_before_any_work(self, form, sign, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("built a series before checking the sign")
+
+        for name in ("f_bo", "weyl_correlator", "qq_odd"):
+            monkeypatch.setattr(correlators, name, no_work)
+        with pytest.raises(ValueError, match="sign must be"):
+            form(sign, 4)
+
     def test_literal_log_form_orientation_fails(self):
         # the printed Pochhammer ratio yields the negated correction
         lit = refined_form2(1, 6, literal=True)
@@ -769,15 +783,15 @@ class TestCorollaries:
     RING = RatFuncRing(SV)
 
     def test_d_identity(self):
-        lhs = corollary_lhs("D", self.RING.var("s"), self.RING, 8)
+        lhs = corollary_lhs(NS, self.RING.var("s"), self.RING, 8)
         assert lhs.first_mismatch(corollary_d_rhs(8)) is None
 
     def test_b_identity_and_log_form(self):
-        lhs = corollary_lhs("B", self.RING.var("s"), self.RING, 8)
+        lhs = corollary_lhs(RAMOND, self.RING.var("s"), self.RING, 8)
         assert lhs.first_mismatch(corollary_b_rhs(8)) is None
         assert lhs.first_mismatch(corollary_b_rhs_log(8)) is None
 
-    @pytest.mark.parametrize("sector", ["D", "B"])
+    @pytest.mark.parametrize("sector", [NS, RAMOND])
     @pytest.mark.parametrize("s", [F(2), F(3, 2), F(-5, 3)])
     def test_rational_ring_product_is_the_exact_one_at_s(self, sector, s):
         # the eval-mode rec-half route builds the product over RationalRing

@@ -104,7 +104,7 @@ def _row_labels(algebra, half, order):
 
 
 def test_duality_rows_agree_with_the_label_sets():
-    for (algebra, half), (family, _, _) in identities.DUALITY.items():
+    for (algebra, half), (family, _) in identities.DUALITY.items():
         wtype, scale = FAMILIES[family]
         assert scale == (2 if family in ("B2l1", "Pin2l") else 1)
         for l, level, labels in _row_labels(algebra, half, 4):
@@ -125,7 +125,7 @@ def test_character_times_denominator_leads_with_the_family_constant():
     # the constant that turns a row's c into its duality multiplicity for
     # qdim-consistency: 2 for the + families, whose denominator determinant
     # has the row z^0 + z^0, else 1; the same for every label
-    for (algebra, half), (family, _, c) in identities.DUALITY.items():
+    for (algebra, half), (family, c) in identities.DUALITY.items():
         lead = 2 if det_kind(family) == "+" else 1
         assert c % lead == 0
         for l, level, labels in _row_labels(algebra, half, 3):

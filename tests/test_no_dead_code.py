@@ -7,7 +7,8 @@ last covers ``getattr`` and monkeypatching by name).  A name that occurs
 anywhere counts for every definition of that name, so the check can miss
 dead code but does not flag live code.
 
-A few names are also kept inside the modules that own them (``CONFINED``).
+A few names and string constants are also kept inside the modules that
+own them (``CONFINED``).
 """
 
 import ast
@@ -61,7 +62,11 @@ def test_every_public_definition_is_referenced():
 # rational-function coefficient stays inside its rings, theta (1/Theta
 # included) inside the correlator builders, rho inside the Weyl groups and
 # the characters that read it, and the Howe duality table (a label set's
-# group family, Fock sector and multiplicity) inside the identities
+# group family and multiplicity) inside the identities, and each sector's
+# vacuum inside the correlator builders (the oracle derives its vacuum
+# energies from its modes, an independent route).  A quoted key is a
+# string constant: the Fock sectors are spelled once, as qseries.NS and
+# qseries.RAMOND, and in no other way
 CONFINED = {
     "RationalFunction": {"laurent.py", "qseries.py"},
     "theta_at": {"correlators.py"},
@@ -69,6 +74,13 @@ CONFINED = {
     "theta_k": {"correlators.py"},
     "rho": {"weyl.py", "characters.py"},
     "DUALITY": {"identities.py"},
+    "VACUUM": {"correlators.py"},
+    "'ns'": {"qseries.py"},
+    "'r'": {"qseries.py"},
+    "'NS'": set(),
+    "'R'": set(),
+    "'int'": set(),
+    "'half'": set(),
 }
 
 
@@ -77,6 +89,8 @@ def test_exact_forms_stay_in_their_modules():
     for path, tree in parsed(["src/fockcorr"]):
         named = references(tree)
         named.update(node.name for node in ast.walk(tree) if isinstance(node, DEFS))
+        named.update(repr(node.value) for node in ast.walk(tree)
+                     if isinstance(node, ast.Constant) and isinstance(node.value, str))
         for name, allowed in CONFINED.items():
             if named[name] and path.name not in allowed:
                 stray.setdefault(name, []).append(path.name)

@@ -12,15 +12,16 @@ from fockcorr.correlators import (em_half, em_one, f_bo, graded_trace_F,
                                   half_level_base, inv_qq, qq_odd,
                                   refined_level1)
 from fockcorr import fock_oracle
+from fockcorr.combinat import ALGEBRAS, SECTOR
 from fockcorr.errors import ResourceLimitError
-from fockcorr.fock_oracle import (RAMOND, FockState, OpSpec, SectorSpec,
+from fockcorr.fock_oracle import (NS, RAMOND, FockState, OpSpec, SectorSpec,
                                   _check_ops, _flavor_signature_states,
                                   enumerate_states, eigenvalue, op_central,
                                   op_mode_weight, reorder_sign,
                                   tau_refined_trace, trace)
 from fockcorr.laurent import LaurentPoly, RationalFunction
 from fockcorr.qseries import (LaurentRing, QSeries, RatFuncRing, RationalRing,
-                              lattice_sum, to16)
+                              lattice_points, to16)
 
 SV = ("s",)
 
@@ -60,7 +61,9 @@ class TestEnumeration:
         # NS pair, z-graded: prod over pairs of sum_k z^k q^{k^2/2} / (q;q)
         ring = LaurentRing(("z1",))
         tr = trace(SectorSpec(1, 0, "ns", 6), [], ring, zvars=("z1",))
-        ref = lattice_sum(ring, "int", ring.var("z1"), 6) * inv_qq(ring, 6)
+        lattice = QSeries.from_terms(ring, [(k * k / 2, ring.var("z1", int(k)))
+                                            for k in lattice_points(NS, 6)], 6)
+        ref = lattice * inv_qq(ring, 6)
         assert tr.first_mismatch(ref) is None
         # two pairs, ungraded: the square of the one-pair count
         t2 = trace(SectorSpec(2, 0, "ns", 5), [], R)
@@ -160,7 +163,7 @@ class TestTraces:
     def test_neutral_trace_matches_recursion(self):
         spec = SectorSpec(0, 1, "ns", 6)
         tr = trace(spec, [OpSpec("D", self.u)], self.ring)
-        assert tr.first_mismatch(half_level_base("D", (self.u,), self.ring, 6)) is None
+        assert tr.first_mismatch(half_level_base(NS, (self.u,), self.ring, 6)) is None
 
     def test_tensor_split_consistency(self):
         # D on (pair + neutral) splits as D_c x 1 + 1 x D_n
@@ -184,14 +187,14 @@ class TestTraces:
         u1, u2 = ring.from_fraction(F(2)), ring.from_fraction(F(3))
         tr = trace(SectorSpec(1, 0, "ns", 5),
                    [OpSpec("D", u1), OpSpec("D", u2)], ring, zvars=("z",))
-        ref = graded_trace_F("NS", (u1, u2), ring, 5, zvar="z")
+        ref = graded_trace_F(NS, (u1, u2), ring, 5, zvar="z")
         assert tr.first_mismatch(ref) is None
 
     def test_graded_r_one_point(self):
         ring = RatFuncRing(("s", "w"))
         u = ring.var("s")
         tr = trace(SectorSpec(1, 0, "r", 6), [OpSpec("B", u)], ring, zvars=("w",))
-        ref = graded_trace_F("R", (u,), ring, 6, zvar="w")
+        ref = graded_trace_F(RAMOND, (u,), ring, 6, zvar="w")
         assert tr.first_mismatch(ref) is None
 
     def test_op_sector_mismatch(self):
@@ -201,6 +204,17 @@ class TestTraces:
             trace(SectorSpec(1, 0, "ns", 2), [OpSpec("B", self.u)], self.ring)
         with pytest.raises(ValueError):
             trace(SectorSpec(1, 1, "ns", 2), [OpSpec("A", self.u)], self.ring)
+
+
+@pytest.mark.parametrize("algebra", ALGEBRAS)
+def test_algebra_sector_table_follows_the_oracle_rule(algebra):
+    # an algebra's op is accepted in its SECTOR and rejected in the other
+    # one, by the oracle's own check of op kinds against sectors
+    op, ring = OpSpec(algebra.upper(), F(2)), RationalRing()
+    other = RAMOND if SECTOR[algebra] == NS else NS
+    assert trace(SectorSpec(1, 0, SECTOR[algebra], 2), [op], ring)
+    with pytest.raises(ValueError, match="-sector operator"):
+        trace(SectorSpec(1, 0, other, 2), [op], ring)
 
 
 class TestTauRefined:

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from fockcorr.errors import ModeMismatchError, NonUnitError
 from fockcorr.laurent import LaurentPoly
-from fockcorr.qseries import (LaurentRing, QSeries, RatFuncRing, RationalRing,
-                              _Ring, lattice_sum, pochhammer, to16)
+from fockcorr.qseries import (NS, RAMOND, LaurentRing, QSeries, RatFuncRing,
+                              RationalRing, _Ring, lattice_sum, pochhammer, to16)
 
 R = RationalRing()
 LS = LaurentRing(("s",))
@@ -134,17 +134,25 @@ def test_pochhammer_rejects_divergence_and_one():
 
 
 def test_lattice_sum_examples():
+    # the unit is the square root of the weight: charge k enters as z^(2k)
     Lz = LaurentRing(("z",))
-    ls = lattice_sum(Lz, "int", Lz.var("z"), F(9, 2))
+    ls = lattice_sum(Lz, NS, Lz.var("z"), F(9, 2))
     assert ls.coeff(0) == Lz.one()
-    assert ls.coeff(F(1, 2)) == LaurentPoly(("z",), {(1,): F(1), (-1,): F(1)})
-    assert ls.coeff(2) == LaurentPoly(("z",), {(2,): F(1), (-2,): F(1)})
-    triv = lattice_sum(R, "int", F(1), F(1, 2))
+    assert ls.coeff(F(1, 2)) == LaurentPoly(("z",), {(2,): F(1), (-2,): F(1)})
+    assert ls.coeff(2) == LaurentPoly(("z",), {(4,): F(1), (-4,): F(1)})
+    assert [e for e, _ in ls.items()] == [0, F(1, 2), 2]
+    r = lattice_sum(Lz, RAMOND, Lz.var("z"), 2)
+    assert r.coeff(F(1, 8)) == LaurentPoly(("z",), {(1,): F(1), (-1,): F(1)})
+    assert r.coeff(F(9, 8)) == LaurentPoly(("z",), {(3,): F(1), (-3,): F(1)})
+    assert [e for e, _ in r.items()] == [F(1, 8), F(9, 8)]
+    triv = lattice_sum(R, NS, F(1), F(1, 2))
     assert triv.coeff(0) == 1 and len(triv.terms) == 1
+    with pytest.raises(ValueError):
+        lattice_sum(R, "int", F(1), 2)
 
 
 def jacobi_z(order):
-    lhs = lattice_sum(LS, "int", LS.var("s"), order, half_unit=True)
+    lhs = lattice_sum(LS, NS, LS.var("s"), order)
     rhs = (pochhammer(LS, 1, 1, 1, order)
            * pochhammer(LS, LS.var("s", 2, -1), F(1, 2), 1, order)
            * pochhammer(LS, LS.var("s", -2, -1), F(1, 2), 1, order))
@@ -152,7 +160,7 @@ def jacobi_z(order):
 
 
 def jacobi_half(order):
-    lhs = lattice_sum(LS, "half", LS.var("s"), order, half_unit=True)
+    lhs = lattice_sum(LS, RAMOND, LS.var("s"), order)
     rhs = (pochhammer(LS, 1, 1, 1, order)
            * pochhammer(LS, LS.var("s", 2, -1), 1, 1, order)
            * pochhammer(LS, LS.var("s", -2, -1), 0, 1, order))

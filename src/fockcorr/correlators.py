@@ -20,7 +20,9 @@ ratio of thetas, so (q;q)^3 cancels and it runs on the numerators N_k,
 never on the dense Theta^(k).  The values are exact, so the bytes are the
 same.  In eval mode ``theta_num_at`` evaluates N_k at s to int numerators
 over one denominator (``RationalRing.evaluate``), and the series products,
-inverses and sums run on integer numerators (see ``qseries``).
+inverses and sums run on integer numerators (see ``qseries``); over a
+``LaurentRing`` whose units are all constants (eval mode with a grading
+variable) ``f_bo`` runs that ``RationalRing`` kernel and lifts the result.
 
 Every signed sum of products here (the subset recursion of ``f_bo``, the
 eps sums, the Weyl sums and the half-level cross sums) is one call of
@@ -53,7 +55,7 @@ from .combinat import SECTOR, ModuleLabel
 from .errors import InternalCheckError, LabelError, NonUnitError, PoleError
 from .laurent import LaurentPoly
 from .qseries import (NS, RAMOND, LaurentRing, QSeries, RatFuncRing, RationalRing,
-                      lattice_points, pochhammer, to16, unit_pow)
+                      lattice_points, pochhammer, rational_value, to16, unit_pow)
 from .weyl import weyl_qpoly, weyl_sum, weyl_sum_product_form
 
 
@@ -234,13 +236,20 @@ def f_bo(units, ring, order):
     ``half_level_base``.  The signed sum is one ``QSeries.sum_products``
     over about 2^n products, and one product by the inverse of N_0(t_B)
     follows.  The coefficients of these rings have one canonical form, so
-    the values are those of the permutation sum, to the byte.
+    the values are those of the permutation sum, to the byte.  Over a
+    ``LaurentRing`` whose units are all constants it runs over
+    ``RationalRing``, with int numerators, and lifts the result once with
+    ``map_to``: the same canonical coefficients, with no Laurent product.
 
     Exact rational functions are kept unreduced, so their bytes follow the
     order of operations; ``RatFuncRing`` keeps the permutation sum of theta
     determinants, each built afresh and expanded along its first row by
     ``det_laurent``."""
     order = Fraction(order)
+    if isinstance(ring, LaurentRing):
+        values = tuple(map(rational_value, units))
+        if None not in values:
+            return f_bo(values, RationalRing(), order).map_to(ring, ring.from_fraction)
     n = len(units)
     if n == 0:
         return inv_qq(ring, order)

@@ -3,23 +3,33 @@
 Every operator in scope is diagonal on the occupation basis, so a trace is
 an exact sum over basis states below an energy cutoff.  Every state is
 enumerated, per fermion flavor (strict mode subsets), and the flavors are
-merged with energy pruning.  A state is keyed by its signature: its energy
-and its occupation count per weight class, a weight class being one
-distinct nonzero tuple of per-op mode weights (found by ``==`` on each
-pair of entries, so no ring element is hashed).  Each signature carries its
-charges as an integer polynomial {charge: multiplicity}.  One merge does all
-the combining, adding count tuples and multiplying charge polynomials: it
-joins the two flavors of a pair (charges add), and after each pair's
-charge filter it folds the pairs together (per-pair charge tuples
-concatenate).  The neutral fermion joins as one more merge.  So merges do
-integer work only.  ``charge_sectors`` splits the merged signatures of one
-pair by charge, so all its charge sectors come from one enumeration.  When
-every op argument is a rational number, the weights and centrals are
-Fractions over one common denominator per op, and each final signature's
-eigenvalue product is evaluated and summed in plain ints, with one Fraction
-per output term; symbolic arguments touch the ring once per final
-signature.  The tau-refined trace evaluates its tau-fixed states by the
-same signatures, on the same weight classes and centrals.
+merged with energy pruning.  Op i's eigenvalue on a state is C_i + x_i,
+C_i its central constant and x_i the sum of the weights of the occupied
+modes.  The merges key states by energy and charges only, and the states
+of one key are stored as one value, of one of two kinds:
+
+  * rational op arguments: the moment vector, mu_S = sum over the states
+    of prod_{i in S} x_i for each subset S of the ops, in ints (op i's
+    weights and central go over one common denominator d_i);
+  * symbolic ones: the occupation-count polynomial {counts: multiplicity},
+    counts per weight class, a weight class being one distinct nonzero
+    tuple of per-op mode weights (found by ``==`` on each pair of entries,
+    so no ring element is hashed).
+
+One merge does all the combining: it joins the two flavors of a pair
+(charges add), and after each pair's charge filter it folds the pairs
+together (per-pair charge tuples concatenate); the neutral fermion joins
+as one more merge.  Joining disjoint mode sets multiplies their values:
+moment vectors in Z[y_1..y_k]/(y_i^2), (a b)_S = sum_{T <= S} a_T b_(S-T),
+and count polynomials by adding counts.  So merges do integer work only.
+A key's eigenvalue sum is sum_S mu_S prod_{i not in S} C_i, an int over
+prod_i d_i, and one Fraction is built per output term; over symbolic
+arguments the ring evaluates each final (energy, counts) signature once.
+The moments are exact algebra over the enumerated states, not a closed
+form, and nothing here comes from the closed-form modules.
+``charge_sectors`` splits the merged keys of one pair by charge, so all
+its charge sectors come from one enumeration, and the tau-refined trace
+values its tau-fixed states the same way.
 
 Conventions (NS = modes in 1/2+Z, R = modes in Z):
   * NS charged pair: psi^{+-} creators at k in 1/2+Z_+, charge +-1 each.
@@ -36,11 +46,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm, prod
 from operator import add, eq, mul
 
 from .errors import PoleError, ResourceLimitError
-from .laurent import LaurentPoly, _div, _numerators
-from .qseries import NS, RAMOND, QSeries, RationalRing, from16, to16, unit_pow
+from .laurent import LaurentPoly, _div
+from .qseries import (NS, RAMOND, QSeries, RationalRing, from16, rational_value, to16,
+                      unit_pow)
 
 
 @dataclass(frozen=True)
@@ -117,19 +129,44 @@ def _flavor_modes(spec: SectorSpec, flavor):
     return out
 
 
+def _weight(kind, flavor, up, down):
+    """The weight of an occupied mode k from up = unit^(2k), down = unit^(-2k)."""
+    if kind == "A":
+        if flavor == "plus":
+            return up
+        if flavor == "minus":
+            return -down
+        raise ValueError("A(t) does not act on the neutral fermion")
+    # D, C, B all weight occupied modes by t^k - t^{-k}
+    return up - down
+
+
 def op_mode_weight(kind, flavor, k, ring, unit):
     """Eigenvalue contribution of one occupied creator mode."""
     if k == 0:
         return ring.zero()
     two_k = int(2 * Fraction(k))
-    if kind == "A":
-        if flavor == "plus":
-            return unit_pow(ring, unit, two_k)
-        if flavor == "minus":
-            return -unit_pow(ring, unit, -two_k)
-        raise ValueError("A(t) does not act on the neutral fermion")
-    # D, C, B all weight occupied modes by t^k - t^{-k}
-    return unit_pow(ring, unit, two_k) - unit_pow(ring, unit, -two_k)
+    return _weight(kind, flavor, unit_pow(ring, unit, two_k), unit_pow(ring, unit, -two_k))
+
+
+def _mode_weights(kind, modes, ring, unit):
+    """{flavor: ``op_mode_weight`` of each mode k of ``modes[flavor]`` at
+    index k.numerator of a list (zero at the other indices)}, from one power
+    table of ``unit``: its powers unit^(+-2k), 2k all odd (NS) or all even
+    (R), each the last one times unit^(+-2)."""
+    top = max((int(2 * ks[-1]) for ks in modes.values() if ks), default=0)
+    sq = unit * unit
+    inv_sq = ring.inv(sq)
+    pows = {1: unit, -1: ring.inv(unit)} if top % 2 else {0: ring.one()}
+    for j in range(top % 2 + 2, top + 1, 2):
+        pows[j], pows[-j] = pows[j - 2] * sq, pows[2 - j] * inv_sq
+    out = {}
+    for flavor, ks in modes.items():
+        weights = out[flavor] = [ring.zero()] * (ks[-1].numerator + 1 if ks else 0)
+        for k in ks:
+            if k:
+                weights[k.numerator] = _weight(kind, flavor, pows[int(2 * k)], pows[-int(2 * k)])
+    return out
 
 
 def op_central(kind, level, ring, unit):
@@ -183,90 +220,160 @@ def _flavor_signature_states(spec, flavor, max_states, counter):
     return out
 
 
-def _rational_arg(unit):
-    """``unit`` as a Fraction when it is a rational number (a
-    ``RationalRing`` value or a constant ``LaurentPoly``), else None."""
-    if isinstance(unit, (int, Fraction)):
-        return Fraction(unit)
-    if isinstance(unit, LaurentPoly):
-        zero = (0,) * len(unit.vars)
-        if unit.terms.keys() == {zero}:
-            return Fraction(unit.terms[zero])
-    return None
+def _moment_mul_add(k):
+    """The map acc -> acc + a b, in place, of moment vectors over k ops, in
+    Z[y_1..y_k]/(y_i^2): entry S of a b is sum over the subsets T of S of
+    a_T b_(S-T).  The merges spend most of their time here, so for one and
+    two ops, the usual counts, the sums are written out."""
+    if k == 1:
+        def mul_add(acc, a, b):
+            a0, a1 = a
+            b0, b1 = b
+            acc[0] += a0 * b0
+            acc[1] += a0 * b1 + a1 * b0
+            return acc
+    elif k == 2:
+        def mul_add(acc, a, b):
+            a0, a1, a2, a3 = a
+            b0, b1, b2, b3 = b
+            acc[0] += a0 * b0
+            acc[1] += a0 * b1 + a1 * b0
+            acc[2] += a0 * b2 + a2 * b0
+            acc[3] += a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0
+            return acc
+    else:
+        splits = [[(t, s ^ t) for t in range(s + 1) if t & s == t] for s in range(1 << k)]
+
+        def mul_add(acc, a, b):
+            for s, split in enumerate(splits):
+                acc[s] += sum([a[t] * b[u] for t, u in split])
+            return acc
+    return mul_add
+
+
+def _count_mul_add(acc, a, b):
+    """acc + a b, in place, of occupation-count polynomials {counts:
+    multiplicity}: the counts of two joined mode sets add."""
+    for n1, m1 in a.items():
+        for n2, m2 in b.items():
+            n = tuple(map(add, n1, n2))
+            acc[n] = acc.get(n, 0) + m1 * m2
+    return acc
 
 
 class _OpTable:
-    """The weight classes and central constants of ``ops`` on a sector, and
-    the evaluation of signatures.
+    """The value of a set of states under ``ops`` on a sector, its product
+    ``mul_add`` and the series of keyed values (see the module docstring).
 
-    ``classes`` holds the distinct nonzero weight tuples W_j, and
-    ``class_of`` the class j of each (flavor, mode) whose weights are not
-    all zero; classes are told apart by ``==`` on each pair of entries.
-    When every op argument is a rational number, the weights and centrals
-    are Fractions and ``series`` works in plain ints; otherwise they are
-    elements of ``ring`` and so is its work.
-    """
+    Over rational arguments ``weights[flavor][i]`` lists op i's weight
+    numerators over d_i by mode numerator (a state looks up
+    ``k.numerator`` and hashes no ``Fraction``), and ``cofactors[S]`` is
+    the product of the central numerators of the ops not in S.  Over
+    symbolic ones ``classes`` holds the weight tuples W_j, and
+    ``class_of[flavor]`` each mode's class by mode numerator (None when
+    all its weights are zero)."""
 
     def __init__(self, spec, ops, ring):
-        args = [_rational_arg(op.unit) for op in ops]
+        args = [rational_value(op.unit) for op in ops]
         self.rational = None not in args
-        wring = ring
-        if self.rational:
-            ops, wring = [OpSpec(op.kind, a) for op, a in zip(ops, args)], RationalRing()
         self.spec, self.ring = spec, ring
-        self.classes = []
-        self.class_of = {}  # (flavor, mode) -> j
-        for flavor in ("plus", "minus") * bool(spec.pairs) + ("neutral",) * spec.neutral:
-            for k in _flavor_modes(spec, flavor):
-                w = tuple(op_mode_weight(op.kind, flavor, k, wring, op.unit) for op in ops)
-                if not any(w):
-                    continue
-                j = next((j for j, seen in enumerate(self.classes)
-                          if all(map(eq, w, seen))), len(self.classes))
-                if j == len(self.classes):
-                    self.classes.append(w)
-                self.class_of[flavor, k] = j
-        self.centrals = [op_central(op.kind, spec.level, wring, op.unit) for op in ops]
+        wring = RationalRing() if self.rational else ring
+        units = args if self.rational else [op.unit for op in ops]
+        flavors = ("plus", "minus") * bool(spec.pairs) + ("neutral",) * spec.neutral
+        modes = {f: _flavor_modes(spec, f) for f in flavors}
+        weights = [_mode_weights(op.kind, modes, wring, u) for op, u in zip(ops, units)]
+        centrals = [op_central(op.kind, spec.level, wring, u) for op, u in zip(ops, units)]
         if self.rational:
-            self.scaled = []  # per op: (d_i * central_i, [d_i * W_j[i]])
-            self.den = 1  # prod_i d_i
-            for i, central in enumerate(self.centrals):
-                pairs, d = _numerators(list(enumerate([central] + [w[i] for w in self.classes])))
-                self.scaled.append((pairs[0][1], [n for _, n in pairs[1:]]))
-                self.den *= d
+            dens = [lcm(c.denominator, *(w.denominator for ws in weights[i].values() for w in ws))
+                    for i, c in enumerate(centrals)]
+            self.den = prod(dens)
+            self.weights = {f: [[w.numerator * (d // w.denominator) for w in ws[f]]
+                                for ws, d in zip(weights, dens)] for f in flavors}
+            nums = [c.numerator * (d // c.denominator) for c, d in zip(centrals, dens)]
+            self.cofactors = [prod(n for i, n in enumerate(nums) if not s >> i & 1)
+                              for s in range(1 << len(ops))]
+            self.mul_add = _moment_mul_add(len(ops))
+            return
+        self.centrals, self.classes, self.class_of = centrals, [], {}
+        for f in flavors:
+            of = self.class_of[f] = []
+            for w in zip(*(ws[f] for ws in weights)):
+                j = None
+                if any(w):
+                    j = next((j for j, seen in enumerate(self.classes)
+                              if all(map(eq, w, seen))), len(self.classes))
+                    if j == len(self.classes):
+                        self.classes.append(w)
+                of.append(j)
+        self.mul_add = _count_mul_add
 
-    def counts(self, creators):
-        """The occupation count per weight class of the (flavor, mode)
-        ``creators``."""
-        counts = [0] * len(self.classes)
-        for creator in creators:
-            j = self.class_of.get(creator)
-            if j is not None:
-                counts[j] += 1
-        return tuple(counts)
-
-    def series(self, signatures):
-        """The sum over ``signatures``, pairs ((energy16, counts), {z-exponent
-        vector: multiplicity}), of the z-polynomial times q^energy times the
-        eigenvalue of each op i on that signature:
-        central_i + sum_j counts_j * W_j[i].
-
-        Over rational arguments, op i's central and weights go over one
-        common denominator d_i, the product of the integer eigenvalue
-        numerators is summed per (energy, z-monomial) in ints, and the
-        series takes them as they are, over prod_i d_i: as its numerators
-        over the rational ring, as the z-polynomials' coefficients (each
-        divided once) over the others."""
-        spec = self.spec
+    def constant(self, m):
+        """The value of m copies of the empty state (of no state at m = 0),
+        a new object."""
         if self.rational:
-            return self._integer_series(signatures)
-        return QSeries.from_terms(self.ring, ((from16(e16) + spec.energy_shift, c)
-                                              for e16, c in self._ring_terms(signatures)),
-                                  spec.cutoff + spec.energy_shift)
+            return [m] + [0] * (len(self.cofactors) - 1)
+        return {(0,) * len(self.classes): m} if m else {}
 
-    def _ring_terms(self, signatures):
+    def state(self, flavor, modes):
+        """The value of the one state of ``flavor`` that occupies ``modes``."""
+        if not self.rational:
+            counts = [0] * len(self.classes)
+            of = self.class_of[flavor]
+            for k in modes:
+                j = of[k.numerator]
+                if j is not None:
+                    counts[j] += 1
+            return {tuple(counts): 1}
+        nums = [k.numerator for k in modes]
+        mu = [1]
+        for w in self.weights[flavor]:
+            x = sum([w[n] for n in nums])
+            mu += [m * x for m in mu]
+        return mu
+
+    def series(self, terms):
+        """The sum over ``terms``, triples (energy16, z-exponent vector,
+        value), of q^energy z^exponents times the value's eigenvalue sum,
+        the sum over its states of prod_i (C_i + x_i).
+
+        Over rational arguments that sum is the int sum_S mu_S cofactors_S
+        over prod_i d_i; the ints are summed per (energy, z-monomial), and
+        the series takes them as they are: as its numerators over the
+        rational ring, as the z-polynomials' coefficients (each divided
+        once) over the others."""
+        spec, ring = self.spec, self.ring
+        if not self.rational:
+            return QSeries.from_terms(ring, ((from16(e16) + spec.energy_shift, c)
+                                             for e16, c in self._ring_terms(terms)),
+                                      spec.cutoff + spec.energy_shift)
+        acc = {}  # energy16 -> {z-exponent vector: numerator}
+        for e16, z, mu in terms:
+            poly = acc.setdefault(e16, {})
+            poly[z] = poly.get(z, 0) + sum(map(mul, mu, self.cofactors))
+        # every energy is below the cutoff, so below the shifted truncation
+        shift = to16(spec.energy_shift)
+        trunc, den = to16(spec.cutoff) + shift, self.den
+        if ring.mode == "rational":
+            return QSeries._from_nums(ring, {e16 + shift: poly[()] for e16, poly in acc.items()
+                                             if poly[()]}, den, trunc)
+        return QSeries(ring, {e16 + shift: ring.from_laurent(LaurentPoly(
+            ring.vars, {z: _div(v, den) for z, v in poly.items() if v}, _clean=False))
+            for e16, poly in acc.items()}, trunc)
+
+    def _ring_terms(self, terms):
+        """(energy16, coefficient) per final signature (energy, counts): its
+        z-polynomial times the product of the eigenvalues
+        central_i + sum_j counts_j W_j[i], in the ring."""
         ring = self.ring
-        for (e16, counts), monomials in signatures:
+        signatures = {}  # (energy16, counts) -> {z-exponent vector: multiplicity}
+        for e16, z, value in terms:
+            for counts, m in value.items():
+                poly = signatures.setdefault((e16, counts), {})
+                poly[z] = poly.get(z, 0) + m
+        for (e16, counts), poly in signatures.items():
+            monomials = {z: m for z, m in poly.items() if m}
+            if not monomials:
+                continue
             val = ring.from_laurent(LaurentPoly(ring.vars, monomials, _clean=False))
             for i, central in enumerate(self.centrals):
                 ev = central
@@ -275,26 +382,6 @@ class _OpTable:
                         ev = ev + (w[i] if n == 1 else ring.from_fraction(n) * w[i])
                 val = val * ev
             yield e16, val
-
-    def _integer_series(self, signatures):
-        ring, scaled, den = self.ring, self.scaled, self.den
-        acc = {}  # energy16 -> {z-exponent vector: numerator}
-        for (e16, counts), monomials in signatures:
-            ev = 1
-            for central, weights in scaled:
-                ev *= central + sum(map(mul, counts, weights))
-            poly = acc.setdefault(e16, {})
-            for z, m in monomials.items():
-                poly[z] = poly.get(z, 0) + m * ev
-        # every energy is below the cutoff, so below the shifted truncation
-        shift = to16(self.spec.energy_shift)
-        trunc = to16(self.spec.cutoff) + shift
-        if ring.mode == "rational":
-            return QSeries._from_nums(ring, {e16 + shift: poly[()] for e16, poly in acc.items()
-                                             if poly[()]}, den, trunc)
-        return QSeries(ring, {e16 + shift: ring.from_laurent(LaurentPoly(
-            ring.vars, {z: _div(v, den) for z, v in poly.items() if v}, _clean=False))
-            for e16, poly in acc.items()}, trunc)
 
 
 def enumerate_states(spec: SectorSpec, max_states=None):
@@ -345,18 +432,15 @@ def trace(spec: SectorSpec, ops, ring, *, zvars=None,
            z_p in NS, and in R its square root w_p, the charges there
            being half-integral (z^{e_pp} = w^{2 e_pp}).
     charge: per-pair e_pp filter (Fraction or None per pair), or a single
-            value when pairs == 1.
-    max_states: budget on the states enumerated and on the (energy, counts,
-                charge) entries of any one merge.
+            value when pairs == 1; an entry off the sector's charge lattice
+            (Z in NS, 1/2 + Z in R) is a ValueError.
+    max_states: budget on the states enumerated and on the (energy,
+                charges) entries of any one merge, whatever the kind of
+                value, so a rational call and its symbolic twin raise alike.
 
-    The merges see only signatures (energy, occupation count per weight
-    class) and integer charge polynomials; see the module docstring.  Op i
-    has the eigenvalue central_i + sum_j count_j * W_j[i] on a signature,
-    W_j being the weights of class j, and the product of the eigenvalues
-    multiplies the charge polynomial, read as sum m * z^charge.
-    With rational op arguments the products are evaluated and summed in
-    ints, over one common denominator per op; with symbolic ones the ring
-    is used once per final signature.
+    The states are merged and valued as the module docstring says:
+    rational arguments in ints, symbolic ones in the ring once per final
+    (energy, counts) signature.
     """
     ops = tuple(ops)
     _check_ops(spec, ops)
@@ -364,6 +448,11 @@ def trace(spec: SectorSpec, ops, ring, *, zvars=None,
         charge = (Fraction(charge),)
     if charge is not None and len(charge) != spec.pairs:
         raise ValueError("one charge filter entry per pair required")
+    for c in charge or ():
+        if c is not None and (Fraction(c) - spec.charge_shift).denominator != 1:
+            lattice = "Z" if spec.sector == NS else "1/2 + Z"
+            raise ValueError(f"charge filter {c} is off the charge lattice "
+                             f"{lattice} of sector {spec.sector}")
     if zvars is not None and len(zvars) != spec.pairs:
         raise ValueError("one z-variable entry per pair required")
     return _trace(spec, _OpTable(spec, ops, ring), zvars, charge, max_states)
@@ -380,75 +469,70 @@ def charge_sectors(spec: SectorSpec, ops, ring):
         raise ValueError("charge sectors are taken over one pair")
     table = _OpTable(spec, ops, ring)
     zero = (0,) * len(ring.vars)
-    by_charge = {}  # raw charge -> signatures
-    for sig, poly in _signatures(spec, table, (True,), None, None).items():
-        for (c,), m in poly.items():
-            by_charge.setdefault(c, []).append((sig, {zero: m}))
-    return {c + spec.charge_shift: table.series(sigs)
-            for c, sigs in sorted(by_charge.items())}
+    by_charge = {}  # raw charge -> [(energy16, z-exponents, value)]
+    for (e, (c,)), value in _signatures(spec, table, (True,), None, None).items():
+        by_charge.setdefault(c, []).append((e, zero, value))
+    return {c + spec.charge_shift: table.series(terms)
+            for c, terms in sorted(by_charge.items())}
 
 
 def _trace(spec, table, zvars, charge, max_states):
-    """``trace`` on the weight classes of ``table``, arguments checked."""
+    """``trace`` on the values of ``table``, arguments checked."""
     ring = table.ring
     graded = [zvars is not None and zvars[p] is not None for p in range(spec.pairs)]
-    joined = _signatures(spec, table, graded, charge, max_states)
     zindex = [ring.vars.index(zvars[p]) for p in range(spec.pairs) if graded[p]]
     # the exponent of raw charge c: c in NS, 2 (c + 1/2) of w in R
     scale, shift = (1, 0) if spec.sector == NS else (2, 1)
 
-    def monomials(poly):
-        """{exponent vector: m} of sum m * prod_p z_p^{scale * c_p + shift}."""
-        out = {}
-        for cs, m in poly.items():
-            exps = [0] * len(ring.vars)
-            for idx, c in zip(zindex, cs):
-                exps[idx] += scale * c + shift
-            exps = tuple(exps)
-            out[exps] = out.get(exps, 0) + m
-        return out
+    def exponents(cs):
+        """The exponent vector of prod_p z_p^{scale * c_p + shift}."""
+        exps = [0] * len(ring.vars)
+        for idx, c in zip(zindex, cs):
+            exps[idx] += scale * c + shift
+        return tuple(exps)
 
-    return table.series((sig, monomials(poly)) for sig, poly in joined.items())
+    joined = _signatures(spec, table, graded, charge, max_states)
+    zexps = {cs: exponents(cs) for _, cs in joined}
+    return table.series((e, zexps[cs], value) for (e, cs), value in joined.items())
 
 
 def _signatures(spec, table, graded, charge, max_states):
-    """The states of ``spec`` below the cutoff, merged by signature:
-    {(energy16, counts): {raw charges of the ``graded`` pairs: multiplicity}},
+    """The states of ``spec`` below the cutoff, merged by energy and
+    charges: {(energy16, raw charges of the ``graded`` pairs): value},
     each pair kept only at its ``charge`` filter entry (None keeps all)."""
     cutoff16 = to16(spec.cutoff)
     counter = [0]
+    mul_add, constant = table.mul_add, table.constant
+    one = constant(1)
 
-    # (energy16, counts) -> {charge: multiplicity}; under a merge counts and
-    # charges add, so per-pair charge tuples concatenate
+    # under a merge energies and charges add, so per-pair charge tuples
+    # concatenate, and values multiply
     def merge(a, b):
         out = {}
-        size = 0
-        for (e1, n1), p1 in a.items():
-            for (e2, n2), p2 in b.items():
+        inner = sorted(b.items())  # by energy: keys are unique
+        for (e1, c1), v1 in a.items():
+            for (e2, c2), v2 in inner:
                 e = e1 + e2
                 if e >= cutoff16:
-                    continue
-                key = (e, tuple(map(add, n1, n2)))
-                poly = out.get(key)
-                if poly is None:
-                    poly = out[key] = {}
-                for c1, m1 in p1.items():
-                    for c2, m2 in p2.items():
-                        c = c1 + c2
-                        if c not in poly:
-                            size += 1
-                            if max_states is not None and size > max_states:
-                                raise ResourceLimitError(
-                                    f"state budget {max_states} exceeded during merge")
-                        poly[c] = poly.get(c, 0) + m1 * m2
+                    break
+                key = (e, c1 + c2)
+                acc = out.get(key)
+                if acc is None:
+                    acc = out[key] = constant(0)
+                    if max_states is not None and len(out) > max_states:
+                        raise ResourceLimitError(
+                            f"state budget {max_states} exceeded during merge")
+                mul_add(acc, v1, v2)
         return out
 
+    def put(out, key, value):
+        mul_add(out.setdefault(key, constant(0)), value, one)
+
     def flavor_dict(flavor):
-        d = {}
+        out = {}
         for e, c, chosen in _flavor_signature_states(spec, flavor, max_states, counter):
-            poly = d.setdefault((e, table.counts((flavor, k) for k in chosen)), {})
-            poly[c] = poly.get(c, 0) + 1
-        return d
+            put(out, (e, c), table.state(flavor, chosen))
+        return out
 
     # every pair has the same states; only the charge filter differs
     pair_states = merge(flavor_dict("plus"), flavor_dict("minus")) if spec.pairs else {}
@@ -457,19 +541,15 @@ def _signatures(spec, table, graded, charge, max_states):
         # the raw charge c of a state is its e_pp eigenvalue minus the shift
         want = (None if charge is None or charge[p] is None
                 else Fraction(charge[p]) - spec.charge_shift)
-        keyed = {}
-        for sig, poly in pair_states.items():
-            for c, m in poly.items():
-                if want is None or c == want:
-                    kept = keyed.setdefault(sig, {})
-                    key = (c,) if graded[p] else ()
-                    kept[key] = kept.get(key, 0) + m
-        parts.append(keyed)
+        kept = {}
+        for (e, c), value in pair_states.items():
+            if want is None or c == want:
+                put(kept, (e, (c,) if graded[p] else ()), value)
+        parts.append(kept)
     if spec.neutral:
-        parts.append({sig: {(): sum(poly.values())}
-                      for sig, poly in flavor_dict("neutral").items()})
+        parts.append({(e, ()): value for (e, _), value in flavor_dict("neutral").items()})
 
-    joined = {(0, (0,) * len(table.classes)): {(): 1}}
+    joined = {(0, ()): one}
     for states in parts:
         joined = merge(joined, states)
     return joined
@@ -512,8 +592,9 @@ def tau_refined_trace(ops, cutoff, ring):
     tau swaps psi^+_n <-> psi^-_n; on a basis monomial it yields +- another
     basis monomial, the sign coming from the mechanical fermionic reordering.
     So tr tau sums over the states occupying one mode set S in both flavors,
-    each signed by ``reorder_sign``; those states are keyed by their
-    signature (2 * energy of S, counts) and evaluated as ``trace`` does.
+    each signed by ``reorder_sign``; those states are keyed by their energy
+    (2 * energy of S), each valued as the product of its two flavors'
+    states, and evaluated as ``trace`` does.
     """
     spec = SectorSpec(1, 0, NS, cutoff)
     ops = tuple(ops)
@@ -521,13 +602,15 @@ def tau_refined_trace(ops, cutoff, ring):
     table = _OpTable(spec, ops, ring)
     tr = _trace(spec, table, None, (0,), None)
     cutoff16 = to16(spec.cutoff)
-    twisted = {}  # (energy16, counts) -> sum of reordering signs
+    twisted = {}  # energy16 -> value, each state signed
     for e, _, chosen in _flavor_signature_states(spec, "minus", None, [0]):
         if 2 * e >= cutoff16:
             continue
         word = [("plus", k) for k in chosen] + [("minus", k) for k in chosen]
-        key = (2 * e, table.counts(word))
-        twisted[key] = twisted.get(key, 0) + reorder_sign(word)
+        value = table.mul_add(table.constant(0), table.state("plus", chosen),
+                              table.state("minus", chosen))
+        table.mul_add(twisted.setdefault(2 * e, table.constant(0)), value,
+                      table.constant(reorder_sign(word)))
     zero = (0,) * len(ring.vars)
-    trtau = table.series((sig, {zero: m}) for sig, m in twisted.items() if m)
+    trtau = table.series((e, zero, value) for e, value in twisted.items())
     return (tr + trtau) * Fraction(1, 2), (tr - trtau) * Fraction(1, 2)

@@ -747,3 +747,15 @@ def unit_pow(ring, unit, k: int):
         if k:
             base = base * base
     return out
+
+
+def rational_value(x):
+    """``x`` as a Fraction when it is a rational number (an int, a Fraction
+    or a ``LaurentPoly`` that is only a constant), else None."""
+    if isinstance(x, (int, Fraction)):
+        return Fraction(x)
+    if isinstance(x, LaurentPoly):
+        zero = (0,) * len(x.vars)
+        if x.terms.keys() == {zero}:
+            return Fraction(x.terms[zero])
+    return None

@@ -352,6 +352,18 @@ def test_oracle_charge_sector_value():
     assert "q^1/2: Fraction(17, 6)" in proc.stdout
 
 
+@pytest.mark.parametrize("sector, charge", [("ns", "1/2"), ("r", "1")])
+def test_oracle_charge_off_the_lattice_is_a_usage_error(sector, charge, capsys):
+    # NS charges lie in Z and R charges in 1/2 + Z; a filter off the lattice
+    # would select no state at all
+    from fockcorr import cli
+    assert cli.main(["oracle", "--pairs", "1", "--sector", sector,
+                     "--charge", charge, "--order", "2"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: charge filter") and "off the charge lattice" in err
+
+
 def test_oracle_multi_op_t_flags():
     proc = run_cli("oracle", "--pairs", "1", "--sector", "ns",
                    "--ops", "D,t=4/1;D,t=9/1", "--charge", "0", "--order", "2")
@@ -584,7 +596,7 @@ CORR_EVAL2 = ["corr", "--algebra", "d", "--level", "1", "--n", "2",
 
 @pytest.mark.parametrize("head, option, value", [
     (ORACLE_NS2, "--charge", "-1,0"),
-    (ORACLE_NS2, "--charge", "-,1/2"),
+    (ORACLE_NS2, "--charge", "-,1"),
     (["oracle", "--pairs", "1", "--sector", "r", "--order", "2"],
      "--charge", "-1/2"),
     (CORR_EVAL2, "--s", "-2,3"),

@@ -281,6 +281,31 @@ class TestSharedMinors:
         f_bo((F(2), F(3), F(5), F(7)), RationalRing(), 6)
         assert calls == Counter()
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_constant_laurent_units_run_the_rational_kernel(self, n, monkeypatch):
+        # eval-mode graded checks pass constant Laurent units: f_bo runs the
+        # RationalRing recursion and lifts its result once, so its values
+        # are the rational ones and it multiplies no Laurent polynomial
+        svals = (F(2), F(-3), F(5, 3))[:n]
+        ring = LaurentRing(("z",))
+        for cached in vars(correlators).values():
+            if hasattr(cached, "cache_clear"):
+                cached.cache_clear()
+        calls = Counter()
+        mul = LaurentPoly.__mul__
+
+        def counting_mul(self, other):
+            calls["mul"] += 1
+            return mul(self, other)
+
+        monkeypatch.setattr(LaurentPoly, "__mul__", counting_mul)
+        got = f_bo(tuple(ring.from_fraction(s) for s in svals), ring, 4)
+        assert calls == Counter()
+        want = f_bo(svals, RationalRing(), 4)
+        lifted = QSeries(ring, {e: LaurentPoly.const(ring.vars, c)
+                                for e, c in want.terms.items()}, want.trunc)
+        assert got.to_json() == lifted.to_json()
+
     def test_eval_f_bo_scales_and_converts_each_series_once(self, monkeypatch):
         counts = Counter()
         scale, init = QSeries.scale, QSeries.__init__

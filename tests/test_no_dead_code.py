@@ -95,3 +95,28 @@ def test_exact_forms_stay_in_their_modules():
             if named[name] and path.name not in allowed:
                 stray.setdefault(name, []).append(path.name)
     assert stray == {}
+
+
+def package_imports(module):
+    """The package modules that ``module`` imports, directly or through
+    other package modules (``from .x import ...`` and ``from . import x``)."""
+    seen, todo = set(), [module]
+    while todo:
+        name = todo.pop()
+        if name in seen:
+            continue
+        seen.add(name)
+        tree = ast.parse((ROOT / "src" / "fockcorr" / f"{name}.py").read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                todo += [node.module] if node.module else [a.name for a in node.names]
+    return seen - {module}
+
+
+def test_the_oracle_imports_no_closed_form_module():
+    # the oracle is the independent route every closed formula is checked
+    # against, so neither it nor what it imports may reach the closed forms
+    reached = package_imports("fock_oracle")
+    assert "qseries" in reached
+    assert reached.isdisjoint({"correlators", "weyl", "characters"})
+    assert {"correlators", "weyl"} <= package_imports("identities")

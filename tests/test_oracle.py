@@ -513,6 +513,83 @@ class TestCountKeyedTrace:
         assert calls
 
 
+THREE_OPS = {
+    "ns": (("D", F(2)), ("C", F(-3, 2)), ("A", F(5, 3))),
+    "ns-neutral": (("D", F(2)), ("C", F(-3, 2)), ("D", F(5, 3))),
+    "r": (("B", F(2)), ("B", F(-3)), ("B", F(3, 2))),
+}
+
+
+@pytest.mark.parametrize("spec, ops, mode, kwargs", [
+    (SectorSpec(2, 0, "ns", 3), "ns", "laurent", dict(zvars=("z1", "z2"))),
+    (SectorSpec(2, 0, "ns", F(7, 2)), "ns", "rational", dict(charge=(0, None))),
+    (SectorSpec(3, 0, "ns", F(5, 2)), "ns", "laurent",
+     dict(zvars=(None, "z1", "z2"), charge=(1, None, 0))),
+    (SectorSpec(1, 1, "ns", 4), "ns-neutral", "laurent", dict(zvars=("z1",))),
+    (SectorSpec(0, 1, "ns", 5), "ns-neutral", "rational", {}),
+    (SectorSpec(2, 0, "r", 3), "r", "laurent", dict(zvars=("z1", "z2"))),
+    (SectorSpec(1, 1, "r", 4), "r", "rational", dict(charge=F(1, 2))),
+], ids=["ns-graded", "ns-charge", "ns-3-pairs", "ns-neutral-graded", "ns-neutral-only",
+        "r-graded", "r-neutral-charge"])
+def test_three_ops_match_the_value_keyed_trace(spec, ops, mode, kwargs):
+    # the subset product of moment vectors over k = 3 ops, which the
+    # property tests (at most two ops) never run, byte for byte
+    ring = RINGS[mode]
+    ops = [OpSpec(kind, ring.from_fraction(s)) for kind, s in THREE_OPS[ops]]
+    got = trace(spec, ops, ring, **kwargs)
+    assert got.terms
+    assert_matches_reference(spec, ops, ring, **kwargs)
+
+
+@pytest.mark.parametrize("spec, kind, zvars", [
+    (SectorSpec(2, 0, "ns", 4), "D", ("z1", "z2")),
+    (SectorSpec(2, 1, "ns", F(7, 2)), "C", ("z1", None)),
+    (SectorSpec(2, 0, "r", 4), "B", ("z1", "z1")),
+])
+def test_merge_budget_counts_energy_and_charge_entries(spec, kind, zvars):
+    # max_states bounds the (energy, charges) entries of a merge, whichever
+    # kind of value they carry: a rational call and its symbolic twin pass
+    # from the same budget on, and one less fails in a merge
+    s = F(3, 2)
+    laurent = RINGS["laurent"]
+    calls = [([OpSpec(kind, laurent.from_fraction(s)), OpSpec(kind, laurent.from_fraction(1 / s))],
+              laurent),
+             ([OpSpec(kind, SYMBOLIC.var("s")), OpSpec(kind, SYMBOLIC.var("s", -1))], SYMBOLIC)]
+
+    def passes(ops, ring, budget):
+        try:
+            trace(spec, ops, ring, zvars=zvars, max_states=budget)
+        except ResourceLimitError:
+            return False
+        return True
+
+    smallest = []
+    for ops, ring in calls:
+        lo, hi = 1, 10_000
+        assert passes(ops, ring, hi)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if passes(ops, ring, mid) else (mid + 1, hi)
+        smallest.append(lo)
+        with pytest.raises(ResourceLimitError,
+                           match=f"^state budget {lo - 1} exceeded during merge$"):
+            trace(spec, ops, ring, zvars=zvars, max_states=lo - 1)
+    assert smallest[0] == smallest[1]
+
+
+@pytest.mark.parametrize("spec, charge", [
+    (SectorSpec(1, 0, "ns", 3), F(1, 2)),
+    (SectorSpec(2, 0, "ns", 3), (0, F(-3, 2))),
+    (SectorSpec(1, 0, "r", 3), 1),
+    (SectorSpec(2, 1, "r", 3), (None, 0)),
+])
+def test_charge_filter_off_the_lattice_is_an_error(spec, charge):
+    # NS charges lie in Z and R charges in 1/2 + Z: such a filter entry
+    # would select no state, so it is refused
+    with pytest.raises(ValueError, match="off the charge lattice"):
+        trace(spec, [], RationalRing(), charge=charge)
+
+
 # ---------------------------------------------------------------------------
 # rational arguments (integer evaluation) against symbolic ones (ring path)
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Exact n-point correlation functions on integrable modules over the
 infinite-dimensional Lie algebras of types A, B, C, D, with q-dimension
-formulas, classical-group characters, and a brute-force fermionic
+formulas, classical-group dimensions, and a brute-force fermionic
 Fock-space oracle."""
 
 __version__ = "1.0.0"

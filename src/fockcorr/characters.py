@@ -1,17 +1,18 @@
-"""Determinant-ratio characters of the classical groups appearing in the
-Howe dualities, as exact Laurent polynomials.
+"""The classical groups of the Howe dualities: their torus variables, the
+determinants of their Weyl character formula, and the dimensions of their
+modules.
 
 Each family has the Weyl type of its rho (``weyl.rho``) and the scale of
 its torus exponents (``FAMILIES``):
 
-  SO2l, O2l     type D; z_1..z_l, integer exponents
+  O2l           type D; z_1..z_l, integer exponents
   Sp2l          type C; z_1..z_l, integer exponents
   B2l1          O(2l+1)/Spin(2l+1), type B: half-integer exponents, so the
                 variables are w_j with z_j = w_j^2 (scale 2)
   Pin2l         type D with half-integer weights, same w_j convention
 
-Characters are cached per (family, weight, l); the duality checks reuse each
-one across every lambda-term.
+The Howe checks and the Weyl denominator identities read the determinants,
+qdim-consistency the dimensions.
 """
 
 from __future__ import annotations
@@ -20,18 +21,25 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .combinat import ModuleLabel
-from .errors import LabelError
-from .laurent import LaurentPoly, exact_div
-from .weyl import rho
+from .laurent import LaurentPoly
+from .weyl import dimension as weyl_dimension, rho
 
 # family: (Weyl type of its rho, 2 if its torus variables are the w_j, else 1)
 FAMILIES = {
-    "SO2l": ("D", 1),
     "O2l": ("D", 1),
     "B2l1": ("B", 2),
     "Sp2l": ("C", 1),
     "Pin2l": ("D", 2),
 }
+
+
+def dimension(family, label: ModuleLabel):
+    """The dimension of ``label``'s module of ``family``, its character at
+    z = 1: the Weyl dimension of its weight, doubled where the module
+    restricts to two of the identity component, for Pin2l always and for
+    O2l when lambda_l != 0."""
+    dim = weyl_dimension(FAMILIES[family][0], label.weight(), label.rank())
+    return 2 * dim if family == "Pin2l" or (family == "O2l" and label.lam[-1]) else dim
 
 
 def det_laurent(rows, zero):
@@ -92,39 +100,3 @@ def numerator_det(family, weight, l, kind=None):
 
 def denominator_det(family, l, kind=None):
     return numerator_det(family, (0,) * l, l, kind)
-
-
-@lru_cache(maxsize=None)
-def _character_cached(family, weight, l, lam_last_zero):
-    num = numerator_det(family, weight, l)
-    if family == "SO2l":
-        num = num + numerator_det(family, weight, l, kind="-")
-    ch = exact_div(num, denominator_det(family, l))
-    # with no zero exponent the + ratio is half the O(2l) or Pin(2l) character
-    return ch * 2 if family == "Pin2l" or (family == "O2l" and not lam_last_zero) else ch
-
-
-def character(family, label: ModuleLabel) -> LaurentPoly:
-    """The classical-group character attached to a module label.
-
-    The det twist does not change the value on the diagonal torus used here,
-    so a label and its det partner share one character.  Pin2l takes the
-    algebra b (spin) labels; O2l, SO2l and Sp2l take the others.
-    """
-    if family not in FAMILIES:
-        raise LabelError(f"unknown family {family!r}")
-    if family in ("O2l", "SO2l", "Sp2l") and label.algebra == "b":
-        raise LabelError(f"{family} takes non-spin labels")
-    if family == "Pin2l" and label.algebra != "b":
-        raise LabelError("Pin2l takes spin labels")
-    lam_last_zero = (not label.lam) or label.lam[-1] == 0
-    return _character_cached(family, label.weight(), label.rank(), lam_last_zero)
-
-
-def dominant_coefficient(family, label: ModuleLabel) -> int:
-    """Coefficient of z^{lambda+rho} in the numerator determinant."""
-    l = label.rank()
-    w = label.weight()
-    c = numerator_det(family, w, l).terms.get(dominant_exponents(family, w, l), Fraction(0))
-    assert c.denominator == 1
-    return int(c)

@@ -187,7 +187,12 @@ def theta_k(k, order):
 @lru_cache(maxsize=None)
 def theta_num_at(k, unit, ring, order):
     """N_k with argument t = unit^2, as a series over ``ring``; cached as
-    ``theta_at`` is, whose place it takes in the subset recursion."""
+    ``theta_at`` is, whose place it takes in the subset recursion.  Over
+    ``RationalRing`` a unit below 1 in size reads the value at its inverse,
+    as N_k(1/t) = (-1)^(k+1) N_k(t): the terms of n and 1 - n swap."""
+    if isinstance(ring, RationalRing) and abs(unit) < 1:
+        out = theta_num_at(k, ring.inv(unit), ring, order)
+        return out if k % 2 else -out
     return ring.evaluate(theta_num_k(k, order), unit)
 
 
@@ -240,6 +245,8 @@ def f_bo(units, ring, order):
     ``LaurentRing`` whose units are all constants it runs over
     ``RationalRing``, with int numerators, and lifts the result once with
     ``map_to``: the same canonical coefficients, with no Laurent product.
+    Over ``RationalRing`` a tuple whose first unit is below 1 in size reads
+    the value of the inverted tuple, as F_bo(q; 1/t) = (-1)^n F_bo(q; t).
 
     Exact rational functions are kept unreduced, so their bytes follow the
     order of operations; ``RatFuncRing`` keeps the permutation sum of theta
@@ -253,6 +260,9 @@ def f_bo(units, ring, order):
     n = len(units)
     if n == 0:
         return inv_qq(ring, order)
+    if isinstance(ring, RationalRing) and abs(units[0]) < 1:
+        out = f_bo(tuple(map(ring.inv, units)), ring, order)
+        return -out if n % 2 else out
     if not isinstance(ring, RatFuncRing):
         # (A, its unit product) for every sub-tuple A of units, in index order
         subsets = [((), ring.one())]
@@ -412,9 +422,12 @@ def weyl_correlator(weight, wtype, l, units, ring, order):
     terms = []
     for sign, qexp, kvec in weyl_sum(weight, wtype, l, order):
         inner = [eps_inner_sum(units, ring, order, k) for k in kvec]
+        # the inner sums start at q^0 or later, and only the terms below
+        # q^(order - qexp) survive the shift by qexp
+        rest = order - qexp
         x = inner[0]
         for y in inner[1:-1]:
-            x = x * y
+            x = x.truncated(rest) * y.truncated(rest)
         terms.append((sign, to16(qexp), x, inner[-1] if len(inner) > 1 else ring.one()))
     return QSeries.sum_products(ring, terms, order)
 

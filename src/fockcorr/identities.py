@@ -20,8 +20,8 @@ from math import ceil
 from . import correlators as corr
 from .combinat import (SECTOR, Partition, enumerate_labels, odd_strict_partitions,
                        partitions_up_to, sym_to_osp)
-from .characters import (FAMILIES, character, denominator_det, det_kind,
-                         det_laurent, dominant_exponents, torus_vars)
+from .characters import (FAMILIES, denominator_det, det_kind, det_laurent,
+                         dimension, dominant_exponents, torus_vars)
 from .errors import FockcorrError, InternalCheckError
 from .fock_oracle import (OpSpec, SectorSpec, charge_sectors, tau_refined_trace,
                           trace)
@@ -424,8 +424,9 @@ def _qdim_grid(order):
 
 def check_qdim_consistency(order=10):
     """Internal sum-vs-product agreement for every grid label, then the
-    n = 0 duality at levels 1, 3/2, 2, 5/2 and 3: sum over labels of
-    dim V_lambda * qdim == oracle dim_q of the Fock space."""
+    n = 0 duality at levels 1 to 4 and 9/2: sum over labels of
+    dim V_lambda * qdim == oracle dim_q of the Fock space, dim V_lambda by
+    Weyl's dimension formula (``characters.dimension``)."""
     order = Fraction(order)
     grid = _qdim_grid(order)
     for label in grid:
@@ -443,6 +444,11 @@ def check_qdim_consistency(order=10):
         ("d", Fraction(5, 2)),
         ("b", Fraction(5, 2)),
         ("d", Fraction(3)),
+        ("d", Fraction(4)),
+        ("c", Fraction(4)),
+        ("b", Fraction(4)),
+        ("d", Fraction(9, 2)),
+        ("b", Fraction(9, 2)),
     ]
 
     def cases():
@@ -451,9 +457,8 @@ def check_qdim_consistency(order=10):
             family, c = DUALITY[algebra, half]
             fock = trace(SectorSpec(l, int(half), SECTOR[algebra], order), [], ring)
             dual = QSeries.zero(ring, order)
-            ones = {v: Fraction(1) for v in torus_vars(family, l)}
             for label in enumerate_labels(algebra, level, order):
-                dim = character(family, label).eval_at(ones)
+                dim = dimension(family, label)
                 dual = dual + corr.qdim(label, order).truncated(order).scale(dim)
             # c over the dominant coefficient of a character times the
             # denominator, 2 in the + families, is the duality multiplicity

@@ -429,6 +429,19 @@ class QSeries:
 
     __rmul__ = __mul__
 
+    @staticmethod
+    def _below(x, y, cut):
+        """x and y truncated at q^cut (``cut`` in sixteenths) where that keeps
+        the terms of x * y (or of ``x.scale(y)`` for a coefficient y) below
+        q^cut and its truncation there: for a product, cut > 0 and neither
+        factor has a negative order."""
+        if not isinstance(y, QSeries):
+            return x.truncated(from16(cut)), y
+        ox, oy = x.order16(), y.order16()
+        if cut > 0 and ox is not None and oy is not None and min(ox, oy) >= 0:
+            return x.truncated(from16(cut)), y.truncated(from16(cut))
+        return x, y
+
     @classmethod
     def sum_products(cls, ring, terms, trunc):
         """The sum of sign * q**shift * x * y over the (sign, shift, x, y) of
@@ -439,14 +452,18 @@ class QSeries:
         negated.
 
         Over ``RatFuncRing`` the fold itself runs, in that order, since
-        unreduced rational functions follow the order of operations.  The
-        other rings' coefficients are canonical, so every pair of numerators
-        is added into one dict over the lcm of the terms' denominators and
-        the result is normalized once, with no series built per term."""
+        unreduced rational functions follow the order of operations; each
+        product stops where its shift leaves the sum (``_below``), which
+        drops no operation on a surviving coefficient.  The other rings'
+        coefficients are canonical, so every pair of numerators is added
+        into one dict over the lcm of the terms' denominators and the result
+        is normalized once, with no series built per term."""
         t0 = None if trunc is None else to16(trunc)
         if ring.mode == "ratfunc":
             total = cls(ring, {}, t0, _clean=False)
             for sign, shift, x, y in terms:
+                if t0 is not None:
+                    x, y = cls._below(x, y, t0 - shift)
                 term = (x * y if isinstance(y, QSeries) else x.scale(y)).shift(from16(shift))
                 total = total + (term if sign > 0 else -term)
             return total

@@ -1,6 +1,7 @@
 """Weyl groups of types B/C/D as signed permutations, rho vectors,
-the q-polynomials sum_sigma (-1)^l(sigma) q^{||lam+rho-sigma(rho)||^2/2},
-and the matching positive-root product form.
+Weyl's dimension formula, the q-polynomials
+sum_sigma (-1)^l(sigma) q^{||lam+rho-sigma(rho)||^2/2}, and the matching
+positive-root product form.
 
 No group is listed or cached: one depth-first walk of the signed
 permutations, ``_orbit``, gives the int vectors top - sigma(2 rho), with
@@ -50,6 +51,18 @@ def positive_roots(wtype, l):
             e[i] = 2
             roots.append(tuple(e))
     return roots
+
+
+def dimension(wtype, weight, l):
+    """Weyl's dimension formula: the product over the positive roots alpha
+    of <weight + rho, alpha> / <rho, alpha>, as a Fraction."""
+    r = rho(wtype, l)
+    top = [Fraction(w) + x for w, x in zip(weight, r)]
+    num = den = 1
+    for alpha in positive_roots(wtype, l):
+        num *= sum(a * x for a, x in zip(alpha, top))
+        den *= sum(a * x for a, x in zip(alpha, r))
+    return Fraction(num, den)
 
 
 def _check_dominant(wtype, lam):

@@ -3,13 +3,13 @@ from itertools import permutations, product
 
 import pytest
 
-from fockcorr.characters import (character, denominator_det,
-                                 dominant_coefficient, numerator_det,
-                                 torus_vars)
-from fockcorr.combinat import ModuleLabel
+from fockcorr.characters import dimension, denominator_det, numerator_det, torus_vars
+from fockcorr.combinat import ModuleLabel, enumerate_labels
 from fockcorr.errors import LabelError
+from fockcorr.identities import DUALITY
 from fockcorr.laurent import LaurentPoly, exact_div
 from fockcorr.weyl import weyl_denominator_poly
+from reference_characters import character, dominant_coefficient
 
 
 def lp(vars_, terms):
@@ -138,6 +138,35 @@ def test_dimensions(family, label, dim):
     assert _dimension_by_limit(family, label) == dim
     ones = {v: F(1) for v in torus_vars(family, label.rank())}
     assert character(family, label).eval_at(ones) == dim
+
+
+def _at_one(family, label):
+    ones = {v: F(1) for v in torus_vars(family, label.rank())}
+    return character(family, label).eval_at(ones)
+
+
+def test_dimension_is_the_character_at_one_on_every_duality_row():
+    # the Weyl dimension formula, doubled for Pin2l and for O2l when
+    # lambda_l != 0, against the determinant-ratio character at z = 1
+    count = 0
+    for (algebra, half), (family, _) in DUALITY.items():
+        for l in (1, 2, 3):
+            for label in enumerate_labels(algebra, l + F(int(half), 2), 10):
+                assert dimension(family, label) == _at_one(family, label), (family, label)
+                count += 1
+    assert count == 168
+
+
+@pytest.mark.parametrize("family,label", [
+    ("O2l", ModuleLabel("d", 4, (1, 1, 0, 0))),
+    ("O2l", ModuleLabel("d", 4, (2, 1, 1, 1))),
+    ("Sp2l", ModuleLabel("c", 4, (2, 1, 0, 0))),
+    ("B2l1", ModuleLabel("d", F(9, 2), (1, 0, 0, 0))),
+    ("B2l1", ModuleLabel("b", F(9, 2), (1, 0, 0, 0))),
+    ("Pin2l", ModuleLabel("b", 4, (1, 0, 0, 0))),
+])
+def test_dimension_is_the_character_at_one_at_rank_4(family, label):
+    assert dimension(family, label) == _at_one(family, label)
 
 
 def test_rank5_denominator_determinants_match_weyl_sums():

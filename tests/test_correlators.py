@@ -24,7 +24,7 @@ from fockcorr.laurent import LaurentPoly, RationalFunction
 from fockcorr.qseries import (NS, RAMOND, LaurentRing, QSeries, RatFuncRing, RationalRing,
                               lattice_points, pochhammer,
                               unit_pow)
-from fockcorr.weyl import weyl_qpoly
+from fockcorr.weyl import weyl_qpoly, weyl_sum
 
 SV = ("s",)
 
@@ -84,6 +84,23 @@ class TestFbo:
     def test_zero_point_kernel(self):
         ring = RationalRing()
         assert f_bo((), ring, 8).first_mismatch(inv_qq(ring, 8)) is None
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("svals", [(F(1, 2), F(3), F(-2, 5), F(7, 2)),
+                                       (F(3), F(-1, 2), F(5), F(2, 7))])
+    def test_eval_tuples_below_one_equal_the_exact_kernel(self, n, svals):
+        # eval f_bo reads a tuple whose first unit is below 1 in size off the
+        # inverted tuple, and so do the sub-tuples of its recursion; the
+        # exact kernel, formal in s1 and at the other points as constants,
+        # specialized at s1
+        svals, order = svals[:n], 3
+        ring = RatFuncRing(("s1",))
+        units = (ring.var("s1"),) + tuple(map(ring.from_fraction, svals[1:]))
+        exact = f_bo(units, ring, order)
+        special = {e: c.eval_at({"s1": svals[0]}) for e, c in exact.terms.items()}
+        got = f_bo(svals, RationalRing(), order)
+        assert got.terms == {e: c for e, c in special.items() if c}
+        assert got.trunc == exact.trunc
 
 
 # A plain reference for f_bo: every permutation's determinant expanded along
@@ -258,6 +275,15 @@ class TestSharedMinors:
                 got = theta_num_at(k, s, ring, order)
                 assert (got.nums, got.den, got.trunc) == (ref.nums, ref.den, ref.trunc)
                 assert got.dumps() == ref.dumps()
+
+    @pytest.mark.parametrize("s", [F(1, 2), F(-2, 5), F(3, 7)])
+    def test_eval_numerator_below_one_equals_direct_evaluation(self, s):
+        # N_k at |s| < 1 is read off N_k at 1/s, as N_k(1/t) = (-1)^(k+1) N_k(t)
+        ring = RationalRing()
+        for k in range(5):
+            direct = ring.evaluate(theta_num_k(k, 6), s)
+            got = theta_num_at(k, s, ring, 6)
+            assert (got.nums, got.den, got.trunc) == (direct.nums, direct.den, direct.trunc)
 
     def test_eval_f_bo_builds_no_laurent_theta(self, monkeypatch):
         # eval mode runs on N_k evaluated term by term: it neither builds
@@ -881,3 +907,29 @@ def test_exact_mode_specialized_at_s_equals_eval_mode(
     special = {e: c.eval_at(point) for e, c in exact.terms.items()}
     assert {e: c for e, c in special.items() if c} == evald.terms
     assert exact.trunc == evald.trunc
+
+
+def _full_length_weyl_correlator(weight, wtype, l, units, ring, order):
+    """The Weyl-sum fold with every record's product at full length,
+    truncated afterwards."""
+    total = QSeries.zero(ring, order)
+    for sign, qexp, kvec in weyl_sum(weight, wtype, l, order):
+        inner = [eps_inner_sum(units, ring, order, k) for k in kvec]
+        term = inner[0]
+        for y in inner[1:]:
+            term = term * y
+        term = term.shift(qexp)
+        total = total + (term if sign > 0 else -term)
+    return total.truncated(order)
+
+
+@pytest.mark.parametrize("label", [ModuleLabel("d", 2, (1, 0)), ModuleLabel("c", 3, (1, 0, 0))])
+@pytest.mark.parametrize("n", [1, 2])
+def test_exact_weyl_products_stop_where_their_shift_leaves_the_sum(label, n):
+    # each record's products stop at q^(order - qexp): an exact value keeps
+    # its bytes, as the dropped terms enter no surviving coefficient
+    ring, units = _exact_units(n)
+    weight, wtype, l = label.weight(), label.weyl_type(), label.rank()
+    got = weyl_correlator(weight, wtype, l, units, ring, 5)
+    want = _full_length_weyl_correlator(weight, wtype, l, units, ring, 5)
+    assert got.to_json() == want.to_json()

@@ -9,14 +9,14 @@ must agree label by label.
 from fractions import Fraction as F
 
 from fockcorr import identities
-from fockcorr.characters import (FAMILIES, character, denominator_det, det_kind,
-                                 dominant_coefficient, dominant_exponents,
-                                 torus_vars)
+from fockcorr.characters import (FAMILIES, denominator_det, det_kind,
+                                 dominant_exponents, torus_vars)
 from fockcorr.combinat import enumerate_labels
 from fockcorr.correlators import npoint, qdim
 from fockcorr.fock_oracle import OpSpec, SectorSpec, trace
 from fockcorr.qseries import LaurentRing, QSeries, RationalRing
 from fockcorr.weyl import rho
+from reference_characters import character, dominant_coefficient
 
 
 def _oracle_product(family, sector, opkind, l, svals, order):

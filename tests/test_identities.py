@@ -156,12 +156,35 @@ def test_weyl_lemma_spot_high_order():
     assert check_weyl_lemma(wtype="C", l=4, order=18, count=5, seed=7).ok
 
 
-def test_qdim_duality_at_levels_2_to_3():
+def test_qdim_duality_at_levels_2_to_9_halves():
     # one oracle-vs-qdim duality check per setup: five at levels 1 and 3/2,
-    # then d, c, b at level 2, d, b at level 5/2 and d at level 3
+    # then d, c, b at level 2, d, b at level 5/2, d at level 3, d, c, b at
+    # level 4 and d, b at level 9/2
     rep = check_qdim_consistency(order=6)
     assert rep.ok, rep.line()
-    assert rep.checks == len(_qdim_grid(F(6))) + 11
+    assert rep.checks == len(_qdim_grid(F(6))) + 16
+
+
+@pytest.mark.parametrize("family, rank, case", [
+    ("Sp2l", 1, {"algebra": "c", "level": 1}),
+    ("Pin2l", 4, {"algebra": "b", "level": 4}),
+    ("B2l1", 4, {"algebra": "d", "level": F(9, 2)}),
+])
+def test_a_wrong_dimension_fails_under_its_setup(monkeypatch, family, rank, case):
+    # one family's dimensions at one rank are off by one: the duality sum
+    # misses the Fock space first at that family's lowest such setup
+    dimension = identities.dimension
+
+    def planted(fam, label):
+        dim = dimension(fam, label)
+        return dim + 1 if fam == family and label.rank() == rank else dim
+
+    monkeypatch.setattr(identities, "dimension", planted)
+    rep = check_qdim_consistency(order=6)
+    assert not rep.ok
+    assert rep.params == case
+    assert rep.line().startswith(
+        f"[FAIL] qdim-consistency (algebra={case['algebra']} level={case['level']})")
 
 
 def test_correlator_label_window_scaling():

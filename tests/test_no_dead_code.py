@@ -5,7 +5,9 @@ A definition in ``src/fockcorr`` counts as used when some module under
 own body: as a name, an attribute, an import or a string constant (the
 last covers ``getattr`` and monkeypatching by name).  A name that occurs
 anywhere counts for every definition of that name, so the check can miss
-dead code but does not flag live code.
+dead code but does not flag live code.  Leaving ``tests/`` out, every
+definition still has a user but those of one table (``TEST_ONLY``): code
+that only tests use lives under ``tests/``.
 
 A few names and string constants are also kept inside the modules that
 own them (``CONFINED``).
@@ -41,9 +43,11 @@ def parsed(dirs):
             yield path, ast.parse(path.read_text(), filename=str(path))
 
 
-def unreferenced():
+def unreferenced(scanned=SCANNED):
+    """The public definitions of the package that no module under the
+    ``scanned`` directories names outside their own bodies."""
     used = Counter()
-    for _, tree in parsed(SCANNED):
+    for _, tree in parsed(scanned):
         used += references(tree)
     dead = []
     for path, tree in parsed(["src/fockcorr"]):
@@ -56,6 +60,27 @@ def unreferenced():
 
 def test_every_public_definition_is_referenced():
     assert unreferenced() == []
+
+
+# the public definitions whose only users are tests, each with the reason it
+# stays in the package
+TEST_ONLY = {
+    "fundamental_weight_label": "the one reader of label.det, kept until it is "
+                                "settled whether the det partners separate",
+    "enumerate_states": "the oracle's per-state definition, which its tests sum",
+    "eigenvalue": "the oracle's per-state definition, which its tests sum",
+    "frobenius": "acceptance criterion 8 checks the Frobenius round trip",
+    "osp_to_sym": "acceptance criterion 8 checks the odd-strict-partition bijection",
+    "run_all": "the suite entry point that perfbench/README.md names",
+}
+
+
+def test_no_public_definition_serves_only_the_tests():
+    # a definition only tests use belongs with the tests, unless TEST_ONLY
+    # says why it stays; an entry that gains a user, or is gone, is stale
+    test_only = {entry.rsplit(" ", 1)[1]
+                 for entry in unreferenced(("src", "scripts", "perfbench"))}
+    assert test_only == set(TEST_ONLY)
 
 
 # the modules of the package that may name each of these: the exact

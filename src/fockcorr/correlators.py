@@ -35,6 +35,14 @@ are stored unreduced, so their bytes follow the order of operations, which
 the recorded outputs pin.  This route goes once exact values have a
 canonical form.
 
+Over ``RationalRing`` at n >= 3 points and small orders, where one rule
+(``fock_sums.fock_route``) picks it, the eps sums and the level-1/2 bases
+take their series from Bloch-Okounkov's sums over partitions
+(``fock_sums``), which cost the number of states times n where the theta
+route costs about 3^n products.  Eval values are canonical, so both routes
+print the same bytes; ``fock-kernel`` checks one against the other, and
+``graded_trace_F`` always runs the theta route, which the oracle checks.
+
 The eps sums over the 2^n sign vectors use F_bo(q; 1/t) = (-1)^n F_bo(q; t)
 (Bloch-Okounkov): the terms for eps and -eps pair up as
 [eps] F_bo(q; t^eps) (x^k + x^-k) with x = prod t^eps, so ``f_bo`` runs only
@@ -53,6 +61,7 @@ from math import ceil, factorial, gcd, prod
 from .characters import det_laurent
 from .combinat import SECTOR, ModuleLabel
 from .errors import InternalCheckError, LabelError, NonUnitError, PoleError
+from .fock_sums import base_sum, check_poles, f_bo_sum, fock_route
 from .laurent import LaurentPoly
 from .qseries import (NS, RAMOND, LaurentRing, QSeries, RatFuncRing, RationalRing,
                       lattice_points, pochhammer, rational_value, to16, unit_pow)
@@ -224,8 +233,11 @@ def inv_theta_at(unit, ring, order):
 
 @lru_cache(maxsize=None)
 def f_bo(units, ring, order):
-    """The Bloch-Okounkov n-point kernel; n = 0 gives 1/(q;q), n = 1 gives
-    1/((q;q) Theta(t)).
+    """The Bloch-Okounkov n-point kernel by the theta route; n = 0 gives
+    1/(q;q), n = 1 gives 1/((q;q) Theta(t)).  ``eps_inner_sum`` takes the
+    partition sum ``fock_sums.f_bo_sum`` in its place where
+    ``fock_sums.fock_route`` picks it (eval mode, n >= 3, small orders);
+    ``graded_trace_F`` always takes this one.
 
     Over every ring but ``RatFuncRing`` it runs the subset recursion
 
@@ -343,21 +355,35 @@ def _pair_weights(ring, uprod, k2s, n):
     return [pows[k2] + pows[-k2] if n else pows[k2] for k2 in k2s]
 
 
-@lru_cache(maxsize=None)
-def eps_inner_sum(units, ring, order, k):
-    """sum over eps of [eps] (prod t^eps)^k F_bo(q; t^eps); k may be half-integral.
+def eps_sum(kernel, units, ring, order, k):
+    """sum over eps of [eps] (prod t^eps)^k kernel(u^eps), with ``kernel``
+    the n-point kernel F_bo of a unit tuple; k may be half-integral.
 
     Summed over the vectors with eps_1 = +1 only, each as
-    [eps] F_bo(q; t^eps) (x^k + x^-k) with x = prod t^eps, so ``f_bo`` runs
-    2^(n-1) times.  Cached: the Weyl sums of every label over the same
-    units, ring and order share the inner sums."""
+    [eps] F_bo(q; t^eps) (x^k + x^-k) with x = prod t^eps, so the kernel
+    runs 2^(n-1) times."""
     k2 = Fraction(k) * 2
     if k2.denominator != 1:
         raise ValueError("k must be integral or half-integral")
     n = len(units)
     return QSeries.sum_products(ring, [
-        (sign, 0, f_bo(us, ring, order), _pair_weights(ring, uprod, [int(k2)], n)[0])
+        (sign, 0, kernel(us), _pair_weights(ring, uprod, [int(k2)], n)[0])
         for sign, us, uprod in _eps_data(units, ring)], order)
+
+
+@lru_cache(maxsize=None)
+def eps_inner_sum(units, ring, order, k):
+    """sum over eps of [eps] (prod t^eps)^k F_bo(q; t^eps) (``eps_sum``),
+    with F_bo the partition sum ``fock_sums.f_bo_sum`` where
+    ``fock_route`` picks it (eval mode, n >= 3, small orders) and ``f_bo``
+    otherwise.  The Fock route first raises the theta route's
+    ``PoleError`` where that route would (``check_poles``).  Cached: the
+    Weyl sums of every label over the same units, ring and order share the
+    inner sums."""
+    if fock_route(ring, len(units), order):
+        check_poles(units)
+        return eps_sum(lambda us: f_bo_sum(us, order), units, ring, order, k)
+    return eps_sum(lambda us: f_bo(us, ring, order), units, ring, order, k)
 
 
 # ---------------------------------------------------------------------------
@@ -434,23 +460,44 @@ def weyl_correlator(weight, wtype, l, units, ring, order):
 
 @lru_cache(maxsize=None)
 def _half_level_norm(sector, ring, order):
-    """1/base(()), inverted once for all of ``half_level_base``'s subsets."""
+    """1/base(()), inverted once for all of ``half_level_recursion``'s
+    subsets."""
     e, _, em = VACUUM[sector]
     return em(ring, order + e).inverse().shift(-e)
 
 
 @lru_cache(maxsize=None)
 def half_level_base(sector, units, ring, order):
-    """Level-1/2 base function by the subset recursion
+    """Level-1/2 base function of the sector: NS gives type D's
+    neutral-fermion n-point function, R type B's, and n = 0 the sector's
+    ``VACUUM``.  It is the strict-partition sum ``fock_base`` where
+    ``fock_route`` picks it (eval mode, n >= 3, small orders), after the
+    theta route's pole test (``check_poles``), and ``half_level_recursion``
+    otherwise."""
+    order = Fraction(order)
+    if units and fock_route(ring, len(units), order):
+        check_poles(units)
+        return fock_base(sector, units, order)
+    return half_level_recursion(sector, units, ring, order)
+
+
+def fock_base(sector, units, order):
+    """The level-1/2 base over ``RationalRing`` as the sum over the strict
+    partitions of the sector's positive modes (``fock_sums.base_sum``)."""
+    e, first, _ = VACUUM[sector]
+    return base_sum(units, Fraction(order), e, first)
+
+
+@lru_cache(maxsize=None)
+def half_level_recursion(sector, units, ring, order):
+    """The level-1/2 base by the subset recursion
 
         base(B) = (F(B) - sum_{A} base(A) base(B-A)) / (2 base(()))
 
     over the nonempty proper sub-tuples A of B = ``units`` (in index order),
-    with F the graded trace of the sector.  Each base(A) is a call of
-    ``half_level_base``, so its cache shares every subset's series.
-
-    NS gives type D's neutral-fermion n-point function, R type B's; n = 0
-    gives the sector's ``VACUUM``, and R halves the full graded trace.
+    with F the graded trace of the sector; R halves the full graded trace.
+    Each base(A) is a call of ``half_level_recursion``, so its cache shares
+    every subset's series.
     """
     order = Fraction(order)
     n = len(units)
@@ -464,8 +511,8 @@ def half_level_base(sector, units, ring, order):
     for bits in range(1, 2 ** n - 1):
         left = tuple(u for i, u in enumerate(units) if bits >> i & 1)
         right = tuple(u for i, u in enumerate(units) if not bits >> i & 1)
-        terms.append((1, 0, half_level_base(sector, left, ring, order),
-                      half_level_base(sector, right, ring, order)))
+        terms.append((1, 0, half_level_recursion(sector, left, ring, order),
+                      half_level_recursion(sector, right, ring, order)))
     cross = QSeries.sum_products(ring, terms, order)
     norm = _half_level_norm(sector, ring, order)
     return (((full - cross) * norm) * Fraction(1, 2)).truncated(order)

@@ -4,13 +4,16 @@ independent routes and compared coefficient-exactly.
 Each runner hands its (case params, lhs, rhs) triples to `_compare`, which
 builds the Report (the Weyl denominator checks compare polynomials and build
 their own).  `run(identity_id, **params)` dispatches by id and `REGISTRY`
-lists ids with their default parameters.  The Howe checks and
+lists ids with their default parameters; an identity whose internal
+consistency check raises ``InternalCheckError`` is reported as failed, so
+the identities after it still run.  The Howe checks and
 qdim-consistency read each label set's group family and multiplicity from
 one table, `DUALITY`, and its Fock sector from ``combinat.SECTOR``.
 """
 
 from __future__ import annotations
 
+import inspect
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -23,6 +26,7 @@ from .combinat import (SECTOR, Partition, enumerate_labels, odd_strict_partition
 from .characters import (FAMILIES, denominator_det, det_kind, det_laurent,
                          dimension, dominant_exponents, torus_vars)
 from .errors import FockcorrError, InternalCheckError
+from .fock_sums import f_bo_sum
 from .fock_oracle import (OpSpec, SectorSpec, charge_sectors, tau_refined_trace,
                           trace)
 from .qseries import (NS, RAMOND, LaurentRing, QSeries, RatFuncRing, RationalRing,
@@ -369,8 +373,12 @@ def _rec_half_check(algebra, n=2, order=8, mode="exact", svals=(2, 3, 5)):
     ``algebra``'s sector, twice that in R (algebra b).  The n = 1 base also
     equals its Jacobi-product closed form; any other base is compared with
     the neutral-fermion oracle, the NS trace of D ops or half the R trace
-    of B ops.  Above n = 1 the recursion holds by construction of the base,
-    so the oracle route is the one that tests it."""
+    of B ops.  Where ``correlators.half_level_base`` runs the recursion
+    (exact mode, and eval mode below 3 points) the first case holds by
+    construction and the oracle route is the one that tests it; where it
+    takes the Fock sum over strict partitions (eval mode at n >= 3, see
+    ``fock_sums.fock_route``) the first case tests the recursion against
+    the theta kernel."""
     sector = SECTOR[algebra]
     ring = corr.make_ring(n, mode)
     units = corr.make_units(ring, n, mode, svals)
@@ -407,6 +415,31 @@ def check_refined_d(order=10):
     return _compare("refined-d", {}, order, (
         ({"sign": sign, "form": name}, tr, form(sign, order))
         for sign, tr in ((1, tp), (-1, tm)) for name, form in forms))
+
+
+def check_fock_kernel(n=6, order=4, svals=(2, -3, Fraction(5, 7), 11, Fraction(-13, 3), 17)):
+    """The eps sums (k = 0, 1/2, 1) and the NS and R level-1/2 bases in
+    eval mode by both routes, for 1 to n points: theta (``f_bo`` in
+    ``corr.eps_sum``, and ``corr.half_level_recursion``) against the Fock
+    sums (``fock_sums.f_bo_sum`` and ``corr.fock_base``).  ``fock_route``
+    picks theta below 3 points and the Fock sums from 3 on (at orders 1 to
+    4n + 4), so the cases lie on both sides of the rule."""
+    ring = RationalRing()
+    units = corr.make_units(ring, n, "eval", svals)
+
+    def cases():
+        for m in range(1, n + 1):
+            us = units[:m]
+            for k in (0, Fraction(1, 2), 1):
+                yield ({"n": m, "k": k},
+                       corr.eps_sum(lambda v: corr.f_bo(v, ring, order), us, ring, order, k),
+                       corr.eps_sum(lambda v: f_bo_sum(v, order), us, ring, order, k))
+            for sector in (NS, RAMOND):
+                yield ({"n": m, "base": sector},
+                       corr.half_level_recursion(sector, us, ring, order),
+                       corr.fock_base(sector, us, order))
+
+    return _compare("fock-kernel", {"n": n}, order, cases())
 
 
 # ---------------------------------------------------------------------------
@@ -498,6 +531,7 @@ REGISTRY = {
     "osp-gf": (check_osp_gf, "odd strict partition generating function"),
     "cor-d": (check_cor_d, "half-level NS corollary q-identity"),
     "cor-b": (check_cor_b, "half-level R corollary q-identity"),
+    "fock-kernel": (check_fock_kernel, "theta eps sums and bases vs Fock sums"),
     "qdim-consistency": (check_qdim_consistency, "q-dimension dual forms + duality"),
     "AD-trace": (check_ad_trace, "D(t) = A(t) - A(t^{-1}) at trace level"),
     "oracle-a1": (check_oracle_a1, "type A level-1 charge sectors (oracle)"),
@@ -505,10 +539,18 @@ REGISTRY = {
 
 
 def run(identity_id, **params):
+    """The report of one identity.  An identity whose internal consistency
+    check raises ``InternalCheckError`` fails with the error's message, so
+    the identities after it still run."""
     if identity_id not in REGISTRY:
         raise FockcorrError(f"unknown identity {identity_id!r}")
     fn, _ = REGISTRY[identity_id]
-    report = fn(**params)
+    try:
+        report = fn(**params)
+    except InternalCheckError as exc:
+        default = inspect.signature(fn).parameters.get("order")
+        order = params.get("order", default.default if default else 0)
+        return Report(identity_id, params, order, False, str(exc))
     if report.ok and report.checks < 1:
         raise ValueError(f"{identity_id}: the parameters leave nothing to check")
     return report

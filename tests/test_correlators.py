@@ -633,11 +633,12 @@ class TestHalfLevelBases:
 
     @pytest.mark.parametrize("sector", [NS, RAMOND])
     def test_normalizer_is_inverted_once_per_sector(self, sector, monkeypatch):
-        # with f_bo warm, the 7 subset calls of an n = 3 base share one
+        # with f_bo warm, the 7 subset calls of an n = 3 recursion share one
         # normalizer, built once per (sector, ring, order)
         ring, units = RationalRing(), (F(2), F(3), F(5))
-        half_level_base(sector, units, ring, 6)
-        half_level_base.cache_clear()
+        half_level_recursion = correlators.half_level_recursion
+        half_level_recursion(sector, units, ring, 6)
+        half_level_recursion.cache_clear()
         correlators._half_level_norm.cache_clear()
         calls = Counter()
         inverse = QSeries.inverse
@@ -647,7 +648,7 @@ class TestHalfLevelBases:
             return inverse(series)
 
         monkeypatch.setattr(QSeries, "inverse", counting_inverse)
-        half_level_base(sector, units, ring, 6)
+        half_level_recursion(sector, units, ring, 6)
         assert calls["inverse"] <= 1
 
     @pytest.mark.parametrize("algebra", ["d", "b"])

@@ -115,6 +115,26 @@ def test_howe_asserts_where_the_charge_sectors_start(monkeypatch, fault):
         howe_check("howe-C", l=2, n=1, order=4, svals=(2,))
 
 
+def test_verify_all_reports_an_internal_check_error_and_goes_on(monkeypatch, capsys):
+    # a charge-sector fault makes every Howe check raise; each one is a
+    # [FAIL] line with the message, and every identity after it still runs
+    sectors_ = identities.charge_sectors
+
+    def planted(spec, ops, ring):
+        sectors = sectors_(spec, ops, ring)
+        sectors[max(sectors)] = sectors[max(sectors)] * F(2)
+        return sectors
+
+    monkeypatch.setattr(identities, "charge_sectors", planted)
+    assert cli.main(["verify", "all"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[1] for line in lines] == list(REGISTRY)
+    failed = {line.split()[1]: line for line in lines if line.startswith("[FAIL]")}
+    assert set(failed) == set(HOWE_IDS)
+    for key, line in failed.items():
+        assert f":: {key}: charge sector " in line
+
+
 def test_graded_traces_eval_n3():
     assert check_graded_a(n=3, order=3, svals=(2, 3, 5)).ok
 

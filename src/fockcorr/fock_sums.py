@@ -19,9 +19,9 @@ At s = a/b every factor is an int numerator over one denominator per
 (s, order): with M the largest |m| of a power s^m and
 P[m] = (a^2 - b^2) a^(M+m) b^(M-m), 1/(s - 1/s) is a^(M+1) b^(M+1) and s^m
 is P[m] over D = (a^2 - b^2) a^M b^M (the R constant goes over 2D).  A
-state then costs additions of P entries, and a sum over n points n - 1
-int products per state; the result is one ``QSeries._from_nums`` over the
-product of the D's.
+state's numerator is its parent's (the state less its last part) plus two
+P entries, and a sum over n points costs n - 1 int products per state;
+the result is one ``QSeries._from_nums`` over the product of the D's.
 
 The sums are finite at every s but 0 and +-1, while the theta formula has
 poles where a signed product of two or more of the s_i is +-1;

@@ -39,15 +39,17 @@ Over ``RationalRing`` at n >= 3 points and small orders, where one rule
 (``fock_sums.fock_route``) picks it, the eps sums and the level-1/2 bases
 take their series from Bloch-Okounkov's sums over partitions
 (``fock_sums``), which cost the number of states times n where the theta
-route costs about 3^n products.  Eval values are canonical, so both routes
+route costs about 3^n products; an eps sum there is one partition sum,
+with no sign vector.  Eval values are canonical, so both routes
 print the same bytes; ``fock-kernel`` checks one against the other, and
 ``graded_trace_F`` always runs the theta route, which the oracle checks.
 
-The eps sums over the 2^n sign vectors use F_bo(q; 1/t) = (-1)^n F_bo(q; t)
-(Bloch-Okounkov): the terms for eps and -eps pair up as
-[eps] F_bo(q; t^eps) (x^k + x^-k) with x = prod t^eps, so ``f_bo`` runs only
-for the 2^(n-1) vectors with eps_1 = +1.  ``graded_trace_F`` folds its
-lattice sum over k into one series product per such pair.
+On the theta route the eps sums over the 2^n sign vectors use
+F_bo(q; 1/t) = (-1)^n F_bo(q; t) (Bloch-Okounkov): the terms for eps and
+-eps pair up as [eps] F_bo(q; t^eps) (x^k + x^-k) with x = prod t^eps, so
+``f_bo`` runs only for the 2^(n-1) vectors with eps_1 = +1.
+``graded_trace_F`` folds its lattice sum over k into one series product
+per such pair.
 """
 
 from __future__ import annotations
@@ -61,7 +63,7 @@ from math import ceil, factorial, gcd, prod
 from .characters import det_laurent
 from .combinat import SECTOR, ModuleLabel
 from .errors import InternalCheckError, LabelError, NonUnitError, PoleError
-from .fock_sums import base_sum, check_poles, f_bo_sum, fock_route
+from .fock_sums import base_sum, check_poles, eps_sum_fock, fock_route
 from .laurent import LaurentPoly
 from .qseries import (NS, RAMOND, LaurentRing, QSeries, RatFuncRing, RationalRing,
                       lattice_points, pochhammer, rational_value, to16, unit_pow)
@@ -234,9 +236,9 @@ def inv_theta_at(unit, ring, order):
 @lru_cache(maxsize=None)
 def f_bo(units, ring, order):
     """The Bloch-Okounkov n-point kernel by the theta route; n = 0 gives
-    1/(q;q), n = 1 gives 1/((q;q) Theta(t)).  ``eps_inner_sum`` takes the
-    partition sum ``fock_sums.f_bo_sum`` in its place where
-    ``fock_sums.fock_route`` picks it (eval mode, n >= 3, small orders);
+    1/(q;q), n = 1 gives 1/((q;q) Theta(t)).  Where ``fock_sums.fock_route``
+    picks it (eval mode, n >= 3, small orders) ``eps_inner_sum`` takes the
+    factorized partition sum of the whole eps sum instead;
     ``graded_trace_F`` always takes this one.
 
     Over every ring but ``RatFuncRing`` it runs the subset recursion
@@ -355,35 +357,39 @@ def _pair_weights(ring, uprod, k2s, n):
     return [pows[k2] + pows[-k2] if n else pows[k2] for k2 in k2s]
 
 
-def eps_sum(kernel, units, ring, order, k):
-    """sum over eps of [eps] (prod t^eps)^k kernel(u^eps), with ``kernel``
-    the n-point kernel F_bo of a unit tuple; k may be half-integral.
-
-    Summed over the vectors with eps_1 = +1 only, each as
-    [eps] F_bo(q; t^eps) (x^k + x^-k) with x = prod t^eps, so the kernel
-    runs 2^(n-1) times."""
+def _twice(k):
+    """2k as an int, for k integral or half-integral."""
     k2 = Fraction(k) * 2
     if k2.denominator != 1:
         raise ValueError("k must be integral or half-integral")
-    n = len(units)
+    return int(k2)
+
+
+def eps_sum(units, ring, order, k):
+    """sum over eps of [eps] (prod t^eps)^k F_bo(q; t^eps) by the theta
+    route (``f_bo``); k may be half-integral.
+
+    Summed over the vectors with eps_1 = +1 only, each as
+    [eps] F_bo(q; t^eps) (x^k + x^-k) with x = prod t^eps, so ``f_bo``
+    runs 2^(n-1) times."""
+    k2, n = _twice(k), len(units)
     return QSeries.sum_products(ring, [
-        (sign, 0, kernel(us), _pair_weights(ring, uprod, [int(k2)], n)[0])
+        (sign, 0, f_bo(us, ring, order), _pair_weights(ring, uprod, [k2], n)[0])
         for sign, us, uprod in _eps_data(units, ring)], order)
 
 
 @lru_cache(maxsize=None)
 def eps_inner_sum(units, ring, order, k):
-    """sum over eps of [eps] (prod t^eps)^k F_bo(q; t^eps) (``eps_sum``),
-    with F_bo the partition sum ``fock_sums.f_bo_sum`` where
-    ``fock_route`` picks it (eval mode, n >= 3, small orders) and ``f_bo``
-    otherwise.  The Fock route first raises the theta route's
-    ``PoleError`` where that route would (``check_poles``).  Cached: the
-    Weyl sums of every label over the same units, ring and order share the
-    inner sums."""
+    """sum over eps of [eps] (prod t^eps)^k F_bo(q; t^eps): where
+    ``fock_route`` picks it (eval mode, n >= 3, small orders) the one
+    factorized partition sum ``fock_sums.eps_sum_fock``, with no sign
+    vector, after the theta route's pole test (``check_poles``), and
+    ``eps_sum`` otherwise.  Cached: the Weyl sums of every label over the
+    same units, ring and order share the inner sums."""
     if fock_route(ring, len(units), order):
         check_poles(units)
-        return eps_sum(lambda us: f_bo_sum(us, order), units, ring, order, k)
-    return eps_sum(lambda us: f_bo(us, ring, order), units, ring, order, k)
+        return eps_sum_fock(units, order, abs(_twice(k)))
+    return eps_sum(units, ring, order, k)
 
 
 # ---------------------------------------------------------------------------
@@ -497,13 +503,19 @@ def half_level_recursion(sector, units, ring, order):
     over the nonempty proper sub-tuples A of B = ``units`` (in index order),
     with F the graded trace of the sector; R halves the full graded trace.
     Each base(A) is a call of ``half_level_recursion``, so its cache shares
-    every subset's series.
+    every subset's series.  At n >= 1 the base is cut at order - e, e the
+    sector's vacuum energy.  Its terms lie at q^e or above, so at order e
+    (R at 1/16) it is the zero series cut at q^0; the recursion would cut
+    it 1/16 lower per point there, as a zero subset series reports its
+    truncation as its order.
     """
     order = Fraction(order)
     n = len(units)
+    e, _, em = VACUUM[sector]
     if n == 0:
-        e, _, em = VACUUM[sector]
         return em(ring, order - e).shift(e)
+    if order <= e:
+        return QSeries.zero(ring, order - e)
     full = graded_trace_F(sector, units, ring, order)
     if sector == RAMOND:
         full = full * Fraction(1, 2)

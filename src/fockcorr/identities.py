@@ -26,7 +26,7 @@ from .combinat import (SECTOR, Partition, enumerate_labels, odd_strict_partition
 from .characters import (FAMILIES, denominator_det, det_kind, det_laurent,
                          dimension, dominant_exponents, torus_vars)
 from .errors import FockcorrError, InternalCheckError
-from .fock_sums import f_bo_sum
+from .fock_sums import eps_sum_fock, f_bo_sum
 from .fock_oracle import (OpSpec, SectorSpec, charge_sectors, tau_refined_trace,
                           trace)
 from .qseries import (NS, RAMOND, LaurentRing, QSeries, RatFuncRing, RationalRing,
@@ -418,11 +418,12 @@ def check_refined_d(order=10):
 
 
 def check_fock_kernel(n=6, order=4, svals=(2, -3, Fraction(5, 7), 11, Fraction(-13, 3), 17)):
-    """The eps sums (k = 0, 1/2, 1) and the NS and R level-1/2 bases in
-    eval mode by both routes, for 1 to n points: theta (``f_bo`` in
-    ``corr.eps_sum``, and ``corr.half_level_recursion``) against the Fock
-    sums (``fock_sums.f_bo_sum`` and ``corr.fock_base``).  ``fock_route``
-    picks theta below 3 points and the Fock sums from 3 on (at orders 1 to
+    """The eps sums (k = 0, 1/2, 1, -3/2), F_bo and the NS and R level-1/2
+    bases in eval mode by both routes, for 1 to n points: theta
+    (``corr.eps_sum``, ``corr.f_bo`` and ``corr.half_level_recursion``)
+    against the Fock sums (the factorized ``fock_sums.eps_sum_fock``,
+    ``fock_sums.f_bo_sum`` and ``corr.fock_base``).  ``fock_route`` picks
+    theta below 3 points and the Fock sums from 3 on (at orders 1 to
     4n + 4), so the cases lie on both sides of the rule."""
     ring = RationalRing()
     units = corr.make_units(ring, n, "eval", svals)
@@ -430,10 +431,10 @@ def check_fock_kernel(n=6, order=4, svals=(2, -3, Fraction(5, 7), 11, Fraction(-
     def cases():
         for m in range(1, n + 1):
             us = units[:m]
-            for k in (0, Fraction(1, 2), 1):
-                yield ({"n": m, "k": k},
-                       corr.eps_sum(lambda v: corr.f_bo(v, ring, order), us, ring, order, k),
-                       corr.eps_sum(lambda v: f_bo_sum(v, order), us, ring, order, k))
+            for k in (0, Fraction(1, 2), 1, Fraction(-3, 2)):
+                yield ({"n": m, "k": k}, corr.eps_sum(us, ring, order, k),
+                       eps_sum_fock(us, order, abs(int(2 * k))))
+            yield {"n": m, "kernel": "F_bo"}, corr.f_bo(us, ring, order), f_bo_sum(us, order)
             for sector in (NS, RAMOND):
                 yield ({"n": m, "base": sector},
                        corr.half_level_recursion(sector, us, ring, order),

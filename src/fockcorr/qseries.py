@@ -696,7 +696,8 @@ def _rational_inverse(nums, den, v, rel_trunc):
 # ---------------------------------------------------------------------------
 
 def pochhammer(ring, prefix, qshift, step, order) -> QSeries:
-    """Truncation of prod_{r>=0} (1 - prefix * q^(qshift + r*step)).
+    """Truncation of prod_{r>=0} (1 - prefix * q^(qshift + r*step)), one
+    ``binomial_product``.
 
     Factors with q-exponent >= order are congruent to 1 and omitted, except
     the r = 0 factor when qshift = 0 (e.g. the (1 - t^{-1}) of (t^{-1};q)).
@@ -712,16 +713,39 @@ def pochhammer(ring, prefix, qshift, step, order) -> QSeries:
         prefix = ring.from_fraction(prefix)
     if qshift == 0 and prefix == ring.one():
         raise ValueError("(1;q)_infinity vanishes: prefix 1 with qshift 0")
-    out = QSeries.one(ring, order)
-    r = 0
-    while True:
-        e = qshift + r * step
-        if e >= order and not (r == 0 and qshift == 0):
-            break
-        factor = QSeries.one(ring, order) - QSeries.monomial(ring, e, prefix, order)
-        out = out * factor
-        r += 1
-    return out.truncated(order)
+    factors, e = [], qshift
+    while e < order or not factors and e == 0:
+        factors.append((prefix, e))
+        e += step
+    return binomial_product(ring, factors, order)
+
+
+def binomial_product(ring, factors, order) -> QSeries:
+    """prod (1 - c q^e) over the (c, e) of ``factors`` (c a ring coefficient,
+    e >= 0 a q-exponent), below q^order.
+
+    Over ``RationalRing`` at a positive order the numerators are one int
+    list over the exponents below the order, in steps of the exponents'
+    gcd, over the product of the denominators r of the c = p/r: each factor
+    maps the numerator x_i to r x_i - p x_(i-e), in place from the top.
+    Every other ring folds ``QSeries`` products in the order of the
+    factors, whose unreduced bytes follow that order."""
+    t = to16(order)
+    if not isinstance(ring, RationalRing) or t <= 0:
+        out = QSeries.one(ring, order)
+        for c, e in factors:
+            out = out * (QSeries.one(ring, order) - QSeries.monomial(ring, e, c, order))
+        return out.truncated(order)
+    factors = [(Fraction(c), to16(e)) for c, e in factors]
+    factors = [(c, e) for c, e in factors if c and e < t]
+    g = math.gcd(*(e for _, e in factors)) or t
+    nums, den = [1] + [0] * ((t - 1) // g), 1
+    for c, e in factors:
+        p, r, d = c.numerator, c.denominator, e // g
+        den *= r
+        for i in range(len(nums) - 1, -1, -1):
+            nums[i] = r * nums[i] - p * nums[i - d] if i >= d else r * nums[i]
+    return QSeries._from_nums(ring, {i * g: x for i, x in enumerate(nums) if x}, den, t)
 
 
 def lattice_sum(ring, sector, unit, order) -> QSeries:

@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import ceil
 
 from .laurent import LaurentPoly
-from .qseries import QSeries, RationalRing
+from .qseries import QSeries, RationalRing, binomial_product
 
 
 def rho(wtype, l):
@@ -132,14 +132,11 @@ def weyl_qpoly(lam, wtype, l, order):
 def weyl_sum_product_form(lam, wtype, l, order):
     """q^{||lam||^2/2} * prod_{alpha>0} (1 - q^{(lam+rho,alpha)})."""
     lam = _check_dominant(wtype, lam)
-    ring = RationalRing()
     r = rho(wtype, l)
-    out = QSeries.one(ring, order)
-    for alpha in positive_roots(wtype, l):
-        e = sum((lam[i] + r[i]) * alpha[i] for i in range(l))
-        out = out * (QSeries.one(ring, order) - QSeries.monomial(ring, e, Fraction(1), order))
+    factors = [(1, sum((lam[i] + r[i]) * alpha[i] for i in range(l)))
+               for alpha in positive_roots(wtype, l)]
     shift = sum(x * x for x in lam) / 2
-    return out.shift(shift)
+    return binomial_product(RationalRing(), factors, order).shift(shift)
 
 
 def weyl_denominator_poly(wtype, l, variables):

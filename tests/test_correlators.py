@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fockcorr import correlators
+from fockcorr import cli, correlators
 from fockcorr.combinat import ModuleLabel, enumerate_labels
 from fockcorr.correlators import (CorrelatorRequest, a_npoint, correlator,
                                   corollary_b_rhs, corollary_b_rhs_log,
@@ -22,7 +22,7 @@ from fockcorr.correlators import (CorrelatorRequest, a_npoint, correlator,
 from fockcorr.errors import LabelError, PoleError
 from fockcorr.laurent import LaurentPoly, RationalFunction
 from fockcorr.qseries import (NS, RAMOND, LaurentRing, QSeries, RatFuncRing, RationalRing,
-                              lattice_points, pochhammer,
+                              lattice_points, pochhammer, to16,
                               unit_pow)
 from fockcorr.weyl import weyl_qpoly, weyl_sum
 
@@ -630,6 +630,24 @@ class TestHalfLevelBases:
                * em_one(ring, 6) * F(2))
         ref = (num * den.inverse()).shift(F(1, 16))
         assert got.first_mismatch(ref) is None
+
+    @pytest.mark.parametrize("mode", ["eval", "exact"])
+    def test_r_base_is_cut_one_sixteenth_below_the_order(self, mode, capsys):
+        # the R base of n >= 1 points stops at order - 1/16 at every order,
+        # 1/16 included, where the recursion alone would cut 1/16 lower per
+        # point; exact mode stays at the cheap orders
+        svals = (F(2), F(3), F(5), F(7))
+        for n in range(1, 5):
+            ring = make_ring(n, mode)
+            units = make_units(ring, n, mode, svals)
+            orders = (F(1, 16), F(1, 8), F(1)) if mode == "eval" or n == 1 else (F(1, 16),)
+            for order in orders:
+                got = correlators.half_level_recursion(RAMOND, units, ring, order)
+                assert got.trunc == to16(order) - 1
+            argv = ["corr", "--algebra", "b", "--level", "1/2", "--n", str(n),
+                    "--order", "1/16", "--mode", mode, "--s", "2,3,5,7"]
+            assert cli.main(argv) == 0
+            assert capsys.readouterr().out.splitlines()[-1] == "O(q^0)"
 
     @pytest.mark.parametrize("sector", [NS, RAMOND])
     def test_normalizer_is_inverted_once_per_sector(self, sector, monkeypatch):

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from fockcorr.errors import ModeMismatchError, NonUnitError
 from fockcorr.laurent import LaurentPoly
 from fockcorr.qseries import (NS, RAMOND, LaurentRing, QSeries, RatFuncRing,
-                              RationalRing, _Ring, lattice_sum, pochhammer, to16)
+                              RationalRing, _Ring, binomial_product, lattice_sum, pochhammer,
+                              to16)
 
 R = RationalRing()
 LS = LaurentRing(("s",))
@@ -463,6 +464,51 @@ def test_sum_products_of_no_terms_is_zero(ring):
 def test_pochhammer_times_inverse(order):
     qq = pochhammer(R, 1, 1, 1, order)
     assert (qq * qq.inverse()).first_mismatch(QSeries.one(R, order)) is None
+
+
+def fold_binomials(ring, factors, order):
+    """prod (1 - c q^e) as a running product of QSeries, factor by factor."""
+    out = QSeries.one(ring, order)
+    for c, e in factors:
+        out = out * (QSeries.one(ring, order) - QSeries.monomial(ring, e, c, order))
+    return out.truncated(order)
+
+
+SIXTEENTHS = st.integers(min_value=0, max_value=96).map(lambda n: F(n, 16))
+RATIONALS = st.fractions(min_value=-4, max_value=4, max_denominator=7)
+
+
+@given(prefix=RATIONALS, qshift=SIXTEENTHS,
+       step=st.integers(min_value=1, max_value=40).map(lambda n: F(n, 16)),
+       order=st.integers(min_value=1, max_value=160).map(lambda n: F(n, 16)))
+@settings(max_examples=200, deadline=None)
+@example(prefix=F(-1), qshift=F(0), step=F(1, 16), order=F(1, 16))
+@example(prefix=F(3, 2), qshift=F(0), step=F(1, 2), order=F(7, 2))
+def test_pochhammer_equals_the_fold(prefix, qshift, step, order):
+    if qshift == 0 and prefix == 1:
+        return
+    factors, e = [], qshift
+    while e < order or not factors and e == 0:
+        factors.append((prefix, e))
+        e += step
+    got, ref = pochhammer(R, prefix, qshift, step, order), fold_binomials(R, factors, order)
+    assert (got.nums, got.den, got.trunc) == (ref.nums, ref.den, ref.trunc)
+
+
+@given(factors=st.lists(st.tuples(RATIONALS, SIXTEENTHS), max_size=8),
+       order=st.integers(min_value=-8, max_value=120).map(lambda n: F(n, 16)))
+@settings(max_examples=200, deadline=None)
+def test_binomial_product_equals_the_fold(factors, order):
+    got, ref = binomial_product(R, factors, order), fold_binomials(R, factors, order)
+    assert (got.nums, got.den, got.trunc) == (ref.nums, ref.den, ref.trunc)
+
+
+def test_binomial_product_keeps_the_fold_over_laurent_and_ratfunc():
+    rf = RatFuncRing(("s",))
+    for ring in (LS, rf):
+        factors = [(ring.var("s", 2, -1), F(1, 2)), (ring.var("s", -2), 1), (ring.one(), 2)]
+        assert (binomial_product(ring, factors, 5).dumps()
+                == fold_binomials(ring, factors, 5).dumps())
 
 
 def test_json_round_trip_all_modes():

@@ -5,28 +5,22 @@ an exact sum over basis states below an energy cutoff.  Every state is
 enumerated, per fermion flavor (strict mode subsets), and the flavors are
 merged with energy pruning.  Op i's eigenvalue on a state is C_i + x_i,
 C_i its central constant and x_i the sum of the weights of the occupied
-modes.  The merges key states by energy and charges only, and the states
-of one key are stored as one value, of one of two kinds:
-
-  * rational op arguments: the moment vector, mu_S = sum over the states
-    of prod_{i in S} x_i for each subset S of the ops, in ints (op i's
-    weights and central go over one common denominator d_i);
-  * symbolic ones: the occupation-count polynomial {counts: multiplicity},
-    counts per weight class, a weight class being one distinct nonzero
-    tuple of per-op mode weights (found by ``==`` on each pair of entries,
-    so no ring element is hashed).
+modes, all numerators built from the op's unit written as a/b: ints at a
+rational argument, the unit's Laurent form over 1 at a symbolic one.  The
+merges key states by energy and charges, and the states of one key are
+stored as their moment vector, mu_S = sum over the states of
+prod_{i in S} x_i for each subset S of the ops.
 
 One merge does all the combining: it joins the two flavors of a pair
 (charges add), and after each pair's charge filter it folds the pairs
 together (per-pair charge tuples concatenate); the neutral fermion joins
-as one more merge.  Joining disjoint mode sets multiplies their values:
-moment vectors in Z[y_1..y_k]/(y_i^2), (a b)_S = sum_{T <= S} a_T b_(S-T),
-and count polynomials by adding counts.  So merges do integer work only.
-A key's eigenvalue sum is sum_S mu_S prod_{i not in S} C_i, an int over
-prod_i d_i, and one Fraction is built per output term; over symbolic
-arguments the ring evaluates each final (energy, counts) signature once.
-The moments are exact algebra over the enumerated states, not a closed
-form, and nothing here comes from the closed-form modules.
+as one more merge.  Joining disjoint mode sets multiplies moment vectors
+in Z[y_1..y_k]/(y_i^2), (a b)_S = sum_{T <= S} a_T b_(S-T), on ints or
+Laurent polynomials, never on ring elements.  A key's eigenvalue sum is
+sum_S mu_S prod_{i not in S} C_i, a numerator over prod_i d_i, and the
+series divides once per output term.  The moments are exact algebra over
+the enumerated states, not a closed form, and nothing here comes from the
+closed-form modules.
 ``charge_sectors`` splits the merged keys of one pair by charge, so all
 its charge sectors come from one enumeration, and the tau-refined trace
 values its tau-fixed states the same way.
@@ -46,13 +40,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm, prod
-from operator import add, eq, mul
+from math import prod
+from operator import mul
 
-from .errors import PoleError, ResourceLimitError
+from .errors import InexactDivisionError, NonUnitError, PoleError, ResourceLimitError
 from .laurent import LaurentPoly, _div
-from .qseries import (NS, RAMOND, QSeries, RationalRing, from16, rational_value, to16,
-                      unit_pow)
+from .qseries import NS, RAMOND, QSeries, rational_value, to16, unit_pow
 
 
 @dataclass(frozen=True)
@@ -149,26 +142,6 @@ def op_mode_weight(kind, flavor, k, ring, unit):
     return _weight(kind, flavor, unit_pow(ring, unit, two_k), unit_pow(ring, unit, -two_k))
 
 
-def _mode_weights(kind, modes, ring, unit):
-    """{flavor: ``op_mode_weight`` of each mode k of ``modes[flavor]`` at
-    index k.numerator of a list (zero at the other indices)}, from one power
-    table of ``unit``: its powers unit^(+-2k), 2k all odd (NS) or all even
-    (R), each the last one times unit^(+-2)."""
-    top = max((int(2 * ks[-1]) for ks in modes.values() if ks), default=0)
-    sq = unit * unit
-    inv_sq = ring.inv(sq)
-    pows = {1: unit, -1: ring.inv(unit)} if top % 2 else {0: ring.one()}
-    for j in range(top % 2 + 2, top + 1, 2):
-        pows[j], pows[-j] = pows[j - 2] * sq, pows[2 - j] * inv_sq
-    out = {}
-    for flavor, ks in modes.items():
-        weights = out[flavor] = [ring.zero()] * (ks[-1].numerator + 1 if ks else 0)
-        for k in ks:
-            if k:
-                weights[k.numerator] = _weight(kind, flavor, pows[int(2 * k)], pows[-int(2 * k)])
-    return out
-
-
 def op_central(kind, level, ring, unit):
     """The central constant: level-scaled 1/(t^{1/2}-t^{-1/2}) or (t+1)/(t-1)."""
     if kind in ("A", "D", "C"):
@@ -246,142 +219,126 @@ def _moment_mul_add(k):
 
         def mul_add(acc, a, b):
             for s, split in enumerate(splits):
-                acc[s] += sum([a[t] * b[u] for t, u in split])
+                acc[s] = sum([a[t] * b[u] for t, u in split], acc[s])
             return acc
     return mul_add
 
 
-def _count_mul_add(acc, a, b):
-    """acc + a b, in place, of occupation-count polynomials {counts:
-    multiplicity}: the counts of two joined mode sets add."""
-    for n1, m1 in a.items():
-        for n2, m2 in b.items():
-            n = tuple(map(add, n1, n2))
-            acc[n] = acc.get(n, 0) + m1 * m2
-    return acc
+def _quotient(ring, op):
+    """(a, b) with ``op.unit`` = a/b: coprime ints, b > 0, at a rational
+    unit, else the unit's Laurent form over 1."""
+    value = rational_value(op.unit)
+    if value is not None:
+        return value.numerator, value.denominator
+    try:
+        return ring.to_laurent(op.unit), 1
+    except InexactDivisionError:
+        raise ValueError(f"{op.kind}(t) takes a Laurent polynomial unit, "
+                         f"not {op.unit!r}") from None
 
 
 class _OpTable:
-    """The value of a set of states under ``ops`` on a sector, its product
-    ``mul_add`` and the series of keyed values (see the module docstring).
+    """The moment vectors of sets of states under ``ops`` on a sector, their
+    product ``mul_add`` and the series of keyed moment vectors.
 
-    Over rational arguments ``weights[flavor][i]`` lists op i's weight
-    numerators over d_i by mode numerator (a state looks up
-    ``k.numerator`` and hashes no ``Fraction``), and ``cofactors[S]`` is
-    the product of the central numerators of the ops not in S.  Over
-    symbolic ones ``classes`` holds the weight tuples W_j, and
-    ``class_of[flavor]`` each mode's class by mode numerator (None when
-    all its weights are zero)."""
+    Op i's unit is a/b (``_quotient``).  With T the largest 2k of a mode, g
+    the level's denominator and P(m) = a^(T+m) b^(T-m), as in
+    ``fock_sums._factors``, a mode k weighs P(2k) - P(-2k) over a^T b^T
+    under D, C and B (A: P(2k) on psi^+, -P(-2k) on psi^-).  The central
+    is g level (a^2 + b^2) a^T b^T under B, g level a^(T+1) b^(T+1) under
+    A and twice that under D and C, over d_i = g (a^2 - b^2) a^T b^T; so
+    over prod_i d_i the term of mu_S is mu_S ``cofactors[S]``, the product
+    of g (a^2 - b^2) over the ops in S and the central numerators of the
+    others.  ``weights[flavor][i]`` lists op i's weights by mode numerator
+    (no ``Fraction`` is hashed).  Every argument error (a pole, a zero or
+    non-Laurent unit, a d with no inverse in the ring) raises here, before
+    any state is enumerated."""
 
     def __init__(self, spec, ops, ring):
-        args = [rational_value(op.unit) for op in ops]
-        self.rational = None not in args
         self.spec, self.ring = spec, ring
-        wring = RationalRing() if self.rational else ring
-        units = args if self.rational else [op.unit for op in ops]
         flavors = ("plus", "minus") * bool(spec.pairs) + ("neutral",) * spec.neutral
         modes = {f: _flavor_modes(spec, f) for f in flavors}
-        weights = [_mode_weights(op.kind, modes, wring, u) for op, u in zip(ops, units)]
-        centrals = [op_central(op.kind, spec.level, wring, u) for op, u in zip(ops, units)]
-        if self.rational:
-            dens = [lcm(c.denominator, *(w.denominator for ws in weights[i].values() for w in ws))
-                    for i, c in enumerate(centrals)]
-            self.den = prod(dens)
-            self.weights = {f: [[w.numerator * (d // w.denominator) for w in ws[f]]
-                                for ws, d in zip(weights, dens)] for f in flavors}
-            nums = [c.numerator * (d // c.denominator) for c, d in zip(centrals, dens)]
-            self.cofactors = [prod(n for i, n in enumerate(nums) if not s >> i & 1)
-                              for s in range(1 << len(ops))]
-            self.mul_add = _moment_mul_add(len(ops))
-            return
-        self.centrals, self.classes, self.class_of = centrals, [], {}
-        for f in flavors:
-            of = self.class_of[f] = []
-            for w in zip(*(ws[f] for ws in weights)):
-                j = None
-                if any(w):
-                    j = next((j for j, seen in enumerate(self.classes)
-                              if all(map(eq, w, seen))), len(self.classes))
-                    if j == len(self.classes):
-                        self.classes.append(w)
-                of.append(j)
-        self.mul_add = _count_mul_add
+        top = max((int(2 * ks[-1]) for ks in modes.values() if ks), default=0)
+        quotients = [_quotient(ring, op) for op in ops]
+        self.laurent = any(isinstance(a, LaurentPoly) for a, _ in quotients)
+        zero = self.zero = LaurentPoly.zero(ring.vars) if self.laurent else 0
+        g, glevel = spec.level.denominator, spec.level.numerator  # glevel = g * level
+        self.weights = {f: [] for f in flavors}
+        self.den, scales, centrals = 1, [], []
+        for op, (a, b) in zip(ops, quotients):
+            if not a:
+                raise NonUnitError("zero is not invertible")
+            apow, bpow = [1], [1]
+            for _ in range(max(2 * top, top + 2)):
+                apow.append(apow[-1] * a)
+                bpow.append(bpow[-1] * b)
+            if not apow[2] - bpow[2]:
+                raise PoleError("operator argument t = 1")
+            scales.append(g * (apow[2] - bpow[2]))
+            self.den *= scales[-1] * apow[top] * bpow[top]
+            if op.kind == "B":
+                centrals.append(glevel * (apow[top + 2] * bpow[top] + apow[top] * bpow[top + 2]))
+            else:
+                centrals.append((1 if op.kind == "A" else 2) * glevel
+                                * apow[top + 1] * bpow[top + 1])
+            for f, ks in modes.items():
+                weights = [zero] * (ks[-1].numerator + 1 if ks else 0)
+                for k in ks:
+                    if k:
+                        j = int(2 * k)
+                        weights[k.numerator] = _weight(
+                            op.kind, f, apow[top + j] * bpow[top - j],
+                            apow[top - j] * bpow[top + j])
+                self.weights[f].append(weights)
+        if self.laurent:
+            self.inv_den = ring.inv(ring.from_laurent(self.den))
+        self.cofactors = [prod((scales if s >> i & 1 else centrals)[i]
+                               for i in range(len(ops))) for s in range(1 << len(ops))]
+        self.mul_add = _moment_mul_add(len(ops))
 
     def constant(self, m):
         """The value of m copies of the empty state (of no state at m = 0),
         a new object."""
-        if self.rational:
-            return [m] + [0] * (len(self.cofactors) - 1)
-        return {(0,) * len(self.classes): m} if m else {}
+        return [m] + [self.zero] * (len(self.cofactors) - 1)
 
     def state(self, flavor, modes):
         """The value of the one state of ``flavor`` that occupies ``modes``."""
-        if not self.rational:
-            counts = [0] * len(self.classes)
-            of = self.class_of[flavor]
-            for k in modes:
-                j = of[k.numerator]
-                if j is not None:
-                    counts[j] += 1
-            return {tuple(counts): 1}
         nums = [k.numerator for k in modes]
         mu = [1]
         for w in self.weights[flavor]:
-            x = sum([w[n] for n in nums])
+            x = sum([w[n] for n in nums], self.zero)
             mu += [m * x for m in mu]
         return mu
 
     def series(self, terms):
         """The sum over ``terms``, triples (energy16, z-exponent vector,
         value), of q^energy z^exponents times the value's eigenvalue sum,
-        the sum over its states of prod_i (C_i + x_i).
-
-        Over rational arguments that sum is the int sum_S mu_S cofactors_S
-        over prod_i d_i; the ints are summed per (energy, z-monomial), and
-        the series takes them as they are: as its numerators over the
-        rational ring, as the z-polynomials' coefficients (each divided
-        once) over the others."""
-        spec, ring = self.spec, self.ring
-        if not self.rational:
-            return QSeries.from_terms(ring, ((from16(e16) + spec.energy_shift, c)
-                                             for e16, c in self._ring_terms(terms)),
-                                      spec.cutoff + spec.energy_shift)
+        the sum over its states of prod_i (C_i + x_i): the numerator
+        sum_S mu_S cofactors_S over prod_i d_i, summed per (energy,
+        z-monomial) and divided once per output term, by ``_from_nums`` (or
+        per z-coefficient) when it is an int, by one ring product per
+        energy when it is a Laurent polynomial."""
+        spec, ring, zero = self.spec, self.ring, self.zero
         acc = {}  # energy16 -> {z-exponent vector: numerator}
         for e16, z, mu in terms:
             poly = acc.setdefault(e16, {})
-            poly[z] = poly.get(z, 0) + sum(map(mul, mu, self.cofactors))
+            poly[z] = sum(map(mul, mu, self.cofactors), poly.get(z, zero))
         # every energy is below the cutoff, so below the shifted truncation
         shift = to16(spec.energy_shift)
         trunc, den = to16(spec.cutoff) + shift, self.den
+        if self.laurent:
+            nums = {e16 + shift: sum([n.shift(z) for z, n in poly.items()], zero)
+                    for e16, poly in acc.items()}
+            return QSeries(ring, {e: ring.from_laurent(n) * self.inv_den
+                                  for e, n in nums.items() if n}, trunc, _clean=False)
         if ring.mode == "rational":
-            return QSeries._from_nums(ring, {e16 + shift: poly[()] for e16, poly in acc.items()
-                                             if poly[()]}, den, trunc)
+            sign = 1 if den > 0 else -1
+            return QSeries._from_nums(ring, {e16 + shift: sign * poly[()]
+                                             for e16, poly in acc.items() if poly[()]},
+                                      sign * den, trunc)
         return QSeries(ring, {e16 + shift: ring.from_laurent(LaurentPoly(
             ring.vars, {z: _div(v, den) for z, v in poly.items() if v}, _clean=False))
             for e16, poly in acc.items()}, trunc)
-
-    def _ring_terms(self, terms):
-        """(energy16, coefficient) per final signature (energy, counts): its
-        z-polynomial times the product of the eigenvalues
-        central_i + sum_j counts_j W_j[i], in the ring."""
-        ring = self.ring
-        signatures = {}  # (energy16, counts) -> {z-exponent vector: multiplicity}
-        for e16, z, value in terms:
-            for counts, m in value.items():
-                poly = signatures.setdefault((e16, counts), {})
-                poly[z] = poly.get(z, 0) + m
-        for (e16, counts), poly in signatures.items():
-            monomials = {z: m for z, m in poly.items() if m}
-            if not monomials:
-                continue
-            val = ring.from_laurent(LaurentPoly(ring.vars, monomials, _clean=False))
-            for i, central in enumerate(self.centrals):
-                ev = central
-                for w, n in zip(self.classes, counts):
-                    if n:
-                        ev = ev + (w[i] if n == 1 else ring.from_fraction(n) * w[i])
-                val = val * ev
-            yield e16, val
 
 
 def enumerate_states(spec: SectorSpec, max_states=None):
@@ -435,12 +392,13 @@ def trace(spec: SectorSpec, ops, ring, *, zvars=None,
             value when pairs == 1; an entry off the sector's charge lattice
             (Z in NS, 1/2 + Z in R) is a ValueError.
     max_states: budget on the states enumerated and on the (energy,
-                charges) entries of any one merge, whatever the kind of
-                value, so a rational call and its symbolic twin raise alike.
+                charges) entries of any one merge, so a rational call and
+                its symbolic twin raise alike.
 
-    The states are merged and valued as the module docstring says:
-    rational arguments in ints, symbolic ones in the ring once per final
-    (energy, counts) signature.
+    The states are merged as moment vectors of numerators, as the module
+    docstring says, and each output term is divided once.  A symbolic
+    unit must be a Laurent polynomial (a ValueError names the op
+    otherwise).
     """
     ops = tuple(ops)
     _check_ops(spec, ops)

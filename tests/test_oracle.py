@@ -1,4 +1,5 @@
 import hashlib
+import time
 from fractions import Fraction as F
 from functools import reduce
 from itertools import product
@@ -11,9 +12,9 @@ from hypothesis import strategies as st
 from fockcorr.correlators import (em_half, em_one, f_bo, graded_trace_F,
                                   half_level_base, inv_qq, qq_odd,
                                   refined_level1)
-from fockcorr import fock_oracle
+from fockcorr import correlators, fock_oracle, identities
 from fockcorr.combinat import ALGEBRAS, SECTOR
-from fockcorr.errors import ResourceLimitError
+from fockcorr.errors import NonUnitError, PoleError, ResourceLimitError
 from fockcorr.fock_oracle import (NS, RAMOND, FockState, OpSpec, SectorSpec,
                                   _check_ops, _flavor_signature_states,
                                   enumerate_states, eigenvalue, op_central,
@@ -244,13 +245,13 @@ class TestTauRefined:
 
 
 # ---------------------------------------------------------------------------
-# the count-keyed trace against the value-keyed one it replaced
+# the merged moment-vector trace against a per-state reference trace
 # ---------------------------------------------------------------------------
 
 def reference_trace(spec, ops, ring, *, zvars=None, charge=None, max_states=None):
-    """The value-keyed trace the oracle used before its states were keyed by
-    occupation counts: every merge adds ring elements per basis state.  A
-    charge c grades as z^c in NS and as w^(2c) in R."""
+    """A value-keyed reference trace: its states are keyed by their tuples of
+    ring-valued op weights, and every merge adds ring elements per basis
+    state.  A charge c grades as z^c in NS and as w^(2c) in R."""
     ops = tuple(ops)
     _check_ops(spec, ops)
     if charge is not None and not isinstance(charge, (tuple, list)):
@@ -406,7 +407,7 @@ def assert_matches_reference(spec, ops, ring, **kwargs):
         assert got.dumps() == want.dumps()
 
 
-class TestCountKeyedTrace:
+class TestMergedTraceMatchesReference:
     @given(call=oracle_calls())
     @settings(max_examples=80, deadline=None)
     def test_matches_the_value_keyed_trace(self, call):
@@ -414,9 +415,9 @@ class TestCountKeyedTrace:
         assert_matches_reference(spec, ops, ring, **kwargs)
 
     def test_mixed_kinds_and_a_shared_z_variable(self):
-        # D weighs psi^+_k and psi^-_k alike and A does not, so the two modes
-        # share a weight class only if every op is compared; two pairs graded
-        # by one variable add their exponents
+        # D weighs psi^+_k and psi^-_k alike and A does not, so each op needs
+        # its own moments; two pairs graded by one variable add their
+        # exponents
         ring = RINGS["laurent"]
         ops = [OpSpec("D", ring.from_fraction(2)), OpSpec("A", ring.from_fraction(3))]
         assert_matches_reference(SectorSpec(1, 0, "ns", 3), ops, ring)
@@ -474,27 +475,28 @@ class TestCountKeyedTrace:
         assert got.trunc == ref.trunc
         assert got.first_mismatch(ref) is None
 
-    def test_ring_work_is_per_signature(self, monkeypatch):
-        # about 25,000 coefficient adds and products when every basis state
-        # did ring work; about 760 on a symbolic argument, once the ring sees
-        # only the final signatures
+    def test_merges_do_no_ring_work(self, monkeypatch):
+        # at a symbolic argument the merges carry Laurent numerators, and
+        # the ring divides once per output term: no sum of ring elements
+        # and at most one product per term
         calls = []
         for name in ("__add__", "__mul__"):
-            def counting(a, b, op=getattr(LaurentPoly, name)):
+            def counting(a, b, name=name, op=getattr(RationalFunction, name)):
                 calls.append(name)
                 return op(a, b)
-            monkeypatch.setattr(LaurentPoly, name, counting)
+            monkeypatch.setattr(RationalFunction, name, counting)
 
         ring = RatFuncRing(("s",) + ZV)
         out = trace(SectorSpec(3, 0, "ns", 7), [OpSpec("D", ring.var("s"))], ring,
                     zvars=ZV)
-        assert out
-        assert len(calls) < 1000
+        assert out.terms
+        assert "__add__" not in calls
+        assert len(calls) <= len(out.terms)
 
     def test_rational_arguments_make_no_laurent_products(self, monkeypatch):
-        # with rational op arguments each signature is evaluated in plain
-        # ints, so the trace multiplies no Laurent polynomials; a symbolic
-        # argument still takes the ring path
+        # with rational op arguments the numerators are plain ints, so the
+        # trace multiplies no Laurent polynomials; at a symbolic argument
+        # they are Laurent polynomials
         calls = []
         for name in ("__mul__", "__rmul__"):
             def counting(a, b, op=getattr(LaurentPoly, name)):
@@ -513,10 +515,13 @@ class TestCountKeyedTrace:
         assert calls
 
 
+# a unit is a rational value or ("s", k) for s^k
 THREE_OPS = {
     "ns": (("D", F(2)), ("C", F(-3, 2)), ("A", F(5, 3))),
     "ns-neutral": (("D", F(2)), ("C", F(-3, 2)), ("D", F(5, 3))),
     "r": (("B", F(2)), ("B", F(-3)), ("B", F(3, 2))),
+    "ns-symbolic": (("D", ("s", 1)), ("C", ("s", -1)), ("A", ("s", 2))),
+    "r-symbolic": (("B", ("s", 1)), ("B", ("s", -1)), ("B", ("s", 2))),
 }
 
 
@@ -529,13 +534,17 @@ THREE_OPS = {
     (SectorSpec(0, 1, "ns", 5), "ns-neutral", "rational", {}),
     (SectorSpec(2, 0, "r", 3), "r", "laurent", dict(zvars=("z1", "z2"))),
     (SectorSpec(1, 1, "r", 4), "r", "rational", dict(charge=F(1, 2))),
+    (SectorSpec(2, 0, "ns", 3), "ns-symbolic", "ratfunc", dict(zvars=("z1", "z2"))),
+    (SectorSpec(1, 1, "r", 3), "r-symbolic", "ratfunc", dict(zvars=("z1",))),
 ], ids=["ns-graded", "ns-charge", "ns-3-pairs", "ns-neutral-graded", "ns-neutral-only",
-        "r-graded", "r-neutral-charge"])
+        "r-graded", "r-neutral-charge", "ns-symbolic-graded", "r-neutral-symbolic"])
 def test_three_ops_match_the_value_keyed_trace(spec, ops, mode, kwargs):
     # the subset product of moment vectors over k = 3 ops, which the
-    # property tests (at most two ops) never run, byte for byte
+    # property tests (at most two ops) never run: byte for byte at rational
+    # units, and with Laurent numerators at symbolic ones
     ring = RINGS[mode]
-    ops = [OpSpec(kind, ring.from_fraction(s)) for kind, s in THREE_OPS[ops]]
+    ops = [OpSpec(kind, ring.var(*u) if isinstance(u, tuple) else ring.from_fraction(u))
+           for kind, u in THREE_OPS[ops]]
     got = trace(spec, ops, ring, **kwargs)
     assert got.terms
     assert_matches_reference(spec, ops, ring, **kwargs)
@@ -547,9 +556,10 @@ def test_three_ops_match_the_value_keyed_trace(spec, ops, mode, kwargs):
     (SectorSpec(2, 0, "r", 4), "B", ("z1", "z1")),
 ])
 def test_merge_budget_counts_energy_and_charge_entries(spec, kind, zvars):
-    # max_states bounds the (energy, charges) entries of a merge, whichever
-    # kind of value they carry: a rational call and its symbolic twin pass
-    # from the same budget on, and one less fails in a merge
+    # max_states bounds the (energy, charges) entries of a merge, whether
+    # their numerators are ints or Laurent polynomials: a rational call and
+    # its symbolic twin pass from the same budget on, and one less fails in
+    # a merge
     s = F(3, 2)
     laurent = RINGS["laurent"]
     calls = [([OpSpec(kind, laurent.from_fraction(s)), OpSpec(kind, laurent.from_fraction(1 / s))],
@@ -588,6 +598,70 @@ def test_charge_filter_off_the_lattice_is_an_error(spec, charge):
     # would select no state, so it is refused
     with pytest.raises(ValueError, match="off the charge lattice"):
         trace(spec, [], RationalRing(), charge=charge)
+
+
+# ---------------------------------------------------------------------------
+# the op-argument contract: each error surfaces while the numerator table is
+# built, before any state is enumerated
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def no_enumeration(monkeypatch):
+    def refused(*args):
+        raise AssertionError("a state was enumerated")
+    monkeypatch.setattr(fock_oracle, "_flavor_signature_states", refused)
+
+
+def test_a_symbolic_unit_must_be_a_laurent_polynomial(no_enumeration):
+    ring = RatFuncRing(("s",))
+    s = ring.var("s")
+    ops = [OpSpec("D", s), OpSpec("C", ring.inv(s + ring.one()))]
+    with pytest.raises(ValueError, match=r"^C\(t\) takes a Laurent polynomial unit, not "):
+        trace(SectorSpec(1, 0, "ns", 3), ops, ring)
+
+
+@pytest.mark.parametrize("spec, kind, ring, unit", [
+    (SectorSpec(1, 0, "ns", 3), "D", RationalRing(), F(1)),
+    (SectorSpec(1, 1, "r", 3), "B", LaurentRing(("z",)), F(-1)),
+    (SectorSpec(0, 1, "ns", 3), "C", RatFuncRing(("s",)), 1),
+])
+def test_a_pole_raises_before_enumeration(no_enumeration, spec, kind, ring, unit):
+    with pytest.raises(PoleError, match="^operator argument t = 1$"):
+        trace(spec, [OpSpec(kind, ring.from_fraction(unit))], ring)
+
+
+@pytest.mark.parametrize("ring, unit, message", [
+    (LaurentRing(("s",)), "s", "only monomials are units of the Laurent ring"),
+    (RationalRing(), 0, "zero is not invertible"),
+])
+def test_a_non_unit_central_raises_before_enumeration(no_enumeration, ring, unit, message):
+    # over a LaurentRing the central 1/(s - 1/s) of a symbolic argument is
+    # no Laurent polynomial
+    op = OpSpec("D", ring.var(unit) if isinstance(unit, str) else ring.from_fraction(unit))
+    with pytest.raises(NonUnitError, match=f"^{message}$"):
+        trace(SectorSpec(1, 0, "ns", 3), [op], ring)
+
+
+def test_a_fault_in_the_numerator_table_fails_both_argument_kinds(monkeypatch):
+    # ROADMAP item 4's fault matrix on the one kernel both kinds share: 1
+    # added to the product of the central numerators fails an eval-mode
+    # identity (int numerators) and an exact-mode one (Laurent numerators)
+    runs = (("graded-A", {"order": 3}), ("f0-trace", {"order": 3}))
+    assert all(identities.run(name, **params).ok for name, params in runs)
+    build = fock_oracle._OpTable.__init__
+
+    def planted(self, *args):
+        build(self, *args)
+        self.cofactors[0] += 1
+
+    for cached in vars(correlators).values():
+        if hasattr(cached, "cache_clear"):
+            cached.cache_clear()
+    monkeypatch.setattr(fock_oracle._OpTable, "__init__", planted)
+    start = time.perf_counter()
+    lines = [identities.run(name, **params).line() for name, params in runs]
+    assert time.perf_counter() - start < 1
+    assert [line.split(" (")[0] for line in lines] == ["[FAIL] graded-A", "[FAIL] f0-trace"]
 
 
 # ---------------------------------------------------------------------------
